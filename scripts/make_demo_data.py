@@ -53,7 +53,8 @@ def main():
     target_prev = float((target.labels == 1).mean())
     target_hidden = LabeledCorpus(
         vocabulary=target.vocabulary,
-        rows=target.rows,
+        X=target.X,
+        user_ids=target.user_ids,
         labels=np.full(target.n, -1, dtype=np.int64),
         k=2,
     )

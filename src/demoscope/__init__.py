@@ -8,7 +8,7 @@ scores, then quantify prevalence over user cohorts with uncertainty.
 
 __version__ = "0.1.0"
 
-from .axis import AxisModel, EmbeddingTable, build_axis, load_embeddings, score_user
+from .axis import AxisModel, EmbeddingTable, build_axis, load_embeddings, score_corpus
 from .bayes import (
     FitReport,
     NaiveBayesModel,
@@ -16,8 +16,7 @@ from .bayes import (
     feature_log_odds_dispersion,
     fit_semisupervised,
     fit_supervised,
-    log_joint,
-    predict_proba,
+    predict_proba_matrix,
 )
 from .calibrate import IsotonicMap, apply_map, fit_isotonic, reliability
 from .classifiers import (
@@ -31,7 +30,6 @@ from .classifiers import (
 from .data import (
     CommunityVocabulary,
     LabeledCorpus,
-    SparseActivityVector,
     SplitSpec,
     load_corpus,
     load_vocabulary,
@@ -95,7 +93,6 @@ __all__ = [
     "PrevalenceEstimate",
     "QuantifierModel",
     "SeedSets",
-    "SparseActivityVector",
     "SplitSpec",
     "apply_map",
     "axis_factory",
@@ -121,13 +118,12 @@ __all__ = [
     "load_embeddings",
     "load_model",
     "load_vocabulary",
-    "log_joint",
     "mae",
     "majority_factory",
     "nb_factory",
     "npp_sample",
     "poisson_binomial_interval",
-    "predict_proba",
+    "predict_proba_matrix",
     "random_oversample",
     "reliability",
     "resolve_coherence",
@@ -135,6 +131,6 @@ __all__ = [
     "roc_auc",
     "roc_curve",
     "save_model",
-    "score_user",
+    "score_corpus",
     "split",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import IsotonicMap, apply_map
-from .data import CommunityVocabulary, LabeledCorpus, SparseActivityVector
+from .data import CommunityVocabulary, LabeledCorpus
 from .errors import DataError
 
 
@@ -190,25 +190,6 @@ def _z_for_vocabulary(axis: AxisModel, vocabulary: CommunityVocabulary):
             values[j] = v
             mask[j] = True
     return values, mask
-
-
-def score_user(axis: AxisModel, x: SparseActivityVector, vocabulary: CommunityVocabulary) -> float:
-    """Activity-weighted mean z over the user's embeddable communities.
-
-    Raises DataError when none of the user's communities are in the
-    axis table (the batch API reports NaN instead).
-    """
-    z_of = axis.z_of
-    num = 0.0
-    den = 0.0
-    for j, c in zip(x.indices.tolist(), x.counts.tolist()):
-        v = z_of.get(vocabulary.names[j])
-        if v is not None:
-            num += c * v
-            den += c
-    if den == 0.0:
-        raise DataError(f"user {x.user_id!r}: no activity in embedded communities")
-    return num / den
 
 
 def score_corpus(axis: AxisModel, corpus: LabeledCorpus) -> np.ndarray:

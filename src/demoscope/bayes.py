@@ -28,7 +28,7 @@ from scipy.special import log_softmax, logsumexp
 from scipy.stats import norm
 
 from .calibrate import IsotonicMap, apply_map
-from .data import LabeledCorpus, SparseActivityVector
+from .data import LabeledCorpus
 from .errors import DataError, NumericError
 
 # smallest log mass assigned to any activity bin; exp(-745) is the
@@ -174,25 +174,19 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def log_joint_matrix(model: NaiveBayesModel, X: sp.csr_matrix, activities=None) -> np.ndarray:
-    """log p(x, y) for every row and class, shape (n, k)."""
+    """log p(x, y) for every row and class, shape (n, k).
+
+    Raises DataError when X does not have one column per model community.
+    """
+    if X.shape[1] != model.d:
+        raise DataError(
+            f"corpus has {X.shape[1]} communities, the model was fit on {model.d}"
+        )
     lj = np.asarray(X @ model.log_cond.T) + model.log_prior[None, :]
     if model.activity is not None:
         if activities is None:
             activities = np.asarray(X.sum(axis=1)).ravel()
         lj = lj + _activity_log_matrix(np.asarray(activities, dtype=np.float64), model.activity)
-    return lj
-
-
-def log_joint(model: NaiveBayesModel, x: SparseActivityVector) -> np.ndarray:
-    """log p(x, y) for one row, shape (k,)."""
-    if len(x.indices) and x.indices[-1] >= model.d:
-        raise DataError(
-            f"user {x.user_id!r}: community index {int(x.indices[-1])} "
-            f"outside model vocabulary of size {model.d}"
-        )
-    lj = model.log_prior + (model.log_cond[:, x.indices] * x.counts).sum(axis=1)
-    if model.activity is not None:
-        lj = lj + _activity_log_matrix(np.array([float(x.total())]), model.activity)[0]
     return lj
 
 
@@ -206,23 +200,6 @@ def predict_proba_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.nd
         p1 = apply_map(model.calibrator, proba[:, 1])
         proba = np.stack([1.0 - p1, p1], axis=1)
     return proba
-
-
-def predict_proba(model: NaiveBayesModel, x: SparseActivityVector) -> np.ndarray:
-    """Posterior p(y | x) for one row, shape (k,)."""
-    lj = log_joint(model, x)
-    proba = np.exp(lj - logsumexp(lj))
-    if model.calibrator is not None:
-        if model.k != 2:
-            raise DataError("calibration only applies to binary models")
-        p1 = apply_map(model.calibrator, float(proba[1]))
-        proba = np.array([1.0 - p1, p1])
-    return proba
-
-
-def classify(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
-    """Hard class per row; posterior ties resolve to the lower class."""
-    return np.argmax(predict_proba_matrix(model, corpus), axis=1).astype(np.int64)
 
 
 def fit_supervised(

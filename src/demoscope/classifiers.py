@@ -1,10 +1,10 @@
 """Uniform classifier interface over the model families.
 
-Evaluation and quantification only need three things from a model:
-probability-like scores for class 1, hard predictions, and whether the
-scores are calibrated. Scores are NaN (and predictions -1) for rows a
-model cannot score; downstream code drops those rows and reports the
-count.
+Evaluation and quantification only need two things from a model: one
+scoring pass that returns probability-like scores for class 1 together
+with hard predictions, and whether the scores are calibrated. Scores
+are NaN (and predictions -1) for rows a model cannot score; downstream
+code drops those rows and reports the count.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .errors import DataError
 
 @runtime_checkable
 class ScoringClassifier(Protocol):
-    def scores(self, corpus: LabeledCorpus) -> np.ndarray: ...
-
-    def predict(self, corpus: LabeledCorpus) -> np.ndarray: ...
+    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+        """(class-1 scores, hard predictions) per row, from one pass."""
+        ...
 
     @property
     def calibrated(self) -> bool: ...
@@ -40,11 +40,10 @@ class NaiveBayesClassifier:
         if self.model.k != 2:
             raise DataError("classifier adapters are binary; model has k != 2")
 
-    def scores(self, corpus: LabeledCorpus) -> np.ndarray:
-        return bayes.predict_proba_matrix(self.model, corpus)[:, 1]
-
-    def predict(self, corpus: LabeledCorpus) -> np.ndarray:
-        return bayes.classify(self.model, corpus)
+    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+        """Class-1 posterior; posterior ties predict the lower class."""
+        proba = bayes.predict_proba_matrix(self.model, corpus)
+        return proba[:, 1], np.argmax(proba, axis=1).astype(np.int64)
 
     @property
     def calibrated(self) -> bool:
@@ -57,14 +56,9 @@ class AxisClassifier:
 
     model: axis_mod.AxisModel
 
-    def raw_scores(self, corpus: LabeledCorpus) -> np.ndarray:
-        return axis_mod.score_corpus(self.model, corpus)
-
-    def scores(self, corpus: LabeledCorpus) -> np.ndarray:
-        return np.asarray(axis_mod.score_to_proba(self.model, self.raw_scores(corpus)))
-
-    def predict(self, corpus: LabeledCorpus) -> np.ndarray:
-        return axis_mod.axis_predict(self.model, self.raw_scores(corpus))
+    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+        raw = axis_mod.score_corpus(self.model, corpus)
+        return axis_mod.score_to_proba(self.model, raw), axis_mod.axis_predict(self.model, raw)
 
     @property
     def calibrated(self) -> bool:
@@ -87,11 +81,9 @@ class MajorityClassifier:
         rate = float(counts[1] / counts.sum())
         return cls(majority=majority, rate=rate)
 
-    def scores(self, corpus: LabeledCorpus) -> np.ndarray:
-        return np.full(corpus.n, self.rate, dtype=np.float64)
-
-    def predict(self, corpus: LabeledCorpus) -> np.ndarray:
-        return np.full(corpus.n, self.majority, dtype=np.int64)
+    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+        n = corpus.n
+        return np.full(n, self.rate, dtype=np.float64), np.full(n, self.majority, dtype=np.int64)
 
     @property
     def calibrated(self) -> bool:

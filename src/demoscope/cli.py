@@ -288,7 +288,7 @@ def cmd_label_distant(cfg: RunConfig) -> int:
         )
     labels = labeling.distant_label(corpus, seeds)
     mapping = {
-        row.user_id: int(labels[i]) for i, row in enumerate(corpus.rows) if labels[i] >= 0
+        user: label for user, label in zip(corpus.user_ids, labels.tolist()) if label >= 0
     }
     labeling.write_labels_csv(mapping, out / "labels.csv")
     summary = {
@@ -406,11 +406,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     model = load_model(cfg.model_path)
     clf = _classifier_for(model)
     corpus = _load_corpus(cfg)
-    scores = np.asarray(clf.scores(corpus), dtype=np.float64)
-    preds = np.asarray(clf.predict(corpus))
+    scores, preds = clf.score(corpus)
     lines = ["user,score,prediction"]
-    for i, row in enumerate(corpus.rows):
-        lines.append(f"{row.user_id},{repr(float(scores[i]))},{int(preds[i])}")
+    for user, s, p in zip(corpus.user_ids, scores.tolist(), preds.tolist()):
+        lines.append(f"{user},{s!r},{p}")
     (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     n_bad = int((~np.isfinite(scores)).sum())
     write_manifest(
@@ -431,7 +430,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     clf = _classifier_for(model)
     corpus = _load_corpus(cfg)
     labels = corpus.labels
-    scores = np.asarray(clf.scores(corpus), dtype=np.float64)
+    scores = clf.score(corpus)[0]
     ok = (labels >= 0) & np.isfinite(scores)
     if not ok.any():
         raise DataError("calibration corpus has no scorable labeled rows")
@@ -439,7 +438,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     cal = calibrate.fit_isotonic(scores[ok], labels[ok])
     model.calibrator = cal
     clf_after = _classifier_for(model)
-    after_scores = np.asarray(clf_after.scores(corpus), dtype=np.float64)
+    after_scores = clf_after.score(corpus)[0]
     after = calibrate.reliability(after_scores[ok], labels[ok], n_bins=cfg.n_bins)
     save_model(model, out / "model.json")
     summary = {
@@ -512,7 +511,12 @@ def _factory_for(kind: str, cfg: RunConfig):
     if kind == "nb":
         return classifiers.nb_factory(alpha1=cfg.alpha1, alpha2=cfg.alpha2)
     if kind == "nb-ln":
-        return classifiers.nb_factory(alpha1=cfg.alpha1, alpha2=cfg.alpha2, use_log_normal=True)
+        return classifiers.nb_factory(
+            alpha1=cfg.alpha1,
+            alpha2=cfg.alpha2,
+            use_log_normal=True,
+            pooled_activity=cfg.pooled_activity,
+        )
     if kind == "nb-ss":
         return classifiers.nb_factory(
             alpha1=cfg.alpha1,
@@ -530,7 +534,7 @@ def cmd_evaluate(cfg: RunConfig, do_cv_roc: bool = False, do_robustness: bool = 
     _require(cfg, "corpus")
     out = _out_dir(cfg)
     corpus = _load_corpus(cfg)
-    factory = _factory_for(cfg.model, cfg) if cfg.model != "majority" else _factory_for("majority", cfg)
+    factory = _factory_for(cfg.model, cfg)
     kind = cfg.model
     report = evaluate.bootstrap_eval(
         factory,

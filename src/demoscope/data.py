@@ -1,8 +1,10 @@
-"""Corpus model: community vocabulary, sparse per-user count vectors, loaders, splits.
+"""Corpus model: community vocabulary, a sparse count matrix, loaders, splits.
 
-A corpus row is one user's participation profile: a sparse vector of
-non-negative integer counts over a fixed community vocabulary, plus an
-optional binary class label (-1 marks unlabeled rows).
+A corpus is one CSR (compressed sparse row) matrix of users x
+communities: row i is user i's participation profile, positive integer
+counts over a fixed community vocabulary. Aligned arrays hold the user
+ids and optional binary class labels (-1 marks unlabeled rows). Subsets
+are row slices of that matrix.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,90 +58,62 @@ class CommunityVocabulary:
         return cached
 
 
-@dataclass(frozen=True)
-class SparseActivityVector:
-    """One user's counts, held as aligned (indices, counts) arrays.
-
-    Canonical form: indices strictly increasing, every count >= 1.
-    Use :meth:`from_pairs` to build from raw (index, count) pairs; it
-    sorts, merges duplicate indices, and validates.
-    """
-
-    user_id: str
-    indices: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, user_id: str, pairs) -> "SparseActivityVector":
-        acc: dict[int, int] = {}
-        for j, c in pairs:
-            j = int(j)
-            c = int(c)
-            if j < 0:
-                raise DataError(f"user {user_id!r}: negative community index {j}")
-            if c < 1:
-                raise DataError(f"user {user_id!r}: count {c} below 1")
-            acc[j] = acc.get(j, 0) + c
-            if acc[j] > MAX_COUNT:
-                raise DataError(f"user {user_id!r}: count for index {j} exceeds {MAX_COUNT}")
-        if not acc:
-            raise DataError(f"user {user_id!r}: empty activity vector")
-        idx = np.array(sorted(acc), dtype=np.int64)
-        cnt = np.array([acc[j] for j in idx], dtype=np.int64)
-        return cls(user_id=user_id, indices=idx, counts=cnt)
-
-    def total(self) -> int:
-        """Total activity: sum of all counts."""
-        return int(self.counts.sum())
-
-    def merge(self, other: "SparseActivityVector") -> "SparseActivityVector":
-        """Entry-wise sum of two vectors for the same user."""
-        if other.user_id != self.user_id:
-            raise DataError(f"cannot merge vectors for {self.user_id!r} and {other.user_id!r}")
-        pairs = list(zip(self.indices.tolist(), self.counts.tolist()))
-        pairs += list(zip(other.indices.tolist(), other.counts.tolist()))
-        return SparseActivityVector.from_pairs(self.user_id, pairs)
-
-    def to_dense(self, d: int) -> np.ndarray:
-        out = np.zeros(d, dtype=np.float64)
-        out[self.indices] = self.counts
-        return out
-
-
 @dataclass
 class LabeledCorpus:
-    """Aligned rows and labels over a shared vocabulary.
+    """A user x community count matrix with aligned user ids and labels.
 
-    labels[i] is in {-1, 0, ..., k-1}; -1 means unlabeled. Rows are
-    treated as immutable once the corpus is built.
+    X is a canonical float64 CSR matrix of shape (n, vocabulary.size):
+    per row, column indices are sorted and unique and every stored
+    count is an integer in 1..MAX_COUNT; no row is empty. labels[i] is
+    in {-1, 0, ..., k-1}; -1 means unlabeled. The arrays are treated as
+    immutable once the corpus is built.
     """
 
     vocabulary: CommunityVocabulary
-    rows: list[SparseActivityVector]
+    X: sp.csr_matrix
+    user_ids: np.ndarray
     labels: np.ndarray
     k: int = 2
 
     def __post_init__(self):
+        X = self.X if isinstance(self.X, sp.csr_matrix) else sp.csr_matrix(self.X)
+        self.X = X = X.astype(np.float64, copy=False)
+        self.user_ids = np.asarray(self.user_ids, dtype=object)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.k < 2:
             raise DataError(f"k must be >= 2, got {self.k}")
-        if len(self.rows) != len(self.labels):
+        n, d = X.shape
+        if len(self.user_ids) != n or len(self.labels) != n:
             raise DataError(
-                f"rows/labels misaligned: {len(self.rows)} rows, {len(self.labels)} labels"
+                f"rows/ids/labels misaligned: {n} rows, {len(self.user_ids)} ids, "
+                f"{len(self.labels)} labels"
             )
         if self.labels.size and (self.labels.min() < -1 or self.labels.max() >= self.k):
             raise DataError(f"labels must lie in -1..{self.k - 1}")
-        d = self.vocabulary.size
-        for r in self.rows:
-            if len(r.indices) and r.indices[-1] >= d:
-                raise DataError(
-                    f"user {r.user_id!r}: community index {int(r.indices[-1])} "
-                    f"outside vocabulary of size {d}"
-                )
+        if d != self.vocabulary.size:
+            raise DataError(
+                f"count matrix has {d} columns for a vocabulary of size {self.vocabulary.size}"
+            )
+        if X.nnz and (X.indices.min() < 0 or X.indices.max() >= d):
+            raise DataError(f"community index outside vocabulary of size {d}")
+        # integral counts >= 1 stay so when duplicate entries merge
+        data = X.data
+        if X.nnz and not (data.min() >= 1 and np.array_equal(np.floor(data), data)):
+            self._reject((data < 1) | (np.floor(data) != data), "counts must be integers >= 1")
+        X.sum_duplicates()
+        if X.nnz and X.data.max() > MAX_COUNT:
+            self._reject(X.data > MAX_COUNT, f"count exceeds {MAX_COUNT}")
+        empty = np.flatnonzero(np.diff(X.indptr) == 0)
+        if empty.size:
+            raise DataError(f"user {self.user_ids[empty[0]]!r}: empty activity vector")
+
+    def _reject(self, bad: np.ndarray, what: str):
+        row = int(np.searchsorted(self.X.indptr, np.flatnonzero(bad)[0], side="right")) - 1
+        raise DataError(f"user {self.user_ids[row]!r}: {what}")
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.X.shape[0]
 
     @property
     def d(self) -> int:
@@ -150,45 +125,31 @@ class LabeledCorpus:
 
     def class_counts(self) -> np.ndarray:
         """Number of labeled rows per class, shape (k,)."""
-        out = np.zeros(self.k, dtype=np.int64)
-        for y in range(self.k):
-            out[y] = int((self.labels == y).sum())
-        return out
+        return np.bincount(self.labels[self.labeled_mask], minlength=self.k).astype(np.int64)
 
     def to_csr(self) -> sp.csr_matrix:
-        """Row-major sparse count matrix, float64, shape (n, d). Cached."""
-        cached = self.__dict__.get("_csr")
-        if cached is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for i, r in enumerate(self.rows):
-                indptr[i + 1] = indptr[i] + len(r.indices)
-            indices = (
-                np.concatenate([r.indices for r in self.rows])
-                if self.rows
-                else np.zeros(0, dtype=np.int64)
-            )
-            values = (
-                np.concatenate([r.counts for r in self.rows]).astype(np.float64)
-                if self.rows
-                else np.zeros(0, dtype=np.float64)
-            )
-            cached = sp.csr_matrix((values, indices, indptr), shape=(self.n, self.d))
-            self.__dict__["_csr"] = cached
-        return cached
+        """The count matrix X, float64, shape (n, d)."""
+        return self.X
 
     def activities(self) -> np.ndarray:
-        """Total activity per row, float64, shape (n,)."""
-        return np.array([r.total() for r in self.rows], dtype=np.float64)
+        """Total activity (row sum) per row, float64, shape (n,). Cached."""
+        cached = self.__dict__.get("_activities")
+        if cached is None:
+            cached = self.__dict__["_activities"] = np.asarray(self.X.sum(axis=1)).ravel()
+        return cached
 
     def subset(self, indices) -> "LabeledCorpus":
-        """New corpus holding the given rows (shared row objects)."""
+        """New corpus holding the given rows in the given order; indices may repeat."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledCorpus(
+        out = LabeledCorpus(
             vocabulary=self.vocabulary,
-            rows=[self.rows[i] for i in idx],
-            labels=self.labels[idx].copy(),
+            X=self.X[idx],
+            user_ids=self.user_ids[idx],
+            labels=self.labels[idx],
             k=self.k,
         )
+        out.__dict__["_activities"] = self.activities()[idx]
+        return out
 
 
 @dataclass
@@ -262,27 +223,28 @@ class _Accumulator:
             self.labels[user] = label
 
     def finish(self) -> tuple[LabeledCorpus, LoadReport]:
-        rows, labels = [], []
-        for user in self.order:
-            acc = self.counts[user]
-            if not acc:
-                self.report.users_rejected_empty += 1
-                continue
-            idx = np.array(sorted(acc), dtype=np.int64)
-            cnt = np.array([acc[j] for j in idx], dtype=np.int64)
-            rows.append(SparseActivityVector(user_id=user, indices=idx, counts=cnt))
-            labels.append(self.labels[user])
-        self.report.users_kept = len(rows)
+        kept = [user for user in self.order if self.counts[user]]
+        self.report.users_kept = len(kept)
+        self.report.users_rejected_empty = len(self.order) - len(kept)
         if self.report.unknown_community_pairs:
             warnings.warn(
                 f"dropped {self.report.unknown_community_pairs} activity pairs "
                 "referencing communities outside the vocabulary",
                 stacklevel=3,
             )
+        rows = [self.counts[user] for user in kept]
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows], dtype=np.int64)])
+        nnz = int(indptr[-1])
+        # dict order; the corpus constructor sorts each row's indices
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=nnz)
+        data = np.fromiter(
+            chain.from_iterable(r.values() for r in rows), dtype=np.float64, count=nnz
+        )
         corpus = LabeledCorpus(
             vocabulary=self.vocabulary,
-            rows=rows,
-            labels=np.array(labels, dtype=np.int64),
+            X=sp.csr_matrix((data, indices, indptr), shape=(len(kept), self.vocabulary.size)),
+            user_ids=np.array(kept, dtype=object),
+            labels=np.array([self.labels[user] for user in kept], dtype=np.int64),
             k=self.k,
         )
         return corpus, self.report

@@ -127,8 +127,7 @@ class CurveData:
 def _scored_subset(classifier, corpus: LabeledCorpus):
     """Scores, predictions, labels on labeled scorable rows, plus drop count."""
     labels = corpus.labels
-    scores = np.asarray(classifier.scores(corpus), dtype=np.float64)
-    preds = np.asarray(classifier.predict(corpus))
+    scores, preds = classifier.score(corpus)
     ok = (labels >= 0) & np.isfinite(scores) & (preds >= 0)
     dropped = int(((labels >= 0) & ~(np.isfinite(scores) & (preds >= 0))).sum())
     return scores[ok], preds[ok], labels[ok], dropped
@@ -164,7 +163,7 @@ def bootstrap_eval(
             oversample=oversample,
             seed=rep_seeds[b],
         )
-        train, test = _split_with_seedseq(corpus, spec)
+        train, test = split(corpus, spec)
         clf = factory(train)
         scores, preds, labels, dropped = _scored_subset(clf, test)
         if scores.size == 0 or len(set(labels.tolist())) < 2:
@@ -181,12 +180,6 @@ def bootstrap_eval(
         metrics={"roc_auc": aucs, "f1": f1s},
         dropped_rows=dropped,
     )
-
-
-def _split_with_seedseq(corpus, spec: SplitSpec):
-    # SplitSpec carries an int seed in configs; protocols pass SeedSequence
-    # children directly for independence across replicates
-    return split(corpus, spec)
 
 
 def _run_replicates(fn, n: int, threads: int):
@@ -234,7 +227,7 @@ def cv_roc(
             train = random_oversample(train, seed=over_seeds[fold])
         clf = factory(train)
         test = corpus.subset(test_idx)
-        pooled_scores[test_idx] = np.asarray(clf.scores(test), dtype=np.float64)
+        pooled_scores[test_idx] = clf.score(test)[0]
 
     labeled_idx = np.flatnonzero(corpus.labeled_mask)
     ok = labeled_idx[np.isfinite(pooled_scores[labeled_idx])]

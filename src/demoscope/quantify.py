@@ -85,7 +85,7 @@ def fit_quantifier(
     if validation is None:
         raise DataError("acc mode requires a validation corpus")
     labels = validation.labels
-    preds = np.asarray(classifier.predict(validation))
+    preds = classifier.score(validation)[1]
     scorable = preds >= 0
     usable = scorable & (labels >= 0)
     if not usable.any():
@@ -168,8 +168,7 @@ def estimate(
     interval-free with a warning. The ACC interval is the CC interval
     width scaled by 1 / |tpr - fpr|, clamped to [0, 1].
     """
-    preds = np.asarray(quantifier.classifier.predict(cohort))
-    scores = np.asarray(quantifier.classifier.scores(cohort), dtype=np.float64)
+    scores, preds = quantifier.classifier.score(cohort)
     ok = np.isfinite(scores) & (preds >= 0)
     excluded = int((~ok).sum())
     m = int(ok.sum())

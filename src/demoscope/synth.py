@@ -16,9 +16,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .axis import EmbeddingTable
-from .data import CommunityVocabulary, LabeledCorpus, SparseActivityVector
+from .data import CommunityVocabulary, LabeledCorpus
 from .errors import DataError
 from .labeling import SeedSets
 
@@ -109,19 +110,19 @@ def sample_corpus(
         raise DataError("labeled_fraction must lie in [0, 1]")
     k, d = world.k, world.d
     ys = rng.choice(k, size=n, p=world.prior)
-    rows = []
+    indices, counts = [], []
     for i in range(n):
         y = ys[i]
         a = int(np.ceil(rng.lognormal(world.activity_mu[y], world.activity_sigma[y])))
-        counts = rng.multinomial(max(a, 1), world.cond[y])
-        idx = np.flatnonzero(counts)
-        rows.append(
-            SparseActivityVector(
-                user_id=f"{prefix}{i:06d}",
-                indices=idx.astype(np.int64),
-                counts=counts[idx].astype(np.int64),
-            )
-        )
+        row = rng.multinomial(max(a, 1), world.cond[y])
+        idx = np.flatnonzero(row)
+        indices.append(idx)
+        counts.append(row[idx])
+    indptr = np.concatenate([[0], np.cumsum([idx.size for idx in indices])])
+    X = sp.csr_matrix(
+        (np.concatenate(counts).astype(np.float64), np.concatenate(indices), indptr),
+        shape=(n, d),
+    )
     labels = ys.astype(np.int64)
     if labeled_fraction < 1.0:
         hide = np.ones(n, dtype=bool)
@@ -132,8 +133,9 @@ def sample_corpus(
             hide[keep] = False
         labels = labels.copy()
         labels[hide] = -1
+    user_ids = np.array([f"{prefix}{i:06d}" for i in range(n)], dtype=object)
     return LabeledCorpus(
-        vocabulary=world.vocabulary, rows=rows, labels=labels, k=k
+        vocabulary=world.vocabulary, X=X, user_ids=user_ids, labels=labels, k=k
     )
 
 
@@ -178,19 +180,21 @@ def write_vocabulary(vocabulary: CommunityVocabulary, path):
             fh.write(name + "\n")
 
 
+def _rows(corpus: LabeledCorpus):
+    """(user id, community indices, counts) per row, read off the CSR arrays."""
+    X = corpus.to_csr()
+    for i, user in enumerate(corpus.user_ids):
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        yield user, X.indices[lo:hi].tolist(), X.data[lo:hi].astype(np.int64).tolist()
+
+
 def write_corpus_jsonl(corpus: LabeledCorpus, path, include_labels: bool = True):
     names = corpus.vocabulary.names
     with open(path, "w", encoding="utf-8") as fh:
-        for i, row in enumerate(corpus.rows):
-            rec = {
-                "user": row.user_id,
-                "counts": {
-                    names[j]: int(c)
-                    for j, c in zip(row.indices.tolist(), row.counts.tolist())
-                },
-            }
-            if include_labels and corpus.labels[i] >= 0:
-                rec["label"] = int(corpus.labels[i])
+        for (user, idx, cnt), label in zip(_rows(corpus), corpus.labels.tolist()):
+            rec = {"user": user, "counts": {names[j]: c for j, c in zip(idx, cnt)}}
+            if include_labels and label >= 0:
+                rec["label"] = label
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -198,15 +202,15 @@ def write_corpus_triplets(corpus: LabeledCorpus, path, labels_path=None):
     names = corpus.vocabulary.names
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user,community,count\n")
-        for row in corpus.rows:
-            for j, c in zip(row.indices.tolist(), row.counts.tolist()):
-                fh.write(f"{row.user_id},{names[j]},{int(c)}\n")
+        for user, idx, cnt in _rows(corpus):
+            for j, c in zip(idx, cnt):
+                fh.write(f"{user},{names[j]},{c}\n")
     if labels_path is not None:
         with open(labels_path, "w", encoding="utf-8") as fh:
             fh.write("user,label\n")
-            for i, row in enumerate(corpus.rows):
-                if corpus.labels[i] >= 0:
-                    fh.write(f"{row.user_id},{int(corpus.labels[i])}\n")
+            for user, label in zip(corpus.user_ids, corpus.labels.tolist()):
+                if label >= 0:
+                    fh.write(f"{user},{label}\n")
 
 
 def write_embeddings_tsv(table: EmbeddingTable, path):

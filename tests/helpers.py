@@ -5,31 +5,23 @@ plain dense NumPy, sharing no code with the package internals.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import logsumexp
 from scipy.stats import lognorm
 
-from demoscope.data import CommunityVocabulary, LabeledCorpus, SparseActivityVector
+from demoscope.data import CommunityVocabulary, LabeledCorpus
 
 
 def corpus_from_dense(X, labels, k: int = 2, names=None, prefix="u") -> LabeledCorpus:
+    """Corpus over a dense count matrix; every row must be non-empty."""
     X = np.asarray(X)
     n, d = X.shape
     if names is None:
         names = tuple(f"c{j:04d}" for j in range(d))
-    rows = []
-    for i in range(n):
-        idx = np.flatnonzero(X[i])
-        assert idx.size > 0, "dense fixture rows must be non-empty"
-        rows.append(
-            SparseActivityVector(
-                user_id=f"{prefix}{i:06d}",
-                indices=idx.astype(np.int64),
-                counts=X[i, idx].astype(np.int64),
-            )
-        )
     return LabeledCorpus(
         vocabulary=CommunityVocabulary(tuple(names)),
-        rows=rows,
+        X=sp.csr_matrix(X),
+        user_ids=[f"{prefix}{i:06d}" for i in range(n)],
         labels=np.asarray(labels, dtype=np.int64),
         k=k,
     )
@@ -129,24 +121,24 @@ class FixedPredictionClassifier:
         self._scores = scores
         self.calibrated = calibrated
 
-    def scores(self, corpus):
+    def score(self, corpus):
+        preds = np.array([self._pred[u] for u in corpus.user_ids], dtype=np.int64)
         if self._scores is not None:
-            return np.array([self._scores[r.user_id] for r in corpus.rows])
-        return np.array([0.9 if self._pred[r.user_id] == 1 else 0.1 for r in corpus.rows])
-
-    def predict(self, corpus):
-        return np.array([self._pred[r.user_id] for r in corpus.rows], dtype=np.int64)
+            scores = np.array([self._scores[u] for u in corpus.user_ids], dtype=np.float64)
+        else:
+            scores = np.where(preds == 1, 0.9, 0.1)
+        return scores, preds
 
 
 class ConstantScoreClassifier:
     """Scores every row the same; prediction thresholds at 0.5."""
 
-    def __init__(self, score: float, calibrated: bool = True):
-        self.score = score
+    def __init__(self, value: float, calibrated: bool = True):
+        self.value = value
         self.calibrated = calibrated
 
-    def scores(self, corpus):
-        return np.full(corpus.n, self.score)
-
-    def predict(self, corpus):
-        return np.full(corpus.n, 1 if self.score > 0.5 else 0, dtype=np.int64)
+    def score(self, corpus):
+        return (
+            np.full(corpus.n, self.value),
+            np.full(corpus.n, 1 if self.value > 0.5 else 0, dtype=np.int64),
+        )

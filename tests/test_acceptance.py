@@ -204,7 +204,7 @@ def test_criterion_4_quantification_consistency():
         flip = rng.random(n)
         pred = np.where(y == 1, flip < 0.8, flip < 0.2).astype(np.int64)
         pool = corpus_from_dense(np.ones((n, 1), dtype=np.int64), y)
-        users = [r.user_id for r in pool.rows]
+        users = pool.user_ids.tolist()
         clf = FixedPredictionClassifier(dict(zip(users, pred.tolist())))
         tpr = float(pred[y == 1].mean())
         fpr = float(pred[y == 0].mean())

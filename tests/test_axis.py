@@ -11,10 +11,8 @@ from demoscope.axis import (
     load_embeddings,
     score_corpus,
     score_to_proba,
-    score_user,
 )
 from demoscope.calibrate import IsotonicMap
-from demoscope.data import CommunityVocabulary, SparseActivityVector
 from demoscope.errors import DataError
 
 from helpers import corpus_from_dense
@@ -130,32 +128,33 @@ def test_dot_projection_scales_with_norm():
     assert dot.z_of["far"] > dot.z_of["a"]
 
 
-def test_score_user_weighted_mean():
+def test_score_corpus_weighted_mean():
     axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
-    vocab = CommunityVocabulary(_table().names)
-    x = SparseActivityVector("u", np.array([0, 2]), np.array([1, 3]))
+    x = corpus_from_dense([[1, 0, 3, 0, 0, 0]], [-1], names=_table().names)
     want = (1 * axis.z_of["left1"] + 3 * axis.z_of["right1"]) / 4
-    assert score_user(axis, x, vocab) == pytest.approx(want, rel=1e-12)
+    assert score_corpus(axis, x)[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_score_user_ignores_unembedded_and_errors_when_all_missing():
+def test_score_corpus_ignores_unembedded_and_nan_when_all_missing():
     axis = build_axis(_table(), ("right1",), ("left1",))
-    vocab = CommunityVocabulary(("left1", "notin1", "notin2"))
-    x = SparseActivityVector("u", np.array([0, 1]), np.array([2, 9]))
-    assert score_user(axis, x, vocab) == pytest.approx(axis.z_of["left1"])
-    lost = SparseActivityVector("u", np.array([1, 2]), np.array([1, 1]))
-    with pytest.raises(DataError, match="no activity in embedded"):
-        score_user(axis, lost, vocab)
+    names = ("left1", "notin1", "notin2")
+    x = corpus_from_dense([[2, 9, 0]], [-1], names=names)
+    assert score_corpus(axis, x)[0] == pytest.approx(axis.z_of["left1"])
+    lost = corpus_from_dense([[0, 1, 1]], [-1], names=names)
+    assert np.isnan(score_corpus(axis, lost)[0])
 
 
-def test_score_corpus_matches_score_user_with_nan_rows():
+def test_score_corpus_one_row_batches_match_with_nan_rows():
     axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
     names = ("left1", "right1", "unknown")
     corpus = corpus_from_dense([[2, 1, 0], [0, 0, 5], [1, 0, 1]], [-1, -1, -1], names=names)
     scores = score_corpus(axis, corpus)
-    assert scores[0] == pytest.approx(score_user(axis, corpus.rows[0], corpus.vocabulary))
+    want = (2 * axis.z_of["left1"] + 1 * axis.z_of["right1"]) / 3
+    assert scores[0] == pytest.approx(want, rel=1e-12)
     assert np.isnan(scores[1])
     assert scores[2] == pytest.approx(axis.z_of["left1"])
+    for i in range(corpus.n):
+        np.testing.assert_array_equal(score_corpus(axis, corpus.subset([i])), scores[[i]])
 
 
 def test_axis_predict_threshold_and_nan():

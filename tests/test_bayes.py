@@ -10,18 +10,16 @@ from demoscope.bayes import (
     LOG_FLOOR,
     NaiveBayesModel,
     _log1mexp,
-    classify,
     feature_log_odds,
     feature_log_odds_dispersion,
     fit_semisupervised,
     fit_supervised,
     log_activity_pmf,
-    log_joint,
-    predict_proba,
+    log_joint_matrix,
     predict_proba_matrix,
 )
 from demoscope.calibrate import IsotonicMap
-from demoscope.data import SparseActivityVector
+from demoscope.classifiers import NaiveBayesClassifier
 from demoscope.errors import DataError
 
 from helpers import corpus_from_dense, dense_nb_fit, dense_nb_log_posterior
@@ -38,11 +36,11 @@ def _hand_model():
 
 def test_posterior_hand_fixture():
     model = _hand_model()
-    x = SparseActivityVector("u", np.array([0, 1]), np.array([2, 1]))
-    lj = log_joint(model, x)
-    assert lj == pytest.approx(np.log([0.4 * 0.49 * 0.3, 0.6 * 0.04 * 0.8]))
-    post = predict_proba(model, x)
-    assert post == pytest.approx([49 / 65, 16 / 65], rel=1e-12)
+    x = corpus_from_dense([[2, 1]], [-1])
+    lj = log_joint_matrix(model, x.to_csr())
+    assert lj[0] == pytest.approx(np.log([0.4 * 0.49 * 0.3, 0.6 * 0.04 * 0.8]))
+    post = predict_proba_matrix(model, x)
+    assert post[0] == pytest.approx([49 / 65, 16 / 65], rel=1e-12)
 
 
 def test_fit_hand_fixture():
@@ -141,7 +139,8 @@ def test_single_row_matches_matrix(rng):
     model, _ = fit_supervised(corpus, use_log_normal=True)
     proba = predict_proba_matrix(model, corpus)
     for i in (0, 7, 19):
-        assert predict_proba(model, corpus.rows[i]) == pytest.approx(proba[i], abs=1e-12)
+        one = predict_proba_matrix(model, corpus.subset([i]))
+        assert one[0] == pytest.approx(proba[i], abs=1e-12)
 
 
 def test_classify_tie_breaks_to_lower_class():
@@ -152,7 +151,7 @@ def test_classify_tie_breaks_to_lower_class():
         log_cond=np.log([[0.5, 0.5], [0.5, 0.5]]),
     )
     corpus = corpus_from_dense([[1, 1], [3, 0]], [-1, -1])
-    assert classify(model, corpus).tolist() == [0, 0]
+    assert NaiveBayesClassifier(model).score(corpus)[1].tolist() == [0, 0]
 
 
 def test_supervised_rejects_unlabeled_and_missing_class():
@@ -261,9 +260,11 @@ def test_feature_log_odds_dispersion(rng):
 
 def test_log_joint_rejects_out_of_vocab():
     model = _hand_model()
-    x = SparseActivityVector("u", np.array([5]), np.array([1]))
-    with pytest.raises(DataError, match="outside model vocabulary"):
-        log_joint(model, x)
+    x = corpus_from_dense([[0, 0, 0, 0, 0, 1]], [-1])
+    with pytest.raises(DataError, match="6 communities, the model was fit on 2"):
+        log_joint_matrix(model, x.to_csr())
+    with pytest.raises(DataError, match="model was fit on 2"):
+        predict_proba_matrix(model, corpus_from_dense([[1]], [-1]))
 
 
 def test_calibrator_applied_to_posterior(rng):
@@ -277,7 +278,7 @@ def test_calibrator_applied_to_posterior(rng):
     model.calibrator = IsotonicMap(np.array([0.5]), np.array([0.3]))
     flat = predict_proba_matrix(model, corpus)
     assert np.all(flat[:, 1] == 0.3)
-    assert predict_proba(model, corpus.rows[0])[1] == pytest.approx(0.3)
+    assert predict_proba_matrix(model, corpus.subset([0]))[0, 1] == pytest.approx(0.3)
 
 
 @given(

@@ -7,7 +7,7 @@ import pytest
 
 from demoscope import synth
 from demoscope.bayes import fit_supervised
-from demoscope.cli import main, stage_seed
+from demoscope.cli import _factory_for, load_config, main, stage_seed
 from demoscope.data import load_corpus, load_vocabulary
 from demoscope.serialize import load_model, save_model
 
@@ -313,6 +313,26 @@ class TestPredictCalibrateQuantify:
         assert 0.0 <= float(score) <= 1.0
         assert pred in ("0", "1")
 
+    def test_predict_rejects_vocabulary_narrower_than_model(self, trained, tmp_path, capsys):
+        d, model_path = trained
+        names = (d / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        short = tmp_path / "short.txt"
+        short.write_text("\n".join(names[:-1]) + "\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="outside the vocabulary"):
+            code = main(
+                [
+                    "predict",
+                    "--model-path", str(model_path),
+                    "--corpus", str(d / "target.jsonl"),
+                    "--vocabulary", str(short),
+                    "--out-dir", str(tmp_path / "pred"),
+                ]
+            )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "demoscope: data error: corpus has 59 communities, the model was fit on 60"
+        ]
+
     def test_calibrate_reduces_ece_and_stores_map(self, trained, tmp_path, capsys):
         d, model_path = trained
         out = tmp_path / "cal"
@@ -488,6 +508,15 @@ class TestEvaluateReport:
         assert report["quantification"]["nb"]["mae"] >= 0.0
         assert (out / "roc_nb.csv").exists()
         assert (out / "roc_majority.csv").exists()
+
+    def test_nb_ln_factory_honours_yaml_pooled_activity(self, demo_files, tmp_path):
+        labeled = demo_files["corpus"].subset(np.flatnonzero(demo_files["corpus"].labeled_mask))
+        cfg_path = tmp_path / "run.yaml"
+        for pooled in (True, False):
+            cfg_path.write_text(f"pooled_activity: {str(pooled).lower()}\n", encoding="utf-8")
+            model = _factory_for("nb-ln", load_config(cfg_path))(labeled).model
+            # pooled statistics give every class the same (mu, sigma)
+            assert np.array_equal(model.activity[0], model.activity[1]) == pooled
 
     def test_importance_table(self, demo_files, tmp_path):
         d = demo_files["dir"]

@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoscope.data import (
     CommunityVocabulary,
     LabeledCorpus,
-    SparseActivityVector,
     SplitSpec,
     load_corpus,
     load_vocabulary,
@@ -38,32 +38,52 @@ def test_vocabulary_index():
     assert v.size == 3
 
 
+def _raw_corpus(indices, counts, indptr=None, d=5, ids=("u",), labels=(0,)):
+    """Corpus over raw CSR arrays, as given: unsorted, duplicated, unchecked."""
+    if indptr is None:
+        indptr = [0, len(indices)]
+    X = sp.csr_matrix(
+        (np.asarray(counts, dtype=np.float64), np.asarray(indices), np.asarray(indptr)),
+        shape=(len(indptr) - 1, d),
+    )
+    vocab = CommunityVocabulary(tuple(f"c{j}" for j in range(d)))
+    return LabeledCorpus(vocab, X, np.array(ids, dtype=object), np.array(labels))
+
+
 def test_from_pairs_canonicalizes():
-    v = SparseActivityVector.from_pairs("u", [(3, 2), (1, 1), (3, 4)])
-    assert v.indices.tolist() == [1, 3]
-    assert v.counts.tolist() == [1, 6]
-    assert v.total() == 7
+    corpus = _raw_corpus([3, 1, 3], [2, 1, 4])
+    X = corpus.to_csr()
+    assert X.indices.tolist() == [1, 3]
+    assert X.data.tolist() == [1.0, 6.0]
+    assert corpus.activities().tolist() == [7.0]
 
 
 def test_from_pairs_rejects_bad_counts():
-    with pytest.raises(DataError):
-        SparseActivityVector.from_pairs("u", [(0, 0)])
-    with pytest.raises(DataError):
-        SparseActivityVector.from_pairs("u", [(0, -2)])
-    with pytest.raises(DataError):
-        SparseActivityVector.from_pairs("u", [])
-    with pytest.raises(DataError):
-        SparseActivityVector.from_pairs("u", [(-1, 3)])
+    with pytest.raises(DataError, match="'u'.*integers >= 1"):
+        _raw_corpus([0], [0])
+    with pytest.raises(DataError, match="integers >= 1"):
+        _raw_corpus([0, 0], [-2, 3])
+    with pytest.raises(DataError, match="integers >= 1"):
+        _raw_corpus([0], [1.5])
+    with pytest.raises(DataError, match="exceeds"):
+        _raw_corpus([2, 2], [2**31 - 1, 1])
+    with pytest.raises(DataError, match="'w': empty activity vector"):
+        _raw_corpus([0], [1], indptr=[0, 1, 1], ids=("u", "w"), labels=(0, 1))
+    with pytest.raises(DataError, match="outside vocabulary"):
+        _raw_corpus([-1], [3])
 
 
-def test_merge_sums_entrywise():
-    a = SparseActivityVector.from_pairs("u", [(0, 2), (2, 1)])
-    b = SparseActivityVector.from_pairs("u", [(2, 5), (4, 1)])
-    m = a.merge(b)
-    assert m.indices.tolist() == [0, 2, 4]
-    assert m.counts.tolist() == [2, 6, 1]
-    with pytest.raises(DataError):
-        a.merge(SparseActivityVector.from_pairs("w", [(0, 1)]))
+def test_merge_sums_entrywise(tmp_path):
+    vocab = CommunityVocabulary(tuple(f"c{j}" for j in range(5)))
+    f = tmp_path / "c.jsonl"
+    f.write_text(
+        '{"user": "u", "counts": {"c0": 2, "c2": 1}}\n'
+        '{"user": "u", "counts": {"c2": 5, "c4": 1}}\n'
+    )
+    corpus, report = load_corpus(f, vocab)
+    assert corpus.n == 1 and report.merged_duplicate_users == 1
+    assert corpus.to_csr().indices.tolist() == [0, 2, 4]
+    assert corpus.to_csr().data.tolist() == [2.0, 6.0, 1.0]
 
 
 @given(
@@ -73,23 +93,31 @@ def test_merge_sums_entrywise():
 )
 @settings(max_examples=60, deadline=None)
 def test_canonicalization_idempotent(pairs):
-    v1 = SparseActivityVector.from_pairs("u", pairs)
-    v2 = SparseActivityVector.from_pairs("u", list(zip(v1.indices, v1.counts)))
-    assert np.array_equal(v1.indices, v2.indices)
-    assert np.array_equal(v1.counts, v2.counts)
-    assert bool(np.all(np.diff(v1.indices) > 0))
-    assert v1.counts.min() >= 1
+    idx, cnt = zip(*pairs)
+    X1 = _raw_corpus(idx, cnt, d=9).to_csr()
+    X2 = _raw_corpus(X1.indices, X1.data, d=9).to_csr()
+    assert np.array_equal(X1.indices, X2.indices)
+    assert np.array_equal(X1.data, X2.data)
+    assert bool(np.all(np.diff(X1.indices) > 0))
+    assert X1.data.min() >= 1
+    dense = np.zeros(9)
+    np.add.at(dense, list(idx), cnt)
+    assert np.array_equal(X1.toarray()[0], dense)
 
 
 def test_corpus_validates_alignment():
     vocab = CommunityVocabulary(("a", "b"))
-    rows = [SparseActivityVector.from_pairs("u", [(0, 1)])]
+    X = sp.csr_matrix(np.array([[1, 0]]))
     with pytest.raises(DataError, match="misaligned"):
-        LabeledCorpus(vocab, rows, np.array([0, 1]))
+        LabeledCorpus(vocab, X, ["u"], np.array([0, 1]))
+    with pytest.raises(DataError, match="misaligned"):
+        LabeledCorpus(vocab, X, ["u", "w"], np.array([0]))
     with pytest.raises(DataError, match="labels"):
-        LabeledCorpus(vocab, rows, np.array([2]))
+        LabeledCorpus(vocab, X, ["u"], np.array([2]))
+    with pytest.raises(DataError, match="6 columns for a vocabulary of size 2"):
+        LabeledCorpus(vocab, sp.csr_matrix(np.array([[0, 0, 0, 0, 0, 1]])), ["u"], np.array([0]))
     with pytest.raises(DataError, match="outside vocabulary"):
-        LabeledCorpus(vocab, [SparseActivityVector.from_pairs("u", [(5, 1)])], np.array([0]))
+        _raw_corpus([5], [1], d=2)
 
 
 def test_corpus_to_csr_and_activities():
@@ -120,10 +148,10 @@ def test_jsonl_loader_merges_and_reports(tmp_path):
     with pytest.warns(UserWarning, match="dropped 2"):
         corpus, report = load_corpus(corpus_file, vocab)
     assert corpus.n == 2
-    assert corpus.rows[0].user_id == "u1"
+    assert corpus.user_ids.tolist() == ["u1", "u2"]
     # merged: alpha 2+1, beta 1
-    assert corpus.rows[0].indices.tolist() == [0, 1]
-    assert corpus.rows[0].counts.tolist() == [3, 1]
+    assert corpus.to_csr()[0].indices.tolist() == [0, 1]
+    assert corpus.to_csr()[0].data.tolist() == [3.0, 1.0]
     assert corpus.labels.tolist() == [1, -1]
     assert report.merged_duplicate_users == 1
     assert report.users_rejected_empty == 1
@@ -166,7 +194,7 @@ def test_triplets_loader(tmp_path):
     labels.write_text("user,label\nu2,1\n")
     corpus, report = load_corpus(f, vocab, fmt="triplets", labels_path=labels)
     assert corpus.n == 2
-    assert corpus.rows[0].counts.tolist() == [3]
+    assert corpus.to_csr().toarray().tolist() == [[3.0, 0.0], [0.0, 4.0]]
     assert corpus.labels.tolist() == [-1, 1]
 
     labels.write_text("user,label\nzz,1\n")
@@ -197,8 +225,8 @@ def test_split_deterministic_and_stratified():
     spec = SplitSpec(train_fraction=0.7, test_fraction=0.3, seed=9)
     tr1, te1 = split(corpus, spec)
     tr2, te2 = split(corpus, spec)
-    assert [r.user_id for r in tr1.rows] == [r.user_id for r in tr2.rows]
-    assert [r.user_id for r in te1.rows] == [r.user_id for r in te2.rows]
+    assert tr1.user_ids.tolist() == tr2.user_ids.tolist()
+    assert te1.user_ids.tolist() == te2.user_ids.tolist()
     # unlabeled rows all go to train
     assert (~tr1.labeled_mask).sum() == 10
     assert (~te1.labeled_mask).sum() == 0
@@ -208,7 +236,7 @@ def test_split_deterministic_and_stratified():
     assert (tr1.labels == 0).sum() == 28
     assert (tr1.labels == 1).sum() == 14
     # disjoint and complete over labeled rows
-    ids = {r.user_id for r in tr1.rows} | {r.user_id for r in te1.rows}
+    ids = set(tr1.user_ids) | set(te1.user_ids)
     assert len(ids) == corpus.n
 
 
@@ -250,10 +278,10 @@ def test_oversample_balances():
     assert (out.labels == 1).sum() == 30
     assert (out.labels == -1).sum() == 5
     # originals preserved in order at the front
-    assert [r.user_id for r in out.rows[: corpus.n]] == [r.user_id for r in corpus.rows]
+    assert out.user_ids[: corpus.n].tolist() == corpus.user_ids.tolist()
     # duplicates only of the minority class
-    dup_ids = {r.user_id for r in out.rows[corpus.n :]}
-    minority_ids = {r.user_id for i, r in enumerate(corpus.rows) if corpus.labels[i] == 1}
+    dup_ids = set(out.user_ids[corpus.n :])
+    minority_ids = set(corpus.user_ids[corpus.labels == 1])
     assert dup_ids <= minority_ids
 
 
@@ -267,7 +295,7 @@ def test_oversample_deterministic():
     corpus = _labeled_corpus(20, 5)
     a = random_oversample(corpus, seed=7)
     b = random_oversample(corpus, seed=7)
-    assert [r.user_id for r in a.rows] == [r.user_id for r in b.rows]
+    assert a.user_ids.tolist() == b.user_ids.tolist()
 
 
 def test_oversample_missing_class():
@@ -280,5 +308,44 @@ def test_subset_shares_rows():
     corpus = _labeled_corpus(4, 4)
     sub = corpus.subset([0, 5])
     assert sub.n == 2
-    assert sub.rows[0] is corpus.rows[0]
+    assert sub.user_ids.tolist() == [corpus.user_ids[0], corpus.user_ids[5]]
+    assert np.array_equal(sub.to_csr().toarray(), corpus.to_csr().toarray()[[0, 5]])
     assert sub.labels.tolist() == [0, 1]
+    assert sub.vocabulary is corpus.vocabulary
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_slices_match_dense_oracle(seed):
+    """subset, split and random_oversample return exactly the dense rows
+    X_dense[idx], repeated indices included, with ids, labels and row
+    sums aligned."""
+    rng = np.random.default_rng(seed)
+    n0, n1, n_un = (int(v) for v in rng.integers(2, 12, size=3))
+    d = int(rng.integers(1, 7))
+    X_dense = rng.integers(0, 4, size=(n0 + n1 + n_un, d))
+    X_dense[X_dense.sum(axis=1) == 0, 0] = 1
+    y = rng.permutation(np.array([0] * n0 + [1] * n1 + [-1] * n_un))
+    corpus = corpus_from_dense(X_dense, y)
+    pos = {u: i for i, u in enumerate(corpus.user_ids)}
+
+    def check(part, idx=None):
+        if idx is None:
+            idx = [pos[u] for u in part.user_ids]
+        assert part.user_ids.tolist() == corpus.user_ids[idx].tolist()
+        assert np.array_equal(part.to_csr().toarray(), X_dense[idx])
+        assert np.array_equal(part.labels, y[idx])
+        assert np.array_equal(part.activities(), X_dense[idx].sum(axis=1))
+
+    idx = rng.integers(0, corpus.n, size=int(rng.integers(1, 2 * corpus.n)))
+    sub = corpus.subset(idx)
+    check(sub, idx)
+    inner = rng.integers(0, sub.n, size=sub.n)
+    check(sub.subset(inner), idx[inner])
+    check(corpus.subset([]), [])
+    spec = SplitSpec(train_fraction=0.6, test_fraction=0.4, oversample=True, seed=seed)
+    for part in split(corpus, spec):
+        check(part)
+    over = random_oversample(corpus, seed=seed)
+    check(over)
+    assert (over.labels == 0).sum() == (over.labels == 1).sum() == max(n0, n1)

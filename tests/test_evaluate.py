@@ -220,9 +220,9 @@ def test_robustness_sweep_filters_by_confidence():
     scores = {}
     preds = {}
     values = [0.05, 0.45, 0.48, 0.1, 0.95, 0.52, 0.55, 0.9]
-    for row, v in zip(corpus.rows, values):
-        scores[row.user_id] = v
-        preds[row.user_id] = 1 if v > 0.5 else 0
+    for user, v in zip(corpus.user_ids, values):
+        scores[user] = v
+        preds[user] = 1 if v > 0.5 else 0
     clf = FixedPredictionClassifier(preds, scores)
     curve = robustness_sweep(clf, corpus, [0.1, 0.5])
     # tau=0.1 keeps scores <= 0.1 or >= 0.9: four rows, perfectly split
@@ -236,8 +236,8 @@ def test_robustness_sweep_filters_by_confidence():
 
 def test_robustness_sweep_nan_when_class_lost():
     corpus = corpus_from_dense(np.ones((4, 2), dtype=int), [0, 0, 1, 1])
-    scores = {r.user_id: v for r, v in zip(corpus.rows, [0.4, 0.45, 0.95, 0.99])}
-    preds = {r.user_id: (1 if scores[r.user_id] > 0.5 else 0) for r in corpus.rows}
+    scores = dict(zip(corpus.user_ids, [0.4, 0.45, 0.95, 0.99]))
+    preds = {u: (1 if v > 0.5 else 0) for u, v in scores.items()}
     clf = FixedPredictionClassifier(preds, scores)
     curve = robustness_sweep(clf, corpus, [0.05, 0.5])
     # tau=0.05 keeps only the two class-1 rows: AUC undefined
@@ -251,8 +251,8 @@ def test_robustness_sweep_nan_when_class_lost():
 
 def test_robustness_boundary_tau_zero():
     corpus = corpus_from_dense(np.ones((4, 2), dtype=int), [0, 0, 1, 1])
-    scores = {r.user_id: v for r, v in zip(corpus.rows, [0.0, 1.0, 1.0, 1.0])}
-    preds = {r.user_id: (1 if scores[r.user_id] > 0.5 else 0) for r in corpus.rows}
+    scores = dict(zip(corpus.user_ids, [0.0, 1.0, 1.0, 1.0]))
+    preds = {u: (1 if v > 0.5 else 0) for u, v in scores.items()}
     curve = robustness_sweep(FixedPredictionClassifier(preds, scores), corpus, [0.0])
     # exact 0.0 and 1.0 scores survive tau = 0
     assert curve.aux["retained"][0] == 1.0
@@ -279,9 +279,9 @@ def test_curve_data_to_csv_roundtrip(tmp_path):
 
 def test_scored_subset_drops_unscorable_rows():
     corpus = corpus_from_dense(np.ones((5, 2), dtype=int), [0, 1, 1, -1, 0])
-    scores = {r.user_id: 0.6 for r in corpus.rows}
-    preds = {r.user_id: 1 for r in corpus.rows}
-    bad = corpus.rows[1].user_id
+    scores = {u: 0.6 for u in corpus.user_ids}
+    preds = {u: 1 for u in corpus.user_ids}
+    bad = corpus.user_ids[1]
     scores[bad] = np.nan
     preds[bad] = -1
     clf = FixedPredictionClassifier(preds, scores)

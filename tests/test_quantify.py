@@ -42,12 +42,12 @@ def test_quantifier_model_validation():
 def test_fit_quantifier_measures_exact_rates():
     pool = _pool(10, 10)
     preds = {}
-    for i, row in enumerate(pool.rows):
+    for i, user in enumerate(pool.user_ids):
         y = pool.labels[i]
         if y == 1:
-            preds[row.user_id] = 1 if i % 10 < 8 else 0  # 8 of 10 hits
+            preds[user] = 1 if i % 10 < 8 else 0  # 8 of 10 hits
         else:
-            preds[row.user_id] = 1 if i % 10 < 2 else 0  # 2 of 10 false alarms
+            preds[user] = 1 if i % 10 < 2 else 0  # 2 of 10 false alarms
     clf = FixedPredictionClassifier(preds)
     quant = fit_quantifier(clf, pool, mode="acc")
     assert quant.tpr == 0.8
@@ -72,7 +72,7 @@ def test_fit_quantifier_errors():
     with pytest.raises(NumericError, match="degenerate"):
         fit_quantifier(clf, _pool(5, 5), mode="acc")
     unscorable = FixedPredictionClassifier(
-        {r.user_id: -1 for r in one_class.rows}
+        {u: -1 for u in one_class.user_ids}
     )
     with pytest.raises(DataError, match="no scorable"):
         fit_quantifier(unscorable, one_class, mode="acc")
@@ -150,7 +150,7 @@ def _fixed_clf(pool, flips_1=0.2, flips_0=0.2, calibrated=True):
     seen1 = seen0 = 0
     preds = {}
     scores = {}
-    for i, row in enumerate(pool.rows):
+    for i, user in enumerate(pool.user_ids):
         if pool.labels[i] == 1:
             wrong = seen1 < round(flips_1 * n1)
             seen1 += 1
@@ -158,8 +158,8 @@ def _fixed_clf(pool, flips_1=0.2, flips_0=0.2, calibrated=True):
             wrong = seen0 < round(flips_0 * n0)
             seen0 += 1
         y = int(pool.labels[i])
-        preds[row.user_id] = (1 - y) if wrong else y
-        scores[row.user_id] = 0.9 if preds[row.user_id] == 1 else 0.1
+        preds[user] = (1 - y) if wrong else y
+        scores[user] = 0.9 if preds[user] == 1 else 0.1
     return FixedPredictionClassifier(preds, scores, calibrated=calibrated)
 
 
@@ -184,7 +184,7 @@ def test_estimate_cc_and_acc_hand_values():
 
 def test_estimate_clips_to_unit_interval():
     pool = _pool(20, 20)
-    preds = {r.user_id: 0 for r in pool.rows}
+    preds = {u: 0 for u in pool.user_ids}
     clf = FixedPredictionClassifier(preds, calibrated=True)
     quant = QuantifierModel(classifier=clf, mode="acc", tpr=0.9, fpr=0.3)
     est = estimate(quant, pool)
@@ -205,9 +205,9 @@ def test_estimate_uncalibrated_warns_and_skips_interval():
 
 def test_estimate_excludes_unscorable_rows():
     pool = _pool(4, 4)
-    preds = {r.user_id: int(pool.labels[i]) for i, r in enumerate(pool.rows)}
-    scores = {r.user_id: 0.5 for r in pool.rows}
-    first = pool.rows[0].user_id
+    preds = dict(zip(pool.user_ids, pool.labels.tolist()))
+    scores = {u: 0.5 for u in pool.user_ids}
+    first = pool.user_ids[0]
     preds[first] = -1
     scores[first] = np.nan
     clf = FixedPredictionClassifier(preds, scores, calibrated=True)
@@ -217,8 +217,8 @@ def test_estimate_excludes_unscorable_rows():
     assert est.cohort_size == 7
     assert est.point == pytest.approx(4 / 7)
     all_bad = FixedPredictionClassifier(
-        {r.user_id: -1 for r in pool.rows},
-        {r.user_id: np.nan for r in pool.rows},
+        {u: -1 for u in pool.user_ids},
+        {u: np.nan for u in pool.user_ids},
     )
     with pytest.raises(DataError, match="no scorable"):
         estimate(fit_quantifier(all_bad, None, mode="cc"), pool)
@@ -229,10 +229,10 @@ def test_npp_sample_reproducible_and_without_replacement():
     cohorts = npp_sample(pool, 0.4, repeats=5, size=30, seed=11)
     again = npp_sample(pool, 0.4, repeats=5, size=30, seed=11)
     for a, b in zip(cohorts, again):
-        assert [r.user_id for r in a.rows] == [r.user_id for r in b.rows]
+        assert a.user_ids.tolist() == b.user_ids.tolist()
     for r, cohort in enumerate(cohorts):
         assert cohort.n == 30
-        ids = [row.user_id for row in cohort.rows]
+        ids = cohort.user_ids.tolist()
         assert len(set(ids)) == 30
         # the class-1 count is the documented per-cohort binomial draw
         rng = np.random.default_rng([11, r])
@@ -260,8 +260,8 @@ def test_mae_and_cc_bias_fixtures():
 
 def test_evaluate_quantifier_perfect_predictions_zero_mae():
     pool = _pool(120, 80)
-    preds = {r.user_id: int(pool.labels[i]) for i, r in enumerate(pool.rows)}
-    scores = {r.user_id: float(pool.labels[i]) for i, r in enumerate(pool.rows)}
+    preds = dict(zip(pool.user_ids, pool.labels.tolist()))
+    scores = {u: float(y) for u, y in zip(pool.user_ids, pool.labels)}
     clf = FixedPredictionClassifier(preds, scores, calibrated=True)
     quant = fit_quantifier(clf, None, mode="cc")
     report = evaluate_quantifier(quant, pool, repeats=8, size=40, seed=2)

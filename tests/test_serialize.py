@@ -190,6 +190,6 @@ class TestErrors:
         model = _nb_model()
         path = tmp_path / "model.json"
         save_model(model, path)
-        a = NaiveBayesClassifier(model).scores(corpus)
-        b = NaiveBayesClassifier(load_model(path)).scores(corpus)
-        assert np.array_equal(a, b)
+        a = NaiveBayesClassifier(model).score(corpus)
+        b = NaiveBayesClassifier(load_model(path)).score(corpus)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

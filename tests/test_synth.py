@@ -37,7 +37,7 @@ class TestWorlds:
         world = synth.random_world(rng, d=20)
         corpus = synth.sample_corpus(world, 50, rng, prefix="z")
         assert corpus.n == 50
-        assert corpus.rows[0].user_id == "z000000"
+        assert corpus.user_ids[0] == "z000000"
         assert set(np.unique(corpus.labels)) <= {0, 1}
         assert (corpus.activities() >= 1).all()
 
@@ -60,8 +60,8 @@ class TestWorlds:
         a = synth.sample_corpus(world, 30, np.random.default_rng(6))
         b = synth.sample_corpus(world, 30, np.random.default_rng(6))
         assert np.array_equal(a.labels, b.labels)
-        for ra, rb in zip(a.rows, b.rows):
-            assert np.array_equal(ra.counts, rb.counts)
+        assert a.user_ids.tolist() == b.user_ids.tolist()
+        assert (a.to_csr() != b.to_csr()).nnz == 0
 
     def test_embeddings_track_direction(self):
         rng = np.random.default_rng(0)
@@ -90,10 +90,10 @@ class TestRoundTrips:
         loaded, report = load_corpus(tmp_path / "corpus.jsonl", vocab)
         assert loaded.n == corpus.n
         assert np.array_equal(loaded.labels, corpus.labels)
-        for ra, rb in zip(loaded.rows, corpus.rows):
-            assert ra.user_id == rb.user_id
-            assert np.array_equal(ra.indices, rb.indices)
-            assert np.array_equal(ra.counts, rb.counts)
+        assert loaded.user_ids.tolist() == corpus.user_ids.tolist()
+        assert np.array_equal(loaded.to_csr().indptr, corpus.to_csr().indptr)
+        assert np.array_equal(loaded.to_csr().indices, corpus.to_csr().indices)
+        assert np.array_equal(loaded.to_csr().data, corpus.to_csr().data)
 
     def test_corpus_triplets(self, tmp_path, rng):
         world = synth.random_world(rng, d=15)
@@ -110,8 +110,8 @@ class TestRoundTrips:
             labels_path=tmp_path / "labels.csv",
         )
         assert np.array_equal(loaded.labels, corpus.labels)
-        for ra, rb in zip(loaded.rows, corpus.rows):
-            assert np.array_equal(ra.counts, rb.counts)
+        assert loaded.user_ids.tolist() == corpus.user_ids.tolist()
+        assert np.array_equal(loaded.to_csr().toarray(), corpus.to_csr().toarray())
 
     def test_embeddings_tsv(self, tmp_path, rng):
         world, w = synth.tilted_world(rng, d=25)
