@@ -54,7 +54,7 @@ def quantification_stage(factories, corpus, repeats, cohort_size, seed, out):
     for tag, factory in factories.items():
         clf = factory(fit_part)
         # calibrated scores buy prevalence intervals on top of the point
-        clf.model.calibrator = fit_isotonic(clf.score(cal_part)[0], cal_part.labels)
+        clf.calibrator = fit_isotonic(clf.score(cal_part)[0], cal_part.labels)
         for mode in ("cc", "acc"):
             quant = fit_quantifier(clf, cal_part, mode=mode)
             rep = evaluate_quantifier(

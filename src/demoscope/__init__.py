@@ -19,14 +19,7 @@ from .bayes import (
     predict_proba_matrix,
 )
 from .calibrate import IsotonicMap, apply_map, fit_isotonic, reliability
-from .classifiers import (
-    AxisClassifier,
-    MajorityClassifier,
-    NaiveBayesClassifier,
-    axis_factory,
-    majority_factory,
-    nb_factory,
-)
+from .classifiers import MajorityClassifier, axis_factory, majority_factory, nb_factory
 from .data import (
     CommunityVocabulary,
     LabeledCorpus,
@@ -73,7 +66,6 @@ from .quantify import (
 from .serialize import load_model, save_model
 
 __all__ = [
-    "AxisClassifier",
     "AxisModel",
     "Comment",
     "CommunityVocabulary",
@@ -87,7 +79,6 @@ __all__ = [
     "LabeledCorpus",
     "MajorityClassifier",
     "MetricReport",
-    "NaiveBayesClassifier",
     "NaiveBayesModel",
     "NumericError",
     "PrevalenceEstimate",

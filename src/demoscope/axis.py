@@ -102,6 +102,15 @@ class AxisModel:
         if self.z.shape != (len(self.communities),):
             raise DataError("z must align with communities")
 
+    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+        """Squashed scores and hard predictions thresholded on the raw score."""
+        raw = score_corpus(self, corpus)
+        return score_to_proba(self, raw), axis_predict(self, raw)
+
+    @property
+    def calibrated(self) -> bool:
+        return self.calibrator is not None
+
     @property
     def z_of(self) -> dict[str, float]:
         cached = self.__dict__.get("_z_of")

@@ -70,6 +70,18 @@ class NaiveBayesModel:
             if np.any(self.activity[:, 1] <= 0):
                 raise DataError("activity sigma must be positive")
 
+    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
+        """Class-1 posterior and hard predictions from one pass (binary
+        models only); posterior ties predict the lower class."""
+        if self.k != 2:
+            raise DataError("scoring is binary; model has k != 2")
+        proba = predict_proba_matrix(self, corpus)
+        return proba[:, 1], np.argmax(proba, axis=1).astype(np.int64)
+
+    @property
+    def calibrated(self) -> bool:
+        return self.calibrator is not None
+
 
 @dataclass
 class FitReport:

@@ -1,8 +1,9 @@
-"""Uniform classifier interface over the model families.
+"""Scoring protocol, majority baseline and training factories.
 
 Evaluation and quantification only need two things from a model: one
 scoring pass that returns probability-like scores for class 1 together
-with hard predictions, and whether the scores are calibrated. Scores
+with hard predictions, and whether the scores are calibrated. Fitted
+NaiveBayesModel and AxisModel objects provide both themselves. Scores
 are NaN (and predictions -1) for rows a model cannot score; downstream
 code drops those rows and reports the count.
 """
@@ -28,41 +29,6 @@ class ScoringClassifier(Protocol):
 
     @property
     def calibrated(self) -> bool: ...
-
-
-@dataclass
-class NaiveBayesClassifier:
-    """Adapter over a fitted binary NaiveBayesModel."""
-
-    model: bayes.NaiveBayesModel
-
-    def __post_init__(self):
-        if self.model.k != 2:
-            raise DataError("classifier adapters are binary; model has k != 2")
-
-    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
-        """Class-1 posterior; posterior ties predict the lower class."""
-        proba = bayes.predict_proba_matrix(self.model, corpus)
-        return proba[:, 1], np.argmax(proba, axis=1).astype(np.int64)
-
-    @property
-    def calibrated(self) -> bool:
-        return self.model.calibrator is not None
-
-
-@dataclass
-class AxisClassifier:
-    """Adapter over an AxisModel; thresholds raw z, squashes for scores."""
-
-    model: axis_mod.AxisModel
-
-    def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
-        raw = axis_mod.score_corpus(self.model, corpus)
-        return axis_mod.score_to_proba(self.model, raw), axis_mod.axis_predict(self.model, raw)
-
-    @property
-    def calibrated(self) -> bool:
-        return self.model.calibrator is not None
 
 
 @dataclass
@@ -108,7 +74,7 @@ def nb_factory(
     mode keeps them for EM.
     """
 
-    def train(corpus: LabeledCorpus) -> NaiveBayesClassifier:
+    def train(corpus: LabeledCorpus) -> bayes.NaiveBayesModel:
         if semi_supervised:
             model, _ = bayes.fit_semisupervised(
                 corpus,
@@ -128,7 +94,7 @@ def nb_factory(
                 use_log_normal=use_log_normal,
                 pooled_activity=pooled_activity,
             )
-        return NaiveBayesClassifier(model)
+        return model
 
     return train
 
@@ -136,8 +102,8 @@ def nb_factory(
 def axis_factory(model: axis_mod.AxisModel) -> TrainFn:
     """Constant closure: the axis does not retrain per split."""
 
-    def train(corpus: LabeledCorpus) -> AxisClassifier:
-        return AxisClassifier(model)
+    def train(corpus: LabeledCorpus) -> axis_mod.AxisModel:
+        return model
 
     return train
 

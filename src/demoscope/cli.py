@@ -25,7 +25,11 @@ import yaml
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split
 from .errors import DataError, NumericError
-from .serialize import dumps, load_model, save_model, to_payload
+from .serialize import dumps, load_model, save_model
+
+# every model kind _factory_for builds; train fits the nb variants as
+# "nb" plus flags
+MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
 
 
 @dataclass
@@ -66,7 +70,6 @@ class RunConfig:
     repeats: int = 50
     cohort_size: int = 500
     prevalence: float | None = None
-    sizes: tuple[int, ...] = ()
     taus: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
     n_bins: int = 10
     importance_boot: int = 50
@@ -81,8 +84,9 @@ class RunConfig:
                 f"unknown attribute {self.attribute!r}; expected one of "
                 f"{labeling.ATTRIBUTES} or 'synthetic'"
             )
-        if self.model not in ("nb", "axis", "majority"):
-            raise DataError(f"unknown model {self.model!r}")
+        for kind in (self.model, *self.models):
+            if kind not in MODEL_KINDS:
+                raise DataError(f"unknown model {kind!r}; expected one of {MODEL_KINDS}")
         if self.mode not in ("cc", "acc"):
             raise DataError(f"unknown quantifier mode {self.mode!r}")
         if not (0.0 < self.confidence < 1.0):
@@ -103,7 +107,7 @@ class RunConfig:
             raise DataError("tol must be > 0")
 
 
-_TUPLE_FIELDS = {"models", "sizes", "taus"}
+_TUPLE_FIELDS = {"models", "taus"}
 
 
 def load_config(path) -> RunConfig:
@@ -329,6 +333,9 @@ def _axis_from_config(cfg: RunConfig) -> axis.AxisModel:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    if cfg.model in ("nb-ln", "nb-ss"):
+        flag = "--use-log-normal" if cfg.model == "nb-ln" else "--semi-supervised"
+        raise DataError(f"train does not fit {cfg.model!r}; use model 'nb' with {flag}")
     out = _out_dir(cfg)
     inputs = {"vocabulary": cfg.vocabulary}
     if cfg.model == "axis":
@@ -388,23 +395,20 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _classifier_for(model) -> classifiers.ScoringClassifier:
-    if isinstance(model, bayes.NaiveBayesModel):
-        return classifiers.NaiveBayesClassifier(model)
-    if isinstance(model, axis.AxisModel):
-        return classifiers.AxisClassifier(model)
-    if isinstance(model, classifiers.MajorityClassifier):
-        return model
-    if isinstance(model, quantify.QuantifierModel):
-        raise DataError("expected a classifier model, got a quantifier")
-    raise DataError(f"unsupported model type {type(model).__name__}")
+def _load_classifier(path) -> classifiers.ScoringClassifier:
+    model = load_model(path)
+    if not isinstance(model, classifiers.ScoringClassifier):
+        raise DataError(
+            f"{path} holds a {type(model).__name__}, not a classifier model "
+            "(nb/1, axis/1 or majority/1)"
+        )
+    return model
 
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "model_path", "corpus")
     out = _out_dir(cfg)
-    model = load_model(cfg.model_path)
-    clf = _classifier_for(model)
+    clf = _load_classifier(cfg.model_path)
     corpus = _load_corpus(cfg)
     scores, preds = clf.score(corpus)
     lines = ["user,score,prediction"]
@@ -426,19 +430,17 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "model_path", "corpus")
     out = _out_dir(cfg)
-    model = load_model(cfg.model_path)
-    clf = _classifier_for(model)
+    model = _load_classifier(cfg.model_path)
     corpus = _load_corpus(cfg)
     labels = corpus.labels
-    scores = clf.score(corpus)[0]
+    scores = model.score(corpus)[0]
     ok = (labels >= 0) & np.isfinite(scores)
     if not ok.any():
         raise DataError("calibration corpus has no scorable labeled rows")
     before = calibrate.reliability(scores[ok], labels[ok], n_bins=cfg.n_bins)
     cal = calibrate.fit_isotonic(scores[ok], labels[ok])
     model.calibrator = cal
-    clf_after = _classifier_for(model)
-    after_scores = clf_after.score(corpus)[0]
+    after_scores = model.score(corpus)[0]
     after = calibrate.reliability(after_scores[ok], labels[ok], n_bins=cfg.n_bins)
     save_model(model, out / "model.json")
     summary = {
@@ -470,8 +472,7 @@ def cmd_quantify(cfg: RunConfig) -> int:
         inputs["quantifier"] = cfg.quantifier
     else:
         _require(cfg, "model_path")
-        model = load_model(cfg.model_path)
-        clf = _classifier_for(model)
+        clf = _load_classifier(cfg.model_path)
         inputs["model"] = cfg.model_path
         validation = None
         if cfg.mode == "acc":
@@ -566,7 +567,7 @@ def cmd_evaluate(cfg: RunConfig, do_cv_roc: bool = False, do_robustness: bool = 
         outputs.append("roc_curve.csv")
     if do_robustness:
         _require(cfg, "model_path")
-        clf = _classifier_for(load_model(cfg.model_path))
+        clf = _load_classifier(cfg.model_path)
         curve = evaluate.robustness_sweep(clf, corpus, cfg.taus, model_tag=kind)
         curve.to_csv(out / "robustness.csv")
         outputs.append("robustness.csv")
@@ -800,7 +801,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="bootstrap metrics, optional curves")
     _add_common(p)
     _add_data(p)
-    p.add_argument("--model", choices=("majority", "nb", "nb-ln", "nb-ss", "axis"))
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--model-path", dest="model_path", help="saved model (robustness sweep)")
     p.add_argument("--alpha1", type=float)
     p.add_argument("--alpha2", type=float)

@@ -488,57 +488,5 @@ def write_labels_csv(labels: dict, path):
 
 
 def default_rules() -> list[DeclarationRule]:
-    """Built-in declaration rules; same content ships as an editable JSON."""
-    return [DeclarationRule(**r) for r in _DEFAULT_RULES_RAW]
-
-
-# lookbehind keeps the bare m/f from matching the tail of "I'm" or "am"
-_COMPACT_AGE_GENDER = r"\b(?P<age>\d{1,3})\s*(?P<gender>[mf])\b"
-_COMPACT_GENDER_AGE = r"(?<!['’\w])(?P<gender>[mf])\s*(?P<age>\d{1,3})\b"
-_NEGATIONS = [
-    r"\bnot\b",
-    r"\bnever\b",
-    r"\bno longer\b",
-    r"\bused to\b",
-    r"\bwasn'?t\b",
-    r"\bisn'?t\b",
-    r"\bain'?t\b",
-    r"\bif i\b",
-    r"\bwish\b",
-]
-
-_DEFAULT_RULES_RAW = [
-    {
-        "attribute": "year",
-        "patterns": [
-            r"\bi['’]?\s?a?m\s+(?:a\s+|an\s+)?(?P<age>\d{1,3})\s*(?:years?[\s-]old|yrs?[\s-]old|y/?o)\b",
-            r"\bi['’]?\s?a?m\s+(?:a\s+|an\s+)?(?P<age>\d{1,3})\s*(?:m|f|male|female)?\s*(?:here|btw|by the way)?\s*[,.!]",
-            r"\bi\s+(?:just\s+)?turn(?:ed|\s+ing)?\s+(?P<age>\d{1,3})\b",
-            _COMPACT_AGE_GENDER,
-            _COMPACT_GENDER_AGE,
-        ],
-        "negation_patterns": _NEGATIONS,
-        "first_person_required": True,
-    },
-    {
-        "attribute": "gender",
-        "patterns": [
-            r"\bi['’]?\s?a?m\s+(?:a\s+|an\s+)?(?P<gender>male|female|man|woman|guy|girl|boy|dude|gal|lady)\b",
-            r"\bas\s+a\s+(?P<gender>male|female|man|woman|guy|girl)\b",
-            _COMPACT_AGE_GENDER,
-            _COMPACT_GENDER_AGE,
-        ],
-        "negation_patterns": _NEGATIONS,
-        "first_person_required": True,
-    },
-    {
-        "attribute": "partisan",
-        "patterns": [
-            r"\bi['’]?\s?a?m\s+(?:a\s+|an\s+)?(?:proud\s+|registered\s+|lifelong\s+)?(?P<party>democrat|republican|dem|repub|gop)\b",
-            r"\bas\s+a\s+(?:proud\s+|registered\s+|lifelong\s+)?(?P<party>democrat|republican)\b",
-            r"\bi\s+vote[d]?\s+(?:for\s+)?(?:the\s+)?(?P<party>democrat(?:s|ic)?|republican(?:s)?|gop)\b",
-        ],
-        "negation_patterns": _NEGATIONS,
-        "first_person_required": True,
-    },
-]
+    """Built-in declaration rules, read from the packaged rules.default.json."""
+    return load_rules(Path(__file__).parent / "resources" / "rules.default.json")

@@ -129,8 +129,7 @@ def poisson_binomial_interval(
     m = q.size
     center = float(q.mean())
     if method == "normal":
-        z = float(norm.ppf(0.5 + confidence / 2.0))
-        half = z * float(np.sqrt((q * (1.0 - q)).sum())) / m
+        half = _normal_half_width(q, confidence)
         return center, max(0.0, center - half), min(1.0, center + half)
     if method == "exact":
         if m > EXACT_LIMIT:
@@ -142,6 +141,13 @@ def poisson_binomial_interval(
         hi_count = int(np.searchsorted(cdf, 1.0 - tail, side="left"))
         return center, lo_count / m, min(1.0, hi_count / m)
     raise DataError(f"unknown interval method {method!r}")
+
+
+def _normal_half_width(q: np.ndarray, confidence: float) -> float:
+    """z * sqrt(sum q(1-q)) / m: the normal half-width for the mean of
+    m independent Bernoulli(q) draws."""
+    z = float(norm.ppf(0.5 + confidence / 2.0))
+    return z * float(np.sqrt((q * (1.0 - q)).sum())) / q.size
 
 
 def exact_count_pmf(scores) -> np.ndarray:
@@ -189,9 +195,7 @@ def estimate(
         if not quantifier.classifier.calibrated:
             warnings.warn("scores are uncalibrated; skipping the interval")
         else:
-            q = scores[ok]
-            z = float(norm.ppf(0.5 + confidence / 2.0))
-            half = z * float(np.sqrt((q * (1.0 - q)).sum())) / m * scale
+            half = _normal_half_width(scores[ok], confidence) * scale
             lower = float(np.clip(point - half, 0.0, 1.0))
             upper = float(np.clip(point + half, 0.0, 1.0))
     return PrevalenceEstimate(

@@ -43,7 +43,7 @@ def to_payload(model) -> dict:
     from .axis import AxisModel
     from .bayes import NaiveBayesModel
     from .calibrate import IsotonicMap
-    from .classifiers import AxisClassifier, MajorityClassifier, NaiveBayesClassifier
+    from .classifiers import MajorityClassifier
     from .quantify import QuantifierModel
 
     if isinstance(model, NaiveBayesModel):
@@ -79,34 +79,11 @@ def to_payload(model) -> dict:
             "tpr": model.tpr,
             "fpr": model.fpr,
             "validation_size": model.validation_size,
-            "classifier": to_payload(_unwrap(model.classifier)),
+            "classifier": to_payload(model.classifier),
         }
     if isinstance(model, MajorityClassifier):
         return {"schema": "majority/1", "majority": model.majority, "rate": model.rate}
-    if isinstance(model, (NaiveBayesClassifier, AxisClassifier)):
-        return to_payload(model.model)
     raise DataError(f"cannot serialize object of type {type(model).__name__}")
-
-
-def _unwrap(classifier):
-    from .classifiers import AxisClassifier, NaiveBayesClassifier
-
-    if isinstance(classifier, (NaiveBayesClassifier, AxisClassifier)):
-        return classifier.model
-    return classifier
-
-
-def _wrap(model):
-    """Wrap a bare model into its classifier adapter when one exists."""
-    from .axis import AxisModel
-    from .bayes import NaiveBayesModel
-    from .classifiers import AxisClassifier, NaiveBayesClassifier
-
-    if isinstance(model, NaiveBayesModel):
-        return NaiveBayesClassifier(model)
-    if isinstance(model, AxisModel):
-        return AxisClassifier(model)
-    return model
 
 
 def from_payload(payload: dict):
@@ -150,7 +127,7 @@ def from_payload(payload: dict):
             return _cal_from(payload)
         if schema == "quant/1":
             return QuantifierModel(
-                classifier=_wrap(from_payload(payload["classifier"])),
+                classifier=from_payload(payload["classifier"]),
                 mode=payload["mode"],
                 tpr=payload["tpr"],
                 fpr=payload["fpr"],

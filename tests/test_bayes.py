@@ -19,7 +19,6 @@ from demoscope.bayes import (
     predict_proba_matrix,
 )
 from demoscope.calibrate import IsotonicMap
-from demoscope.classifiers import NaiveBayesClassifier
 from demoscope.errors import DataError
 
 from helpers import corpus_from_dense, dense_nb_fit, dense_nb_log_posterior
@@ -151,7 +150,18 @@ def test_classify_tie_breaks_to_lower_class():
         log_cond=np.log([[0.5, 0.5], [0.5, 0.5]]),
     )
     corpus = corpus_from_dense([[1, 1], [3, 0]], [-1, -1])
-    assert NaiveBayesClassifier(model).score(corpus)[1].tolist() == [0, 0]
+    assert model.score(corpus)[1].tolist() == [0, 0]
+
+
+def test_score_is_binary_only():
+    three = NaiveBayesModel(
+        k=3,
+        d=2,
+        log_prior=np.log([1 / 3] * 3),
+        log_cond=np.log(np.full((3, 2), 0.5)),
+    )
+    with pytest.raises(DataError, match="binary"):
+        three.score(corpus_from_dense([[1, 1]], [-1]))
 
 
 def test_supervised_rejects_unlabeled_and_missing_class():

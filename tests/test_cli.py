@@ -1,5 +1,6 @@
 """Command-line pipeline: exit codes, outputs, config precedence, manifests."""
 
+import argparse
 import json
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 from demoscope import synth
 from demoscope.bayes import fit_supervised
-from demoscope.cli import _factory_for, load_config, main, stage_seed
+from demoscope.calibrate import IsotonicMap
+from demoscope.classifiers import MajorityClassifier
+from demoscope.cli import RunConfig, _factory_for, build_parser, load_config, main, stage_seed
 from demoscope.data import load_corpus, load_vocabulary
+from demoscope.quantify import QuantifierModel
 from demoscope.serialize import load_model, save_model
 
 
@@ -113,6 +117,48 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg), "--model", "nb"])
         assert code == 2
         assert "confidence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,flag", [("nb-ln", "--use-log-normal"), ("nb-ss", "--semi-supervised")]
+    )
+    def test_train_rejects_nb_variant_kind_naming_its_flag(
+        self, demo_files, tmp_path, capsys, kind, flag
+    ):
+        d = demo_files["dir"]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"model: {kind}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "train",
+                "--config", str(cfg),
+                "--corpus", str(d / "corpus.jsonl"),
+                "--vocabulary", str(d / "vocab.txt"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("demoscope: data error:")
+        assert flag in err[0]
+        assert not (out / "model.json").exists()
+
+
+def _offered_model_choices():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.dest, choice)
+        for command, p in sub.choices.items()
+        for action in p._actions
+        if action.dest in ("model", "models") and action.choices
+        for choice in action.choices
+    ]
+
+
+@pytest.mark.parametrize("command,dest,choice", _offered_model_choices())
+def test_offered_model_choice_passes_validation(command, dest, choice):
+    RunConfig(**{dest: choice if dest == "model" else (choice,)}).validate()
 
 
 class TestExtract:
@@ -399,6 +445,31 @@ class TestPredictCalibrateQuantify:
         assert (out2 / "estimate.json").read_bytes() == (out / "estimate.json").read_bytes()
         assert not (out2 / "quantifier.json").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "calibrate", "quantify"])
+    @pytest.mark.parametrize("saved", ["quantifier", "isotonic"])
+    def test_model_path_rejects_non_classifier(self, demo_files, tmp_path, capsys, command, saved):
+        d = demo_files["dir"]
+        path = tmp_path / f"{saved}.json"
+        if saved == "quantifier":
+            save_model(QuantifierModel(MajorityClassifier(majority=0, rate=0.3), mode="cc"), path)
+        else:
+            save_model(IsotonicMap(np.array([0.2, 0.8]), np.array([0.1, 0.9])), path)
+        args = [
+            command,
+            "--model-path", str(path),
+            "--corpus", str(d / "corpus.jsonl"),
+            "--vocabulary", str(d / "vocab.txt"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        if command == "quantify":
+            args += ["--validation", str(d / "corpus.jsonl"), "--target", str(d / "target.jsonl")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("demoscope: data error:")
+        assert "not a classifier model" in lines[0]
+
     def test_degenerate_rates_exit_three(self, demo_files, tmp_path, capsys):
         d = demo_files["dir"]
         train_out = tmp_path / "train"
@@ -514,9 +585,44 @@ class TestEvaluateReport:
         cfg_path = tmp_path / "run.yaml"
         for pooled in (True, False):
             cfg_path.write_text(f"pooled_activity: {str(pooled).lower()}\n", encoding="utf-8")
-            model = _factory_for("nb-ln", load_config(cfg_path))(labeled).model
+            model = _factory_for("nb-ln", load_config(cfg_path))(labeled)
             # pooled statistics give every class the same (mu, sigma)
             assert np.array_equal(model.activity[0], model.activity[1]) == pooled
+
+    @pytest.mark.parametrize("kind", ["nb-ln", "nb-ss"])
+    def test_evaluate_runs_nb_variants(self, demo_files, tmp_path, kind):
+        d = demo_files["dir"]
+        out = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                "--corpus", str(d / "corpus.jsonl"),
+                "--vocabulary", str(d / "vocab.txt"),
+                "--model", kind,
+                "--n-boot", "3",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert _read_json(out / "metrics.json")["model"] == kind
+
+    def test_report_rejects_unknown_kind_before_writing(self, demo_files, tmp_path, capsys):
+        d = demo_files["dir"]
+        out = tmp_path / "out"
+        code = main(
+            [
+                "report",
+                "--corpus", str(d / "corpus.jsonl"),
+                "--vocabulary", str(d / "vocab.txt"),
+                "--models", "nb", "bogus",
+                "--n-boot", "3",
+                "--folds", "2",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "unknown model 'bogus'" in capsys.readouterr().err
+        assert not (out / "roc_nb.csv").exists()
 
     def test_importance_table(self, demo_files, tmp_path):
         d = demo_files["dir"]

@@ -485,10 +485,9 @@ class TestRuleFiles:
     @pytest.mark.parametrize(
         "path",
         [
-            Path(__file__).parent.parent / "configs" / "rules.default.json",
             Path(__file__).parent.parent / "src" / "demoscope" / "resources" / "rules.default.json",
         ],
-        ids=["configs", "resources"],
+        ids=["resources"],
     )
     def test_shipped_rules_match_builtin(self, path):
         shipped = load_rules(path)

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from demoscope.axis import AxisModel
-from demoscope.bayes import fit_supervised
+from demoscope.bayes import NaiveBayesModel, fit_supervised
 from demoscope.calibrate import IsotonicMap
-from demoscope.classifiers import (
-    AxisClassifier,
-    MajorityClassifier,
-    NaiveBayesClassifier,
-)
+from demoscope.classifiers import MajorityClassifier
 from demoscope.errors import DataError
 from demoscope.quantify import QuantifierModel
 from demoscope.serialize import (
@@ -99,7 +95,7 @@ class TestRoundTrips:
 
     def test_quantifier_with_nb_classifier(self, tmp_path):
         q = QuantifierModel(
-            classifier=NaiveBayesClassifier(_nb_model()),
+            classifier=_nb_model(),
             mode="acc",
             tpr=0.85,
             fpr=0.15,
@@ -109,10 +105,10 @@ class TestRoundTrips:
         save_model(q, path)
         loaded = load_model(path)
         assert isinstance(loaded, QuantifierModel)
-        assert isinstance(loaded.classifier, NaiveBayesClassifier)
+        assert isinstance(loaded.classifier, NaiveBayesModel)
         assert (loaded.mode, loaded.tpr, loaded.fpr) == ("acc", 0.85, 0.15)
         assert loaded.validation_size == 40
-        assert np.array_equal(loaded.classifier.model.log_cond, q.classifier.model.log_cond)
+        assert np.array_equal(loaded.classifier.log_cond, q.classifier.log_cond)
 
     def test_quantifier_with_majority_classifier(self, tmp_path):
         q = QuantifierModel(
@@ -129,12 +125,6 @@ class TestRoundTrips:
         assert loaded.classifier.majority == 0
         assert loaded.classifier.rate == 0.3
         assert loaded.tpr is None and loaded.fpr is None
-
-    def test_classifier_adapter_serializes_as_its_model(self):
-        model = _nb_model()
-        assert to_payload(NaiveBayesClassifier(model)) == to_payload(model)
-        axis = _axis_model()
-        assert to_payload(AxisClassifier(axis)) == to_payload(axis)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         for name, model in (
@@ -190,6 +180,6 @@ class TestErrors:
         model = _nb_model()
         path = tmp_path / "model.json"
         save_model(model, path)
-        a = NaiveBayesClassifier(model).score(corpus)
-        b = NaiveBayesClassifier(load_model(path)).score(corpus)
+        a = model.score(corpus)
+        b = load_model(path).score(corpus)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
