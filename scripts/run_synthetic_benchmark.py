@@ -33,7 +33,7 @@ def classification_stage(factories, corpus, n_boot, seed, out):
     lines = ["model,auc_mean,auc_std,f1_mean,f1_std"]
     headline = {}
     for tag, factory in factories.items():
-        rep = bootstrap_eval(factory, corpus, n_boot=n_boot, seed=seed, model_tag=tag)
+        rep = bootstrap_eval(factory, corpus, n_boot=n_boot, seed=seed)
         s = rep.summary()
         lines.append(
             f"{tag},{s['roc_auc']['mean']:.4f},{s['roc_auc']['std']:.4f},"
@@ -47,8 +47,8 @@ def classification_stage(factories, corpus, n_boot, seed, out):
 
 def quantification_stage(factories, corpus, repeats, cohort_size, seed, out):
     # the evaluation pool must hold several cohorts' worth of each class
-    rest, eval_pool = split(corpus, SplitSpec(0.6, 0.4, stratify=True, seed=seed))
-    fit_part, cal_part = split(rest, SplitSpec(0.75, 0.25, stratify=True, seed=seed + 1))
+    rest, eval_pool = split(corpus, SplitSpec(test_fraction=0.4, seed=seed))
+    fit_part, cal_part = split(rest, SplitSpec(test_fraction=0.25, seed=seed + 1))
     lines = ["model,mode,mae,ae_std,coverage"]
     headline = {}
     for tag, factory in factories.items():
@@ -119,13 +119,11 @@ def main():
     nb_curve = learning_curve(
         nb_factory(use_log_normal=True), corpus, args.sizes,
         repeats=args.repeats, cohort_size=args.cohort_size, seed=args.seed,
-        model_tag="nb-ln",
     )
     nb_curve.to_csv(out / "learning_nb.csv")
     ax_curve = learning_curve(
         axis_factory(axis), corpus, args.sizes,
         repeats=args.repeats, cohort_size=args.cohort_size, seed=args.seed,
-        model_tag="axis",
     )
     ax_curve.to_csv(out / "learning_axis.csv")
     for s, a, b in zip(args.sizes, nb_curve.y, ax_curve.y):

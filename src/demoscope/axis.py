@@ -134,16 +134,14 @@ def build_axis(
     pole_a,
     pole_b,
     attribute: str = "",
-    projection: str = "cosine",
-    threshold: float = 0.0,
 ) -> AxisModel:
-    """Build an axis from two disjoint pole community sets.
+    """Build a cosine axis from two disjoint pole community sets.
 
     The axis direction is mean(pole_a vectors) - mean(pole_b vectors),
     so pole_a communities land on the positive side. Pole names missing
     from the table are warned about and skipped; each pole needs at
-    least one resolvable name. Raw projections (cosine by default, dot
-    as the alternative) are z-standardized over the full table.
+    least one resolvable name. Cosine similarities to the axis are
+    z-standardized over the full table, and the threshold is 0.
     Swapping the poles exactly negates every z score.
     """
     pole_a = tuple(pole_a)
@@ -152,8 +150,6 @@ def build_axis(
         raise DataError("both poles must be non-empty")
     if set(pole_a) & set(pole_b):
         raise DataError(f"poles overlap: {sorted(set(pole_a) & set(pole_b))}")
-    if projection not in ("cosine", "dot"):
-        raise DataError(f"unknown projection {projection!r}")
 
     def resolve(pole, tag):
         found = [table.index[n] for n in pole if n in table.index]
@@ -169,10 +165,7 @@ def build_axis(
     axis_vec = table.vectors[ia].mean(axis=0) - table.vectors[ib].mean(axis=0)
     if np.linalg.norm(axis_vec) == 0.0:
         raise DataError("degenerate axis: pole means coincide")
-    if projection == "cosine":
-        raw = _cosine(table.vectors, axis_vec)
-    else:
-        raw = table.vectors @ axis_vec
+    raw = _cosine(table.vectors, axis_vec)
     std = raw.std()
     if std == 0.0:
         raise DataError("degenerate axis: all communities project identically")
@@ -183,8 +176,6 @@ def build_axis(
         z=z,
         pole_a=pole_a,
         pole_b=pole_b,
-        threshold=threshold,
-        projection=projection,
     )
 
 

@@ -185,26 +185,26 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def log_joint_matrix(model: NaiveBayesModel, X: sp.csr_matrix, activities=None) -> np.ndarray:
+def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
     """log p(x, y) for every row and class, shape (n, k).
 
-    Raises DataError when X does not have one column per model community.
+    Raises DataError when the corpus does not have one column per model
+    community.
     """
+    X = corpus.to_csr()
     if X.shape[1] != model.d:
         raise DataError(
             f"corpus has {X.shape[1]} communities, the model was fit on {model.d}"
         )
     lj = np.asarray(X @ model.log_cond.T) + model.log_prior[None, :]
     if model.activity is not None:
-        if activities is None:
-            activities = np.asarray(X.sum(axis=1)).ravel()
-        lj = lj + _activity_log_matrix(np.asarray(activities, dtype=np.float64), model.activity)
+        lj = lj + _activity_log_matrix(corpus.activities(), model.activity)
     return lj
 
 
 def predict_proba_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
     """Posterior p(y | x) per row, shape (n, k); calibrated if attached."""
-    lj = log_joint_matrix(model, corpus.to_csr(), corpus.activities())
+    lj = log_joint_matrix(model, corpus)
     proba = np.exp(log_softmax(lj, axis=1))
     if model.calibrator is not None:
         if model.k != 2:
@@ -250,7 +250,7 @@ def fit_supervised(
         alpha1=alpha1,
         alpha2=alpha2,
     )
-    lj = log_joint_matrix(model, X, corpus.activities())
+    lj = log_joint_matrix(model, corpus)
     ll = _observed_log_likelihood(lj, corpus.labels) + _smoothing_penalty(model)
     report = FitReport(
         iterations=0,
@@ -337,7 +337,7 @@ def fit_semisupervised(
         alpha2=alpha2,
     )
 
-    lj = log_joint_matrix(model, X, activities)
+    lj = log_joint_matrix(model, corpus)
     ll = _observed_log_likelihood(lj, corpus.labels) + _smoothing_penalty(model)
     if not np.isfinite(ll):
         raise NumericError("non-finite log likelihood at initialization")
@@ -362,7 +362,7 @@ def fit_semisupervised(
         model.log_prior = log_prior
         model.log_cond = log_cond
         model.activity = activity
-        lj = log_joint_matrix(model, X, activities)
+        lj = log_joint_matrix(model, corpus)
         ll_new = _observed_log_likelihood(lj, corpus.labels) + _smoothing_penalty(model)
         iterations = it
         if not np.isfinite(ll_new):

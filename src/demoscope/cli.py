@@ -108,10 +108,31 @@ class RunConfig:
 
 
 _TUPLE_FIELDS = {"models", "taus"}
+_SCALARS = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _fits(value, kind) -> bool:
+    # YAML booleans are Python ints; only a bool field takes them
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _typed(path, name: str, annotation: str, value):
+    """The YAML value of one RunConfig field, checked against its annotation."""
+    base, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None":
+        return value
+    if base.startswith("tuple["):
+        elem = _SCALARS[base[len("tuple[") : -len(", ...]")]]
+        if isinstance(value, list) and all(_fits(v, elem) for v in value):
+            return tuple(value)
+    elif _fits(value, _SCALARS[base]):
+        return value
+    raise DataError(f"{path}: config key {name!r} must be {annotation}, got {value!r}")
 
 
 def load_config(path) -> RunConfig:
-    """Read a YAML mapping of RunConfig fields; unknown keys are errors."""
+    """Read a YAML mapping of RunConfig fields; unknown keys and values of
+    the wrong type are errors."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except yaml.YAMLError as e:
@@ -120,13 +141,11 @@ def load_config(path) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a mapping")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    unknown = sorted(set(raw) - set(annotations))
     if unknown:
         raise DataError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for name in _TUPLE_FIELDS & set(raw):
-        raw[name] = tuple(raw[name])
-    return RunConfig(**raw)
+    return RunConfig(**{k: _typed(path, k, annotations[k], v) for k, v in raw.items()})
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -280,16 +299,7 @@ def cmd_label_distant(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "vocabulary", "seeds")
     out = _out_dir(cfg)
     corpus = _load_corpus(cfg)
-    seed_sets = labeling.load_seed_sets(cfg.seeds)
-    if cfg.attribute in seed_sets:
-        seeds = seed_sets[cfg.attribute]
-    elif len(seed_sets) == 1:
-        seeds = next(iter(seed_sets.values()))
-    else:
-        raise DataError(
-            f"seed file has no entry for {cfg.attribute!r}; "
-            f"available: {sorted(seed_sets)}"
-        )
+    seeds = _seed_set(cfg)
     labels = labeling.distant_label(corpus, seeds)
     mapping = {
         user: label for user, label in zip(corpus.user_ids, labels.tolist()) if label >= 0
@@ -317,11 +327,22 @@ def cmd_label_distant(cfg: RunConfig) -> int:
     return 0
 
 
+def _seed_set(cfg: RunConfig) -> labeling.SeedSets:
+    """The seed set for cfg.attribute, else the file's only set."""
+    seed_sets = labeling.load_seed_sets(cfg.seeds)
+    if cfg.attribute in seed_sets:
+        return seed_sets[cfg.attribute]
+    if len(seed_sets) == 1:
+        return next(iter(seed_sets.values()))
+    raise DataError(
+        f"seed file has no entry for {cfg.attribute!r}; available: {sorted(seed_sets)}"
+    )
+
+
 def _axis_from_config(cfg: RunConfig) -> axis.AxisModel:
     _require(cfg, "embeddings", "seeds")
     table = axis.load_embeddings(cfg.embeddings)
-    seed_sets = labeling.load_seed_sets(cfg.seeds)
-    seeds = seed_sets.get(cfg.attribute) or next(iter(seed_sets.values()))
+    seeds = _seed_set(cfg)
     # seed pole_a marks class 0, but the axis scores its own pole_a
     # positively (class 1), so the poles swap when building the axis
     return axis.build_axis(
@@ -431,6 +452,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "model_path", "corpus")
     out = _out_dir(cfg)
     model = _load_classifier(cfg.model_path)
+    if isinstance(model, classifiers.MajorityClassifier):
+        raise DataError(
+            f"{cfg.model_path} holds a majority model, which has no scores to calibrate"
+        )
     corpus = _load_corpus(cfg)
     labels = corpus.labels
     scores = model.score(corpus)[0]
@@ -543,7 +568,6 @@ def cmd_evaluate(cfg: RunConfig, do_cv_roc: bool = False, do_robustness: bool = 
         n_boot=cfg.n_boot,
         test_fraction=cfg.test_fraction,
         seed=stage_seed(cfg.seed, "bootstrap"),
-        model_tag=kind,
         threads=cfg.threads,
     )
     payload = {
@@ -561,14 +585,13 @@ def cmd_evaluate(cfg: RunConfig, do_cv_roc: bool = False, do_robustness: bool = 
             corpus,
             folds=cfg.folds,
             seed=stage_seed(cfg.seed, "cv-roc"),
-            model_tag=kind,
         )
         curve.to_csv(out / "roc_curve.csv")
         outputs.append("roc_curve.csv")
     if do_robustness:
         _require(cfg, "model_path")
         clf = _load_classifier(cfg.model_path)
-        curve = evaluate.robustness_sweep(clf, corpus, cfg.taus, model_tag=kind)
+        curve = evaluate.robustness_sweep(clf, corpus, cfg.taus)
         curve.to_csv(out / "robustness.csv")
         outputs.append("robustness.csv")
     write_manifest(
@@ -619,13 +642,7 @@ def cmd_report(cfg: RunConfig) -> int:
     quantification: dict = {}
     outputs = ["report.json"]
     train_pool, eval_pool = split(
-        corpus,
-        SplitSpec(
-            train_fraction=0.7,
-            test_fraction=0.3,
-            stratify=True,
-            seed=stage_seed(cfg.seed, "report-split"),
-        ),
+        corpus, SplitSpec(test_fraction=0.3, seed=stage_seed(cfg.seed, "report-split"))
     )
     for kind in cfg.models:
         factory = _factory_for(kind, cfg)
@@ -635,7 +652,6 @@ def cmd_report(cfg: RunConfig) -> int:
             n_boot=cfg.n_boot,
             test_fraction=cfg.test_fraction,
             seed=stage_seed(cfg.seed, f"bootstrap-{kind}"),
-            model_tag=kind,
             threads=cfg.threads,
         )
         classification[kind] = rep.summary() | {"dropped_rows": rep.dropped_rows}
@@ -644,7 +660,6 @@ def cmd_report(cfg: RunConfig) -> int:
             corpus,
             folds=cfg.folds,
             seed=stage_seed(cfg.seed, f"cv-roc-{kind}"),
-            model_tag=kind,
         )
         name = f"roc_{kind.replace('-', '_')}.csv"
         curve.to_csv(out / name)
@@ -727,7 +742,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="YAML file of settings; flags override it")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
     p.add_argument("--seed", type=int, help="root random seed")
-    p.add_argument("--json-errors", action="store_true", default=None, help=argparse.SUPPRESS)
 
 
 def _add_data(p: argparse.ArgumentParser):
@@ -847,28 +861,27 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    json_errors = bool(getattr(args, "json_errors", False))
     try:
         cfg = resolve_config(args)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, do_cv_roc=args.cv_roc, do_robustness=args.robustness)
         return args.func(cfg)
     except DataError as e:
-        _emit_error("data", e, json_errors)
+        _emit_error("data", e)
         return 2
     except NumericError as e:
-        _emit_error("numeric", e, json_errors)
+        _emit_error("numeric", e)
         return 3
     except FileNotFoundError as e:
-        _emit_error("data", f"file not found: {e.filename}", json_errors)
+        _emit_error("data", f"file not found: {e.filename}")
+        return 2
+    except OSError as e:
+        _emit_error("data", e)
         return 2
 
 
-def _emit_error(kind: str, error, as_json: bool):
-    if as_json:
-        print(json.dumps({"error": kind, "message": str(error)}), file=sys.stderr)
-    else:
-        print(f"demoscope: {kind} error: {error}", file=sys.stderr)
+def _emit_error(kind: str, error):
+    print(f"demoscope: {kind} error: {error}", file=sys.stderr)
 
 
 def entry():

@@ -183,20 +183,19 @@ def _check_count(value, where: str) -> int:
     return value
 
 
-def _check_label(value, k: int, where: str) -> int:
+def _check_label(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{where}: label must be an integer, got {value!r}")
-    if value != -1 and not (0 <= value < k):
-        raise DataError(f"{where}: label {value} outside -1..{k - 1}")
+    if value not in (-1, 0, 1):
+        raise DataError(f"{where}: label {value} outside -1..1")
     return value
 
 
 class _Accumulator:
     """Merges per-user counts and labels in first-appearance order."""
 
-    def __init__(self, vocabulary: CommunityVocabulary, k: int):
+    def __init__(self, vocabulary: CommunityVocabulary):
         self.vocabulary = vocabulary
-        self.k = k
         self.order: list[str] = []
         self.counts: dict[str, dict[int, int]] = {}
         self.labels: dict[str, int] = {}
@@ -214,13 +213,17 @@ class _Accumulator:
             acc[j] = acc.get(j, 0) + c
             if acc[j] > MAX_COUNT:
                 raise DataError(f"{where}: merged count for user {user!r} exceeds {MAX_COUNT}")
-        if label != -1:
-            prev = self.labels[user]
-            if prev != -1 and prev != label:
-                raise DataError(
-                    f"{where}: user {user!r} has conflicting labels {prev} and {label}"
-                )
-            self.labels[user] = label
+        self.set_label(user, label, where)
+
+    def set_label(self, user: str, label: int, where: str):
+        """Record a known user's label; -1 keeps what is there, a second
+        different class is an error."""
+        if label == -1:
+            return
+        prev = self.labels[user]
+        if prev != -1 and prev != label:
+            raise DataError(f"{where}: user {user!r} has conflicting labels {prev} and {label}")
+        self.labels[user] = label
 
     def finish(self) -> tuple[LabeledCorpus, LoadReport]:
         kept = [user for user in self.order if self.counts[user]]
@@ -245,13 +248,12 @@ class _Accumulator:
             X=sp.csr_matrix((data, indices, indptr), shape=(len(kept), self.vocabulary.size)),
             user_ids=np.array(kept, dtype=object),
             labels=np.array([self.labels[user] for user in kept], dtype=np.int64),
-            k=self.k,
         )
         return corpus, self.report
 
 
-def _load_jsonl(path, vocabulary: CommunityVocabulary, k: int) -> tuple[LabeledCorpus, LoadReport]:
-    acc = _Accumulator(vocabulary, k)
+def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
+    acc = _Accumulator(vocabulary)
     index = vocabulary.index
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -279,15 +281,15 @@ def _load_jsonl(path, vocabulary: CommunityVocabulary, k: int) -> tuple[LabeledC
                     acc.report.unknown_community_pairs += 1
                     continue
                 pairs.append((j, c))
-            label = _check_label(rec.get("label", -1), k, where)
+            label = _check_label(rec.get("label", -1), where)
             acc.add_user(user, pairs, label, where)
     return acc.finish()
 
 
 def _load_triplets(
-    path, vocabulary: CommunityVocabulary, k: int, labels_path=None
+    path, vocabulary: CommunityVocabulary, labels_path=None
 ) -> tuple[LabeledCorpus, LoadReport]:
-    acc = _Accumulator(vocabulary, k)
+    acc = _Accumulator(vocabulary)
     index = vocabulary.index
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -332,16 +334,10 @@ def _load_triplets(
                     label = int(raw)
                 except ValueError:
                     raise DataError(f"{where}: label must be an integer, got {raw!r}") from None
-                label = _check_label(label, k, where)
+                label = _check_label(label, where)
                 if user not in acc.counts:
                     raise DataError(f"{where}: label for unknown user {user!r}")
-                if label != -1:
-                    prev = acc.labels[user]
-                    if prev != -1 and prev != label:
-                        raise DataError(
-                            f"{where}: user {user!r} has conflicting labels {prev} and {label}"
-                        )
-                    acc.labels[user] = label
+                acc.set_label(user, label, where)
     return acc.finish()
 
 
@@ -350,7 +346,6 @@ def load_corpus(
     vocabulary: CommunityVocabulary,
     fmt: str = "jsonl",
     labels_path=None,
-    k: int = 2,
 ) -> tuple[LabeledCorpus, LoadReport]:
     """Load a corpus from disk.
 
@@ -368,9 +363,9 @@ def load_corpus(
     if fmt == "jsonl":
         if labels_path is not None:
             raise DataError("labels_path only applies to fmt='triplets'")
-        return _load_jsonl(path, vocabulary, k)
+        return _load_jsonl(path, vocabulary)
     if fmt == "triplets":
-        return _load_triplets(path, vocabulary, k, labels_path)
+        return _load_triplets(path, vocabulary, labels_path)
     raise DataError(f"unknown corpus format {fmt!r}")
 
 
@@ -378,41 +373,22 @@ def load_corpus(
 class SplitSpec:
     """Train/test split parameters.
 
-    Fractions apply to labeled rows; unlabeled rows always go to train.
-    When train_fraction + test_fraction == 1 the remainder row counts
-    are assigned to train, otherwise a middle slice is discarded.
+    test_fraction applies to the labeled rows of each class, rounded
+    down; the rest of the labeled rows and every unlabeled row go to
+    train.
     """
 
-    train_fraction: float = 0.7
     test_fraction: float = 0.3
-    stratify: bool = True
     oversample: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0) or not (0.0 < self.test_fraction < 1.0):
-            raise DataError("split fractions must lie strictly between 0 and 1")
-        if self.train_fraction + self.test_fraction > 1.0 + 1e-12:
-            raise DataError("train_fraction + test_fraction must not exceed 1")
-
-
-def _partition_indices(pool: np.ndarray, spec: SplitSpec, rng) -> tuple[list, list]:
-    """Shuffle one pool of indices and cut test then train slices."""
-    shuffled = pool.copy()
-    rng.shuffle(shuffled)
-    n = len(shuffled)
-    n_test = int(np.floor(spec.test_fraction * n))
-    if abs(spec.train_fraction + spec.test_fraction - 1.0) <= 1e-12:
-        n_train = n - n_test
-    else:
-        n_train = int(np.floor(spec.train_fraction * n))
-    test = shuffled[:n_test].tolist()
-    train = shuffled[n_test : n_test + n_train].tolist()
-    return train, test
+        if not (0.0 < self.test_fraction < 1.0):
+            raise DataError("test_fraction must lie strictly between 0 and 1")
 
 
 def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, LabeledCorpus]:
-    """Seeded train/test split; stratified over labels by default.
+    """Seeded train/test split, stratified over labels.
 
     Returns (train, test). Row order within each side follows the
     original corpus order. With spec.oversample the train side is
@@ -427,23 +403,18 @@ def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, Labele
     labeled_idx = np.flatnonzero(corpus.labeled_mask)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    if spec.stratify:
-        for y in range(corpus.k):
-            pool = labeled_idx[corpus.labels[labeled_idx] == y]
-            if len(pool) < 2:
-                raise DataError(
-                    f"stratified split needs >= 2 labeled rows per class, "
-                    f"class {y} has {len(pool)}"
-                )
-            tr, te = _partition_indices(pool, spec, rng)
-            train_idx += tr
-            test_idx += te
-    else:
-        if len(labeled_idx) < 2:
-            raise DataError("split needs >= 2 labeled rows")
-        tr, te = _partition_indices(labeled_idx, spec, rng)
-        train_idx += tr
-        test_idx += te
+    for y in range(corpus.k):
+        pool = labeled_idx[corpus.labels[labeled_idx] == y]
+        if len(pool) < 2:
+            raise DataError(
+                f"stratified split needs >= 2 labeled rows per class, "
+                f"class {y} has {len(pool)}"
+            )
+        shuffled = pool.copy()
+        rng.shuffle(shuffled)
+        n_test = int(np.floor(spec.test_fraction * len(shuffled)))
+        test_idx += shuffled[:n_test].tolist()
+        train_idx += shuffled[n_test:].tolist()
     train_idx += np.flatnonzero(~corpus.labeled_mask).tolist()
     train = corpus.subset(sorted(train_idx))
     test = corpus.subset(sorted(test_idx))

@@ -44,15 +44,15 @@ def roc_auc(scores, labels) -> float:
     return float(u / (n0 * n1))
 
 
-def f1(predictions, labels, positive: int = 1) -> float:
-    """F1 of the positive class; 0.0 when there are no true positives."""
+def f1(predictions, labels) -> float:
+    """F1 of class 1; 0.0 when there are no true positives."""
     p = np.asarray(predictions)
     y = np.asarray(labels)
     if p.shape != y.shape or p.ndim != 1 or p.size == 0:
         raise DataError("predictions and labels must be non-empty 1-d arrays of equal length")
-    tp = int(((p == positive) & (y == positive)).sum())
-    fp = int(((p == positive) & (y != positive)).sum())
-    fn = int(((p != positive) & (y == positive)).sum())
+    tp = int(((p == 1) & (y == 1)).sum())
+    fp = int(((p == 1) & (y != 1)).sum())
+    fn = int(((p != 1) & (y == 1)).sum())
     if tp == 0:
         return 0.0
     return float(2 * tp / (2 * tp + fp + fn))
@@ -86,7 +86,6 @@ def roc_curve(scores, labels):
 class MetricReport:
     """Replicate-level metric values plus mean/std summaries."""
 
-    model_tag: str
     n_replicates: int
     metrics: dict[str, np.ndarray]
     dropped_rows: int = 0
@@ -138,12 +137,10 @@ def bootstrap_eval(
     corpus: LabeledCorpus,
     n_boot: int = 100,
     test_fraction: float = 0.2,
-    oversample: bool = True,
     seed: int = 0,
-    model_tag: str = "model",
     threads: int = 1,
 ) -> MetricReport:
-    """Repeated stratified holdout: train on (oversampled) 1 - test_fraction,
+    """Repeated stratified holdout: train on oversampled 1 - test_fraction,
     score ROC AUC and F1 on the held-out rows.
 
     Replicates are independent and deterministic given (seed, replicate
@@ -156,13 +153,7 @@ def bootstrap_eval(
     rep_seeds = np.random.SeedSequence(seed).spawn(n_boot)
 
     def one(b: int):
-        spec = SplitSpec(
-            train_fraction=1.0 - test_fraction,
-            test_fraction=test_fraction,
-            stratify=True,
-            oversample=oversample,
-            seed=rep_seeds[b],
-        )
+        spec = SplitSpec(test_fraction=test_fraction, oversample=True, seed=rep_seeds[b])
         train, test = split(corpus, spec)
         clf = factory(train)
         scores, preds, labels, dropped = _scored_subset(clf, test)
@@ -175,7 +166,6 @@ def bootstrap_eval(
     f1s = np.array([r[1] for r in results])
     dropped = int(sum(r[2] for r in results))
     return MetricReport(
-        model_tag=model_tag,
         n_replicates=n_boot,
         metrics={"roc_auc": aucs, "f1": f1s},
         dropped_rows=dropped,
@@ -193,15 +183,13 @@ def cv_roc(
     factory: TrainFn,
     corpus: LabeledCorpus,
     folds: int = 10,
-    oversample: bool = True,
     seed: int = 0,
-    model_tag: str = "model",
 ) -> CurveData:
     """Pooled ROC from stratified k-fold cross-validation.
 
     Out-of-fold scores for every labeled row are pooled into one curve.
-    Unlabeled rows join every training fold. Each class needs at least
-    `folds` labeled rows.
+    Unlabeled rows join every (oversampled) training fold. Each class
+    needs at least `folds` labeled rows.
     """
     if folds < 2:
         raise DataError(f"folds must be >= 2, got {folds}")
@@ -223,8 +211,7 @@ def cv_roc(
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero((assignment >= 0) & (assignment != fold))
         train = corpus.subset(np.sort(np.concatenate([train_idx, unlabeled_idx])))
-        if oversample:
-            train = random_oversample(train, seed=over_seeds[fold])
+        train = random_oversample(train, seed=over_seeds[fold])
         clf = factory(train)
         test = corpus.subset(test_idx)
         pooled_scores[test_idx] = clf.score(test)[0]
@@ -238,7 +225,7 @@ def cv_roc(
         kind="roc",
         x=fpr,
         y=tpr,
-        meta={"auc": auc, "folds": folds, "model_tag": model_tag, "dropped_rows": dropped},
+        meta={"auc": auc, "folds": folds, "dropped_rows": dropped},
     )
 
 
@@ -248,30 +235,22 @@ def learning_curve(
     sizes,
     repeats: int = 30,
     cohort_size: int = 200,
-    calibration_fraction: float = 0.25,
-    mode: str = "acc",
     seed: int = 0,
-    model_tag: str = "model",
 ) -> CurveData:
-    """Quantification error as a function of labeled training-set size.
+    """ACC quantification error as a function of labeled training-set size.
 
     One 70/30 split provides a training pool and an evaluation pool.
     For each size s: draw a stratified subsample of s labeled pool rows,
-    hold out calibration_fraction of it to measure correction rates,
-    train on the (oversampled) rest, then score MAE over NPP cohorts
-    from the evaluation pool at its natural prevalence.
+    hold out a quarter of it to measure correction rates, train on the
+    oversampled rest, then score MAE over NPP cohorts from the
+    evaluation pool at its natural prevalence.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) == 0 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DataError("sizes must be strictly increasing")
-    if not (0.0 < calibration_fraction < 1.0):
-        raise DataError("calibration_fraction must lie in (0, 1)")
     root = np.random.SeedSequence(seed)
     split_seed, sub_seed, npp_seed = root.spawn(3)
-    train_pool, eval_pool = split(
-        corpus,
-        SplitSpec(train_fraction=0.7, test_fraction=0.3, stratify=True, seed=split_seed),
-    )
+    train_pool, eval_pool = split(corpus, SplitSpec(test_fraction=0.3, seed=split_seed))
     lab_idx = np.flatnonzero(train_pool.labeled_mask)
     if sizes[-1] > lab_idx.size:
         raise DataError(
@@ -286,7 +265,7 @@ def learning_curve(
     stds = np.empty(len(sizes), dtype=np.float64)
     for i, s in enumerate(sizes):
         take = _stratified_subsample(train_pool.labels, lab_idx, s, sub_rng)
-        n_cal = max(2, int(round(calibration_fraction * take.size)))
+        n_cal = max(2, int(round(0.25 * take.size)))
         if n_cal >= take.size:
             raise DataError(f"size {s} too small to carve a calibration split")
         cal_idx = take[:n_cal]
@@ -296,7 +275,7 @@ def learning_curve(
         )
         cal_part = train_pool.subset(np.sort(cal_idx))
         clf = factory(fit_part)
-        quant = fit_quantifier(clf, cal_part, mode=mode)
+        quant = fit_quantifier(clf, cal_part, mode="acc")
         rep = evaluate_quantifier(
             quant,
             eval_pool,
@@ -311,7 +290,7 @@ def learning_curve(
         x=np.array(sizes, dtype=np.float64),
         y=maes,
         y_std=stds,
-        meta={"model_tag": model_tag, "mode": mode, "repeats": repeats},
+        meta={"repeats": repeats},
     )
 
 
@@ -335,7 +314,6 @@ def robustness_sweep(
     classifier,
     corpus: LabeledCorpus,
     taus,
-    model_tag: str = "model",
 ) -> CurveData:
     """Confidence-filtered AUC: keep rows scored <= tau or >= 1 - tau.
 
@@ -361,5 +339,5 @@ def robustness_sweep(
         x=taus,
         y=aucs,
         aux={"retained": retained},
-        meta={"model_tag": model_tag, "dropped_rows": dropped},
+        meta={"dropped_rows": dropped},
     )

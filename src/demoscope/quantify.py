@@ -165,7 +165,6 @@ def estimate(
     quantifier: QuantifierModel,
     cohort: LabeledCorpus,
     confidence: float = 0.95,
-    interval: bool = True,
 ) -> PrevalenceEstimate:
     """Estimate class-1 prevalence in a cohort.
 
@@ -191,13 +190,12 @@ def estimate(
         scale = 1.0 / abs(spread)
         method = "acc"
     lower = upper = None
-    if interval:
-        if not quantifier.classifier.calibrated:
-            warnings.warn("scores are uncalibrated; skipping the interval")
-        else:
-            half = _normal_half_width(scores[ok], confidence) * scale
-            lower = float(np.clip(point - half, 0.0, 1.0))
-            upper = float(np.clip(point + half, 0.0, 1.0))
+    if not quantifier.classifier.calibrated:
+        warnings.warn("scores are uncalibrated; skipping the interval")
+    else:
+        half = _normal_half_width(scores[ok], confidence) * scale
+        lower = float(np.clip(point - half, 0.0, 1.0))
+        upper = float(np.clip(point + half, 0.0, 1.0))
     return PrevalenceEstimate(
         point=point,
         lower=lower,

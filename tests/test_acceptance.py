@@ -309,8 +309,8 @@ def _check_reference_metrics(root: Path):
             f"{attr}: AUC {auc:.4f} vs reference {REFERENCE_AUC[attr]}"
         )
 
-        rest, eval_pool = split(corpus, SplitSpec(0.8, 0.2, stratify=True, seed=1))
-        fit_part, cal_part = split(rest, SplitSpec(0.75, 0.25, stratify=True, seed=2))
+        rest, eval_pool = split(corpus, SplitSpec(test_fraction=0.2, seed=1))
+        fit_part, cal_part = split(rest, SplitSpec(test_fraction=0.25, seed=2))
         clf = nb_factory()(fit_part)
         quant = fit_quantifier(clf, cal_part, mode="acc")
         maes = [

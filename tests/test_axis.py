@@ -93,8 +93,6 @@ def test_build_axis_pole_validation():
         build_axis(table, (), ("left1",))
     with pytest.raises(DataError, match="overlap"):
         build_axis(table, ("mid", "right1"), ("mid",))
-    with pytest.raises(DataError, match="projection"):
-        build_axis(table, ("right1",), ("left1",), projection="euclid")
     with pytest.warns(UserWarning, match="not in table"):
         axis = build_axis(table, ("right1", "ghost"), ("left1",))
     assert axis.pole_a == ("right1", "ghost")
@@ -115,17 +113,6 @@ def test_zero_norm_community_gets_zero_cosine():
     axis = build_axis(table, ("a",), ("b",))
     # raw cosines are (1, -1, 0); after standardization zero maps to mean
     assert axis.z_of["zero"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dot_projection_scales_with_norm():
-    table = EmbeddingTable(
-        ("a", "b", "far"), np.array([[1.0, 0.0], [-1.0, 0.0], [10.0, 0.0]])
-    )
-    cos = build_axis(table, ("a",), ("b",), projection="cosine")
-    dot = build_axis(table, ("a",), ("b",), projection="dot")
-    # under cosine, a and far are identical; under dot, far dominates
-    assert cos.z_of["a"] == pytest.approx(cos.z_of["far"])
-    assert dot.z_of["far"] > dot.z_of["a"]
 
 
 def test_score_corpus_weighted_mean():

@@ -36,7 +36,7 @@ def _hand_model():
 def test_posterior_hand_fixture():
     model = _hand_model()
     x = corpus_from_dense([[2, 1]], [-1])
-    lj = log_joint_matrix(model, x.to_csr())
+    lj = log_joint_matrix(model, x)
     assert lj[0] == pytest.approx(np.log([0.4 * 0.49 * 0.3, 0.6 * 0.04 * 0.8]))
     post = predict_proba_matrix(model, x)
     assert post[0] == pytest.approx([49 / 65, 16 / 65], rel=1e-12)
@@ -272,7 +272,7 @@ def test_log_joint_rejects_out_of_vocab():
     model = _hand_model()
     x = corpus_from_dense([[0, 0, 0, 0, 0, 1]], [-1])
     with pytest.raises(DataError, match="6 communities, the model was fit on 2"):
-        log_joint_matrix(model, x.to_csr())
+        log_joint_matrix(model, x)
     with pytest.raises(DataError, match="model was fit on 2"):
         predict_proba_matrix(model, corpus_from_dense([[1]], [-1]))
 

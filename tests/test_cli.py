@@ -47,13 +47,6 @@ class TestArgHandling:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
-    def test_json_errors_flag(self, tmp_path, capsys):
-        code = main(["train", "--model", "nb", "--out-dir", str(tmp_path), "--json-errors"])
-        assert code == 2
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "data"
-        assert "--corpus" in payload["message"]
-
     def test_missing_file_is_data_error(self, demo_files, tmp_path, capsys):
         d = demo_files["dir"]
         code = main(
@@ -110,6 +103,36 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg), "--model", "nb"])
         assert code == 2
         assert "invalid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "yaml_text, corpus_is_dir, expected",
+        [
+            ("n_boot: many\n", False, "'n_boot' must be int"),
+            ("models: 5\n", False, "'models' must be tuple[str, ...]"),
+            ("", True, "Is a directory"),
+        ],
+        ids=["n_boot-string", "models-int", "corpus-directory"],
+    )
+    def test_bad_value_or_path_exits_two_with_one_line(
+        self, demo_files, tmp_path, capsys, yaml_text, corpus_is_dir, expected
+    ):
+        d = demo_files["dir"]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml_text, encoding="utf-8")
+        corpus = tmp_path if corpus_is_dir else d / "corpus.jsonl"
+        code = main(
+            [
+                "report",
+                "--config", str(cfg),
+                "--corpus", str(corpus),
+                "--vocabulary", str(d / "vocab.txt"),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("demoscope: data error:")
+        assert expected in err[0]
 
     def test_config_validation(self, demo_files, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -305,6 +328,40 @@ class TestTrain:
         # its own pole_a as class 1, so training swaps them
         assert tuple(payload["pole_a"]) == demo_files["seeds"].pole_b
 
+    def test_train_axis_uses_the_named_seed_set(self, demo_files, tmp_path, capsys):
+        d = demo_files["dir"]
+        seeds = demo_files["seeds"]
+        two_sets = [
+            {"attribute": seeds.attribute, "pole_a": list(seeds.pole_a),
+             "pole_b": list(seeds.pole_b)},
+            {"attribute": "gender", "pole_a": list(seeds.pole_b), "pole_b": list(seeds.pole_a)},
+        ]
+        seeds_path = tmp_path / "seeds.json"
+        seeds_path.write_text(json.dumps(two_sets), encoding="utf-8")
+
+        def train(attribute, out):
+            return main(
+                [
+                    "train",
+                    "--model", "axis",
+                    "--embeddings", str(d / "embeddings.tsv"),
+                    "--seeds", str(seeds_path),
+                    "--attribute", attribute,
+                    "--out-dir", str(out),
+                ]
+            )
+
+        assert train("gender", tmp_path / "gender") == 0
+        payload = _read_json(tmp_path / "gender" / "model.json")
+        assert payload["attribute"] == "gender"
+        assert tuple(payload["pole_a"]) == seeds.pole_a
+        capsys.readouterr()
+        # as in label-distant: no set for the attribute and more than one set
+        assert train("partisan", tmp_path / "partisan") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "no entry for 'partisan'" in err[0]
+        assert not (tmp_path / "partisan" / "model.json").exists()
+
     def test_train_majority(self, demo_files, tmp_path):
         d = demo_files["dir"]
         out = tmp_path / "out"
@@ -396,6 +453,26 @@ class TestPredictCalibrateQuantify:
         assert report["ece_after"] <= report["ece_before"] + 1e-12
         assert _read_json(out / "model.json")["calibrator"] is not None
         assert load_model(out / "model.json").calibrator is not None
+
+    def test_calibrate_refuses_majority_model(self, demo_files, tmp_path, capsys):
+        d = demo_files["dir"]
+        data = ["--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt")]
+        train_out, cal_out = tmp_path / "train", tmp_path / "cal"
+        assert main(["train", "--model", "majority", *data, "--out-dir", str(train_out)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "calibrate",
+                "--model-path", str(train_out / "model.json"),
+                *data,
+                "--out-dir", str(cal_out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("demoscope: data error:")
+        assert "majority model" in err[0]
+        assert not (cal_out / "model.json").exists()
 
     def test_quantify_acc_with_interval(self, trained, tmp_path):
         d, model_path = trained

@@ -200,6 +200,12 @@ def test_triplets_loader(tmp_path):
     labels.write_text("user,label\nzz,1\n")
     with pytest.raises(DataError, match="unknown user"):
         load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+    # the jsonl merge rule: a repeated label is fine, -1 keeps it, a second class is not
+    labels.write_text("user,label\nu2,1\nu2,-1\nu2,1\n")
+    assert load_corpus(f, vocab, fmt="triplets", labels_path=labels)[0].labels.tolist() == [-1, 1]
+    labels.write_text("user,label\nu2,1\nu2,0\n")
+    with pytest.raises(DataError, match=r"l\.csv:3: user 'u2' has conflicting labels 1 and 0"):
+        load_corpus(f, vocab, fmt="triplets", labels_path=labels)
 
     f.write_text("wrong,header,here\nu1,a,2\n")
     with pytest.raises(DataError, match="header"):
@@ -222,7 +228,7 @@ def _labeled_corpus(n0, n1, n_unlabeled=0, seed=0):
 
 def test_split_deterministic_and_stratified():
     corpus = _labeled_corpus(40, 20, n_unlabeled=10)
-    spec = SplitSpec(train_fraction=0.7, test_fraction=0.3, seed=9)
+    spec = SplitSpec(test_fraction=0.3, seed=9)
     tr1, te1 = split(corpus, spec)
     tr2, te2 = split(corpus, spec)
     assert tr1.user_ids.tolist() == tr2.user_ids.tolist()
@@ -243,19 +249,12 @@ def test_split_deterministic_and_stratified():
 def test_split_proportions_property():
     corpus = _labeled_corpus(33, 17)
     for seed in range(5):
-        tr, te = split(corpus, SplitSpec(train_fraction=0.6, test_fraction=0.4, seed=seed))
+        tr, te = split(corpus, SplitSpec(test_fraction=0.4, seed=seed))
         p_orig = 17 / 50
         for side in (tr, te):
             p = (side.labels == 1).sum() / side.n
             # within one row of the original class proportion
             assert abs(p - p_orig) <= 1.0 / side.n + 1e-12
-
-
-def test_split_middle_slice_discarded():
-    corpus = _labeled_corpus(50, 50)
-    tr, te = split(corpus, SplitSpec(train_fraction=0.5, test_fraction=0.2, seed=4))
-    assert tr.n == 50
-    assert te.n == 20
 
 
 def test_split_requires_two_per_class():
@@ -266,9 +265,9 @@ def test_split_requires_two_per_class():
 
 def test_split_rejects_bad_fractions():
     with pytest.raises(DataError):
-        SplitSpec(train_fraction=0.9, test_fraction=0.3)
+        SplitSpec(test_fraction=0.0)
     with pytest.raises(DataError):
-        SplitSpec(train_fraction=0.0, test_fraction=0.3)
+        SplitSpec(test_fraction=1.0)
 
 
 def test_oversample_balances():
@@ -343,7 +342,7 @@ def test_slices_match_dense_oracle(seed):
     inner = rng.integers(0, sub.n, size=sub.n)
     check(sub.subset(inner), idx[inner])
     check(corpus.subset([]), [])
-    spec = SplitSpec(train_fraction=0.6, test_fraction=0.4, oversample=True, seed=seed)
+    spec = SplitSpec(test_fraction=0.4, oversample=True, seed=seed)
     for part in split(corpus, spec):
         check(part)
     over = random_oversample(corpus, seed=seed)

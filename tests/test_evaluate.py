@@ -75,8 +75,6 @@ def test_f1_hand_values():
     assert f1([1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]) == pytest.approx(0.75)
     assert f1([0, 0], [1, 1]) == 0.0
     assert f1([1, 1], [1, 1]) == 1.0
-    # positive=0 swaps the target class
-    assert f1([0, 0], [0, 1], positive=0) == pytest.approx(2 / 3)
     with pytest.raises(DataError):
         f1([1], [1, 0])
 
@@ -209,10 +207,6 @@ def test_learning_curve_validation():
         learning_curve(nb_factory(), corpus, [30, 30], repeats=2, cohort_size=10)
     with pytest.raises(DataError, match="exceeds"):
         learning_curve(nb_factory(), corpus, [10_000], repeats=2, cohort_size=10)
-    with pytest.raises(DataError, match="calibration_fraction"):
-        learning_curve(
-            nb_factory(), corpus, [20], repeats=2, cohort_size=10, calibration_fraction=1.0
-        )
 
 
 def test_robustness_sweep_filters_by_confidence():

@@ -199,8 +199,6 @@ def test_estimate_uncalibrated_warns_and_skips_interval():
     with pytest.warns(UserWarning, match="uncalibrated"):
         est = estimate(quant, pool)
     assert est.lower is None and est.upper is None
-    est = estimate(quant, pool, interval=False)
-    assert est.lower is None
 
 
 def test_estimate_excludes_unscorable_rows():

@@ -1,5 +1,6 @@
 """Smoke runs of the command-line scripts under scripts/ at a tiny size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -49,3 +50,19 @@ def test_script_runs_and_writes_outputs(script, args, files, tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in files:
         assert (out / name).stat().st_size > 0, name
+
+
+def test_demo_chain_digests_repeat_across_runs(tmp_path):
+    """Same seed, same bytes: every output of the CLI chain, run twice."""
+    digests = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        proc = _run("demo_chain.py", "--out-dir", str(out), "--seed", "1",
+                    "--n-train", "200", "--n-target", "80", "--d", "30")
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads((out / "digests.json").read_text(encoding="utf-8")))
+    assert digests[0] == digests[1]
+    # each step of the chain wrote something besides its manifest
+    steps = {name.split("/")[0] for name in digests[0]}
+    assert {"extract", "train", "calibrate", "quantify", "predict", "robustness", "report",
+            "importance", "train-axis", "quantify-axis", "predict-axis"} <= steps
