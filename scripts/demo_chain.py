@@ -8,8 +8,10 @@ such as --n-train 300, pass through to it), then runs the README chain
 plus axis train/quantify/predict and an evaluate --robustness sweep, one
 command per directory under DIR/out. Writes DIR/digests.json: the sha256
 of every file under DIR/out except manifest.json, which records a
-creation time. Two runs of one seed, or two commits that should behave
-alike, are compared by diffing their digests.json.
+creation time. Writes DIR/manifests.json: per step, its manifest's
+command, its inputs as name -> sha256 (paths dropped) and its outputs.
+Two runs of one seed, or two commits that should behave alike, are
+compared by diffing their digests.json and manifests.json.
 
 Exits 1 if a command does not exit 0.
 """
@@ -59,6 +61,18 @@ def digests(out: Path) -> dict[str, str]:
     }
 
 
+def manifests(out: Path) -> dict[str, dict]:
+    found = {}
+    for path in sorted(out.glob("*/manifest.json")):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        found[path.parent.name] = {
+            "command": manifest["command"],
+            "inputs": {name: entry["sha256"] for name, entry in manifest["inputs"].items()},
+            "outputs": manifest["outputs"],
+        }
+    return found
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--out-dir", required=True)
@@ -74,10 +88,11 @@ def main():
         code = demoscope(argv)
         if code != 0:
             sys.exit(f"demo_chain: {name} exited {code}")
-    (root / "digests.json").write_text(
-        json.dumps(digests(out), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"demo_chain: digests of {out} -> {root / 'digests.json'}")
+    for name, payload in (("digests.json", digests(out)), ("manifests.json", manifests(out))):
+        (root / name).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    print(f"demo_chain: digests and manifests of {out} -> {root}")
 
 
 if __name__ == "__main__":

@@ -382,6 +382,20 @@ def fit_semisupervised(
     return model, report
 
 
+def fit(
+    corpus: LabeledCorpus,
+    semi_supervised: bool = False,
+    max_iter: int = 100,
+    tol: float = 1e-6,
+    **options,
+) -> tuple[NaiveBayesModel, FitReport]:
+    """EM over every row when semi_supervised, else the closed form on the
+    labeled rows alone; options are fit_supervised's keyword arguments."""
+    if semi_supervised:
+        return fit_semisupervised(corpus, max_iter=max_iter, tol=tol, **options)
+    return fit_supervised(corpus.subset(np.flatnonzero(corpus.labeled_mask)), **options)
+
+
 def _validate_hyper(alpha1: float, alpha2: float):
     if not (alpha1 > 0 and np.isfinite(alpha1)):
         raise DataError(f"alpha1 must be positive and finite, got {alpha1}")

@@ -59,42 +59,11 @@ class MajorityClassifier:
 TrainFn = Callable[[LabeledCorpus], ScoringClassifier]
 
 
-def nb_factory(
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
-    use_log_normal: bool = False,
-    semi_supervised: bool = False,
-    pooled_activity: bool = False,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> TrainFn:
-    """Training closure for evaluation protocols.
-
-    Supervised mode drops unlabeled rows before fitting; semi-supervised
-    mode keeps them for EM.
-    """
+def nb_factory(**options) -> TrainFn:
+    """Training closure for evaluation protocols: bayes.fit with options."""
 
     def train(corpus: LabeledCorpus) -> bayes.NaiveBayesModel:
-        if semi_supervised:
-            model, _ = bayes.fit_semisupervised(
-                corpus,
-                alpha1=alpha1,
-                alpha2=alpha2,
-                use_log_normal=use_log_normal,
-                pooled_activity=pooled_activity,
-                max_iter=max_iter,
-                tol=tol,
-            )
-        else:
-            labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
-            model, _ = bayes.fit_supervised(
-                labeled,
-                alpha1=alpha1,
-                alpha2=alpha2,
-                use_log_normal=use_log_normal,
-                pooled_activity=pooled_activity,
-            )
-        return model
+        return bayes.fit(corpus, **options)[0]
 
     return train
 

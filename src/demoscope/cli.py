@@ -2,8 +2,10 @@
 
 One subcommand per pipeline stage. Every command resolves its settings
 from defaults, then an optional YAML config (--config), then explicit
-flags, and writes a manifest.json next to its outputs with input
-digests, the resolved configuration and its hash, and library versions.
+flags. It names each file it reads and writes through a Run record, and
+main writes a manifest.json next to its outputs from that record: the
+digest of every file read (taken when it was read), the outputs, the
+resolved configuration and its hash, and library versions.
 
 Exit codes: 0 ok, 1 usage, 2 data problem, 3 numeric failure.
 """
@@ -15,7 +17,7 @@ import hashlib
 import json
 import sys
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,12 +25,11 @@ import numpy as np
 import yaml
 
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
-from .data import LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split
+from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split
 from .errors import DataError, NumericError
 from .serialize import dumps, load_model, save_model
 
-# every model kind _factory_for builds; train fits the nb variants as
-# "nb" plus flags
+# every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
 
 
@@ -77,7 +78,7 @@ class RunConfig:
     threads: int = 1
 
     def validate(self):
-        if self.format not in ("jsonl", "triplets"):
+        if self.format not in FORMATS:
             raise DataError(f"unknown corpus format {self.format!r}")
         if self.attribute not in labeling.ATTRIBUTES and self.attribute != "synthetic":
             raise DataError(
@@ -87,7 +88,7 @@ class RunConfig:
         for kind in (self.model, *self.models):
             if kind not in MODEL_KINDS:
                 raise DataError(f"unknown model {kind!r}; expected one of {MODEL_KINDS}")
-        if self.mode not in ("cc", "acc"):
+        if self.mode not in quantify.MODES:
             raise DataError(f"unknown quantifier mode {self.mode!r}")
         if not (0.0 < self.confidence < 1.0):
             raise DataError("confidence must lie in (0, 1)")
@@ -166,69 +167,79 @@ def stage_seed(root: int, stage: str) -> int:
 
 
 def _sha256(path) -> dict:
-    h = hashlib.sha256()
     data = Path(path).read_bytes()
-    h.update(data)
-    return {"path": str(path), "sha256": h.hexdigest(), "bytes": len(data)}
+    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: dict, outputs: list):
+@dataclass
+class Run:
+    """The record of one command: the files it read and the files it wrote.
+
+    input() and optional() return the path a RunConfig field names and
+    hash that file at once, before the command can overwrite it.
+    output() and write_json() name each file written under out_dir.
+    main writes the manifest from this record once the command is done.
+    """
+
+    command: str
+    cfg: RunConfig
+    args: argparse.Namespace
+    inputs: dict = field(default_factory=dict)
+    outputs: list = field(default_factory=list)
+
+    def optional(self, name: str) -> str | None:
+        path = getattr(self.cfg, name)
+        if path in (None, ""):
+            return None
+        if name not in self.inputs:
+            self.inputs[name] = _sha256(path)
+        return path
+
+    def input(self, name: str) -> str:
+        path = self.optional(name)
+        if path is None:
+            raise DataError(f"missing required input --{name.replace('_', '-')}")
+        return path
+
+    def output(self, name: str) -> Path:
+        out = Path(self.cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return out / name
+
+    def write_json(self, name: str, payload: dict) -> Path:
+        path = self.output(name)
+        path.write_text(dumps(payload), encoding="utf-8")
+        return path
+
+
+def write_manifest(run: Run):
     import scipy
 
+    config = asdict(run.cfg)
     manifest = {
-        "command": command,
-        "config": _jsonable(asdict(cfg)),
-        "config_hash": hashlib.sha256(
-            dumps(_jsonable(asdict(cfg))).encode("utf-8")
-        ).hexdigest(),
-        "inputs": {name: _sha256(p) for name, p in inputs.items() if p is not None},
-        "outputs": sorted(outputs),
+        "command": run.command,
+        "config": config,
+        "config_hash": hashlib.sha256(dumps(config).encode("utf-8")).hexdigest(),
+        "inputs": run.inputs,
+        "outputs": sorted(run.outputs),
         "versions": {
             "demoscope": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "seed": cfg.seed,
+        "seed": run.cfg.seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "manifest.json").write_text(dumps(manifest), encoding="utf-8")
+    (Path(run.cfg.out_dir) / "manifest.json").write_text(dumps(manifest), encoding="utf-8")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _require(cfg: RunConfig, *names: str):
-    for name in names:
-        if getattr(cfg, name) in (None, ""):
-            raise DataError(f"missing required input --{name.replace('_', '-')}")
-
-
-def _load_corpus(cfg: RunConfig, path=None) -> LabeledCorpus:
-    _require(cfg, "vocabulary")
-    vocab = load_vocabulary(cfg.vocabulary)
-    corpus, _ = load_corpus(
-        path if path is not None else cfg.corpus,
-        vocab,
-        fmt=cfg.format,
-        labels_path=cfg.labels if cfg.format == "triplets" else None,
-    )
-    return corpus
+def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
+    path = run.input(name)
+    vocab = load_vocabulary(run.input("vocabulary"))
+    labels = run.optional("labels") if run.cfg.format == "triplets" else None
+    return load_corpus(path, vocab, fmt=run.cfg.format, labels_path=labels)[0]
 
 
 def _read_comments(path):
@@ -245,175 +256,127 @@ def _read_comments(path):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    _require(cfg, "comments")
-    out = _out_dir(cfg)
-    rules = labeling.load_rules(cfg.rules) if cfg.rules else labeling.default_rules()
+def cmd_extract(run: Run):
+    cfg = run.cfg
+    rules_path = run.optional("rules")
+    rules = labeling.load_rules(rules_path) if rules_path else labeling.default_rules()
     rules = [r for r in rules if r.attribute == cfg.attribute] or rules
-    decls, report = labeling.extract_declarations(_read_comments(cfg.comments), rules)
-    if cfg.botlist:
-        before = len(decls)
-        decls = labeling.filter_bots(decls, labeling.load_botlist(cfg.botlist))
-        bot_dropped = before - len(decls)
-    else:
-        bot_dropped = 0
+    decls, report = labeling.extract_declarations(_read_comments(run.input("comments")), rules)
+    before = len(decls)
+    botlist = run.optional("botlist")
+    if botlist:
+        decls = labeling.filter_bots(decls, labeling.load_botlist(botlist))
     coherence = labeling.resolve_coherence(decls)
     values = coherence.resolved.get(cfg.attribute, {})
     if not values:
         raise DataError(f"no coherent {cfg.attribute!r} declarations found")
     labels, median = labeling.binarize(values, cfg.attribute, median=cfg.median)
-    labeling.write_declarations(decls, out / "declarations.jsonl")
-    labeling.write_labels_csv(labels, out / "labels.csv")
-    summary = {
-        "attribute": cfg.attribute,
-        "comments_seen": report.comments_seen,
-        "comments_skipped": report.comments_skipped,
-        "declarations": report.declarations,
-        "suppressed_negation": report.suppressed_negation,
-        "suppressed_no_first_person": report.suppressed_no_first_person,
-        "out_of_range_age": report.out_of_range_age,
-        "unparsed_value": report.unparsed_value,
-        "bot_declarations_dropped": bot_dropped,
-        "users_labeled": len(labels),
-        "users_rejected_incoherent": len(coherence.rejected.get(cfg.attribute, set())),
-        "rejection_rate": coherence.rejection_rate(cfg.attribute),
-        "median_birth_year": median,
-        "label_counts": {
-            "0": sum(1 for v in labels.values() if v == 0),
-            "1": sum(1 for v in labels.values() if v == 1),
+    labeling.write_declarations(decls, run.output("declarations.jsonl"))
+    labeling.write_labels_csv(labels, run.output("labels.csv"))
+    run.write_json(
+        "extract_report.json",
+        {
+            "attribute": cfg.attribute,
+            "comments_seen": report.comments_seen,
+            "comments_skipped": report.comments_skipped,
+            "declarations": report.declarations,
+            "suppressed_negation": report.suppressed_negation,
+            "suppressed_no_first_person": report.suppressed_no_first_person,
+            "out_of_range_age": report.out_of_range_age,
+            "unparsed_value": report.unparsed_value,
+            "bot_declarations_dropped": before - len(decls),
+            "users_labeled": len(labels),
+            "users_rejected_incoherent": len(coherence.rejected.get(cfg.attribute, set())),
+            "rejection_rate": coherence.rejection_rate(cfg.attribute),
+            "median_birth_year": median,
+            "label_counts": {
+                "0": sum(1 for v in labels.values() if v == 0),
+                "1": sum(1 for v in labels.values() if v == 1),
+            },
         },
-    }
-    (out / "extract_report.json").write_text(dumps(summary), encoding="utf-8")
-    write_manifest(
-        out,
-        "extract",
-        cfg,
-        {"comments": cfg.comments, "rules": cfg.rules, "botlist": cfg.botlist},
-        ["declarations.jsonl", "labels.csv", "extract_report.json"],
     )
-    print(f"extract: {len(labels)} users labeled for {cfg.attribute} -> {out}")
-    return 0
+    print(f"extract: {len(labels)} users labeled for {cfg.attribute} -> {cfg.out_dir}")
 
 
-def cmd_label_distant(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "vocabulary", "seeds")
-    out = _out_dir(cfg)
-    corpus = _load_corpus(cfg)
-    seeds = _seed_set(cfg)
+def cmd_label_distant(run: Run):
+    corpus = _load_corpus(run)
+    seeds = _seed_set(run)
     labels = labeling.distant_label(corpus, seeds)
     mapping = {
         user: label for user, label in zip(corpus.user_ids, labels.tolist()) if label >= 0
     }
-    labeling.write_labels_csv(mapping, out / "labels.csv")
-    summary = {
-        "attribute": seeds.attribute,
-        "threshold": seeds.threshold,
-        "users": corpus.n,
-        "labeled": len(mapping),
-        "label_counts": {
-            "0": int((labels == 0).sum()),
-            "1": int((labels == 1).sum()),
+    labeling.write_labels_csv(mapping, run.output("labels.csv"))
+    run.write_json(
+        "distant_report.json",
+        {
+            "attribute": seeds.attribute,
+            "threshold": seeds.threshold,
+            "users": corpus.n,
+            "labeled": len(mapping),
+            "label_counts": {
+                "0": int((labels == 0).sum()),
+                "1": int((labels == 1).sum()),
+            },
         },
-    }
-    (out / "distant_report.json").write_text(dumps(summary), encoding="utf-8")
-    write_manifest(
-        out,
-        "label-distant",
-        cfg,
-        {"corpus": cfg.corpus, "vocabulary": cfg.vocabulary, "seeds": cfg.seeds},
-        ["labels.csv", "distant_report.json"],
     )
-    print(f"label-distant: {len(mapping)}/{corpus.n} users labeled -> {out}")
-    return 0
+    print(f"label-distant: {len(mapping)}/{corpus.n} users labeled -> {run.cfg.out_dir}")
 
 
-def _seed_set(cfg: RunConfig) -> labeling.SeedSets:
+def _seed_set(run: Run) -> labeling.SeedSets:
     """The seed set for cfg.attribute, else the file's only set."""
-    seed_sets = labeling.load_seed_sets(cfg.seeds)
-    if cfg.attribute in seed_sets:
-        return seed_sets[cfg.attribute]
+    seed_sets = labeling.load_seed_sets(run.input("seeds"))
+    attribute = run.cfg.attribute
+    if attribute in seed_sets:
+        return seed_sets[attribute]
     if len(seed_sets) == 1:
         return next(iter(seed_sets.values()))
-    raise DataError(
-        f"seed file has no entry for {cfg.attribute!r}; available: {sorted(seed_sets)}"
-    )
+    raise DataError(f"seed file has no entry for {attribute!r}; available: {sorted(seed_sets)}")
 
 
-def _axis_from_config(cfg: RunConfig) -> axis.AxisModel:
-    _require(cfg, "embeddings", "seeds")
-    table = axis.load_embeddings(cfg.embeddings)
-    seeds = _seed_set(cfg)
+def _axis_from_config(run: Run) -> axis.AxisModel:
+    table = axis.load_embeddings(run.input("embeddings"))
+    seeds = _seed_set(run)
     # seed pole_a marks class 0, but the axis scores its own pole_a
     # positively (class 1), so the poles swap when building the axis
     return axis.build_axis(
-        table,
-        pole_a=seeds.pole_b,
-        pole_b=seeds.pole_a,
-        attribute=seeds.attribute,
+        table, pole_a=seeds.pole_b, pole_b=seeds.pole_a, attribute=seeds.attribute
     )
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    if cfg.model in ("nb-ln", "nb-ss"):
-        flag = "--use-log-normal" if cfg.model == "nb-ln" else "--semi-supervised"
-        raise DataError(f"train does not fit {cfg.model!r}; use model 'nb' with {flag}")
-    out = _out_dir(cfg)
-    inputs = {"vocabulary": cfg.vocabulary}
-    if cfg.model == "axis":
-        model = _axis_from_config(cfg)
-        report = {"model": "axis", "communities": len(model.communities)}
-        inputs.update({"embeddings": cfg.embeddings, "seeds": cfg.seeds})
+def _nb_options(kind: str, cfg: RunConfig) -> dict:
+    """bayes.fit settings for an NB kind: every NB setting of cfg, with
+    nb-ln and nb-ss each forcing its switch on."""
+    return {
+        "alpha1": cfg.alpha1,
+        "alpha2": cfg.alpha2,
+        "use_log_normal": cfg.use_log_normal or kind == "nb-ln",
+        "pooled_activity": cfg.pooled_activity,
+        "semi_supervised": cfg.semi_supervised or kind == "nb-ss",
+        "max_iter": cfg.max_iter,
+        "tol": cfg.tol,
+    }
+
+
+def cmd_train(run: Run):
+    kind = run.cfg.model
+    if kind == "axis":
+        model = _axis_from_config(run)
+        report = {"model": kind, "communities": len(model.communities)}
+    elif kind == "majority":
+        model = classifiers.MajorityClassifier.fit(_load_corpus(run))
+        report = {"model": kind, "majority": model.majority, "rate": model.rate}
     else:
-        _require(cfg, "corpus")
-        corpus = _load_corpus(cfg)
-        inputs["corpus"] = cfg.corpus
-        if cfg.labels:
-            inputs["labels"] = cfg.labels
-        if cfg.model == "majority":
-            clf = classifiers.MajorityClassifier.fit(corpus)
-            model = clf
-            report = {"model": "majority", "majority": clf.majority, "rate": clf.rate}
-        elif cfg.semi_supervised:
-            model, fit = bayes.fit_semisupervised(
-                corpus,
-                alpha1=cfg.alpha1,
-                alpha2=cfg.alpha2,
-                use_log_normal=cfg.use_log_normal,
-                pooled_activity=cfg.pooled_activity,
-                max_iter=cfg.max_iter,
-                tol=cfg.tol,
-            )
-            report = {
-                "model": "nb",
-                "semi_supervised": True,
-                "iterations": fit.iterations,
-                "converged": fit.converged,
-                "log_likelihood": fit.log_likelihood,
-                "n_labeled": fit.n_labeled,
-                "n_unlabeled": fit.n_unlabeled,
-            }
-        else:
-            labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
-            if labeled.n < corpus.n:
-                print(f"train: dropping {corpus.n - labeled.n} unlabeled rows", file=sys.stderr)
-            model, fit = bayes.fit_supervised(
-                labeled,
-                alpha1=cfg.alpha1,
-                alpha2=cfg.alpha2,
-                use_log_normal=cfg.use_log_normal,
-                pooled_activity=cfg.pooled_activity,
-            )
-            report = {
-                "model": "nb",
-                "semi_supervised": False,
-                "log_likelihood": fit.log_likelihood,
-                "n_labeled": fit.n_labeled,
-            }
-    save_model(model, out / "model.json")
-    (out / "fit_report.json").write_text(dumps(_jsonable(report)), encoding="utf-8")
-    write_manifest(out, "train", cfg, inputs, ["model.json", "fit_report.json"])
-    print(f"train: wrote {out / 'model.json'}")
-    return 0
+        corpus = _load_corpus(run)
+        options = _nb_options(kind, run.cfg)
+        model, fit = bayes.fit(corpus, **options)
+        dropped = corpus.n - fit.n_labeled - fit.n_unlabeled
+        if dropped:
+            print(f"train: dropping {dropped} unlabeled rows", file=sys.stderr)
+        report = {"model": kind, "semi_supervised": options["semi_supervised"], **asdict(fit)}
+    path = run.output("model.json")
+    save_model(model, path)
+    run.write_json("fit_report.json", report)
+    print(f"train: wrote {path}")
 
 
 def _load_classifier(path) -> classifiers.ScoringClassifier:
@@ -426,142 +389,98 @@ def _load_classifier(path) -> classifiers.ScoringClassifier:
     return model
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    _require(cfg, "model_path", "corpus")
-    out = _out_dir(cfg)
-    clf = _load_classifier(cfg.model_path)
-    corpus = _load_corpus(cfg)
+def cmd_predict(run: Run):
+    clf = _load_classifier(run.input("model_path"))
+    corpus = _load_corpus(run)
     scores, preds = clf.score(corpus)
     lines = ["user,score,prediction"]
     for user, s, p in zip(corpus.user_ids, scores.tolist(), preds.tolist()):
         lines.append(f"{user},{s!r},{p}")
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = run.output("predictions.csv")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     n_bad = int((~np.isfinite(scores)).sum())
-    write_manifest(
-        out,
-        "predict",
-        cfg,
-        {"model": cfg.model_path, "corpus": cfg.corpus, "vocabulary": cfg.vocabulary},
-        ["predictions.csv"],
-    )
-    print(f"predict: {corpus.n} rows ({n_bad} unscorable) -> {out / 'predictions.csv'}")
-    return 0
+    print(f"predict: {corpus.n} rows ({n_bad} unscorable) -> {path}")
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
-    _require(cfg, "model_path", "corpus")
-    out = _out_dir(cfg)
-    model = _load_classifier(cfg.model_path)
+def cmd_calibrate(run: Run):
+    model_path = run.input("model_path")
+    model = _load_classifier(model_path)
     if isinstance(model, classifiers.MajorityClassifier):
-        raise DataError(
-            f"{cfg.model_path} holds a majority model, which has no scores to calibrate"
-        )
-    corpus = _load_corpus(cfg)
+        raise DataError(f"{model_path} holds a majority model, which has no scores to calibrate")
+    corpus = _load_corpus(run)
     labels = corpus.labels
     scores = model.score(corpus)[0]
     ok = (labels >= 0) & np.isfinite(scores)
     if not ok.any():
         raise DataError("calibration corpus has no scorable labeled rows")
-    before = calibrate.reliability(scores[ok], labels[ok], n_bins=cfg.n_bins)
+    before = calibrate.reliability(scores[ok], labels[ok], n_bins=run.cfg.n_bins)
     cal = calibrate.fit_isotonic(scores[ok], labels[ok])
     model.calibrator = cal
     after_scores = model.score(corpus)[0]
-    after = calibrate.reliability(after_scores[ok], labels[ok], n_bins=cfg.n_bins)
-    save_model(model, out / "model.json")
-    summary = {
-        "pairs": int(ok.sum()),
-        "ece_before": before.ece,
-        "ece_after": after.ece,
-        "knots": len(cal.breakpoints),
-    }
-    (out / "calibration_report.json").write_text(dumps(summary), encoding="utf-8")
-    write_manifest(
-        out,
-        "calibrate",
-        cfg,
-        {"model": cfg.model_path, "corpus": cfg.corpus, "vocabulary": cfg.vocabulary},
-        ["model.json", "calibration_report.json"],
+    after = calibrate.reliability(after_scores[ok], labels[ok], n_bins=run.cfg.n_bins)
+    path = run.output("model.json")
+    save_model(model, path)
+    run.write_json(
+        "calibration_report.json",
+        {
+            "pairs": int(ok.sum()),
+            "ece_before": before.ece,
+            "ece_after": after.ece,
+            "knots": len(cal.breakpoints),
+        },
     )
-    print(f"calibrate: ECE {before.ece:.4f} -> {after.ece:.4f}, wrote {out / 'model.json'}")
-    return 0
+    print(f"calibrate: ECE {before.ece:.4f} -> {after.ece:.4f}, wrote {path}")
 
 
-def cmd_quantify(cfg: RunConfig) -> int:
-    _require(cfg, "target")
-    out = _out_dir(cfg)
-    inputs = {"target": cfg.target, "vocabulary": cfg.vocabulary}
-    if cfg.quantifier:
-        quant = load_model(cfg.quantifier)
+def cmd_quantify(run: Run):
+    cfg = run.cfg
+    target = _load_corpus(run, "target")
+    quantifier_path = run.optional("quantifier")
+    if quantifier_path:
+        quant = load_model(quantifier_path)
         if not isinstance(quant, quantify.QuantifierModel):
-            raise DataError(f"{cfg.quantifier} does not hold a quantifier")
-        inputs["quantifier"] = cfg.quantifier
+            raise DataError(f"{quantifier_path} does not hold a quantifier")
     else:
-        _require(cfg, "model_path")
-        clf = _load_classifier(cfg.model_path)
-        inputs["model"] = cfg.model_path
-        validation = None
-        if cfg.mode == "acc":
-            _require(cfg, "validation")
-            validation = _load_corpus(cfg, path=cfg.validation)
-            inputs["validation"] = cfg.validation
+        clf = _load_classifier(run.input("model_path"))
+        validation = _load_corpus(run, "validation") if cfg.mode == "acc" else None
         quant = quantify.fit_quantifier(clf, validation, mode=cfg.mode)
-        save_model(quant, out / "quantifier.json")
-    target = _load_corpus(cfg, path=cfg.target)
+        save_model(quant, run.output("quantifier.json"))
     est = quantify.estimate(quant, target, confidence=cfg.confidence)
-    payload = {
-        "point": est.point,
-        "lower": est.lower,
-        "upper": est.upper,
-        "confidence": est.confidence,
-        "cohort_size": est.cohort_size,
-        "method": est.method,
-        "excluded": est.excluded,
-        "tpr": quant.tpr,
-        "fpr": quant.fpr,
-    }
-    (out / "estimate.json").write_text(dumps(payload), encoding="utf-8")
-    outputs = ["estimate.json"] + ([] if cfg.quantifier else ["quantifier.json"])
-    write_manifest(out, "quantify", cfg, inputs, outputs)
+    run.write_json(
+        "estimate.json",
+        {
+            "point": est.point,
+            "lower": est.lower,
+            "upper": est.upper,
+            "confidence": est.confidence,
+            "cohort_size": est.cohort_size,
+            "method": est.method,
+            "excluded": est.excluded,
+            "tpr": quant.tpr,
+            "fpr": quant.fpr,
+        },
+    )
     interval = (
         f" [{est.lower:.4f}, {est.upper:.4f}] @ {est.confidence:.0%}"
         if est.lower is not None
         else ""
     )
     print(f"quantify: prevalence {est.point:.4f}{interval} ({est.method})")
-    return 0
 
 
-def _factory_for(kind: str, cfg: RunConfig):
+def _factory_for(kind: str, run: Run) -> classifiers.TrainFn:
     if kind == "majority":
         return classifiers.majority_factory()
-    if kind == "nb":
-        return classifiers.nb_factory(alpha1=cfg.alpha1, alpha2=cfg.alpha2)
-    if kind == "nb-ln":
-        return classifiers.nb_factory(
-            alpha1=cfg.alpha1,
-            alpha2=cfg.alpha2,
-            use_log_normal=True,
-            pooled_activity=cfg.pooled_activity,
-        )
-    if kind == "nb-ss":
-        return classifiers.nb_factory(
-            alpha1=cfg.alpha1,
-            alpha2=cfg.alpha2,
-            semi_supervised=True,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-        )
     if kind == "axis":
-        return classifiers.axis_factory(_axis_from_config(cfg))
-    raise DataError(f"unknown model kind {kind!r}")
+        return classifiers.axis_factory(_axis_from_config(run))
+    return classifiers.nb_factory(**_nb_options(kind, run.cfg))
 
 
-def cmd_evaluate(cfg: RunConfig, do_cv_roc: bool = False, do_robustness: bool = False) -> int:
-    _require(cfg, "corpus")
-    out = _out_dir(cfg)
-    corpus = _load_corpus(cfg)
-    factory = _factory_for(cfg.model, cfg)
-    kind = cfg.model
+def cmd_evaluate(run: Run):
+    cfg = run.cfg
+    corpus = _load_corpus(run)
+    clf = _load_classifier(run.input("model_path")) if run.args.robustness else None
+    factory = _factory_for(cfg.model, run)
     report = evaluate.bootstrap_eval(
         factory,
         corpus,
@@ -570,46 +489,31 @@ def cmd_evaluate(cfg: RunConfig, do_cv_roc: bool = False, do_robustness: bool = 
         seed=stage_seed(cfg.seed, "bootstrap"),
         threads=cfg.threads,
     )
-    payload = {
-        "model": kind,
-        "n_replicates": report.n_replicates,
-        "dropped_rows": report.dropped_rows,
-        "metrics": report.summary(),
-        "replicates": {k: v.tolist() for k, v in report.metrics.items()},
-    }
-    (out / "metrics.json").write_text(dumps(payload), encoding="utf-8")
-    outputs = ["metrics.json"]
-    if do_cv_roc:
-        curve = evaluate.cv_roc(
-            factory,
-            corpus,
-            folds=cfg.folds,
-            seed=stage_seed(cfg.seed, "cv-roc"),
-        )
-        curve.to_csv(out / "roc_curve.csv")
-        outputs.append("roc_curve.csv")
-    if do_robustness:
-        _require(cfg, "model_path")
-        clf = _load_classifier(cfg.model_path)
-        curve = evaluate.robustness_sweep(clf, corpus, cfg.taus)
-        curve.to_csv(out / "robustness.csv")
-        outputs.append("robustness.csv")
-    write_manifest(
-        out,
-        "evaluate",
-        cfg,
-        {"corpus": cfg.corpus, "vocabulary": cfg.vocabulary},
-        outputs,
+    summary = report.summary()
+    run.write_json(
+        "metrics.json",
+        {
+            "model": cfg.model,
+            "n_replicates": report.n_replicates,
+            "dropped_rows": report.dropped_rows,
+            "metrics": summary,
+            "replicates": {k: v.tolist() for k, v in report.metrics.items()},
+        },
     )
-    mean_auc = payload["metrics"]["roc_auc"]["mean"]
-    print(f"evaluate[{kind}]: roc_auc mean {mean_auc:.4f} over {cfg.n_boot} replicates")
-    return 0
+    if run.args.cv_roc:
+        curve = evaluate.cv_roc(
+            factory, corpus, folds=cfg.folds, seed=stage_seed(cfg.seed, "cv-roc")
+        )
+        curve.to_csv(run.output("roc_curve.csv"))
+    if clf is not None:
+        evaluate.robustness_sweep(clf, corpus, cfg.taus).to_csv(run.output("robustness.csv"))
+    mean_auc = summary["roc_auc"]["mean"]
+    print(f"evaluate[{cfg.model}]: roc_auc mean {mean_auc:.4f} over {cfg.n_boot} replicates")
 
 
-def cmd_importance(cfg: RunConfig) -> int:
-    _require(cfg, "corpus")
-    out = _out_dir(cfg)
-    corpus = _load_corpus(cfg)
+def cmd_importance(run: Run):
+    cfg = run.cfg
+    corpus = _load_corpus(run)
     mean, std = bayes.feature_log_odds_dispersion(
         corpus,
         n_boot=cfg.importance_boot,
@@ -621,31 +525,22 @@ def cmd_importance(cfg: RunConfig) -> int:
     lines = ["community,log_odds,std"]
     for j in order:
         lines.append(f"{corpus.vocabulary.names[j]},{repr(float(mean[j]))},{repr(float(std[j]))}")
-    (out / "importance.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(
-        out,
-        "importance",
-        cfg,
-        {"corpus": cfg.corpus, "vocabulary": cfg.vocabulary},
-        ["importance.csv"],
-    )
-    print(f"importance: {corpus.d} communities -> {out / 'importance.csv'}")
-    return 0
+    path = run.output("importance.csv")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"importance: {corpus.d} communities -> {path}")
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(run: Run):
     """Benchmark table: bootstrap classification plus NPP quantification."""
-    _require(cfg, "corpus")
-    out = _out_dir(cfg)
-    corpus = _load_corpus(cfg)
+    cfg = run.cfg
+    corpus = _load_corpus(run)
     classification: dict = {}
     quantification: dict = {}
-    outputs = ["report.json"]
     train_pool, eval_pool = split(
         corpus, SplitSpec(test_fraction=0.3, seed=stage_seed(cfg.seed, "report-split"))
     )
     for kind in cfg.models:
-        factory = _factory_for(kind, cfg)
+        factory = _factory_for(kind, run)
         rep = evaluate.bootstrap_eval(
             factory,
             corpus,
@@ -656,41 +551,30 @@ def cmd_report(cfg: RunConfig) -> int:
         )
         classification[kind] = rep.summary() | {"dropped_rows": rep.dropped_rows}
         curve = evaluate.cv_roc(
-            factory,
-            corpus,
-            folds=cfg.folds,
-            seed=stage_seed(cfg.seed, f"cv-roc-{kind}"),
+            factory, corpus, folds=cfg.folds, seed=stage_seed(cfg.seed, f"cv-roc-{kind}")
         )
-        name = f"roc_{kind.replace('-', '_')}.csv"
-        curve.to_csv(out / name)
-        outputs.append(name)
+        curve.to_csv(run.output(f"roc_{kind.replace('-', '_')}.csv"))
         try:
             quantification[kind] = _quant_block(kind, factory, cfg, train_pool, eval_pool)
         except (DataError, NumericError) as e:
             quantification[kind] = {"error": str(e)}
-    payload = {
-        "attribute": cfg.attribute,
-        "classification": classification,
-        "quantification": quantification,
-        "protocol": {
-            "n_boot": cfg.n_boot,
-            "test_fraction": cfg.test_fraction,
-            "folds": cfg.folds,
-            "repeats": cfg.repeats,
-            "cohort_size": cfg.cohort_size,
-            "mode": cfg.mode,
+    path = run.write_json(
+        "report.json",
+        {
+            "attribute": cfg.attribute,
+            "classification": classification,
+            "quantification": quantification,
+            "protocol": {
+                "n_boot": cfg.n_boot,
+                "test_fraction": cfg.test_fraction,
+                "folds": cfg.folds,
+                "repeats": cfg.repeats,
+                "cohort_size": cfg.cohort_size,
+                "mode": cfg.mode,
+            },
         },
-    }
-    (out / "report.json").write_text(dumps(_jsonable(payload)), encoding="utf-8")
-    write_manifest(
-        out,
-        "report",
-        cfg,
-        {"corpus": cfg.corpus, "vocabulary": cfg.vocabulary},
-        outputs,
     )
-    print(f"report: {len(cfg.models)} models -> {out / 'report.json'}")
-    return 0
+    print(f"report: {len(cfg.models)} models -> {path}")
 
 
 def _quant_block(kind, factory, cfg: RunConfig, train_pool, eval_pool) -> dict:
@@ -747,7 +631,7 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_data(p: argparse.ArgumentParser):
     p.add_argument("--corpus", help="activity corpus file")
     p.add_argument("--vocabulary", help="community vocabulary file")
-    p.add_argument("--format", choices=("jsonl", "triplets"), help="corpus format")
+    p.add_argument("--format", choices=FORMATS, help="corpus format")
     p.add_argument("--labels", help="labels CSV (triplets format)")
 
 
@@ -775,7 +659,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit a model")
     _add_common(p)
     _add_data(p)
-    p.add_argument("--model", choices=("nb", "axis", "majority"))
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--alpha1", type=float, help="prior pseudo-count")
     p.add_argument("--alpha2", type=float, help="conditional pseudo-count")
     p.add_argument("--use-log-normal", dest="use_log_normal", action="store_true", default=None)
@@ -808,7 +692,7 @@ def build_parser() -> _Parser:
     p.add_argument("--quantifier", help="saved quantifier JSON (skips rate fitting)")
     p.add_argument("--validation", help="labeled corpus for rate fitting (acc mode)")
     p.add_argument("--target", help="corpus to quantify")
-    p.add_argument("--mode", choices=("cc", "acc"))
+    p.add_argument("--mode", choices=quantify.MODES)
     p.add_argument("--confidence", type=float)
     p.set_defaults(func=cmd_quantify)
 
@@ -829,7 +713,7 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings")
     p.add_argument("--seeds")
     p.add_argument("--attribute")
-    p.set_defaults(func=None)
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("importance", help="per-community log-odds with bootstrap spread")
     _add_common(p)
@@ -848,7 +732,7 @@ def build_parser() -> _Parser:
     p.add_argument("--folds", type=int)
     p.add_argument("--repeats", type=int)
     p.add_argument("--cohort-size", dest="cohort_size", type=int)
-    p.add_argument("--mode", choices=("cc", "acc"))
+    p.add_argument("--mode", choices=quantify.MODES)
     p.add_argument("--threads", type=int)
     p.add_argument("--embeddings")
     p.add_argument("--seeds")
@@ -862,10 +746,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, do_cv_roc=args.cv_roc, do_robustness=args.robustness)
-        return args.func(cfg)
+        run = Run(args.command, resolve_config(args), args)
+        args.func(run)
+        write_manifest(run)
+        return 0
     except DataError as e:
         _emit_error("data", e)
         return 2

@@ -24,6 +24,9 @@ from .errors import DataError
 # Counts above this are treated as corrupt input rather than real activity.
 MAX_COUNT = 2**31 - 1
 
+# corpus file formats load_corpus reads
+FORMATS = ("jsonl", "triplets")
+
 
 @dataclass(frozen=True)
 class CommunityVocabulary:
@@ -360,13 +363,13 @@ def load_corpus(
     Users left with no in-vocabulary activity are rejected, not errors.
     Conflicting labels for one user raise DataError.
     """
-    if fmt == "jsonl":
-        if labels_path is not None:
-            raise DataError("labels_path only applies to fmt='triplets'")
-        return _load_jsonl(path, vocabulary)
+    if fmt not in FORMATS:
+        raise DataError(f"unknown corpus format {fmt!r}")
     if fmt == "triplets":
         return _load_triplets(path, vocabulary, labels_path)
-    raise DataError(f"unknown corpus format {fmt!r}")
+    if labels_path is not None:
+        raise DataError("labels_path only applies to fmt='triplets'")
+    return _load_jsonl(path, vocabulary)
 
 
 @dataclass(frozen=True)

@@ -439,12 +439,17 @@ def load_seed_sets(path) -> dict[str, SeedSets]:
     for i, item in enumerate(items):
         if not isinstance(item, dict) or not {"attribute", "pole_a", "pole_b"} <= set(item):
             raise DataError(f"{path}: seed set {i} needs attribute, pole_a, pole_b")
-        seeds = SeedSets(
-            attribute=item["attribute"],
-            pole_a=tuple(item["pole_a"]),
-            pole_b=tuple(item["pole_b"]),
-            threshold=int(item.get("threshold", 3)),
-        )
+        if not isinstance(item["attribute"], str):
+            raise DataError(f"{path}: seed set {i} attribute must be a string")
+        for pole in ("pole_a", "pole_b"):
+            if not isinstance(item[pole], list) or not all(isinstance(c, str) for c in item[pole]):
+                raise DataError(f"{path}: seed set {i} {pole} must be a list of strings")
+        threshold = item.get("threshold", 3)
+        if isinstance(threshold, bool) or not isinstance(threshold, int):
+            raise DataError(
+                f"{path}: seed set {i} threshold must be a JSON integer, got {threshold!r:.40}"
+            )
+        seeds = SeedSets(item["attribute"], tuple(item["pole_a"]), tuple(item["pole_b"]), threshold)
         if seeds.attribute in out:
             raise DataError(f"{path}: duplicate seed set for {seeds.attribute!r}")
         out[seeds.attribute] = seeds

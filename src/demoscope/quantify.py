@@ -27,19 +27,21 @@ from .errors import DataError, NumericError
 
 EXACT_LIMIT = 1000
 
+MODES = ("cc", "acc")
+
 
 @dataclass
 class QuantifierModel:
     """A classifier plus the correction state for one estimator mode."""
 
     classifier: ScoringClassifier
-    mode: str  # "cc" | "acc"
+    mode: str  # one of MODES
     tpr: float | None = None
     fpr: float | None = None
     validation_size: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("cc", "acc"):
+        if self.mode not in MODES:
             raise DataError(f"unknown quantifier mode {self.mode!r}")
         if self.mode == "acc":
             if self.tpr is None or self.fpr is None:

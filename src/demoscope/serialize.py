@@ -9,6 +9,7 @@ loaded parameters equal the saved ones bit for bit.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,49 @@ def _cal_payload(cal):
 def _cal_from(payload):
     from .calibrate import IsotonicMap
 
-    if payload is None:
+    if not isinstance(payload, dict):
+        raise TypeError("expected a JSON object")
+    field = partial(_field, payload, "iso/1")
+    return IsotonicMap(breakpoints=field("breakpoints", _array), values=field("values", _array))
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r:.40}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r:.40}")
+    return float(value)
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a JSON list of strings")
+    return tuple(value)
+
+
+def _array(value) -> np.ndarray:
+    array = np.array(value)  # a ragged nesting raises ValueError
+    if array.dtype.kind not in "iuf":
+        raise TypeError("expected a JSON array of numbers")
+    return array.astype(np.float64)
+
+
+def _field(payload: dict, schema: str, name: str, convert=lambda v: v, optional=False):
+    """payload[name] through convert; a missing or wrongly typed field is
+    a DataError naming the schema and the field."""
+    if name not in payload:
+        raise DataError(f"model payload ({schema}) missing field {name!r}")
+    value = payload[name]
+    if optional and value is None:
         return None
-    return IsotonicMap(
-        breakpoints=np.array(payload["breakpoints"], dtype=np.float64),
-        values=np.array(payload["values"], dtype=np.float64),
-    )
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"model payload ({schema}) field {name!r}: {e}") from None
 
 
 def to_payload(model) -> dict:
@@ -96,55 +134,55 @@ def from_payload(payload: dict):
     if not isinstance(payload, dict) or "schema" not in payload:
         raise DataError("model payload lacks a schema tag")
     schema = payload["schema"]
-    try:
-        if schema == "nb/1":
-            return NaiveBayesModel(
-                k=int(payload["k"]),
-                d=int(payload["d"]),
-                log_prior=np.array(payload["log_prior"], dtype=np.float64),
-                log_cond=np.array(payload["log_cond"], dtype=np.float64),
-                activity=(
-                    None
-                    if payload["activity"] is None
-                    else np.array(payload["activity"], dtype=np.float64)
-                ),
-                alpha1=float(payload["alpha1"]),
-                alpha2=float(payload["alpha2"]),
-                calibrator=_cal_from(payload["calibrator"]),
-            )
-        if schema == "axis/1":
-            return AxisModel(
-                attribute=payload["attribute"],
-                communities=tuple(payload["communities"]),
-                z=np.array(payload["z"], dtype=np.float64),
-                pole_a=tuple(payload["pole_a"]),
-                pole_b=tuple(payload["pole_b"]),
-                threshold=float(payload["threshold"]),
-                projection=payload["projection"],
-                calibrator=_cal_from(payload["calibrator"]),
-            )
-        if schema == "iso/1":
-            return _cal_from(payload)
-        if schema == "quant/1":
-            return QuantifierModel(
-                classifier=from_payload(payload["classifier"]),
-                mode=payload["mode"],
-                tpr=payload["tpr"],
-                fpr=payload["fpr"],
-                validation_size=int(payload["validation_size"]),
-            )
-        if schema == "majority/1":
-            return MajorityClassifier(
-                majority=int(payload["majority"]), rate=float(payload["rate"])
-            )
-    except KeyError as e:
-        raise DataError(f"model payload ({schema}) missing field {e.args[0]!r}") from e
+    field = partial(_field, payload, schema)
+    if schema == "nb/1":
+        return NaiveBayesModel(
+            k=field("k", _integer),
+            d=field("d", _integer),
+            log_prior=field("log_prior", _array),
+            log_cond=field("log_cond", _array),
+            activity=field("activity", _array, optional=True),
+            alpha1=field("alpha1", _number),
+            alpha2=field("alpha2", _number),
+            calibrator=field("calibrator", _cal_from, optional=True),
+        )
+    if schema == "axis/1":
+        return AxisModel(
+            attribute=field("attribute"),
+            communities=field("communities", _strings),
+            z=field("z", _array),
+            pole_a=field("pole_a", _strings),
+            pole_b=field("pole_b", _strings),
+            threshold=field("threshold", _number),
+            projection=field("projection"),
+            calibrator=field("calibrator", _cal_from, optional=True),
+        )
+    if schema == "iso/1":
+        return _cal_from(payload)
+    if schema == "quant/1":
+        return QuantifierModel(
+            classifier=field("classifier", from_payload),
+            mode=field("mode"),
+            tpr=field("tpr", _number, optional=True),
+            fpr=field("fpr", _number, optional=True),
+            validation_size=field("validation_size", _integer),
+        )
+    if schema == "majority/1":
+        return MajorityClassifier(majority=field("majority", _integer), rate=field("rate", _number))
     raise DataError(f"unknown model schema {schema!r}; supported: {', '.join(SCHEMAS)}")
 
 
+def _numpy_scalar(obj):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(payload: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, one trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, one trailing
+    newline; numpy scalars are written as the Python numbers they hold."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_numpy_scalar)
+    return text + "\n"
 
 
 def save_model(model, path):
@@ -153,7 +191,8 @@ def save_model(model, path):
 
 def load_model(path):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e.msg})") from e
-    return from_payload(payload)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e

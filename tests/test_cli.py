@@ -1,16 +1,30 @@
 """Command-line pipeline: exit codes, outputs, config precedence, manifests."""
 
 import argparse
+import builtins
+import hashlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
 
+import demoscope
 from demoscope import synth
-from demoscope.bayes import fit_supervised
+from demoscope.axis import AxisModel
+from demoscope.bayes import fit, fit_supervised
 from demoscope.calibrate import IsotonicMap
 from demoscope.classifiers import MajorityClassifier
-from demoscope.cli import RunConfig, _factory_for, build_parser, load_config, main, stage_seed
+from demoscope.cli import (
+    Run,
+    RunConfig,
+    _factory_for,
+    build_parser,
+    load_config,
+    main,
+    stage_seed,
+)
 from demoscope.data import load_corpus, load_vocabulary
 from demoscope.quantify import QuantifierModel
 from demoscope.serialize import load_model, save_model
@@ -140,31 +154,6 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg), "--model", "nb"])
         assert code == 2
         assert "confidence" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "kind,flag", [("nb-ln", "--use-log-normal"), ("nb-ss", "--semi-supervised")]
-    )
-    def test_train_rejects_nb_variant_kind_naming_its_flag(
-        self, demo_files, tmp_path, capsys, kind, flag
-    ):
-        d = demo_files["dir"]
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text(f"model: {kind}\n", encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(
-            [
-                "train",
-                "--config", str(cfg),
-                "--corpus", str(d / "corpus.jsonl"),
-                "--vocabulary", str(d / "vocab.txt"),
-                "--out-dir", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("demoscope: data error:")
-        assert flag in err[0]
-        assert not (out / "model.json").exists()
 
 
 def _offered_model_choices():
@@ -361,6 +350,17 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "no entry for 'partisan'" in err[0]
         assert not (tmp_path / "partisan" / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind,flag", [("nb-ln", "--use-log-normal"), ("nb-ss", "--semi-supervised")]
+    )
+    def test_train_nb_variant_fits_as_nb_with_its_flag(self, demo_files, tmp_path, kind, flag):
+        d = demo_files["dir"]
+        assert self._train(d, tmp_path / "kind", "--model", kind) == 0
+        assert self._train(d, tmp_path / "flag", "--model", "nb", flag) == 0
+        model = (tmp_path / "kind" / "model.json").read_bytes()
+        assert model == (tmp_path / "flag" / "model.json").read_bytes()
+        assert _read_json(tmp_path / "kind" / "fit_report.json")["model"] == kind
 
     def test_train_majority(self, demo_files, tmp_path):
         d = demo_files["dir"]
@@ -662,7 +662,8 @@ class TestEvaluateReport:
         cfg_path = tmp_path / "run.yaml"
         for pooled in (True, False):
             cfg_path.write_text(f"pooled_activity: {str(pooled).lower()}\n", encoding="utf-8")
-            model = _factory_for("nb-ln", load_config(cfg_path))(labeled)
+            run = Run("evaluate", load_config(cfg_path), argparse.Namespace())
+            model = _factory_for("nb-ln", run)(labeled)
             # pooled statistics give every class the same (mu, sigma)
             assert np.array_equal(model.activity[0], model.activity[1]) == pooled
 
@@ -682,6 +683,31 @@ class TestEvaluateReport:
         )
         assert code == 0
         assert _read_json(out / "metrics.json")["model"] == kind
+
+    def test_nb_settings_apply_to_every_nb_kind(self, demo_files, tmp_path):
+        d = demo_files["dir"]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("use_log_normal: true\n", encoding="utf-8")
+
+        def replicates(kind, *config):
+            out = tmp_path / f"{kind}{len(config)}"
+            code = main(
+                [
+                    "evaluate",
+                    *config,
+                    "--corpus", str(d / "corpus.jsonl"),
+                    "--vocabulary", str(d / "vocab.txt"),
+                    "--model", kind,
+                    "--n-boot", "3",
+                    "--out-dir", str(out),
+                ]
+            )
+            assert code == 0
+            return _read_json(out / "metrics.json")["replicates"]
+
+        log_normal = replicates("nb-ln")
+        assert replicates("nb", "--config", str(cfg)) == log_normal
+        assert replicates("nb") != log_normal
 
     def test_report_rejects_unknown_kind_before_writing(self, demo_files, tmp_path, capsys):
         d = demo_files["dir"]
@@ -743,3 +769,150 @@ class TestManifest:
             assert entry["bytes"] > 0
         assert manifest["outputs"] == ["fit_report.json", "model.json"]
         assert set(manifest["versions"]) == {"demoscope", "numpy", "scipy", "python"}
+
+    def test_calibrate_over_its_model_path_records_the_model_it_read(self, demo_files, tmp_path):
+        d = demo_files["dir"]
+        data = ["--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt")]
+        out = tmp_path / "m"
+        assert main(["train", *data, "--model", "nb", "--out-dir", str(out)]) == 0
+        read = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+        args = ["calibrate", *data, "--model-path", str(out / "model.json"), "--out-dir", str(out)]
+        assert main(args) == 0
+        written = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+        assert written != read
+        assert _read_json(out / "manifest.json")["inputs"]["model_path"]["sha256"] == read
+
+
+CORPUS = ["--corpus", "{d}/corpus.jsonl", "--vocabulary", "{d}/vocab.txt"]
+TRIPLETS = ["--corpus", "{t}/c.csv", "--format", "triplets", "--labels", "{t}/l.csv",
+            "--vocabulary", "{d}/vocab.txt"]
+AXIS = ["--embeddings", "{d}/embeddings.tsv", "--seeds", "{d}/seeds.json"]
+TINY = ["--n-boot", "2", "--folds", "2"]
+
+# argv (formatted with the demo dir d, a trained NB model m, a saved
+# quantifier q and the triplets dir t) and the inputs the command reads
+MANIFEST_CASES = {
+    "extract": (["extract", "--comments", "{d}/comments.jsonl", "--botlist", "{d}/botlist.txt"],
+                {"comments", "botlist"}),
+    "label-distant": (["label-distant", *CORPUS, "--seeds", "{d}/seeds.json"],
+                      {"corpus", "vocabulary", "seeds"}),
+    "train-nb-jsonl-ignores-labels": (["train", *CORPUS, "--labels", "{t}/l.csv"],
+                                      {"corpus", "vocabulary"}),
+    "train-nb-triplets": (["train", *TRIPLETS], {"corpus", "vocabulary", "labels"}),
+    "train-axis": (["train", "--model", "axis", *AXIS, "--vocabulary", "{d}/vocab.txt"],
+                   {"embeddings", "seeds"}),
+    "predict": (["predict", "--model-path", "{m}", *CORPUS],
+                {"model_path", "corpus", "vocabulary"}),
+    "calibrate-triplets": (["calibrate", "--model-path", "{m}", *TRIPLETS],
+                           {"model_path", "corpus", "vocabulary", "labels"}),
+    "quantify": (["quantify", "--model-path", "{m}", "--validation", "{d}/corpus.jsonl",
+                  "--target", "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"],
+                 {"model_path", "validation", "target", "vocabulary"}),
+    "quantify-saved": (["quantify", "--quantifier", "{q}", "--model-path", "{m}",
+                        "--target", "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"],
+                       {"quantifier", "target", "vocabulary"}),
+    "evaluate-robustness": (["evaluate", *CORPUS, *TINY, "--robustness", "--model-path", "{m}"],
+                            {"corpus", "vocabulary", "model_path"}),
+    "evaluate-axis": (["evaluate", *CORPUS, *TINY, "--model", "axis", *AXIS],
+                      {"corpus", "vocabulary", "embeddings", "seeds"}),
+    "importance": (["importance", *CORPUS, "--importance-boot", "2"], {"corpus", "vocabulary"}),
+    "report-axis": (["report", *CORPUS, *TINY, "--models", "nb", "axis", *AXIS,
+                     "--repeats", "2", "--cohort-size", "25"],
+                    {"corpus", "vocabulary", "embeddings", "seeds"}),
+}
+
+
+def _spy_on_reads(monkeypatch) -> set:
+    """Real paths of the files opened for reading from now on."""
+    opened = set()
+    real_open = io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.add(os.path.realpath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    return opened
+
+
+@pytest.mark.filterwarnings("ignore:scores are uncalibrated")
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_inputs_are_the_files_read(demo_files, tmp_path, monkeypatch, case):
+    d = demo_files["dir"]
+    corpus = demo_files["corpus"]
+    synth.write_corpus_triplets(corpus, tmp_path / "c.csv", labels_path=tmp_path / "l.csv")
+    model, _ = fit(corpus, use_log_normal=True)
+    save_model(model, tmp_path / "m.json")
+    save_model(QuantifierModel(model, mode="cc"), tmp_path / "q.json")
+    argv, expected = MANIFEST_CASES[case]
+    argv = [a.format(d=d, m=tmp_path / "m.json", q=tmp_path / "q.json", t=tmp_path) for a in argv]
+    out = tmp_path / "out"
+
+    opened = _spy_on_reads(monkeypatch)
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    monkeypatch.undo()
+
+    inputs = _read_json(out / "manifest.json")["inputs"]
+    assert set(inputs) == expected
+    package = os.path.dirname(os.path.realpath(demoscope.__file__))
+    read = {path for path in opened if not path.startswith(package + os.sep)}
+    assert read == {os.path.realpath(entry["path"]) for entry in inputs.values()}
+    for entry in inputs.values():
+        assert entry["sha256"] == hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
+
+
+def _bad_nb(demo_files, tmp_path, **fields) -> list[str]:
+    return _bad_model(fit(demo_files["corpus"])[0], demo_files, tmp_path, **fields)
+
+
+def _bad_axis(demo_files, tmp_path, **fields) -> list[str]:
+    model = AxisModel("synthetic", ("a", "b"), np.array([1.0, -1.0]), ("a",), ("b",))
+    return _bad_model(model, demo_files, tmp_path, **fields)
+
+
+def _bad_model(model, demo_files, tmp_path, **fields) -> list[str]:
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = _read_json(path) | fields
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    d = demo_files["dir"]
+    return ["predict", "--model-path", str(path), "--corpus", str(d / "target.jsonl"),
+            "--vocabulary", str(d / "vocab.txt")]
+
+
+def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
+    seeds = demo_files["seeds"]
+    item = {"attribute": seeds.attribute, "pole_a": list(seeds.pole_a),
+            "pole_b": list(seeds.pole_b)} | fields
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(item), encoding="utf-8")
+    d = demo_files["dir"]
+    return ["label-distant", "--corpus", str(d / "corpus.jsonl"),
+            "--vocabulary", str(d / "vocab.txt"), "--seeds", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make, fields, expected",
+    [
+        (_bad_nb, {"k": "two"}, "field 'k': expected a JSON integer"),
+        (_bad_nb, {"log_cond": [[-1.0, -2.0], [-1.0]]}, "field 'log_cond'"),
+        (_bad_nb, {"alpha1": [1.0]}, "field 'alpha1': expected a JSON number"),
+        (_bad_axis, {"communities": "ab"}, "field 'communities': expected a JSON list of strings"),
+        (_bad_seeds, {"threshold": "x"}, "threshold must be a JSON integer"),
+        (_bad_seeds, {"threshold": 2.7}, "threshold must be a JSON integer"),
+        (_bad_seeds, {"pole_a": "abc"}, "pole_a must be a list of strings"),
+    ],
+    ids=["model-k-string", "model-ragged-log-cond", "model-alpha-list", "axis-communities-string",
+         "seeds-threshold-string", "seeds-threshold-float", "seeds-pole-string"],
+)
+def test_wrong_typed_json_input_exits_two_with_one_line(
+    demo_files, tmp_path, capsys, make, fields, expected
+):
+    argv = make(demo_files, tmp_path, **fields)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demoscope: data error:")
+    assert expected in err[0]
+    assert str(tmp_path) in err[0]

@@ -53,15 +53,20 @@ def test_script_runs_and_writes_outputs(script, args, files, tmp_path):
 
 
 def test_demo_chain_digests_repeat_across_runs(tmp_path):
-    """Same seed, same bytes: every output of the CLI chain, run twice."""
-    digests = []
+    """Same seed, same bytes: every output and manifest of the CLI chain, run twice."""
+    digests, manifests = [], []
     for run in ("a", "b"):
         out = tmp_path / run
         proc = _run("demo_chain.py", "--out-dir", str(out), "--seed", "1",
                     "--n-train", "200", "--n-target", "80", "--d", "30")
         assert proc.returncode == 0, proc.stderr
         digests.append(json.loads((out / "digests.json").read_text(encoding="utf-8")))
+        manifests.append(json.loads((out / "manifests.json").read_text(encoding="utf-8")))
     assert digests[0] == digests[1]
+    assert manifests[0] == manifests[1]
+    assert set(manifests[0]) == {name.split("/")[0] for name in digests[0]}
+    assert manifests[0]["robustness"]["command"] == "evaluate"
+    assert set(manifests[0]["robustness"]["inputs"]) == {"corpus", "vocabulary", "model_path"}
     # each step of the chain wrote something besides its manifest
     steps = {name.split("/")[0] for name in digests[0]}
     assert {"extract", "train", "calibrate", "quantify", "predict", "robustness", "report",
