@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import log_softmax, logsumexp
-from scipy.stats import norm
+from scipy.special import log_ndtr, log_softmax, logsumexp
 
 from .calibrate import IsotonicMap, apply_map
 from .data import LabeledCorpus
@@ -120,8 +119,8 @@ def log_activity_pmf(a, mu: float, sigma: float) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if np.any(a < 1):
         raise DataError("total activity must be >= 1")
-    hi = norm.logcdf((np.log(a + 1.0) - mu) / sigma)
-    lo = norm.logcdf((np.log(a) - mu) / sigma)
+    hi = log_ndtr((np.log(a + 1.0) - mu) / sigma)
+    lo = log_ndtr((np.log(a) - mu) / sigma)
     out = hi + _log1mexp(np.minimum(lo - hi, 0.0))
     return np.maximum(out, LOG_FLOOR)
 

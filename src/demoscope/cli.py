@@ -238,8 +238,7 @@ def write_manifest(run: Run):
 def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
     path = run.input(name)
     vocab = load_vocabulary(run.input("vocabulary"))
-    labels = run.optional("labels") if run.cfg.format == "triplets" else None
-    return load_corpus(path, vocab, fmt=run.cfg.format, labels_path=labels)[0]
+    return load_corpus(path, vocab, fmt=run.cfg.format, labels_path=run.optional("labels"))[0]
 
 
 def _read_comments(path):

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .classifiers import TrainFn
 from .data import LabeledCorpus, SplitSpec, random_oversample, split
@@ -19,6 +18,18 @@ from .errors import DataError
 from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
 
 EPS_PROB = 1e-12
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of s; each group of equal values shares the mean of
+    the ranks it spans (-0.0 ties with 0.0)."""
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(starts, append=s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2.0, counts)
+    return ranks
 
 
 def roc_auc(scores, labels) -> float:
@@ -39,7 +50,7 @@ def roc_auc(scores, labels) -> float:
     n0 = int((y == 0).sum())
     if n1 == 0 or n0 == 0:
         raise DataError("ROC AUC needs both classes present")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     u = ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0
     return float(u / (n0 * n1))
 

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .classifiers import ScoringClassifier
 from .data import LabeledCorpus
@@ -148,7 +148,7 @@ def poisson_binomial_interval(
 def _normal_half_width(q: np.ndarray, confidence: float) -> float:
     """z * sqrt(sum q(1-q)) / m: the normal half-width for the mean of
     m independent Bernoulli(q) draws."""
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     return z * float(np.sqrt((q * (1.0 - q)).sum())) / q.size
 
 

@@ -62,6 +62,12 @@ def _array(value) -> np.ndarray:
     return array.astype(np.float64)
 
 
+def _projection(value) -> str:
+    if value != "cosine":
+        raise ValueError(f"axis models score by cosine projection only, got {value!r:.40}")
+    return value
+
+
 def _field(payload: dict, schema: str, name: str, convert=lambda v: v, optional=False):
     """payload[name] through convert; a missing or wrongly typed field is
     a DataError naming the schema and the field."""
@@ -154,7 +160,7 @@ def from_payload(payload: dict):
             pole_a=field("pole_a", _strings),
             pole_b=field("pole_b", _strings),
             threshold=field("threshold", _number),
-            projection=field("projection"),
+            projection=field("projection", _projection),
             calibrator=field("calibrator", _cal_from, optional=True),
         )
     if schema == "iso/1":

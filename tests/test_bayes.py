@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
-from scipy.stats import lognorm
+from scipy.stats import lognorm, norm
 
 from demoscope import synth
 from demoscope.bayes import (
@@ -74,6 +74,15 @@ def test_activity_pmf_matches_lognorm_cdf():
     )
     assert got == pytest.approx(want, rel=1e-9)
     assert log_activity_pmf(1.0, 0.0, 1.0) == pytest.approx(np.log(0.2558914), abs=1e-6)
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.3, 0.8), (-1.0, 3.0), (2.0, 0.05), (5.0, 1e-6)])
+def test_activity_pmf_equals_norm_logcdf_formula_exactly(mu, sigma):
+    a = np.concatenate([np.arange(1.0, 300.0), [1e3, 1e6, 1e9, 1e15]])
+    hi = norm.logcdf((np.log(a + 1.0) - mu) / sigma)
+    lo = norm.logcdf((np.log(a) - mu) / sigma)
+    want = np.maximum(hi + _log1mexp(np.minimum(lo - hi, 0.0)), LOG_FLOOR)
+    assert log_activity_pmf(a, mu, sigma).tobytes() == want.tobytes()
 
 
 def test_activity_pmf_tail_hits_floor():

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,18 @@ from demoscope.serialize import load_model, save_model
 
 def _read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_no_scipy_stats():
+    """scipy.stats costs more to import than most commands take to run."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.realpath(demoscope.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, demoscope.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestArgHandling:
@@ -297,6 +311,15 @@ class TestTrain:
         )
         assert code == 0
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
+
+    def test_labels_with_jsonl_corpus_exits_two_with_one_line(self, demo_files, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text("user,label\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert self._train(demo_files["dir"], out, "--labels", str(labels)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["demoscope: data error: labels_path only applies to fmt='triplets'"]
+        assert not (out / "model.json").exists()
 
     def test_train_axis(self, demo_files, tmp_path):
         d = demo_files["dir"]
@@ -796,8 +819,6 @@ MANIFEST_CASES = {
                 {"comments", "botlist"}),
     "label-distant": (["label-distant", *CORPUS, "--seeds", "{d}/seeds.json"],
                       {"corpus", "vocabulary", "seeds"}),
-    "train-nb-jsonl-ignores-labels": (["train", *CORPUS, "--labels", "{t}/l.csv"],
-                                      {"corpus", "vocabulary"}),
     "train-nb-triplets": (["train", *TRIPLETS], {"corpus", "vocabulary", "labels"}),
     "train-axis": (["train", "--model", "axis", *AXIS, "--vocabulary", "{d}/vocab.txt"],
                    {"embeddings", "seeds"}),
@@ -900,11 +921,13 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
         (_bad_nb, {"log_cond": [[-1.0, -2.0], [-1.0]]}, "field 'log_cond'"),
         (_bad_nb, {"alpha1": [1.0]}, "field 'alpha1': expected a JSON number"),
         (_bad_axis, {"communities": "ab"}, "field 'communities': expected a JSON list of strings"),
+        (_bad_axis, {"projection": "dot"}, "field 'projection': axis models score by cosine"),
         (_bad_seeds, {"threshold": "x"}, "threshold must be a JSON integer"),
         (_bad_seeds, {"threshold": 2.7}, "threshold must be a JSON integer"),
         (_bad_seeds, {"pole_a": "abc"}, "pole_a must be a list of strings"),
     ],
     ids=["model-k-string", "model-ragged-log-cond", "model-alpha-list", "axis-communities-string",
+         "axis-projection-dot",
          "seeds-threshold-string", "seeds-threshold-float", "seeds-pole-string"],
 )
 def test_wrong_typed_json_input_exits_two_with_one_line(

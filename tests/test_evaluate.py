@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from demoscope.classifiers import majority_factory, nb_factory
 from demoscope.errors import DataError
@@ -61,6 +62,27 @@ def test_roc_auc_label_flip_symmetry(scores):
     labels[0], labels[1] = 0, 1
     s = np.array(scores, dtype=np.float64)
     assert roc_auc(s, labels) == pytest.approx(1.0 - roc_auc(s, 1 - labels), abs=1e-12)
+
+
+def _tied_scores():
+    rng = np.random.default_rng(3)
+    heavy = rng.integers(0, 20, size=20_000).astype(np.float64)
+    signed = np.where((heavy == 0) & (rng.random(heavy.size) < 0.5), -0.0, heavy)
+    return {
+        "all-tied": np.full(9, 0.25),
+        "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0]),
+        "heavy-ties": heavy,
+        "heavy-ties-signed-zeros": signed,
+    }
+
+
+@pytest.mark.parametrize("case", list(_tied_scores()))
+def test_roc_auc_equals_rankdata_auc_on_ties(case):
+    s = _tied_scores()[case]
+    y = np.arange(s.size) % 2
+    n1, n0 = int(y.sum()), int((1 - y).sum())
+    want = (rankdata(s)[y == 1].sum() - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+    assert roc_auc(s, y) == want
 
 
 def test_roc_auc_monotone_transform_invariant(rng):

@@ -8,6 +8,7 @@ from demoscope.errors import DataError, NumericError
 from demoscope.quantify import (
     EXACT_LIMIT,
     QuantifierModel,
+    _normal_half_width,
     cc_bias,
     estimate,
     evaluate_quantifier,
@@ -87,6 +88,13 @@ def test_pb_interval_hand_fixture():
     # variance sum is exactly 1.0
     assert lo == pytest.approx(0.5 - Z95 / 4, rel=1e-9)
     assert hi == pytest.approx(0.5 + Z95 / 4, rel=1e-9)
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_normal_half_width_z_equals_norm_ppf(confidence):
+    # sqrt(sum q(1-q)) / m is exactly 1/4, so the half-width is z / 4
+    z = float(norm.ppf(0.5 + confidence / 2.0))
+    assert _normal_half_width(np.full(4, 0.5), confidence) == z / 4
 
 
 def test_pb_interval_degenerate_scores():
