@@ -178,6 +178,7 @@ class Run:
     input() and optional() return the path a RunConfig field names and
     hash that file at once, before the command can overwrite it.
     output() and write_json() name each file written under out_dir.
+    counters holds each loaded corpus's load report, by input name.
     main writes the manifest from this record once the command is done.
     """
 
@@ -186,6 +187,7 @@ class Run:
     args: argparse.Namespace
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
 
     def optional(self, name: str) -> str | None:
         path = getattr(self.cfg, name)
@@ -223,6 +225,7 @@ def write_manifest(run: Run):
         "config_hash": hashlib.sha256(dumps(config).encode("utf-8")).hexdigest(),
         "inputs": run.inputs,
         "outputs": sorted(run.outputs),
+        "counters": run.counters,
         "versions": {
             "demoscope": __version__,
             "numpy": np.__version__,
@@ -237,8 +240,17 @@ def write_manifest(run: Run):
 
 def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
     path = run.input(name)
+    if run.cfg.labels and run.cfg.format != "triplets":
+        raise DataError(
+            f"--labels applies only with --format triplets; "
+            f"--{name} {path} is read as {run.cfg.format}"
+        )
     vocab = load_vocabulary(run.input("vocabulary"))
-    return load_corpus(path, vocab, fmt=run.cfg.format, labels_path=run.optional("labels"))[0]
+    corpus, report = load_corpus(
+        path, vocab, fmt=run.cfg.format, labels_path=run.optional("labels")
+    )
+    run.counters[name] = asdict(report)
+    return corpus
 
 
 def _read_comments(path):

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ MAX_COUNT = 2**31 - 1
 
 # corpus file formats load_corpus reads
 FORMATS = ("jsonl", "triplets")
+
+# the type set of a line whose counts are all JSON integers
+_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -194,132 +198,168 @@ def _check_label(value, where: str) -> int:
     return value
 
 
-class _Accumulator:
-    """Merges per-user counts and labels in first-appearance order."""
+class _Builder:
+    """Collects a corpus file's lines as flat (row, column, count) entries.
 
-    def __init__(self, vocabulary: CommunityVocabulary):
+    Rows are users in first-appearance order. Entries go to typed
+    buffers, and each line keeps its row, entry count and line number
+    for error messages. matrix() merges duplicate users' entries into
+    one CSR matrix; counts are checked per line before they get here.
+    """
+
+    def __init__(self, vocabulary: CommunityVocabulary, path):
         self.vocabulary = vocabulary
-        self.order: list[str] = []
-        self.counts: dict[str, dict[int, int]] = {}
-        self.labels: dict[str, int] = {}
+        self.index = vocabulary.index
+        self.path = path
+        self.rows: dict[str, int] = {}
+        self.labels: list[int] = []
+        self.cols = array("i")
+        self.counts = array("d")
+        self.line_rows = array("i")
+        self.line_sizes = array("q")
+        self.line_nos = array("q")
         self.report = LoadReport()
 
-    def add_user(self, user: str, pairs, label: int, where: str):
-        if user in self.counts:
-            self.report.merged_duplicate_users += 1
+    def add(self, user: str, names, counts: list, label: int, lineno: int, where: str):
+        """One line: user, community names and their checked counts, label."""
+        row = self.rows.get(user)
+        if row is None:
+            row = self.rows[user] = len(self.labels)
+            self.labels.append(-1)
         else:
-            self.order.append(user)
-            self.counts[user] = {}
-            self.labels[user] = -1
-        acc = self.counts[user]
-        for j, c in pairs:
-            acc[j] = acc.get(j, 0) + c
-            if acc[j] > MAX_COUNT:
-                raise DataError(f"{where}: merged count for user {user!r} exceeds {MAX_COUNT}")
-        self.set_label(user, label, where)
+            self.report.merged_duplicate_users += 1
+        cols = list(map(self.index.get, names))
+        if None in cols:
+            known = [i for i, j in enumerate(cols) if j is not None]
+            self.report.unknown_community_pairs += len(cols) - len(known)
+            cols = [cols[i] for i in known]
+            counts = [counts[i] for i in known]
+        self.cols.extend(cols)
+        self.counts.extend(counts)
+        self.line_rows.append(row)
+        self.line_sizes.append(len(cols))
+        self.line_nos.append(lineno)
+        self.set_label(row, label, where)
 
-    def set_label(self, user: str, label: int, where: str):
-        """Record a known user's label; -1 keeps what is there, a second
+    def set_label(self, row: int, label: int, where: str):
+        """Record a row's label; -1 keeps what is there, a second
         different class is an error."""
         if label == -1:
             return
-        prev = self.labels[user]
+        prev = self.labels[row]
         if prev != -1 and prev != label:
+            user = list(self.rows)[row]
             raise DataError(f"{where}: user {user!r} has conflicting labels {prev} and {label}")
-        self.labels[user] = label
+        self.labels[row] = label
 
-    def finish(self) -> tuple[LabeledCorpus, LoadReport]:
-        kept = [user for user in self.order if self.counts[user]]
-        self.report.users_kept = len(kept)
-        self.report.users_rejected_empty = len(self.order) - len(kept)
+    def raise_merged_overflow(self):
+        """Raise the error of the first line, in file order, that pushed a
+        user's merged count for one community past MAX_COUNT, if any did."""
+        cols, counts = iter(self.cols), iter(self.counts)
+        merged: dict[tuple[int, int], float] = {}
+        for row, size, lineno in zip(self.line_rows, self.line_sizes, self.line_nos):
+            for j, c in zip(islice(cols, size), islice(counts, size)):
+                total = merged[row, j] = merged.get((row, j), 0) + c
+                if total > MAX_COUNT:
+                    user = list(self.rows)[row]
+                    raise DataError(
+                        f"{self.path}:{lineno}: merged count for user {user!r} exceeds {MAX_COUNT}"
+                    )
+
+    def matrix(self) -> sp.csr_matrix:
+        """Every entry in one CSR matrix, duplicates summed, one row per
+        user seen; a merged count above MAX_COUNT is an error."""
+        sizes = np.frombuffer(self.line_sizes, dtype=np.longlong)
+        rows = np.repeat(np.frombuffer(self.line_rows, dtype=np.intc), sizes)
+        cols = np.frombuffer(self.cols, dtype=np.intc)
+        counts = np.frombuffer(self.counts, dtype=np.float64)
+        X = sp.csr_matrix((counts, (rows, cols)), shape=(len(self.labels), self.vocabulary.size))
+        if X.nnz and X.data.max() > MAX_COUNT:
+            self.raise_merged_overflow()
+        return X
+
+    def finish(self, X: sp.csr_matrix) -> tuple[LabeledCorpus, LoadReport]:
+        users = np.array(list(self.rows), dtype=object)
+        labels = np.array(self.labels, dtype=np.int64)
+        kept = np.diff(X.indptr) > 0
+        if not kept.all():
+            X, users, labels = X[kept], users[kept], labels[kept]
+        self.report.users_kept = len(users)
+        self.report.users_rejected_empty = len(self.rows) - len(users)
         if self.report.unknown_community_pairs:
             warnings.warn(
                 f"dropped {self.report.unknown_community_pairs} activity pairs "
                 "referencing communities outside the vocabulary",
                 stacklevel=3,
             )
-        rows = [self.counts[user] for user in kept]
-        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows], dtype=np.int64)])
-        nnz = int(indptr[-1])
-        # dict order; the corpus constructor sorts each row's indices
-        indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=nnz)
-        data = np.fromiter(
-            chain.from_iterable(r.values() for r in rows), dtype=np.float64, count=nnz
-        )
-        corpus = LabeledCorpus(
-            vocabulary=self.vocabulary,
-            X=sp.csr_matrix((data, indices, indptr), shape=(len(kept), self.vocabulary.size)),
-            user_ids=np.array(kept, dtype=object),
-            labels=np.array([self.labels[user] for user in kept], dtype=np.int64),
-        )
+        corpus = LabeledCorpus(vocabulary=self.vocabulary, X=X, user_ids=users, labels=labels)
         return corpus, self.report
 
 
 def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
-    acc = _Accumulator(vocabulary)
-    index = vocabulary.index
+    acc = _Builder(vocabulary, path)
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            acc.report.lines_read += 1
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON ({e.msg})") from e
-            if not isinstance(rec, dict) or "user" not in rec:
-                raise DataError(f"{where}: expected an object with a 'user' field")
-            user = rec["user"]
-            if not isinstance(user, str) or not user:
-                raise DataError(f"{where}: 'user' must be a non-empty string")
-            counts = rec.get("counts", {})
-            if not isinstance(counts, dict):
-                raise DataError(f"{where}: 'counts' must be an object")
-            pairs = []
-            for name, c in counts.items():
-                c = _check_count(c, where)
-                j = index.get(name)
-                if j is None:
-                    acc.report.unknown_community_pairs += 1
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
                     continue
-                pairs.append((j, c))
-            label = _check_label(rec.get("label", -1), where)
-            acc.add_user(user, pairs, label, where)
-    return acc.finish()
+                acc.report.lines_read += 1
+                where = f"{path}:{lineno}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DataError(f"{where}: invalid JSON ({e.msg})") from e
+                if not isinstance(rec, dict) or "user" not in rec:
+                    raise DataError(f"{where}: expected an object with a 'user' field")
+                user = rec["user"]
+                if not isinstance(user, str) or not user:
+                    raise DataError(f"{where}: 'user' must be a non-empty string")
+                counts = rec.get("counts", {})
+                if not isinstance(counts, dict):
+                    raise DataError(f"{where}: 'counts' must be an object")
+                values = list(counts.values())
+                if values and not (
+                    set(map(type, values)) <= _INT and min(values) >= 1 and max(values) <= MAX_COUNT
+                ):
+                    for c in values:  # the first bad count raises
+                        _check_count(c, where)
+                label = _check_label(rec.get("label", -1), where)
+                acc.add(user, counts, values, label, lineno, where)
+        except DataError:
+            acc.raise_merged_overflow()  # an earlier line's error comes first
+            raise
+    return acc.finish(acc.matrix())
 
 
 def _load_triplets(
     path, vocabulary: CommunityVocabulary, labels_path=None
 ) -> tuple[LabeledCorpus, LoadReport]:
-    acc = _Accumulator(vocabulary)
-    index = vocabulary.index
+    acc = _Builder(vocabulary, path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != ["user", "community", "count"]:
             raise DataError(f"{path}: expected header 'user,community,count'")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            acc.report.lines_read += 1
-            where = f"{path}:{lineno}"
-            if len(rec) != 3:
-                raise DataError(f"{where}: expected 3 fields, got {len(rec)}")
-            user, name, raw = rec[0], rec[1], rec[2]
-            if not user:
-                raise DataError(f"{where}: empty user id")
-            try:
-                c = int(raw)
-            except ValueError:
-                raise DataError(f"{where}: count must be an integer, got {raw!r}") from None
-            c = _check_count(c, where)
-            j = index.get(name)
-            if j is None:
-                acc.report.unknown_community_pairs += 1
-                acc.add_user(user, [], -1, where)
-            else:
-                acc.add_user(user, [(j, c)], -1, where)
+        try:
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                acc.report.lines_read += 1
+                where = f"{path}:{lineno}"
+                if len(rec) != 3:
+                    raise DataError(f"{where}: expected 3 fields, got {len(rec)}")
+                user, name, raw = rec
+                if not user:
+                    raise DataError(f"{where}: empty user id")
+                try:
+                    c = int(raw)
+                except ValueError:
+                    raise DataError(f"{where}: count must be an integer, got {raw!r}") from None
+                acc.add(user, (name,), [_check_count(c, where)], -1, lineno, where)
+        except DataError:
+            acc.raise_merged_overflow()  # an earlier line's error comes first
+            raise
+    X = acc.matrix()
     if labels_path is not None:
         with open(labels_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -338,10 +378,10 @@ def _load_triplets(
                 except ValueError:
                     raise DataError(f"{where}: label must be an integer, got {raw!r}") from None
                 label = _check_label(label, where)
-                if user not in acc.counts:
+                if user not in acc.rows:
                     raise DataError(f"{where}: label for unknown user {user!r}")
-                acc.set_label(user, label, where)
-    return acc.finish()
+                acc.set_label(acc.rows[user], label, where)
+    return acc.finish(X)
 
 
 def load_corpus(

@@ -29,6 +29,11 @@ import numpy as np
 from .data import LabeledCorpus
 from .errors import DataError
 
+try:
+    from re import _parser as _sre_parse  # Python 3.11+
+except ImportError:  # pragma: no cover
+    import sre_parse as _sre_parse
+
 ATTRIBUTES = ("year", "gender", "partisan")
 
 # named capture group each attribute's patterns must define
@@ -114,8 +119,15 @@ class DeclarationRule:
                 negations.append(re.compile(pat, re.IGNORECASE))
             except re.error as e:
                 raise DataError(f"rule {self.attribute!r} negation {i}: {e}") from e
+            if not _joinable(negations[-1]):
+                raise DataError(
+                    f"rule {self.attribute!r} negation {i}: named groups, backreferences "
+                    "and global flags are not allowed in negation patterns"
+                )
+        joined = "|".join(f"(?:{pat})" for pat in self.negation_patterns)
         self.__dict__["_compiled"] = compiled
         self.__dict__["_negations"] = negations
+        self.__dict__["_negation"] = re.compile(joined, re.IGNORECASE) if negations else None
 
     @property
     def compiled(self) -> list[re.Pattern]:
@@ -124,6 +136,11 @@ class DeclarationRule:
     @property
     def negations(self) -> list[re.Pattern]:
         return self.__dict__["_negations"]
+
+    @property
+    def negation(self) -> re.Pattern | None:
+        """All negation patterns as one alternation; None when there are none."""
+        return self.__dict__["_negation"]
 
 
 @dataclass
@@ -137,9 +154,10 @@ class ExtractReport:
     unparsed_value: int = 0
 
 
-def _as_comment(element) -> Comment:
+def _comment_fields(element) -> tuple[str, str, int, str]:
+    """user, text, created_utc and community of a Comment or a dict."""
     if isinstance(element, Comment):
-        return element
+        return element.user_id, element.text, element.created_utc, element.community
     user = element["user"]
     text = element["text"]
     ts = element["created_utc"]
@@ -152,7 +170,32 @@ def _as_comment(element) -> Comment:
         raise ValueError("bad timestamp")
     if not isinstance(community, str):
         raise ValueError("bad community")
-    return Comment(user_id=user, text=text, created_utc=int(ts), community=community)
+    return user, text, int(ts), community
+
+
+def _joinable(negation: re.Pattern) -> bool:
+    """True when the pattern means the same inside one alternation of
+    negations: it sets no global flags (they fail to compile there),
+    names no group (names would clash) and refers to no group by number
+    (numbers would shift)."""
+    try:
+        re.compile(f"(?:{negation.pattern})")
+    except re.error:
+        return False
+    return not negation.groupindex and not _refers_to_groups(_sre_parse.parse(negation.pattern))
+
+
+def _refers_to_groups(node) -> bool:
+    """True when a parsed regex, or a part of one, holds a backreference
+    or a group conditional."""
+    if isinstance(node, _sre_parse.SubPattern):
+        return any(
+            op in (_sre_parse.GROUPREF, _sre_parse.GROUPREF_EXISTS) or _refers_to_groups(av)
+            for op, av in node
+        )
+    if isinstance(node, (tuple, list)):
+        return any(map(_refers_to_groups, node))
+    return False
 
 
 def _sentence_span(spans, pos: int):
@@ -171,22 +214,19 @@ def _is_first_person(tok: str) -> bool:
     return t in _FIRST_PERSON or t.startswith("i'") or t.startswith("i’")
 
 
-def _has_first_person_anchor(tokens, match_start: int) -> bool:
-    """True when the matched token, or one of the 3 before it, is first person."""
-    t = None
-    for i, m in enumerate(tokens):
-        if m.start() <= match_start < m.end():
-            t = i
-            break
-    if t is None:
+def _has_first_person_anchor(text: str, tokens: list[str], match_start: int) -> bool:
+    """True when the matched token, or one of the 3 before it, is first person.
+
+    tokens is _TOKEN_RE.findall(text); the matched token's index is the
+    number of tokens that start at or before match_start, less one.
+    """
+    if _TOKEN_RE.match(text, match_start) is None:
         return False
-    for i in range(max(0, t - 3), t + 1):
-        if _is_first_person(tokens[i].group()):
-            return True
-    return False
+    t = len(_TOKEN_RE.findall(text, 0, match_start + 1)) - 1
+    return any(map(_is_first_person, tokens[max(0, t - 3) : t + 1]))
 
 
-def _extract_value(rule: DeclarationRule, match: re.Match, comment: Comment, report):
+def _extract_value(rule: DeclarationRule, match: re.Match, created_utc: int, report):
     raw = match.group(GROUP_FOR[rule.attribute])
     if raw is None:
         report.unparsed_value += 1
@@ -196,7 +236,7 @@ def _extract_value(rule: DeclarationRule, match: re.Match, comment: Comment, rep
         if not (AGE_MIN <= age <= AGE_MAX):
             report.out_of_range_age += 1
             return None
-        year = datetime.fromtimestamp(comment.created_utc, tz=timezone.utc).year
+        year = datetime.fromtimestamp(created_utc, tz=timezone.utc).year
         return year - age
     if rule.attribute == "gender":
         value = _GENDER_VALUES.get(raw.lower())
@@ -225,34 +265,33 @@ def extract_declarations(comments, rules) -> tuple[list[Declaration], ExtractRep
     for element in comments:
         report.comments_seen += 1
         try:
-            comment = _as_comment(element)
+            user, text, created_utc, community = _comment_fields(element)
         except Exception:
             report.comments_skipped += 1
             continue
-        text = comment.text
         if not text:
             continue
         sentences = None
         tokens = None
         emitted: set[tuple[str, object]] = set()
         for rule in rules:
+            negation = rule.negation
             for pattern in rule.compiled:
                 for match in pattern.finditer(text):
-                    if sentences is None:
-                        sentences = [m.span() for m in _SENTENCE_RE.finditer(text)]
-                    start, end = _sentence_span(sentences, match.start())
-                    if any(
-                        neg.search(text, start, end) for neg in rule.negations
-                    ):
-                        report.suppressed_negation += 1
-                        continue
+                    if negation is not None:
+                        if sentences is None:
+                            sentences = [m.span() for m in _SENTENCE_RE.finditer(text)]
+                        start, end = _sentence_span(sentences, match.start())
+                        if negation.search(text, start, end):
+                            report.suppressed_negation += 1
+                            continue
                     if rule.first_person_required:
                         if tokens is None:
-                            tokens = list(_TOKEN_RE.finditer(text))
-                        if not _has_first_person_anchor(tokens, match.start()):
+                            tokens = _TOKEN_RE.findall(text)
+                        if not _has_first_person_anchor(text, tokens, match.start()):
                             report.suppressed_no_first_person += 1
                             continue
-                    value = _extract_value(rule, match, comment, report)
+                    value = _extract_value(rule, match, created_utc, report)
                     if value is None:
                         continue
                     key = (rule.attribute, value)
@@ -261,11 +300,11 @@ def extract_declarations(comments, rules) -> tuple[list[Declaration], ExtractRep
                     emitted.add(key)
                     out.append(
                         Declaration(
-                            user_id=comment.user_id,
+                            user_id=user,
                             attribute=rule.attribute,
                             value=value,
-                            created_utc=comment.created_utc,
-                            community=comment.community,
+                            created_utc=created_utc,
+                            community=community,
                         )
                     )
                     report.declarations += 1

@@ -1,15 +1,24 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written from the model definitions directly, in
-plain dense NumPy, sharing no code with the package internals.
+plain dense NumPy or plain Python loops, sharing no code with the
+package internals: the corpus loader as per-user dict merges, and the
+declaration miner as its first per-pattern loop.
 """
+
+import csv
+import json
+import re
+from datetime import datetime, timezone
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 from scipy.stats import lognorm
 
-from demoscope.data import CommunityVocabulary, LabeledCorpus
+from demoscope.data import MAX_COUNT, CommunityVocabulary, LabeledCorpus
+from demoscope.errors import DataError
+from demoscope.labeling import GROUP_FOR, Comment, Declaration, ExtractReport
 
 
 def corpus_from_dense(X, labels, k: int = 2, names=None, prefix="u") -> LabeledCorpus:
@@ -142,3 +151,198 @@ class ConstantScoreClassifier:
             np.full(corpus.n, self.value),
             np.full(corpus.n, 1 if self.value > 0.5 else 0, dtype=np.int64),
         )
+
+
+def dict_load_corpus(path, names, fmt="jsonl", labels_path=None):
+    """Corpus file read by per-user dict merges, one line at a time.
+
+    Returns (users, rows, labels, report): users in first-appearance
+    order with at least one in-vocabulary count, rows[i] a {column:
+    merged count} dict, labels[i] in -1..1, and the LoadReport fields
+    as a dict. Raises DataError at the first bad line.
+    """
+    index = {name: j for j, name in enumerate(names)}
+    counts: dict[str, dict[int, int]] = {}
+    labels: dict[str, int] = {}
+    report = dict(lines_read=0, users_kept=0, users_rejected_empty=0,
+                  unknown_community_pairs=0, merged_duplicate_users=0)
+
+    def check_count(c, where):
+        if type(c) is not int:
+            raise DataError(f"{where}: count must be an integer, got {c!r}")
+        if not 1 <= c <= MAX_COUNT:
+            raise DataError(f"{where}: count {c} " + ("below 1" if c < 1 else f"exceeds {MAX_COUNT}"))
+
+    def check_label(label, where):
+        if type(label) is not int:
+            raise DataError(f"{where}: label must be an integer, got {label!r}")
+        if label not in (-1, 0, 1):
+            raise DataError(f"{where}: label {label} outside -1..1")
+
+    def set_label(user, label, where):
+        prev = labels[user]
+        if label != -1 and prev != -1 and prev != label:
+            raise DataError(f"{where}: user {user!r} has conflicting labels {prev} and {label}")
+        if label != -1:
+            labels[user] = label
+
+    def add(user, pairs, label, where):
+        for _, c in pairs:
+            check_count(c, where)
+        check_label(label, where)
+        if user in counts:
+            report["merged_duplicate_users"] += 1
+        else:
+            counts[user], labels[user] = {}, -1
+        row = counts[user]
+        for name, c in pairs:
+            if name not in index:
+                report["unknown_community_pairs"] += 1
+                continue
+            j = index[name]
+            row[j] = row.get(j, 0) + c
+            if row[j] > MAX_COUNT:
+                raise DataError(f"{where}: merged count for user {user!r} exceeds {MAX_COUNT}")
+        set_label(user, label, where)
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        if fmt == "jsonl":
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    report["lines_read"] += 1
+                    rec = json.loads(line)
+                    add(rec["user"], list(rec.get("counts", {}).items()), rec.get("label", -1),
+                        f"{path}:{lineno}")
+        else:
+            for lineno, rec in enumerate(list(csv.reader(fh))[1:], start=2):
+                if rec:
+                    report["lines_read"] += 1
+                    add(rec[0], [(rec[1], int(rec[2]))], -1, f"{path}:{lineno}")
+    if labels_path is not None:
+        with open(labels_path, encoding="utf-8", newline="") as fh:
+            for lineno, rec in enumerate(list(csv.reader(fh))[1:], start=2):
+                if rec:
+                    where = f"{labels_path}:{lineno}"
+                    check_label(int(rec[1]), where)
+                    if rec[0] not in counts:
+                        raise DataError(f"{where}: label for unknown user {rec[0]!r}")
+                    set_label(rec[0], int(rec[1]), where)
+    users = [u for u in counts if counts[u]]
+    report["users_kept"] = len(users)
+    report["users_rejected_empty"] = len(counts) - len(users)
+    return users, [counts[u] for u in users], [labels[u] for u in users], report
+
+
+# The declaration miner as it was written first: every negation pattern
+# searched on its own, a linear scan for the anchor token, and a Comment
+# built per element. Kept as the reference for the mining tests.
+
+_REF_FIRST_PERSON = {"i", "im", "me", "my", "mine", "myself"}
+_REF_TOKEN_RE = re.compile(r"\S+")
+_REF_SENTENCE_RE = re.compile(r"[^.!?\n]+")
+_REF_STRIP_CHARS = "\"'’.,!?;:()[]{}<>*~_-"
+_REF_GENDER = {"m": "male", "male": "male", "man": "male", "guy": "male", "boy": "male",
+               "dude": "male", "f": "female", "female": "female", "woman": "female",
+               "girl": "female", "gal": "female", "lady": "female"}
+
+
+def _ref_as_comment(element) -> Comment:
+    if isinstance(element, Comment):
+        return element
+    user = element["user"]
+    text = element["text"]
+    ts = element["created_utc"]
+    community = element.get("community", "")
+    if not isinstance(user, str) or not user:
+        raise ValueError("bad user")
+    if not isinstance(text, str):
+        raise ValueError("bad text")
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+        raise ValueError("bad timestamp")
+    if not isinstance(community, str):
+        raise ValueError("bad community")
+    return Comment(user_id=user, text=text, created_utc=int(ts), community=community)
+
+
+def _ref_is_first_person(tok: str) -> bool:
+    t = tok.lower().strip(_REF_STRIP_CHARS)
+    return t in _REF_FIRST_PERSON or t.startswith("i'") or t.startswith("i’")
+
+
+def _ref_has_anchor(tokens, match_start: int) -> bool:
+    t = None
+    for i, m in enumerate(tokens):
+        if m.start() <= match_start < m.end():
+            t = i
+            break
+    if t is None:
+        return False
+    return any(_ref_is_first_person(tokens[i].group()) for i in range(max(0, t - 3), t + 1))
+
+
+def _ref_value(rule, match, comment, report):
+    raw = match.group(GROUP_FOR[rule.attribute])
+    if raw is None:
+        report.unparsed_value += 1
+        return None
+    if rule.attribute == "year":
+        age = int(raw)
+        if not (13 <= age <= 100):
+            report.out_of_range_age += 1
+            return None
+        return datetime.fromtimestamp(comment.created_utc, tz=timezone.utc).year - age
+    if rule.attribute == "gender":
+        value = _REF_GENDER.get(raw.lower())
+        if value is None:
+            report.unparsed_value += 1
+        return value
+    token = raw.lower()
+    if token.startswith("dem"):
+        return "democrat"
+    if token.startswith("rep") or token == "gop":
+        return "republican"
+    report.unparsed_value += 1
+    return None
+
+
+def reference_extract_declarations(comments, rules):
+    """(declarations, ExtractReport), one negation search per pattern."""
+    report = ExtractReport()
+    out = []
+    for element in comments:
+        report.comments_seen += 1
+        try:
+            comment = _ref_as_comment(element)
+        except Exception:
+            report.comments_skipped += 1
+            continue
+        text = comment.text
+        if not text:
+            continue
+        sentences = tokens = None
+        emitted = set()
+        for rule in rules:
+            for pattern in rule.compiled:
+                for match in pattern.finditer(text):
+                    if sentences is None:
+                        sentences = [m.span() for m in _REF_SENTENCE_RE.finditer(text)]
+                    start, end = next(
+                        ((a, b) for a, b in sentences if a <= match.start() < b), (0, 0)
+                    )
+                    if any(neg.search(text, start, end) for neg in rule.negations):
+                        report.suppressed_negation += 1
+                        continue
+                    if rule.first_person_required:
+                        if tokens is None:
+                            tokens = list(_REF_TOKEN_RE.finditer(text))
+                        if not _ref_has_anchor(tokens, match.start()):
+                            report.suppressed_no_first_person += 1
+                            continue
+                    value = _ref_value(rule, match, comment, report)
+                    if value is None or (rule.attribute, value) in emitted:
+                        continue
+                    emitted.add((rule.attribute, value))
+                    out.append(Declaration(comment.user_id, rule.attribute, value,
+                                           comment.created_utc, comment.community))
+                    report.declarations += 1
+    return out, report

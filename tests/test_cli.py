@@ -238,6 +238,23 @@ class TestExtract:
         assert code == 0
         assert _read_json(out / "extract_report.json")["median_birth_year"] == 1990.0
 
+    @pytest.mark.parametrize("negation", [r"(?P<n>not)", r"(no)\1"], ids=["named", "backref"])
+    def test_negation_that_cannot_join_exits_two_with_one_line(
+        self, demo_files, tmp_path, capsys, negation
+    ):
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps([{"attribute": "gender", "patterns": [r"\bi am a (?P<gender>\w+)"],
+                         "negation_patterns": [r"\bnever\b", negation]}]),
+            encoding="utf-8",
+        )
+        argv = ["extract", "--comments", str(demo_files["dir"] / "comments.jsonl"),
+                "--rules", str(rules), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("demoscope: data error: rule 'gender' negation 1: ")
+
 
 class TestLabelDistant:
     def test_labels_written(self, demo_files, tmp_path):
@@ -318,7 +335,11 @@ class TestTrain:
         out = tmp_path / "out"
         assert self._train(demo_files["dir"], out, "--labels", str(labels)) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["demoscope: data error: labels_path only applies to fmt='triplets'"]
+        corpus = demo_files["dir"] / "corpus.jsonl"
+        assert err == [
+            "demoscope: data error: --labels applies only with --format triplets; "
+            f"--corpus {corpus} is read as jsonl"
+        ]
         assert not (out / "model.json").exists()
 
     def test_train_axis(self, demo_files, tmp_path):
@@ -792,6 +813,32 @@ class TestManifest:
             assert entry["bytes"] > 0
         assert manifest["outputs"] == ["fit_report.json", "model.json"]
         assert set(manifest["versions"]) == {"demoscope", "numpy", "scipy", "python"}
+
+    def test_manifest_counts_what_the_load_dropped_and_merged(self, demo_files, tmp_path):
+        d = demo_files["dir"]
+        lines = (d / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        community = (d / "vocab.txt").read_text(encoding="utf-8").split()[0]
+        lines += [
+            json.dumps({"user": first["user"], "counts": {community: 1}}) + "\n",
+            json.dumps({"user": "ghost", "counts": {"nowhere": 2}}) + "\n",
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["train", "--corpus", str(corpus), "--vocabulary", str(d / "vocab.txt"),
+                "--model", "nb", "--out-dir", str(out)]
+        with pytest.warns(UserWarning, match="dropped 1 activity pairs"):
+            assert main(argv) == 0
+        assert _read_json(out / "manifest.json")["counters"] == {
+            "corpus": {
+                "lines_read": len(lines),
+                "users_kept": len(lines) - 2,
+                "users_rejected_empty": 1,
+                "unknown_community_pairs": 1,
+                "merged_duplicate_users": 1,
+            }
+        }
 
     def test_calibrate_over_its_model_path_records_the_model_it_read(self, demo_files, tmp_path):
         d = demo_files["dir"]

@@ -1,4 +1,9 @@
 import json
+import re
+import tempfile
+import warnings
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from demoscope.data import (
 )
 from demoscope.errors import DataError
 
-from helpers import corpus_from_dense
+from helpers import corpus_from_dense, dict_load_corpus
 
 
 def test_vocabulary_rejects_duplicates():
@@ -210,6 +215,151 @@ def test_triplets_loader(tmp_path):
     f.write_text("wrong,header,here\nu1,a,2\n")
     with pytest.raises(DataError, match="header"):
         load_corpus(f, vocab, fmt="triplets")
+
+
+def test_first_bad_line_in_file_order_is_reported(tmp_path):
+    vocab = CommunityVocabulary(("a",))
+    f = tmp_path / "c.jsonl"
+    f.write_text('{"user": "u", "counts": {"a": 1}}\n{"user": "w", "counts": {"a": 0}}\nnot json\n')
+    with pytest.raises(DataError, match=r"c\.jsonl:2: count 0 below 1"):
+        load_corpus(f, vocab)
+
+
+def test_count_type_and_range_are_checked_per_value(tmp_path):
+    vocab = CommunityVocabulary(("a", "b"))
+    f = tmp_path / "c.jsonl"
+    f.write_text('{"user": "u", "counts": {"a": 1, "b": true}}\n')
+    with pytest.raises(DataError, match=r"c\.jsonl:1: count must be an integer, got True"):
+        load_corpus(f, vocab)
+    f.write_text(json.dumps({"user": "u", "counts": {"a": 2**64}}) + "\n")
+    with pytest.raises(DataError, match=rf"c\.jsonl:1: count {2**64} exceeds 2147483647"):
+        load_corpus(f, vocab)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "triplets"])
+def test_merged_overflow_names_user_and_line(tmp_path, fmt):
+    """The line whose count first pushes a merged count past the limit is
+    named, and it is reported before a later line's error."""
+    vocab = CommunityVocabulary(("a", "b"))
+    if fmt == "jsonl":
+        f = tmp_path / "c.jsonl"
+        lines = [
+            {"user": "u", "counts": {"b": 1, "a": 2**31 - 2}},
+            {"user": "w", "counts": {"a": 5}},
+            {"user": "u", "counts": {"a": 1}},
+            {"user": "u", "counts": {"a": 1}},
+            {"user": "w", "counts": {"a": 2**31 - 1}},
+        ]
+        f.write_text("".join(json.dumps(rec) + "\n" for rec in lines) + "not json\n")
+        where = "c.jsonl:4"
+    else:
+        f = tmp_path / "c.csv"
+        f.write_text(
+            "user,community,count\nu,b,1\nu,a,2147483646\nw,a,5\nu,a,1\nu,a,1\n"
+            "w,a,2147483647\nu,a,x\n"
+        )
+        where = "c.csv:6"
+    message = f"{where}: merged count for user 'u' exceeds 2147483647"
+    with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}/{re.escape(message)}$"):
+        load_corpus(f, vocab, fmt=fmt)
+
+
+def test_triplets_user_with_only_unknown_communities_is_rejected_empty(tmp_path):
+    vocab = CommunityVocabulary(("a",))
+    f = tmp_path / "t.csv"
+    f.write_text("user,community,count\nu,a,2\nghost_user,zz,3\n")
+    labels = tmp_path / "l.csv"
+    labels.write_text("user,label\nghost_user,1\nu,0\n")
+    with pytest.warns(UserWarning, match="dropped 1"):
+        corpus, report = load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+    assert corpus.user_ids.tolist() == ["u"] and corpus.labels.tolist() == [0]
+    assert report.users_kept == 1 and report.users_rejected_empty == 1
+    assert report.unknown_community_pairs == 1
+
+
+_NAMES = ("a", "b", "c")
+@st.composite
+def _corpus_lines(draw):
+    """Lines over users u/v/w and communities a/b/c plus unknown zz: small
+    counts, counts of 2**30 that overflow once two merge, labels, and at
+    most one bad count."""
+    pairs = st.lists(
+        st.tuples(st.sampled_from(_NAMES + ("zz",)), st.sampled_from([1, 2, 3, 7, 2**30])),
+        max_size=4,
+        unique_by=lambda p: p[0],
+    )
+    labels = st.sampled_from([None, None, -1, 0, 1])
+    lines = draw(st.lists(st.tuples(st.sampled_from("uvw"), pairs, labels), max_size=8))
+    bad = draw(st.sampled_from([None, None, None, 0, True, 1.5, 2**64]))
+    filled = [i for i, (_, p, _) in enumerate(lines) if p]
+    if bad is not None and filled:
+        i = draw(st.sampled_from(filled))
+        user, p, label = lines[i]
+        j = draw(st.integers(0, len(p) - 1))
+        lines[i] = (user, p[:j] + [(p[j][0], bad)] + p[j + 1 :], label)
+    return lines
+
+
+def _load_both(path, fmt="jsonl", labels_path=None):
+    """load_corpus and the dict oracle: each a result or a DataError message."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for load in (load_corpus, dict_load_corpus):
+            vocab = CommunityVocabulary(_NAMES) if load is load_corpus else _NAMES
+            try:
+                out.append(load(path, vocab, fmt=fmt, labels_path=labels_path))
+            except DataError as e:
+                out.append(str(e))
+    return out
+
+
+def _assert_same_load(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    corpus, report = got
+    users, rows, labels, want_report = want
+    assert corpus.user_ids.tolist() == users
+    assert corpus.labels.tolist() == labels
+    assert asdict(report) == want_report
+    dense = np.zeros((len(users), len(_NAMES)))
+    for i, row in enumerate(rows):
+        dense[i, list(row)] = list(row.values())
+    assert np.array_equal(corpus.X.toarray(), dense)
+
+
+@given(lines=_corpus_lines())
+@settings(max_examples=150, deadline=None)
+def test_jsonl_loader_matches_dict_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "c.jsonl"
+        text = ""
+        for user, pairs, label in lines:
+            rec = {"user": user, "counts": dict(pairs)}
+            if label is not None:
+                rec["label"] = label
+            text += json.dumps(rec) + "\n"
+        f.write_text(text)
+        _assert_same_load(*_load_both(f))
+
+
+@given(lines=_corpus_lines(), label_lines=st.lists(
+    st.tuples(st.sampled_from("uvwx"), st.sampled_from([-1, 0, 1])), max_size=4
+))
+@settings(max_examples=150, deadline=None)
+def test_triplets_loader_matches_dict_oracle(lines, label_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        f, labels = Path(tmp) / "c.csv", Path(tmp) / "l.csv"
+        rows = [
+            f"{user},{name},{c}\n"
+            for user, pairs, _ in lines
+            for name, c in pairs
+            if type(c) is int
+        ]
+        f.write_text("user,community,count\n" + "".join(rows))
+        labels.write_text("user,label\n" + "".join(f"{u},{y}\n" for u, y in label_lines))
+        _assert_same_load(*_load_both(f, "triplets", labels))
 
 
 def test_unknown_format(tmp_path):

@@ -28,7 +28,7 @@ from demoscope.labeling import (
     write_declarations,
     write_labels_csv,
 )
-from helpers import corpus_from_dense
+from helpers import corpus_from_dense, reference_extract_declarations
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -71,6 +71,25 @@ class TestRuleValidation:
             DeclarationRule(
                 attribute="year", patterns=[r"(?P<age>\d+)"], negation_patterns=["(unclosed"]
             )
+
+    @pytest.mark.parametrize(
+        "negation",
+        [r"(?P<neg>never)", r"(\w)\1", r"(not)?(?(1)x|y)", r"(?P<n>no)(?P=n)", r"(?i)nope"],
+        ids=["named-group", "backreference", "group-conditional", "named-reference", "global-flag"],
+    )
+    def test_negation_that_one_alternation_would_change_is_refused(self, negation):
+        with pytest.raises(DataError, match=r"^rule 'gender' negation 1: "):
+            DeclarationRule("gender", [r"\bi am a (?P<gender>\w+)\b"], [r"\bnot\b", negation])
+
+    def test_negation_with_plain_groups_is_joined(self):
+        rule = DeclarationRule(
+            "gender", [r"\bi am a (?P<gender>\w+)\b"], [r"\b(not|never)\b", r"(?:used) to"]
+        )
+        assert rule.negation.pattern == r"(?:\b(not|never)\b)|(?:(?:used) to)"
+        for text, suppressed in (
+            ("i am a girl.", 0), ("never, i am a girl.", 1), ("i used to... i am a girl", 0)
+        ):
+            assert _extract(text, rules=[rule])[1].suppressed_negation == suppressed
 
 
 class TestExtraction:
@@ -263,6 +282,59 @@ def test_extraction_is_order_invariant(perm):
     ]
     assert report.suppressed_negation == 1
     assert report.suppressed_no_first_person == 2
+
+
+_WORDS = [
+    "I", "i", "I'm", "i’m", "Im", "me", "my", "Imagine", "the", "she", "really", "a", "am",
+    "girl", "guy", "woman", "male", "25f", "M30", "f", "31", "years", "old", "democrat", "gop",
+    "vote", "voted", "for", "as", "turned", "7", "150", "not", "never", "used", "to", "wish",
+    "isn't", "if", "’", "(I’m", "here.", "x!", "?", "lady",
+]
+_FIRST_PERSON = ["I", "i", "I'm", "i’m", "me", "my", "myself", "(I’m"]
+_FILLERS = ["the", "really", "she", "so", "not", "x!", "used", "to"]
+_DECLARED = ["25f", "M30", "a girl", "am a guy", "as a woman", "a democrat", "voted gop", "lady"]
+_SEPARATORS = [" ", " ", " ", "  ", "\u2003", "\x1c", "\n", ". ", "! ", "? ", "’"]
+_CUSTOM_RULES = [
+    DeclarationRule(
+        "gender",
+        [r"\bas an? (?P<gender>man|woman|guy|girl)\b", r"(?P<gender>[mf])\d"],
+        [r"\b(pretend|not)\b", r"\bused (to)\b", r"(?:x)"],
+        first_person_required=False,
+    ),
+    # matches that start on whitespace or at the end of the text
+    DeclarationRule("gender", [r"\s(?P<gender>girl|guy)\b", r"(?P<gender>lady)?$"], [r"\bnot\b"]),
+]
+
+
+@st.composite
+def _comment_stream(draw):
+    """Comments built from declarations 0-5 tokens after a first-person
+    word, negations, sentence delimiters, ’ and unicode whitespace, plus
+    comments that cannot be read."""
+    comments = []
+    for i in range(draw(st.integers(1, 6))):
+        words = draw(st.lists(st.sampled_from(_WORDS), max_size=8))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(words)))
+            gap = draw(st.lists(st.sampled_from(_FILLERS), max_size=5))
+            words[at:at] = [draw(st.sampled_from(_FIRST_PERSON)), *gap,
+                            draw(st.sampled_from(_DECLARED))]
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(words), max_size=len(words)))
+        text = "".join(w + s for w, s in zip(words, seps))
+        ts = draw(st.sampled_from([TS, TS, TS, 1577750400, 1.6e9, True, float("nan")]))
+        comments.append({"user": f"u{i % 3}", "text": text, "created_utc": ts, "community": "c"})
+    if draw(st.booleans()):
+        comments.append(_comment(draw(st.sampled_from(_WORDS)) + " i am a girl"))
+    return comments
+
+
+@settings(max_examples=300, deadline=None)
+@given(comments=_comment_stream())
+def test_extraction_matches_per_pattern_reference(comments):
+    for rules in (default_rules(), _CUSTOM_RULES):
+        assert extract_declarations(comments, rules) == reference_extract_declarations(
+            comments, rules
+        )
 
 
 class TestGoldenFixture:
