@@ -56,7 +56,6 @@ def main():
         X=target.X,
         user_ids=target.user_ids,
         labels=np.full(target.n, -1, dtype=np.int64),
-        k=2,
     )
 
     emb = synth.derive_embeddings(world, w, rng, noise=0.8)

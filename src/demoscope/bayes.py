@@ -39,14 +39,13 @@ SIGMA_FLOOR = 1e-6
 
 @dataclass
 class NaiveBayesModel:
-    """Fitted parameters, all stored in log space.
+    """Fitted parameters of a two-class model, all stored in log space.
 
-    activity is None for the plain model, else an array of shape (k, 2)
+    activity is None for the plain model, else an array of shape (2, 2)
     holding (mu_y, sigma_y) per class. An optional isotonic calibrator
-    post-processes the class-1 posterior (binary models only).
+    post-processes the class-1 posterior.
     """
 
-    k: int
     d: int
     log_prior: np.ndarray
     log_cond: np.ndarray
@@ -58,22 +57,20 @@ class NaiveBayesModel:
     def __post_init__(self):
         self.log_prior = np.asarray(self.log_prior, dtype=np.float64)
         self.log_cond = np.asarray(self.log_cond, dtype=np.float64)
-        if self.log_prior.shape != (self.k,):
-            raise DataError(f"log_prior must have shape ({self.k},)")
-        if self.log_cond.shape != (self.k, self.d):
-            raise DataError(f"log_cond must have shape ({self.k}, {self.d})")
+        if self.log_prior.shape != (2,):
+            raise DataError("log_prior must have shape (2,)")
+        if self.log_cond.shape != (2, self.d):
+            raise DataError(f"log_cond must have shape (2, {self.d})")
         if self.activity is not None:
             self.activity = np.asarray(self.activity, dtype=np.float64)
-            if self.activity.shape != (self.k, 2):
-                raise DataError(f"activity must have shape ({self.k}, 2)")
+            if self.activity.shape != (2, 2):
+                raise DataError("activity must have shape (2, 2)")
             if np.any(self.activity[:, 1] <= 0):
                 raise DataError("activity sigma must be positive")
 
     def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
-        """Class-1 posterior and hard predictions from one pass (binary
-        models only); posterior ties predict the lower class."""
-        if self.k != 2:
-            raise DataError("scoring is binary; model has k != 2")
+        """Class-1 posterior and hard predictions from one pass;
+        posterior ties predict the lower class."""
         proba = predict_proba_matrix(self, corpus)
         return proba[:, 1], np.argmax(proba, axis=1).astype(np.int64)
 
@@ -126,7 +123,7 @@ def log_activity_pmf(a, mu: float, sigma: float) -> np.ndarray:
 
 
 def _activity_log_matrix(activities: np.ndarray, activity: np.ndarray) -> np.ndarray:
-    """Per-row, per-class log activity mass, shape (n, k)."""
+    """Per-row, per-class log activity mass, shape (n, 2)."""
     cols = [log_activity_pmf(activities, mu, sigma) for mu, sigma in activity]
     return np.stack(cols, axis=1)
 
@@ -140,7 +137,7 @@ def _m_step(
     use_log_normal: bool,
     pooled_activity: bool = False,
 ):
-    """Smoothed maximization given responsibilities resp of shape (n, k).
+    """Smoothed maximization given responsibilities resp of shape (n, 2).
 
     Returns (log_prior, log_cond, activity or None). Priors use
     pseudo-count alpha1 per class; conditionals use alpha2 per
@@ -150,15 +147,14 @@ def _m_step(
     statistics over all rows.
     """
     n, d = X.shape
-    k = resp.shape[1]
     n_y = resp.sum(axis=0)
-    prior = (alpha1 + n_y) / (alpha1 * k + n)
+    prior = (alpha1 + n_y) / (alpha1 * 2 + n)
     counts = np.asarray((X.T @ resp).T)
     totals = counts.sum(axis=1)
     cond = (alpha2 + counts) / (alpha2 * d + totals)[:, None]
     activity = None
     if use_log_normal:
-        activity = np.empty((k, 2), dtype=np.float64)
+        activity = np.empty((2, 2), dtype=np.float64)
         if pooled_activity:
             mu = float(log_activities.mean())
             sigma = float(log_activities.std())
@@ -178,14 +174,12 @@ def _m_step(
     return np.log(prior), np.log(cond), activity
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((labels.size, k), dtype=np.float64)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+def _one_hot(labels: np.ndarray) -> np.ndarray:
+    return np.eye(2)[labels]
 
 
 def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
-    """log p(x, y) for every row and class, shape (n, k).
+    """log p(x, y) for every row and class, shape (n, 2).
 
     Raises DataError when the corpus does not have one column per model
     community.
@@ -202,12 +196,10 @@ def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarra
 
 
 def predict_proba_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
-    """Posterior p(y | x) per row, shape (n, k); calibrated if attached."""
+    """Posterior p(y | x) per row, shape (n, 2); calibrated if attached."""
     lj = log_joint_matrix(model, corpus)
     proba = np.exp(log_softmax(lj, axis=1))
     if model.calibrator is not None:
-        if model.k != 2:
-            raise DataError("calibration only applies to binary models")
         p1 = apply_map(model.calibrator, proba[:, 1])
         proba = np.stack([1.0 - p1, p1], axis=1)
     return proba
@@ -234,14 +226,11 @@ def fit_supervised(
     if counts.min() < 1:
         missing = int(np.flatnonzero(counts == 0)[0])
         raise DataError(f"class {missing} has no labeled rows")
-    X = corpus.to_csr()
-    log_act = np.log(corpus.activities())
-    resp = _one_hot(corpus.labels, corpus.k)
+    X, log_act = corpus.to_csr(), np.log(corpus.activities())
     log_prior, log_cond, activity = _m_step(
-        X, log_act, resp, alpha1, alpha2, use_log_normal, pooled_activity
+        X, log_act, _one_hot(corpus.labels), alpha1, alpha2, use_log_normal, pooled_activity
     )
     model = NaiveBayesModel(
-        k=corpus.k,
         d=corpus.d,
         log_prior=log_prior,
         log_cond=log_cond,
@@ -249,34 +238,24 @@ def fit_supervised(
         alpha1=alpha1,
         alpha2=alpha2,
     )
-    lj = log_joint_matrix(model, corpus)
-    ll = _observed_log_likelihood(lj, corpus.labels) + _smoothing_penalty(model)
-    report = FitReport(
-        iterations=0,
-        log_likelihood=[ll],
-        converged=True,
-        n_labeled=corpus.n,
-        n_unlabeled=0,
-    )
+    ll = _objective(model, corpus, log_joint_matrix(model, corpus))
+    report = FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
     return model, report
 
 
-def _observed_log_likelihood(lj: np.ndarray, labels: np.ndarray) -> float:
-    """Joint likelihood of labeled rows plus marginal of unlabeled rows."""
+def _objective(model: NaiveBayesModel, corpus: LabeledCorpus, lj: np.ndarray) -> float:
+    """The smoothed training objective (see FitReport) given the log
+    joint lj: joint likelihood of the labeled rows, marginal of the
+    unlabeled rows, plus the pseudo-count penalty the smoothed M-step
+    maximizes jointly with Q."""
+    labels = corpus.labels
     labeled = labels >= 0
     ll = 0.0
     if labeled.any():
         ll += float(lj[np.flatnonzero(labeled), labels[labeled]].sum())
     if (~labeled).any():
         ll += float(logsumexp(lj[~labeled], axis=1).sum())
-    return ll
-
-
-def _smoothing_penalty(model: NaiveBayesModel) -> float:
-    """Pseudo-count penalty the smoothed M-step maximizes jointly with Q."""
-    return float(
-        model.alpha1 * model.log_prior.sum() + model.alpha2 * model.log_cond.sum()
-    )
+    return ll + float(model.alpha1 * model.log_prior.sum() + model.alpha2 * model.log_cond.sum())
 
 
 def fit_semisupervised(
@@ -305,39 +284,15 @@ def fit_semisupervised(
     labeled = corpus.labeled_mask
     if not labeled.any():
         raise DataError("semi-supervised fit needs at least one labeled row")
-    counts = corpus.class_counts()
-    if counts.min() < 1:
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise DataError(f"class {missing} has no labeled rows")
-
+    model, _ = fit_supervised(
+        corpus.subset(np.flatnonzero(labeled)), alpha1, alpha2, use_log_normal, pooled_activity
+    )
     X = corpus.to_csr()
     activities = corpus.activities()
     log_act = np.log(activities)
-    k = corpus.k
-    hard = _one_hot(np.maximum(corpus.labels, 0), k)
-
-    # init: maximize on labeled rows only (no-op slice when fully labeled,
-    # which keeps the zero-unlabeled case bit-identical to fit_supervised)
-    lab_idx = np.flatnonzero(labeled)
-    if lab_idx.size == corpus.n:
-        X_init, act_init, resp_init = X, log_act, hard
-    else:
-        X_init, act_init, resp_init = X[lab_idx], log_act[lab_idx], hard[lab_idx]
-    log_prior, log_cond, activity = _m_step(
-        X_init, act_init, resp_init, alpha1, alpha2, use_log_normal, pooled_activity
-    )
-    model = NaiveBayesModel(
-        k=k,
-        d=corpus.d,
-        log_prior=log_prior,
-        log_cond=log_cond,
-        activity=activity,
-        alpha1=alpha1,
-        alpha2=alpha2,
-    )
-
+    hard = _one_hot(corpus.labels[labeled])
     lj = log_joint_matrix(model, corpus)
-    ll = _observed_log_likelihood(lj, corpus.labels) + _smoothing_penalty(model)
+    ll = _objective(model, corpus, lj)
     if not np.isfinite(ll):
         raise NumericError("non-finite log likelihood at initialization")
     trace = [ll]
@@ -345,7 +300,7 @@ def fit_semisupervised(
     iterations = 0
     for it in range(1, max_iter + 1):
         resp = np.exp(log_softmax(lj, axis=1))
-        resp[labeled] = hard[labeled]
+        resp[labeled] = hard
         log_prior, log_cond, activity = _m_step(
             X, log_act, resp, alpha1, alpha2, use_log_normal, pooled_activity
         )
@@ -362,7 +317,7 @@ def fit_semisupervised(
         model.log_cond = log_cond
         model.activity = activity
         lj = log_joint_matrix(model, corpus)
-        ll_new = _observed_log_likelihood(lj, corpus.labels) + _smoothing_penalty(model)
+        ll_new = _objective(model, corpus, lj)
         iterations = it
         if not np.isfinite(ll_new):
             raise NumericError(f"non-finite log likelihood at iteration {it}")
@@ -405,10 +360,8 @@ def _validate_hyper(alpha1: float, alpha2: float):
 def feature_log_odds(model: NaiveBayesModel) -> np.ndarray:
     """Per-community evidence direction log p(j|1) - log p(j|0).
 
-    Positive entries push posterior mass toward class 1. Binary only.
+    Positive entries push posterior mass toward class 1.
     """
-    if model.k != 2:
-        raise DataError(f"log odds need a binary model, got k={model.k}")
     return model.log_cond[1] - model.log_cond[0]
 
 
@@ -436,7 +389,7 @@ def feature_log_odds_dispersion(
         raise DataError(f"class {missing} has no labeled rows")
     rng = np.random.default_rng(seed)
     draws = np.empty((n_boot, corpus.d), dtype=np.float64)
-    class_pools = [np.flatnonzero(labeled.labels == y) for y in range(labeled.k)]
+    class_pools = [np.flatnonzero(labeled.labels == y) for y in (0, 1)]
     for b in range(n_boot):
         take: list[int] = []
         for pool in class_pools:

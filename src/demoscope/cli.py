@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
-from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split
+from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
 from .serialize import dumps, load_model, save_model
 
@@ -288,13 +288,7 @@ def cmd_extract(run: Run):
         "extract_report.json",
         {
             "attribute": cfg.attribute,
-            "comments_seen": report.comments_seen,
-            "comments_skipped": report.comments_skipped,
-            "declarations": report.declarations,
-            "suppressed_negation": report.suppressed_negation,
-            "suppressed_no_first_person": report.suppressed_no_first_person,
-            "out_of_range_age": report.out_of_range_age,
-            "unparsed_value": report.unparsed_value,
+            **asdict(report),
             "bot_declarations_dropped": before - len(decls),
             "users_labeled": len(labels),
             "users_rejected_incoherent": len(coherence.rejected.get(cfg.attribute, set())),
@@ -404,11 +398,9 @@ def cmd_predict(run: Run):
     clf = _load_classifier(run.input("model_path"))
     corpus = _load_corpus(run)
     scores, preds = clf.score(corpus)
-    lines = ["user,score,prediction"]
-    for user, s, p in zip(corpus.user_ids, scores.tolist(), preds.tolist()):
-        lines.append(f"{user},{s!r},{p}")
+    rows = zip(corpus.user_ids, scores.tolist(), preds.tolist())
     path = run.output("predictions.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["user", "score", "prediction"], rows)
     n_bad = int((~np.isfinite(scores)).sum())
     print(f"predict: {corpus.n} rows ({n_bad} unscorable) -> {path}")
 
@@ -459,17 +451,7 @@ def cmd_quantify(run: Run):
     est = quantify.estimate(quant, target, confidence=cfg.confidence)
     run.write_json(
         "estimate.json",
-        {
-            "point": est.point,
-            "lower": est.lower,
-            "upper": est.upper,
-            "confidence": est.confidence,
-            "cohort_size": est.cohort_size,
-            "method": est.method,
-            "excluded": est.excluded,
-            "tpr": quant.tpr,
-            "fpr": quant.fpr,
-        },
+        {**asdict(est), "tpr": quant.tpr, "fpr": quant.fpr},
     )
     interval = (
         f" [{est.lower:.4f}, {est.upper:.4f}] @ {est.confidence:.0%}"
@@ -532,12 +514,10 @@ def cmd_importance(run: Run):
         alpha1=cfg.alpha1,
         alpha2=cfg.alpha2,
     )
-    order = np.argsort(-np.abs(mean))
-    lines = ["community,log_odds,std"]
-    for j in order:
-        lines.append(f"{corpus.vocabulary.names[j]},{repr(float(mean[j]))},{repr(float(std[j]))}")
+    names = corpus.vocabulary.names
+    rows = [(names[j], float(mean[j]), float(std[j])) for j in np.argsort(-np.abs(mean))]
     path = run.output("importance.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["community", "log_odds", "std"], rows)
     print(f"importance: {corpus.d} communities -> {path}")
 
 

@@ -72,31 +72,28 @@ class LabeledCorpus:
     X is a canonical float64 CSR matrix of shape (n, vocabulary.size):
     per row, column indices are sorted and unique and every stored
     count is an integer in 1..MAX_COUNT; no row is empty. labels[i] is
-    in {-1, 0, ..., k-1}; -1 means unlabeled. The arrays are treated as
-    immutable once the corpus is built.
+    -1 (unlabeled), 0 or 1. The arrays are treated as immutable once the
+    corpus is built.
     """
 
     vocabulary: CommunityVocabulary
     X: sp.csr_matrix
     user_ids: np.ndarray
     labels: np.ndarray
-    k: int = 2
 
     def __post_init__(self):
         X = self.X if isinstance(self.X, sp.csr_matrix) else sp.csr_matrix(self.X)
         self.X = X = X.astype(np.float64, copy=False)
         self.user_ids = np.asarray(self.user_ids, dtype=object)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.k < 2:
-            raise DataError(f"k must be >= 2, got {self.k}")
         n, d = X.shape
         if len(self.user_ids) != n or len(self.labels) != n:
             raise DataError(
                 f"rows/ids/labels misaligned: {n} rows, {len(self.user_ids)} ids, "
                 f"{len(self.labels)} labels"
             )
-        if self.labels.size and (self.labels.min() < -1 or self.labels.max() >= self.k):
-            raise DataError(f"labels must lie in -1..{self.k - 1}")
+        if self.labels.size and (self.labels.min() < -1 or self.labels.max() > 1):
+            raise DataError("labels must lie in -1..1")
         if d != self.vocabulary.size:
             raise DataError(
                 f"count matrix has {d} columns for a vocabulary of size {self.vocabulary.size}"
@@ -131,8 +128,8 @@ class LabeledCorpus:
         return self.labels >= 0
 
     def class_counts(self) -> np.ndarray:
-        """Number of labeled rows per class, shape (k,)."""
-        return np.bincount(self.labels[self.labeled_mask], minlength=self.k).astype(np.int64)
+        """Number of labeled rows per class, shape (2,)."""
+        return np.bincount(self.labels[self.labeled_mask], minlength=2).astype(np.int64)
 
     def to_csr(self) -> sp.csr_matrix:
         """The count matrix X, float64, shape (n, d)."""
@@ -153,7 +150,6 @@ class LabeledCorpus:
             X=self.X[idx],
             user_ids=self.user_ids[idx],
             labels=self.labels[idx],
-            k=self.k,
         )
         out.__dict__["_activities"] = self.activities()[idx]
         return out
@@ -341,10 +337,11 @@ def _load_triplets(
         if header is None or [h.strip() for h in header[:3]] != ["user", "community", "count"]:
             raise DataError(f"{path}: expected header 'user,community,count'")
         try:
-            for lineno, rec in enumerate(reader, start=2):
+            for rec in reader:
                 if not rec:
                     continue
                 acc.report.lines_read += 1
+                lineno = reader.line_num
                 where = f"{path}:{lineno}"
                 if len(rec) != 3:
                     raise DataError(f"{where}: expected 3 fields, got {len(rec)}")
@@ -366,10 +363,10 @@ def _load_triplets(
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["user", "label"]:
                 raise DataError(f"{labels_path}: expected header 'user,label'")
-            for lineno, rec in enumerate(reader, start=2):
+            for rec in reader:
                 if not rec:
                     continue
-                where = f"{labels_path}:{lineno}"
+                where = f"{labels_path}:{reader.line_num}"
                 if len(rec) != 2:
                     raise DataError(f"{where}: expected 2 fields, got {len(rec)}")
                 user, raw = rec[0], rec[1]
@@ -412,6 +409,16 @@ def load_corpus(
     return _load_jsonl(path, vocabulary)
 
 
+def write_csv(path, header, rows):
+    """Write a header row and rows as CSV with LF line ends. Fields
+    holding a comma, quote or line break are quoted, so csv.reader reads
+    every row back with its own field count."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Train/test split parameters.
@@ -446,7 +453,7 @@ def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, Labele
     labeled_idx = np.flatnonzero(corpus.labeled_mask)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for y in range(corpus.k):
+    for y in (0, 1):
         pool = labeled_idx[corpus.labels[labeled_idx] == y]
         if len(pool) < 2:
             raise DataError(
@@ -480,7 +487,7 @@ def random_oversample(corpus: LabeledCorpus, seed=0) -> LabeledCorpus:
     target = int(counts.max())
     rng = np.random.default_rng(seed)
     extra: list[int] = []
-    for y in range(corpus.k):
+    for y in (0, 1):
         deficit = target - int(counts[y])
         if deficit == 0:
             continue

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledCorpus
+from .data import LabeledCorpus, write_csv
 from .errors import DataError
 
 try:
@@ -45,6 +45,10 @@ _FIRST_PERSON = {"i", "im", "me", "my", "mine", "myself"}
 _TOKEN_RE = re.compile(r"\S+")
 _SENTENCE_RE = re.compile(r"[^.!?\n]+")
 _STRIP_CHARS = "\"'’.,!?;:()[]{}<>*~_-"
+
+# one encoder for every declaration line; json.dumps(sort_keys=True)
+# would build a new one per call
+_DECLARATION_JSON = json.JSONEncoder(sort_keys=True)
 
 _GENDER_VALUES = {
     "m": "male",
@@ -509,15 +513,14 @@ def write_declarations(declarations, path):
     with open(path, "w", encoding="utf-8") as fh:
         for d in declarations:
             fh.write(
-                json.dumps(
+                _DECLARATION_JSON.encode(
                     {
                         "user": d.user_id,
                         "attribute": d.attribute,
                         "value": d.value,
                         "created_utc": d.created_utc,
                         "community": d.community,
-                    },
-                    sort_keys=True,
+                    }
                 )
                 + "\n"
             )
@@ -525,10 +528,7 @@ def write_declarations(declarations, path):
 
 def write_labels_csv(labels: dict, path):
     """Write 'user,label' rows sorted by user id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user,label\n")
-        for user in sorted(labels):
-            fh.write(f"{user},{labels[user]}\n")
+    write_csv(path, ["user", "label"], ((user, labels[user]) for user in sorted(labels)))
 
 
 def default_rules() -> list[DeclarationRule]:

@@ -258,11 +258,6 @@ def mae(estimates, truths) -> float:
     return float(np.abs(e - t).mean())
 
 
-def cc_bias(tpr: float, fpr: float, prevalence: float) -> float:
-    """Expected CC distortion fpr*(1-p) - (1-tpr)*p at true prevalence p."""
-    return fpr * (1.0 - prevalence) - (1.0 - tpr) * prevalence
-
-
 @dataclass
 class QuantReport:
     """Repeated-cohort evaluation of one quantifier."""

@@ -62,6 +62,12 @@ def _array(value) -> np.ndarray:
     return array.astype(np.float64)
 
 
+def _two_classes(value) -> int:
+    if _integer(value) != 2:
+        raise ValueError(f"naive Bayes models have 2 classes, got {value}")
+    return value
+
+
 def _projection(value) -> str:
     if value != "cosine":
         raise ValueError(f"axis models score by cosine projection only, got {value!r:.40}")
@@ -93,7 +99,7 @@ def to_payload(model) -> dict:
     if isinstance(model, NaiveBayesModel):
         return {
             "schema": "nb/1",
-            "k": model.k,
+            "k": 2,
             "d": model.d,
             "log_prior": model.log_prior.tolist(),
             "log_cond": model.log_cond.tolist(),
@@ -142,8 +148,8 @@ def from_payload(payload: dict):
     schema = payload["schema"]
     field = partial(_field, payload, schema)
     if schema == "nb/1":
+        field("k", _two_classes)
         return NaiveBayesModel(
-            k=field("k", _integer),
             d=field("d", _integer),
             log_prior=field("log_prior", _array),
             log_cond=field("log_cond", _array),

@@ -35,33 +35,8 @@ class SynthWorld:
     vocabulary: CommunityVocabulary
 
     @property
-    def k(self) -> int:
-        return self.prior.size
-
-    @property
     def d(self) -> int:
         return self.cond.shape[1]
-
-
-def random_world(
-    rng,
-    k: int = 2,
-    d: int = 50,
-    activity_mu=(3.0, 3.2),
-    activity_sigma=(0.5, 0.6),
-    concentration: float = 1.0,
-) -> SynthWorld:
-    """Dirichlet-random class conditionals and a Dirichlet-random prior."""
-    prior = rng.dirichlet(np.full(k, 5.0))
-    cond = rng.dirichlet(np.full(d, concentration), size=k)
-    names = tuple(f"c{j:04d}" for j in range(d))
-    return SynthWorld(
-        prior=prior,
-        cond=cond,
-        activity_mu=np.asarray(activity_mu, dtype=np.float64),
-        activity_sigma=np.asarray(activity_sigma, dtype=np.float64),
-        vocabulary=CommunityVocabulary(names),
-    )
 
 
 def tilted_world(
@@ -108,8 +83,8 @@ def sample_corpus(
         raise DataError(f"n must be >= 1, got {n}")
     if not (0.0 <= labeled_fraction <= 1.0):
         raise DataError("labeled_fraction must lie in [0, 1]")
-    k, d = world.k, world.d
-    ys = rng.choice(k, size=n, p=world.prior)
+    d = world.d
+    ys = rng.choice(2, size=n, p=world.prior)
     indices, counts = [], []
     for i in range(n):
         y = ys[i]
@@ -126,7 +101,7 @@ def sample_corpus(
     labels = ys.astype(np.int64)
     if labeled_fraction < 1.0:
         hide = np.ones(n, dtype=bool)
-        for y in range(k):
+        for y in (0, 1):
             pool = np.flatnonzero(ys == y)
             n_keep = int(round(labeled_fraction * pool.size))
             keep = rng.choice(pool, size=n_keep, replace=False)
@@ -134,9 +109,7 @@ def sample_corpus(
         labels = labels.copy()
         labels[hide] = -1
     user_ids = np.array([f"{prefix}{i:06d}" for i in range(n)], dtype=object)
-    return LabeledCorpus(
-        vocabulary=world.vocabulary, X=X, user_ids=user_ids, labels=labels, k=k
-    )
+    return LabeledCorpus(vocabulary=world.vocabulary, X=X, user_ids=user_ids, labels=labels)
 
 
 def derive_embeddings(
@@ -196,21 +169,6 @@ def write_corpus_jsonl(corpus: LabeledCorpus, path, include_labels: bool = True)
             if include_labels and label >= 0:
                 rec["label"] = label
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def write_corpus_triplets(corpus: LabeledCorpus, path, labels_path=None):
-    names = corpus.vocabulary.names
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user,community,count\n")
-        for user, idx, cnt in _rows(corpus):
-            for j, c in zip(idx, cnt):
-                fh.write(f"{user},{names[j]},{c}\n")
-    if labels_path is not None:
-        with open(labels_path, "w", encoding="utf-8") as fh:
-            fh.write("user,label\n")
-            for user, label in zip(corpus.user_ids, corpus.labels.tolist()):
-                if label >= 0:
-                    fh.write(f"{user},{label}\n")
 
 
 def write_embeddings_tsv(table: EmbeddingTable, path):

@@ -3,6 +3,8 @@ import pytest
 
 from demoscope import synth
 
+from helpers import random_world
+
 
 @pytest.fixture
 def rng():
@@ -11,7 +13,7 @@ def rng():
 
 @pytest.fixture
 def small_world(rng):
-    return synth.random_world(rng, d=12)
+    return random_world(rng, d=12)
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and
+the test-only generators and writers.
 
-Everything here is written from the model definitions directly, in
-plain dense NumPy or plain Python loops, sharing no code with the
-package internals: the corpus loader as per-user dict merges, and the
+The oracles are written from the model definitions directly, in plain
+dense NumPy or plain Python loops, sharing no code with the package
+internals: the corpus loader as per-user dict merges, and the
 declaration miner as its first per-pattern loop.
 """
 
@@ -19,9 +20,10 @@ from scipy.stats import lognorm
 from demoscope.data import MAX_COUNT, CommunityVocabulary, LabeledCorpus
 from demoscope.errors import DataError
 from demoscope.labeling import GROUP_FOR, Comment, Declaration, ExtractReport
+from demoscope.synth import SynthWorld
 
 
-def corpus_from_dense(X, labels, k: int = 2, names=None, prefix="u") -> LabeledCorpus:
+def corpus_from_dense(X, labels, names=None, prefix="u") -> LabeledCorpus:
     """Corpus over a dense count matrix; every row must be non-empty."""
     X = np.asarray(X)
     n, d = X.shape
@@ -32,8 +34,51 @@ def corpus_from_dense(X, labels, k: int = 2, names=None, prefix="u") -> LabeledC
         X=sp.csr_matrix(X),
         user_ids=[f"{prefix}{i:06d}" for i in range(n)],
         labels=np.asarray(labels, dtype=np.int64),
-        k=k,
     )
+
+
+def random_world(
+    rng,
+    d: int = 50,
+    activity_mu=(3.0, 3.2),
+    activity_sigma=(0.5, 0.6),
+    concentration: float = 1.0,
+) -> SynthWorld:
+    """Dirichlet-random class conditionals and a Dirichlet-random prior."""
+    prior = rng.dirichlet(np.full(2, 5.0))
+    cond = rng.dirichlet(np.full(d, concentration), size=2)
+    names = tuple(f"c{j:04d}" for j in range(d))
+    return SynthWorld(
+        prior=prior,
+        cond=cond,
+        activity_mu=np.asarray(activity_mu, dtype=np.float64),
+        activity_sigma=np.asarray(activity_sigma, dtype=np.float64),
+        vocabulary=CommunityVocabulary(names),
+    )
+
+
+def write_corpus_triplets(corpus: LabeledCorpus, path, labels_path=None):
+    """A corpus as a 'user,community,count' CSV, plus a 'user,label' CSV
+    of its labeled rows when labels_path is given."""
+    names = corpus.vocabulary.names
+    X = corpus.to_csr()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("user,community,count\n")
+        for i, user in enumerate(corpus.user_ids):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            for j, c in zip(X.indices[lo:hi].tolist(), X.data[lo:hi].astype(np.int64).tolist()):
+                fh.write(f"{user},{names[j]},{c}\n")
+    if labels_path is not None:
+        with open(labels_path, "w", encoding="utf-8") as fh:
+            fh.write("user,label\n")
+            for user, label in zip(corpus.user_ids, corpus.labels.tolist()):
+                if label >= 0:
+                    fh.write(f"{user},{label}\n")
+
+
+def cc_bias(tpr: float, fpr: float, prevalence: float) -> float:
+    """Expected CC distortion fpr*(1-p) - (1-tpr)*p at true prevalence p."""
+    return fpr * (1.0 - prevalence) - (1.0 - tpr) * prevalence
 
 
 def dense_nb_fit(X, y, k, alpha1, alpha2, use_log_normal):
@@ -214,15 +259,19 @@ def dict_load_corpus(path, names, fmt="jsonl", labels_path=None):
                     add(rec["user"], list(rec.get("counts", {}).items()), rec.get("label", -1),
                         f"{path}:{lineno}")
         else:
-            for lineno, rec in enumerate(list(csv.reader(fh))[1:], start=2):
+            reader = csv.reader(fh)
+            next(reader)
+            for rec in reader:
                 if rec:
                     report["lines_read"] += 1
-                    add(rec[0], [(rec[1], int(rec[2]))], -1, f"{path}:{lineno}")
+                    add(rec[0], [(rec[1], int(rec[2]))], -1, f"{path}:{reader.line_num}")
     if labels_path is not None:
         with open(labels_path, encoding="utf-8", newline="") as fh:
-            for lineno, rec in enumerate(list(csv.reader(fh))[1:], start=2):
+            reader = csv.reader(fh)
+            next(reader)
+            for rec in reader:
                 if rec:
-                    where = f"{labels_path}:{lineno}"
+                    where = f"{labels_path}:{reader.line_num}"
                     check_label(int(rec[1]), where)
                     if rec[0] not in counts:
                         raise DataError(f"{where}: label for unknown user {rec[0]!r}")

@@ -39,13 +39,13 @@ from demoscope.labeling import (
 )
 from demoscope.quantify import (
     QuantifierModel,
-    cc_bias,
     evaluate_quantifier,
     fit_quantifier,
     poisson_binomial_interval,
 )
 from helpers import (
     FixedPredictionClassifier,
+    cc_bias,
     corpus_from_dense,
     dense_nb_fit,
     dense_nb_log_posterior,

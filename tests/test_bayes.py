@@ -26,7 +26,6 @@ from helpers import corpus_from_dense, dense_nb_fit, dense_nb_log_posterior
 
 def _hand_model():
     return NaiveBayesModel(
-        k=2,
         d=2,
         log_prior=np.log([0.4, 0.6]),
         log_cond=np.log([[0.7, 0.3], [0.2, 0.8]]),
@@ -153,7 +152,6 @@ def test_single_row_matches_matrix(rng):
 
 def test_classify_tie_breaks_to_lower_class():
     model = NaiveBayesModel(
-        k=2,
         d=2,
         log_prior=np.log([0.5, 0.5]),
         log_cond=np.log([[0.5, 0.5], [0.5, 0.5]]),
@@ -162,15 +160,18 @@ def test_classify_tie_breaks_to_lower_class():
     assert model.score(corpus)[1].tolist() == [0, 0]
 
 
-def test_score_is_binary_only():
-    three = NaiveBayesModel(
-        k=3,
-        d=2,
-        log_prior=np.log([1 / 3] * 3),
-        log_cond=np.log(np.full((3, 2), 0.5)),
-    )
-    with pytest.raises(DataError, match="binary"):
-        three.score(corpus_from_dense([[1, 1]], [-1]))
+def test_model_refuses_other_than_two_classes():
+    with pytest.raises(DataError, match=r"log_prior must have shape \(2,\)"):
+        NaiveBayesModel(d=2, log_prior=np.log([1 / 3] * 3), log_cond=np.log(np.full((3, 2), 0.5)))
+    with pytest.raises(DataError, match=r"log_cond must have shape \(2, 2\)"):
+        NaiveBayesModel(d=2, log_prior=np.log([0.5, 0.5]), log_cond=np.log(np.full((3, 2), 0.5)))
+    with pytest.raises(DataError, match=r"activity must have shape \(2, 2\)"):
+        NaiveBayesModel(
+            d=2,
+            log_prior=np.log([0.5, 0.5]),
+            log_cond=np.log(np.full((2, 2), 0.5)),
+            activity=np.ones((3, 2)),
+        )
 
 
 def test_supervised_rejects_unlabeled_and_missing_class():
@@ -255,14 +256,6 @@ def test_feature_log_odds_direction():
     model = _hand_model()
     lo = feature_log_odds(model)
     assert lo == pytest.approx([np.log(0.2 / 0.7), np.log(0.8 / 0.3)])
-    three = NaiveBayesModel(
-        k=3,
-        d=2,
-        log_prior=np.log([1 / 3] * 3),
-        log_cond=np.log(np.full((3, 2), 0.5)),
-    )
-    with pytest.raises(DataError, match="binary"):
-        feature_log_odds(three)
 
 
 def test_feature_log_odds_dispersion(rng):

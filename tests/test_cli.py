@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import csv
 import hashlib
 import io
 import json
@@ -27,9 +28,11 @@ from demoscope.cli import (
     main,
     stage_seed,
 )
-from demoscope.data import load_corpus, load_vocabulary
+from demoscope.data import CommunityVocabulary, LabeledCorpus, load_corpus, load_vocabulary
 from demoscope.quantify import QuantifierModel
 from demoscope.serialize import load_model, save_model
+
+from helpers import write_corpus_triplets
 
 
 def _read_json(path):
@@ -312,7 +315,7 @@ class TestTrain:
     def test_triplets_format_equivalent(self, demo_files, tmp_path):
         d = demo_files["dir"]
         corpus = demo_files["corpus"]
-        synth.write_corpus_triplets(corpus, tmp_path / "c.csv", labels_path=tmp_path / "l.csv")
+        write_corpus_triplets(corpus, tmp_path / "c.csv", labels_path=tmp_path / "l.csv")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert self._train(d, out1, "--model", "nb") == 0
         code = main(
@@ -618,6 +621,36 @@ class TestPredictCalibrateQuantify:
         assert "numeric error" in capsys.readouterr().err
 
 
+def test_csv_outputs_quote_fields_holding_commas(demo_files, tmp_path):
+    """A user id or community name holding a comma reads back as one field."""
+    corpus = demo_files["corpus"]
+    user_ids = corpus.user_ids.copy()
+    user_ids[0] = "x,1"
+    vocabulary = CommunityVocabulary(("c,1", *corpus.vocabulary.names[1:]))
+    odd = LabeledCorpus(vocabulary, corpus.X, user_ids, corpus.labels)
+    synth.write_vocabulary(vocabulary, tmp_path / "vocab.txt")
+    synth.write_corpus_jsonl(odd, tmp_path / "corpus.jsonl")
+    comment = {"user": "x,1", "text": "I'm 25M and this fits my experience.",
+               "created_utc": 1577836800, "community": "c,1"}
+    (tmp_path / "comments.jsonl").write_text(json.dumps(comment) + "\n", encoding="utf-8")
+    data = ["--corpus", str(tmp_path / "corpus.jsonl"), "--vocabulary", str(tmp_path / "vocab.txt")]
+    model = str(tmp_path / "t" / "model.json")
+    for argv in (
+        ["extract", "--comments", str(tmp_path / "comments.jsonl"), "--attribute", "gender",
+         "--out-dir", str(tmp_path / "x")],
+        ["train", "--model", "nb", *data, "--out-dir", str(tmp_path / "t")],
+        ["predict", "--model-path", model, *data, "--out-dir", str(tmp_path / "p")],
+        ["importance", *data, "--out-dir", str(tmp_path / "i")],
+    ):
+        assert main(argv) == 0
+    for path, first in (("x/labels.csv", "x,1"), ("p/predictions.csv", "x,1"),
+                        ("i/importance.csv", "c,1")):
+        with open(tmp_path / path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        assert first in [row[0] for row in rows]
+
+
 class TestEvaluateReport:
     def test_evaluate_deterministic_given_seed(self, demo_files, tmp_path):
         d = demo_files["dir"]
@@ -910,7 +943,7 @@ def _spy_on_reads(monkeypatch) -> set:
 def test_manifest_inputs_are_the_files_read(demo_files, tmp_path, monkeypatch, case):
     d = demo_files["dir"]
     corpus = demo_files["corpus"]
-    synth.write_corpus_triplets(corpus, tmp_path / "c.csv", labels_path=tmp_path / "l.csv")
+    write_corpus_triplets(corpus, tmp_path / "c.csv", labels_path=tmp_path / "l.csv")
     model, _ = fit(corpus, use_log_normal=True)
     save_model(model, tmp_path / "m.json")
     save_model(QuantifierModel(model, mode="cc"), tmp_path / "q.json")
@@ -965,6 +998,7 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
     "make, fields, expected",
     [
         (_bad_nb, {"k": "two"}, "field 'k': expected a JSON integer"),
+        (_bad_nb, {"k": 3}, "field 'k'"),
         (_bad_nb, {"log_cond": [[-1.0, -2.0], [-1.0]]}, "field 'log_cond'"),
         (_bad_nb, {"alpha1": [1.0]}, "field 'alpha1': expected a JSON number"),
         (_bad_axis, {"communities": "ab"}, "field 'communities': expected a JSON list of strings"),
@@ -973,7 +1007,8 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
         (_bad_seeds, {"threshold": 2.7}, "threshold must be a JSON integer"),
         (_bad_seeds, {"pole_a": "abc"}, "pole_a must be a list of strings"),
     ],
-    ids=["model-k-string", "model-ragged-log-cond", "model-alpha-list", "axis-communities-string",
+    ids=["model-k-string", "model-k-three", "model-ragged-log-cond", "model-alpha-list",
+         "axis-communities-string",
          "axis-projection-dot",
          "seeds-threshold-string", "seeds-threshold-float", "seeds-pole-string"],
 )

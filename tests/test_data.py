@@ -362,6 +362,19 @@ def test_triplets_loader_matches_dict_oracle(lines, label_lines):
         _assert_same_load(*_load_both(f, "triplets", labels))
 
 
+def test_csv_errors_name_the_physical_line(tmp_path):
+    """A quoted user id may span lines: errors name the line in the file,
+    not the record's number, in both CSV readers and in the dict oracle."""
+    f, labels = tmp_path / "q.csv", tmp_path / "l.csv"
+    f.write_text('user,community,count\n"u\nx",a,1\nw,a,0\n')
+    got, want = _load_both(f, "triplets")
+    assert got == want == f"{f}:4: count 0 below 1"
+    f.write_text('user,community,count\n"u\nx",a,1\nw,a,1\n')
+    labels.write_text('user,label\n"u\nx",1\nw,2\n')
+    got, want = _load_both(f, "triplets", labels)
+    assert got == want == f"{labels}:4: label 2 outside -1..1"
+
+
 def test_unknown_format(tmp_path):
     vocab = CommunityVocabulary(("a",))
     with pytest.raises(DataError, match="format"):

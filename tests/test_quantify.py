@@ -9,7 +9,6 @@ from demoscope.quantify import (
     EXACT_LIMIT,
     QuantifierModel,
     _normal_half_width,
-    cc_bias,
     estimate,
     evaluate_quantifier,
     exact_count_pmf,
@@ -19,7 +18,7 @@ from demoscope.quantify import (
     poisson_binomial_interval,
 )
 
-from helpers import ConstantScoreClassifier, FixedPredictionClassifier, corpus_from_dense
+from helpers import ConstantScoreClassifier, FixedPredictionClassifier, cc_bias, corpus_from_dense
 
 
 def _pool(n0, n1, seed=0, prefix="u"):

