@@ -11,23 +11,23 @@ ignored; users with no embeddable activity are unscorable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .calibrate import IsotonicMap, apply_map
-from .data import CommunityVocabulary, LabeledCorpus
+from .data import CommunityVocabulary, LabeledCorpus, NameIndex
 from .errors import DataError
 
 
 @dataclass(frozen=True)
-class EmbeddingTable:
+class EmbeddingTable(NameIndex):
     """Community name -> dense vector, all rows the same dimension."""
 
     names: tuple[str, ...]
     vectors: np.ndarray
+    _where = "table"
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=np.float64)
@@ -44,14 +44,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {name: i for i, name in enumerate(self.names)}
-            self.__dict__["_index"] = cached
-        return cached
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -111,14 +103,6 @@ class AxisModel:
     def calibrated(self) -> bool:
         return self.calibrator is not None
 
-    @property
-    def z_of(self) -> dict[str, float]:
-        cached = self.__dict__.get("_z_of")
-        if cached is None:
-            cached = {name: float(v) for name, v in zip(self.communities, self.z)}
-            self.__dict__["_z_of"] = cached
-        return cached
-
 
 def _cosine(vectors: np.ndarray, axis_vec: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vectors, axis=1) * np.linalg.norm(axis_vec)
@@ -150,18 +134,8 @@ def build_axis(
         raise DataError("both poles must be non-empty")
     if set(pole_a) & set(pole_b):
         raise DataError(f"poles overlap: {sorted(set(pole_a) & set(pole_b))}")
-
-    def resolve(pole, tag):
-        found = [table.index[n] for n in pole if n in table.index]
-        missing = [n for n in pole if n not in table.index]
-        if missing:
-            warnings.warn(f"{tag}: {len(missing)} pole communities not in table: {missing}")
-        if not found:
-            raise DataError(f"{tag}: no pole community found in the embedding table")
-        return np.array(found, dtype=np.int64)
-
-    ia = resolve(pole_a, "pole_a")
-    ib = resolve(pole_b, "pole_b")
+    ia = table.pole(pole_a, "pole_a", "pole")
+    ib = table.pole(pole_b, "pole_b", "pole")
     axis_vec = table.vectors[ia].mean(axis=0) - table.vectors[ib].mean(axis=0)
     if np.linalg.norm(axis_vec) == 0.0:
         raise DataError("degenerate axis: pole means coincide")
@@ -181,13 +155,11 @@ def build_axis(
 
 def _z_for_vocabulary(axis: AxisModel, vocabulary: CommunityVocabulary):
     """Align axis z scores to a vocabulary: (values, coverage mask)."""
-    z_of = axis.z_of
     values = np.zeros(vocabulary.size, dtype=np.float64)
     mask = np.zeros(vocabulary.size, dtype=bool)
-    for j, name in enumerate(vocabulary.names):
-        v = z_of.get(name)
-        if v is not None:
-            values[j] = v
+    for j, z in zip(map(vocabulary.index.get, axis.communities), axis.z.tolist()):
+        if j is not None:
+            values[j] = z
             mask[j] = True
     return values, mask
 
@@ -212,11 +184,11 @@ def axis_predict(axis: AxisModel, scores) -> np.ndarray:
     return out
 
 
-def score_to_proba(axis: AxisModel, scores):
+def score_to_proba(axis: AxisModel, scores) -> np.ndarray:
     """Squash axis scores to (0, 1) with a unit-slope logistic at the threshold.
 
     When a calibrator is attached it post-processes the squashed value.
-    NaN passes through. Scalar in, scalar out.
+    NaN passes through.
     """
     s = np.asarray(scores, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -224,6 +196,4 @@ def score_to_proba(axis: AxisModel, scores):
     if axis.calibrator is not None:
         finite = np.isfinite(p)
         p = np.where(finite, apply_map(axis.calibrator, np.where(finite, p, 0.5)), np.nan)
-    if np.ndim(scores) == 0:
-        return float(p)
     return p

@@ -107,16 +107,10 @@ def fit_isotonic(scores, labels) -> IsotonicMap:
     return IsotonicMap(np.array(breakpoints), np.array(values))
 
 
-def apply_map(cal: IsotonicMap, scores):
-    """Evaluate the fitted map; scalar in, scalar out.
-
-    Scores outside [first, last] breakpoint clamp to the edge values.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    out = np.interp(s, cal.breakpoints, cal.values)
-    if np.ndim(scores) == 0:
-        return float(out)
-    return out
+def apply_map(cal: IsotonicMap, scores) -> np.ndarray:
+    """Evaluate the fitted map on an array of scores. Scores outside
+    [first, last] breakpoint clamp to the edge values."""
+    return np.interp(np.asarray(scores, dtype=np.float64), cal.breakpoints, cal.values)
 
 
 @dataclass

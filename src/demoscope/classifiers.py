@@ -4,8 +4,9 @@ Evaluation and quantification only need two things from a model: one
 scoring pass that returns probability-like scores for class 1 together
 with hard predictions, and whether the scores are calibrated. Fitted
 NaiveBayesModel and AxisModel objects provide both themselves. Scores
-are NaN (and predictions -1) for rows a model cannot score; downstream
-code drops those rows and reports the count.
+are NaN (and predictions -1) for rows a model cannot score; score_rows
+is the one place that turns that into a mask, and downstream code drops
+the rows outside it and reports the count.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ class ScoringClassifier(Protocol):
 
     @property
     def calibrated(self) -> bool: ...
+
+
+def score_rows(
+    model: ScoringClassifier, corpus: LabeledCorpus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, predictions, scorable) from one scoring pass. A row is
+    scorable unless its score is NaN or its prediction is -1."""
+    scores, preds = model.score(corpus)
+    return scores, preds, np.isfinite(scores) & (preds >= 0)
 
 
 @dataclass

@@ -397,12 +397,11 @@ def _load_classifier(path) -> classifiers.ScoringClassifier:
 def cmd_predict(run: Run):
     clf = _load_classifier(run.input("model_path"))
     corpus = _load_corpus(run)
-    scores, preds = clf.score(corpus)
+    scores, preds, ok = classifiers.score_rows(clf, corpus)
     rows = zip(corpus.user_ids, scores.tolist(), preds.tolist())
     path = run.output("predictions.csv")
     write_csv(path, ["user", "score", "prediction"], rows)
-    n_bad = int((~np.isfinite(scores)).sum())
-    print(f"predict: {corpus.n} rows ({n_bad} unscorable) -> {path}")
+    print(f"predict: {corpus.n} rows ({int((~ok).sum())} unscorable) -> {path}")
 
 
 def cmd_calibrate(run: Run):
@@ -412,8 +411,8 @@ def cmd_calibrate(run: Run):
         raise DataError(f"{model_path} holds a majority model, which has no scores to calibrate")
     corpus = _load_corpus(run)
     labels = corpus.labels
-    scores = model.score(corpus)[0]
-    ok = (labels >= 0) & np.isfinite(scores)
+    scores, _, scorable = classifiers.score_rows(model, corpus)
+    ok = scorable & corpus.labeled_mask
     if not ok.any():
         raise DataError("calibration corpus has no scorable labeled rows")
     before = calibrate.reliability(scores[ok], labels[ok], n_bins=run.cfg.n_bins)

@@ -32,11 +32,40 @@ FORMATS = ("jsonl", "triplets")
 _INT = frozenset({int})
 
 
+class NameIndex:
+    """Unique names, each at a position, with a cached name -> position
+    map. The community vocabulary and the embedding table are both one."""
+
+    _where = ""  # what holds the names, as pole messages call it
+
+    @property
+    def index(self) -> dict[str, int]:
+        # cached in __dict__; frozen dataclasses allow direct dict writes
+        cached = self.__dict__.get("_index")
+        if cached is None:
+            cached = self.__dict__["_index"] = {name: i for i, name in enumerate(self.names)}
+        return cached
+
+    def pole(self, names, tag: str, noun: str) -> np.ndarray:
+        """Positions of a pole's community names. Missing names are
+        warned about and skipped; a pole with none of them here is a
+        DataError."""
+        index = self.index
+        found = [index[n] for n in names if n in index]
+        missing = [n for n in names if n not in index]
+        if missing:
+            warnings.warn(f"{tag}: {len(missing)} {noun} communities not in {self._where}: {missing}")
+        if not found:
+            raise DataError(f"{tag}: no {noun} community found in the {self._where}")
+        return np.array(found, dtype=np.int64)
+
+
 @dataclass(frozen=True)
-class CommunityVocabulary:
+class CommunityVocabulary(NameIndex):
     """Ordered, duplicate-free community name list; position = feature index."""
 
     names: tuple[str, ...]
+    _where = "vocabulary"
 
     def __post_init__(self):
         if len(self.names) == 0:
@@ -54,15 +83,6 @@ class CommunityVocabulary:
     @property
     def size(self) -> int:
         return len(self.names)
-
-    @property
-    def index(self) -> dict[str, int]:
-        # cached in __dict__; frozen dataclass allows direct dict writes
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {name: i for i, name in enumerate(self.names)}
-            self.__dict__["_index"] = cached
-        return cached
 
 
 @dataclass

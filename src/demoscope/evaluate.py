@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import TrainFn
-from .data import LabeledCorpus, SplitSpec, random_oversample, split
+from .classifiers import TrainFn, score_rows
+from .data import LabeledCorpus, SplitSpec, random_oversample, split, write_csv
 from .errors import DataError
 from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
 
@@ -121,26 +121,14 @@ class CurveData:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
-        cols = ["x", "y"] + (["y_std"] if self.y_std is not None else []) + list(self.aux)
-        lines = [",".join(cols)]
-        for i in range(len(self.x)):
-            row = [repr(float(self.x[i])), repr(float(self.y[i]))]
-            if self.y_std is not None:
-                row.append(repr(float(self.y_std[i])))
-            for name in self.aux:
-                row.append(repr(float(self.aux[name][i])))
-            lines.append(",".join(row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def _scored_subset(classifier, corpus: LabeledCorpus):
-    """Scores, predictions, labels on labeled scorable rows, plus drop count."""
-    labels = corpus.labels
-    scores, preds = classifier.score(corpus)
-    ok = (labels >= 0) & np.isfinite(scores) & (preds >= 0)
-    dropped = int(((labels >= 0) & ~(np.isfinite(scores) & (preds >= 0))).sum())
-    return scores[ok], preds[ok], labels[ok], dropped
+        """One column per series (x, y, y_std when set, then aux), one row
+        per point, every value written as the shortest round-trip float."""
+        cols = {"x": self.x, "y": self.y}
+        if self.y_std is not None:
+            cols["y_std"] = self.y_std
+        cols.update(self.aux)
+        values = [np.asarray(v, dtype=np.float64).tolist() for v in cols.values()]
+        write_csv(path, list(cols), zip(*values))
 
 
 def bootstrap_eval(
@@ -166,11 +154,11 @@ def bootstrap_eval(
     def one(b: int):
         spec = SplitSpec(test_fraction=test_fraction, oversample=True, seed=rep_seeds[b])
         train, test = split(corpus, spec)
-        clf = factory(train)
-        scores, preds, labels, dropped = _scored_subset(clf, test)
-        if scores.size == 0 or len(set(labels.tolist())) < 2:
+        scores, preds, ok = score_rows(factory(train), test)
+        labels = test.labels[ok]  # the test side of a split is all labeled
+        if not ok.any() or len(set(labels.tolist())) < 2:
             raise DataError(f"replicate {b}: test side lost a class after dropping rows")
-        return roc_auc(scores, labels), f1(preds, labels), dropped
+        return roc_auc(scores[ok], labels), f1(preds[ok], labels), int((~ok).sum())
 
     results = _run_replicates(one, n_boot, threads)
     aucs = np.array([r[0] for r in results])
@@ -217,19 +205,19 @@ def cv_roc(
     unlabeled_idx = np.flatnonzero(~corpus.labeled_mask)
     over_seeds = np.random.SeedSequence(seed).spawn(folds)
 
-    pooled_scores = np.full(corpus.n, np.nan, dtype=np.float64)
+    pooled_scores = np.zeros(corpus.n, dtype=np.float64)
+    scorable = np.zeros(corpus.n, dtype=bool)
     for fold in range(folds):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero((assignment >= 0) & (assignment != fold))
         train = corpus.subset(np.sort(np.concatenate([train_idx, unlabeled_idx])))
         train = random_oversample(train, seed=over_seeds[fold])
         clf = factory(train)
-        test = corpus.subset(test_idx)
-        pooled_scores[test_idx] = clf.score(test)[0]
+        pooled_scores[test_idx], _, scorable[test_idx] = score_rows(clf, corpus.subset(test_idx))
 
-    labeled_idx = np.flatnonzero(corpus.labeled_mask)
-    ok = labeled_idx[np.isfinite(pooled_scores[labeled_idx])]
-    dropped = int(labeled_idx.size - ok.size)
+    # every labeled row is in exactly one test fold
+    ok = np.flatnonzero(scorable)
+    dropped = int(corpus.labeled_mask.sum() - ok.size)
     fpr, tpr, _ = roc_curve(pooled_scores[ok], labels[ok])
     auc = roc_auc(pooled_scores[ok], labels[ok])
     return CurveData(
@@ -335,7 +323,10 @@ def robustness_sweep(
     taus = np.asarray(list(taus), dtype=np.float64)
     if taus.size == 0 or np.any(taus < 0.0) or np.any(taus > 0.5):
         raise DataError("taus must be a non-empty list within [0, 0.5]")
-    scores, preds, labels, dropped = _scored_subset(classifier, corpus)
+    scores, _, ok = score_rows(classifier, corpus)
+    keep = ok & corpus.labeled_mask
+    dropped = int((corpus.labeled_mask & ~ok).sum())
+    scores, labels = scores[keep], corpus.labels[keep]
     if scores.size == 0:
         raise DataError("no scorable labeled rows")
     aucs = np.full(taus.size, np.nan)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -28,6 +27,7 @@ import numpy as np
 
 from .data import LabeledCorpus, write_csv
 from .errors import DataError
+from .serialize import read_json
 
 try:
     from re import _parser as _sre_parse  # Python 3.11+
@@ -64,16 +64,6 @@ _GENDER_VALUES = {
     "gal": "female",
     "lady": "female",
 }
-
-
-@dataclass(frozen=True)
-class Comment:
-    """One comment: author, text, UTC timestamp, community posted in."""
-
-    user_id: str
-    text: str
-    created_utc: int
-    community: str
 
 
 @dataclass(frozen=True)
@@ -117,29 +107,23 @@ class DeclarationRule:
                     f"rule {self.attribute!r} pattern {i} lacks the (?P<{group}>...) group"
                 )
             compiled.append(c)
-        negations = []
         for i, pat in enumerate(self.negation_patterns):
             try:
-                negations.append(re.compile(pat, re.IGNORECASE))
+                negation = re.compile(pat, re.IGNORECASE)
             except re.error as e:
                 raise DataError(f"rule {self.attribute!r} negation {i}: {e}") from e
-            if not _joinable(negations[-1]):
+            if not _joinable(negation):
                 raise DataError(
                     f"rule {self.attribute!r} negation {i}: named groups, backreferences "
                     "and global flags are not allowed in negation patterns"
                 )
         joined = "|".join(f"(?:{pat})" for pat in self.negation_patterns)
         self.__dict__["_compiled"] = compiled
-        self.__dict__["_negations"] = negations
-        self.__dict__["_negation"] = re.compile(joined, re.IGNORECASE) if negations else None
+        self.__dict__["_negation"] = re.compile(joined, re.IGNORECASE) if joined else None
 
     @property
     def compiled(self) -> list[re.Pattern]:
         return self.__dict__["_compiled"]
-
-    @property
-    def negations(self) -> list[re.Pattern]:
-        return self.__dict__["_negations"]
 
     @property
     def negation(self) -> re.Pattern | None:
@@ -159,9 +143,7 @@ class ExtractReport:
 
 
 def _comment_fields(element) -> tuple[str, str, int, str]:
-    """user, text, created_utc and community of a Comment or a dict."""
-    if isinstance(element, Comment):
-        return element.user_id, element.text, element.created_utc, element.community
+    """user, text, created_utc and community of a comment record."""
     user = element["user"]
     text = element["text"]
     ts = element["created_utc"]
@@ -259,10 +241,11 @@ def _extract_value(rule: DeclarationRule, match: re.Match, created_utc: int, rep
 def extract_declarations(comments, rules) -> tuple[list[Declaration], ExtractReport]:
     """Mine self-declarations from a comment stream.
 
-    Accepts Comment objects or dicts with user/text/created_utc/community
-    fields; unreadable elements are skipped and counted. Within one
-    comment, identical (attribute, value) findings collapse to a single
-    declaration. Output order follows the input stream.
+    Each comment is a dict with user, text, created_utc and optional
+    community fields, as parsed from a comments JSONL line; unreadable
+    elements are skipped and counted. Within one comment, identical
+    (attribute, value) findings collapse to a single declaration. Output
+    order follows the input stream.
     """
     report = ExtractReport()
     out: list[Declaration] = []
@@ -425,19 +408,8 @@ def distant_label(corpus: LabeledCorpus, seeds: SeedSets) -> np.ndarray:
     missing from the vocabulary are warned about and skipped; a pole
     with no resolvable community is an error.
     """
-    index = corpus.vocabulary.index
-
-    def resolve(pole, tag):
-        found = [index[n] for n in pole if n in index]
-        missing = [n for n in pole if n not in index]
-        if missing:
-            warnings.warn(f"{tag}: {len(missing)} seed communities not in vocabulary: {missing}")
-        if not found:
-            raise DataError(f"{tag}: no seed community found in the vocabulary")
-        return np.array(found, dtype=np.int64)
-
-    ia = resolve(seeds.pole_a, "pole_a")
-    ib = resolve(seeds.pole_b, "pole_b")
+    ia = corpus.vocabulary.pole(seeds.pole_a, "pole_a", "seed")
+    ib = corpus.vocabulary.pole(seeds.pole_b, "pole_b", "seed")
     X = corpus.to_csr()
     ca = np.asarray(X[:, ia].sum(axis=1)).ravel()
     cb = np.asarray(X[:, ib].sum(axis=1)).ravel()
@@ -450,10 +422,7 @@ def distant_label(corpus: LabeledCorpus, seeds: SeedSets) -> np.ndarray:
 
 def load_rules(path) -> list[DeclarationRule]:
     """Read declaration rules from a JSON list."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON ({e.msg})") from e
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON list of rules")
     rules = []
@@ -473,10 +442,7 @@ def load_rules(path) -> list[DeclarationRule]:
 
 def load_seed_sets(path) -> dict[str, SeedSets]:
     """Read seed sets from JSON: one object or a list, keyed by attribute."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON ({e.msg})") from e
+    raw = read_json(path)
     items = raw if isinstance(raw, list) else [raw]
     out: dict[str, SeedSets] = {}
     for i, item in enumerate(items):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .classifiers import ScoringClassifier
+from .classifiers import ScoringClassifier, score_rows
 from .data import LabeledCorpus
 from .errors import DataError, NumericError
 
@@ -87,9 +87,8 @@ def fit_quantifier(
     if validation is None:
         raise DataError("acc mode requires a validation corpus")
     labels = validation.labels
-    preds = classifier.score(validation)[1]
-    scorable = preds >= 0
-    usable = scorable & (labels >= 0)
+    _, preds, scorable = score_rows(classifier, validation)
+    usable = scorable & validation.labeled_mask
     if not usable.any():
         raise DataError("validation has no scorable labeled rows")
     y = labels[usable]
@@ -175,8 +174,17 @@ def estimate(
     interval-free with a warning. The ACC interval is the CC interval
     width scaled by 1 / |tpr - fpr|, clamped to [0, 1].
     """
-    scores, preds = quantifier.classifier.score(cohort)
-    ok = np.isfinite(scores) & (preds >= 0)
+    return _estimate(quantifier, *score_rows(quantifier.classifier, cohort), confidence)
+
+
+def _estimate(
+    quantifier: QuantifierModel,
+    scores: np.ndarray,
+    preds: np.ndarray,
+    ok: np.ndarray,
+    confidence: float,
+) -> PrevalenceEstimate:
+    """estimate() on one cohort's scores, predictions and scorable mask."""
     excluded = int((~ok).sum())
     m = int(ok.sum())
     if m == 0:
@@ -215,13 +223,14 @@ def npp_sample(
     repeats: int,
     size: int,
     seed: int = 0,
-) -> list[LabeledCorpus]:
+) -> list[np.ndarray]:
     """Draw cohorts whose class mix varies naturally around a target.
 
     Each cohort r draws its class-1 count from Binomial(size, prevalence)
     with generator seeded [seed, r], then samples that many class-1 rows
     and the complement class-0 rows without replacement from the labeled
-    pool. A draw that exceeds the pool's stock of either class raises
+    rows of the pool. A cohort is its sorted row indices into the pool.
+    A draw that exceeds the pool's stock of either class raises
     DataError naming the deficit.
     """
     if not (0.0 <= prevalence <= 1.0):
@@ -245,7 +254,7 @@ def npp_sample(
             )
         take1 = rng.choice(idx1, size=c1, replace=False)
         take0 = rng.choice(idx0, size=c0, replace=False)
-        cohorts.append(pool.subset(np.sort(np.concatenate([take1, take0]))))
+        cohorts.append(np.sort(np.concatenate([take1, take0])))
     return cohorts
 
 
@@ -280,33 +289,35 @@ def evaluate_quantifier(
 ) -> QuantReport:
     """Sample cohorts from a labeled pool and score the quantifier.
 
-    prevalence=None targets the pool's own labeled class-1 rate. Truth
-    per cohort is its realized labeled prevalence. Coverage is the
-    fraction of cohorts whose interval contains the truth (None when
-    intervals are unavailable).
+    The pool is scored once; each cohort's estimate is estimate() on its
+    rows of that one pass. prevalence=None targets the pool's own
+    labeled class-1 rate. Truth per cohort is its realized labeled
+    prevalence. Coverage is the fraction of cohorts whose interval
+    contains the truth (None when intervals are unavailable).
     """
-    lab = pool.subset(np.flatnonzero(pool.labeled_mask))
-    if lab.n == 0:
+    labels = pool.labels
+    if not pool.labeled_mask.any():
         raise DataError("pool has no labeled rows")
     if prevalence is None:
-        prevalence = float((lab.labels == 1).mean())
-    cohorts = npp_sample(lab, prevalence, repeats, size, seed=seed)
+        prevalence = float((labels[pool.labeled_mask] == 1).mean())
+    cohorts = npp_sample(pool, prevalence, repeats, size, seed=seed)
+    scores, preds, ok = score_rows(quantifier.classifier, pool)
     ests = np.empty(repeats, dtype=np.float64)
     truths = np.empty(repeats, dtype=np.float64)
     covered = []
-    for r, cohort in enumerate(cohorts):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate(quantifier, cohort, confidence=confidence)
-        ests[r] = est.point
-        truths[r] = float((cohort.labels == 1).mean())
-        if est.lower is not None:
-            covered.append(est.lower <= truths[r] <= est.upper)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for r, idx in enumerate(cohorts):
+            est = _estimate(quantifier, scores[idx], preds[idx], ok[idx], confidence)
+            ests[r] = est.point
+            truths[r] = float((labels[idx] == 1).mean())
+            if est.lower is not None:
+                covered.append(est.lower <= truths[r] <= est.upper)
     errors = np.abs(ests - truths)
     return QuantReport(
         estimates=ests,
         truths=truths,
-        mae=float(errors.mean()),
+        mae=mae(ests, truths),
         ae_std=float(errors.std(ddof=1)) if repeats > 1 else 0.0,
         coverage=float(np.mean(covered)) if covered else None,
     )

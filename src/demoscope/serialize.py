@@ -201,10 +201,18 @@ def save_model(model, path):
     Path(path).write_text(dumps(to_payload(model)), encoding="utf-8")
 
 
-def load_model(path):
+def read_json(path):
+    """The JSON value a file holds; malformed JSON is a DataError naming
+    the file. Every JSON input file is read through here."""
     try:
-        return from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e.msg})") from e
+
+
+def load_model(path):
+    payload = read_json(path)
+    try:
+        return from_payload(payload)
     except DataError as e:
         raise DataError(f"{path}: {e}") from e

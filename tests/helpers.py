@@ -19,7 +19,7 @@ from scipy.stats import lognorm
 
 from demoscope.data import MAX_COUNT, CommunityVocabulary, LabeledCorpus
 from demoscope.errors import DataError
-from demoscope.labeling import GROUP_FOR, Comment, Declaration, ExtractReport
+from demoscope.labeling import GROUP_FOR, Declaration, ExtractReport
 from demoscope.synth import SynthWorld
 
 
@@ -283,8 +283,8 @@ def dict_load_corpus(path, names, fmt="jsonl", labels_path=None):
 
 
 # The declaration miner as it was written first: every negation pattern
-# searched on its own, a linear scan for the anchor token, and a Comment
-# built per element. Kept as the reference for the mining tests.
+# compiled and searched on its own, and a linear scan for the anchor
+# token. Kept as the reference for the mining tests.
 
 _REF_FIRST_PERSON = {"i", "im", "me", "my", "mine", "myself"}
 _REF_TOKEN_RE = re.compile(r"\S+")
@@ -295,9 +295,7 @@ _REF_GENDER = {"m": "male", "male": "male", "man": "male", "guy": "male", "boy":
                "girl": "female", "gal": "female", "lady": "female"}
 
 
-def _ref_as_comment(element) -> Comment:
-    if isinstance(element, Comment):
-        return element
+def _ref_fields(element) -> tuple:
     user = element["user"]
     text = element["text"]
     ts = element["created_utc"]
@@ -310,7 +308,7 @@ def _ref_as_comment(element) -> Comment:
         raise ValueError("bad timestamp")
     if not isinstance(community, str):
         raise ValueError("bad community")
-    return Comment(user_id=user, text=text, created_utc=int(ts), community=community)
+    return user, text, int(ts), community
 
 
 def _ref_is_first_person(tok: str) -> bool:
@@ -329,7 +327,7 @@ def _ref_has_anchor(tokens, match_start: int) -> bool:
     return any(_ref_is_first_person(tokens[i].group()) for i in range(max(0, t - 3), t + 1))
 
 
-def _ref_value(rule, match, comment, report):
+def _ref_value(rule, match, created_utc, report):
     raw = match.group(GROUP_FOR[rule.attribute])
     if raw is None:
         report.unparsed_value += 1
@@ -339,7 +337,7 @@ def _ref_value(rule, match, comment, report):
         if not (13 <= age <= 100):
             report.out_of_range_age += 1
             return None
-        return datetime.fromtimestamp(comment.created_utc, tz=timezone.utc).year - age
+        return datetime.fromtimestamp(created_utc, tz=timezone.utc).year - age
     if rule.attribute == "gender":
         value = _REF_GENDER.get(raw.lower())
         if value is None:
@@ -358,19 +356,19 @@ def reference_extract_declarations(comments, rules):
     """(declarations, ExtractReport), one negation search per pattern."""
     report = ExtractReport()
     out = []
+    negations = [[re.compile(p, re.IGNORECASE) for p in rule.negation_patterns] for rule in rules]
     for element in comments:
         report.comments_seen += 1
         try:
-            comment = _ref_as_comment(element)
+            user, text, created_utc, community = _ref_fields(element)
         except Exception:
             report.comments_skipped += 1
             continue
-        text = comment.text
         if not text:
             continue
         sentences = tokens = None
         emitted = set()
-        for rule in rules:
+        for rule, rule_negations in zip(rules, negations):
             for pattern in rule.compiled:
                 for match in pattern.finditer(text):
                     if sentences is None:
@@ -378,7 +376,7 @@ def reference_extract_declarations(comments, rules):
                     start, end = next(
                         ((a, b) for a, b in sentences if a <= match.start() < b), (0, 0)
                     )
-                    if any(neg.search(text, start, end) for neg in rule.negations):
+                    if any(neg.search(text, start, end) for neg in rule_negations):
                         report.suppressed_negation += 1
                         continue
                     if rule.first_person_required:
@@ -387,11 +385,10 @@ def reference_extract_declarations(comments, rules):
                         if not _ref_has_anchor(tokens, match.start()):
                             report.suppressed_no_first_person += 1
                             continue
-                    value = _ref_value(rule, match, comment, report)
+                    value = _ref_value(rule, match, created_utc, report)
                     if value is None or (rule.attribute, value) in emitted:
                         continue
                     emitted.add((rule.attribute, value))
-                    out.append(Declaration(comment.user_id, rule.attribute, value,
-                                           comment.created_utc, comment.community))
+                    out.append(Declaration(user, rule.attribute, value, created_utc, community))
                     report.declarations += 1
     return out, report

@@ -34,6 +34,11 @@ def _table():
     return EmbeddingTable(names, vectors)
 
 
+def _z_of(axis):
+    """Each community's z score, by name."""
+    return dict(zip(axis.communities, axis.z.tolist()))
+
+
 def test_embedding_table_validation():
     with pytest.raises(DataError, match="duplicate"):
         EmbeddingTable(("a", "a"), np.zeros((2, 3)))
@@ -72,7 +77,7 @@ def test_load_embeddings_errors(tmp_path):
 
 def test_build_axis_orientation():
     axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
-    zof = axis.z_of
+    zof = _z_of(axis)
     # pole_a (right side) lands positive, pole_b negative
     assert zof["right1"] > 0 and zof["right2"] > 0
     assert zof["left1"] < 0 and zof["left2"] < 0
@@ -112,13 +117,14 @@ def test_zero_norm_community_gets_zero_cosine():
     )
     axis = build_axis(table, ("a",), ("b",))
     # raw cosines are (1, -1, 0); after standardization zero maps to mean
-    assert axis.z_of["zero"] == pytest.approx(0.0, abs=1e-12)
+    assert _z_of(axis)["zero"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_score_corpus_weighted_mean():
     axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
     x = corpus_from_dense([[1, 0, 3, 0, 0, 0]], [-1], names=_table().names)
-    want = (1 * axis.z_of["left1"] + 3 * axis.z_of["right1"]) / 4
+    z = _z_of(axis)
+    want = (1 * z["left1"] + 3 * z["right1"]) / 4
     assert score_corpus(axis, x)[0] == pytest.approx(want, rel=1e-12)
 
 
@@ -126,7 +132,7 @@ def test_score_corpus_ignores_unembedded_and_nan_when_all_missing():
     axis = build_axis(_table(), ("right1",), ("left1",))
     names = ("left1", "notin1", "notin2")
     x = corpus_from_dense([[2, 9, 0]], [-1], names=names)
-    assert score_corpus(axis, x)[0] == pytest.approx(axis.z_of["left1"])
+    assert score_corpus(axis, x)[0] == pytest.approx(_z_of(axis)["left1"])
     lost = corpus_from_dense([[0, 1, 1]], [-1], names=names)
     assert np.isnan(score_corpus(axis, lost)[0])
 
@@ -136,10 +142,11 @@ def test_score_corpus_one_row_batches_match_with_nan_rows():
     names = ("left1", "right1", "unknown")
     corpus = corpus_from_dense([[2, 1, 0], [0, 0, 5], [1, 0, 1]], [-1, -1, -1], names=names)
     scores = score_corpus(axis, corpus)
-    want = (2 * axis.z_of["left1"] + 1 * axis.z_of["right1"]) / 3
+    z = _z_of(axis)
+    want = (2 * z["left1"] + 1 * z["right1"]) / 3
     assert scores[0] == pytest.approx(want, rel=1e-12)
     assert np.isnan(scores[1])
-    assert scores[2] == pytest.approx(axis.z_of["left1"])
+    assert scores[2] == pytest.approx(z["left1"])
     for i in range(corpus.n):
         np.testing.assert_array_equal(score_corpus(axis, corpus.subset([i])), scores[[i]])
 
@@ -152,9 +159,9 @@ def test_axis_predict_threshold_and_nan():
 
 def test_score_to_proba_logistic():
     axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",), threshold=1.0)
-    assert score_to_proba(axis, 1.0) == pytest.approx(0.5)
-    assert score_to_proba(axis, 2.0) == pytest.approx(1 / (1 + np.exp(-1.0)))
-    assert isinstance(score_to_proba(axis, 0.0), float)
+    one = score_to_proba(axis, np.array([1.0, 2.0]))
+    assert one.tolist() == pytest.approx([0.5, 1 / (1 + np.exp(-1.0))])
+    assert score_to_proba(axis, np.array([0.0])).shape == (1,)
     arr = score_to_proba(axis, np.array([-1e9, 1e9, np.nan]))
     assert arr[0] == pytest.approx(0.0, abs=1e-12)
     assert arr[1] == pytest.approx(1.0)
@@ -164,7 +171,6 @@ def test_score_to_proba_logistic():
 def test_score_to_proba_with_calibrator():
     axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",))
     axis.calibrator = IsotonicMap(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
-    assert score_to_proba(axis, 0.0) == pytest.approx(0.5)
     arr = score_to_proba(axis, np.array([0.0, np.nan]))
     assert arr[0] == pytest.approx(0.5)
     assert np.isnan(arr[1])
@@ -174,8 +180,8 @@ def test_score_to_proba_with_calibrator():
 @settings(max_examples=60, deadline=None)
 def test_score_to_proba_monotone(s1, s2):
     axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",))
-    lo, hi = sorted((s1, s2))
-    assert score_to_proba(axis, lo) <= score_to_proba(axis, hi)
+    lo, hi = score_to_proba(axis, np.array(sorted((s1, s2))))
+    assert lo <= hi
 
 
 def test_axis_separates_tilted_world(tilted):

@@ -37,11 +37,9 @@ def test_fit_isotonic_hand_fixture():
     cal = fit_isotonic([0.1, 0.2, 0.3, 0.4], [0, 1, 0, 1])
     assert cal.breakpoints.tolist() == [0.1, 0.2, 0.3, 0.4]
     assert cal.values.tolist() == [0.0, 0.5, 0.5, 1.0]
-    assert apply_map(cal, 0.15) == pytest.approx(0.25)
-    assert apply_map(cal, 0.05) == 0.0
-    assert apply_map(cal, 0.9) == 1.0
-    out = apply_map(cal, np.array([0.25, 0.35]))
-    assert out == pytest.approx([0.5, 0.75])
+    out = apply_map(cal, np.array([0.15, 0.05, 0.9, 0.25, 0.35]))
+    assert out[:3].tolist() == [pytest.approx(0.25), 0.0, 1.0]
+    assert out[3:] == pytest.approx([0.5, 0.75])
 
 
 def test_fit_isotonic_tie_grouping():
@@ -51,9 +49,10 @@ def test_fit_isotonic_tie_grouping():
     assert cal.values.tolist() == [0.0, 0.5, 1.0]
 
 
-def test_fit_isotonic_scalar_return_type():
+def test_apply_map_batch_of_one():
     cal = fit_isotonic([0.0, 1.0], [0, 1])
-    assert isinstance(apply_map(cal, 0.5), float)
+    out = apply_map(cal, np.array([0.5]))
+    assert out.shape == (1,) and out.dtype == np.float64
 
 
 def test_fit_isotonic_validation():
@@ -80,8 +79,7 @@ def test_isotonic_map_validation():
         IsotonicMap(np.array([0.1, np.inf]), np.array([0.0, 1.0]))
     # single knot is legal and constant
     cal = IsotonicMap(np.array([0.5]), np.array([0.3]))
-    assert apply_map(cal, 0.0) == 0.3
-    assert apply_map(cal, 1.0) == 0.3
+    assert apply_map(cal, np.array([0.0, 1.0])).tolist() == [0.3, 0.3]
 
 
 @st.composite

@@ -304,3 +304,18 @@ def test_scored_subset_drops_unscorable_rows():
     curve = robustness_sweep(clf, corpus, [0.5])
     # one labeled row dropped; the unlabeled row never counts
     assert curve.meta["dropped_rows"] == 1
+
+
+def test_curve_csv_columns_and_float_text(tmp_path):
+    curve = CurveData(
+        "k",
+        x=np.array([0.1, 1.0]),
+        y=np.array([np.nan, 0.5]),
+        y_std=np.array([0.0, 1e-17]),
+        aux={"retained": np.array([1, 0.25])},
+    )
+    curve.to_csv(tmp_path / "c.csv")
+    text = (tmp_path / "c.csv").read_bytes().decode("utf-8")
+    assert text == "x,y,y_std,retained\n0.1,nan,0.0,1.0\n1.0,0.5,1e-17,0.25\n"
+    CurveData("k", x=np.array([]), y=np.array([])).to_csv(tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "x,y\n"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from demoscope.errors import DataError
 from demoscope.labeling import (
-    Comment,
     Declaration,
     DeclarationRule,
     SeedSets,
@@ -37,7 +36,7 @@ TS = 1577923200
 
 
 def _comment(text, user="u1", ts=TS, community="c"):
-    return Comment(user_id=user, text=text, created_utc=ts, community=community)
+    return {"user": user, "text": text, "created_utc": ts, "community": community}
 
 
 def _extract(text, rules=None, **kw):
@@ -534,7 +533,8 @@ class TestRuleFiles:
         assert len(rules) == 1
         assert rules[0].attribute == "year"
         assert rules[0].first_person_required is False
-        assert len(rules[0].negations) == 1
+        assert rules[0].negation_patterns == [r"\bnot\b"]
+        assert rules[0].negation.search("it is not so")
 
     def test_load_rules_rejects_bad_json(self, tmp_path):
         p = tmp_path / "rules.json"

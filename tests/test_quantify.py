@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
+from demoscope import bayes, synth
+from demoscope.axis import build_axis
+from demoscope.calibrate import fit_isotonic
 from demoscope.errors import DataError, NumericError
 from demoscope.quantify import (
     EXACT_LIMIT,
@@ -234,15 +239,30 @@ def test_npp_sample_reproducible_and_without_replacement():
     cohorts = npp_sample(pool, 0.4, repeats=5, size=30, seed=11)
     again = npp_sample(pool, 0.4, repeats=5, size=30, seed=11)
     for a, b in zip(cohorts, again):
-        assert a.user_ids.tolist() == b.user_ids.tolist()
-    for r, cohort in enumerate(cohorts):
-        assert cohort.n == 30
-        ids = cohort.user_ids.tolist()
-        assert len(set(ids)) == 30
+        assert a.tolist() == b.tolist()
+    for r, idx in enumerate(cohorts):
+        assert idx.shape == (30,)
+        assert np.all(np.diff(idx) > 0)  # sorted, no row twice
         # the class-1 count is the documented per-cohort binomial draw
         rng = np.random.default_rng([11, r])
         want_c1 = int(rng.binomial(30, 0.4))
-        assert int((cohort.labels == 1).sum()) == want_c1
+        assert int((pool.labels[idx] == 1).sum()) == want_c1
+
+
+def test_npp_sample_indices_pinned():
+    """The rows drawn for a fixed seed, from a pool with unlabeled rows
+    between the labeled ones; these are the users the cohorts held when
+    npp_sample returned corpora instead of indices."""
+    rng = np.random.default_rng(0)
+    labels = [[0, 1, -1, 1, 0][i % 5] for i in range(20)]
+    pool = corpus_from_dense(rng.integers(1, 4, size=(20, 3)), labels)
+    cohorts = npp_sample(pool, 0.5, repeats=3, size=6, seed=5)
+    assert [idx.tolist() for idx in cohorts] == [
+        [0, 1, 5, 8, 11, 18],
+        [6, 8, 9, 10, 13, 16],
+        [5, 8, 9, 10, 11, 19],
+    ]
+    assert all((pool.labels[idx] >= 0).all() for idx in cohorts)
 
 
 def test_npp_sample_deficit_and_validation():
@@ -292,6 +312,39 @@ def test_evaluate_quantifier_needs_labeled_pool():
     quant = QuantifierModel(classifier=clf, mode="cc")
     with pytest.raises(DataError, match="no labeled rows"):
         evaluate_quantifier(quant, corpus, repeats=2, size=1)
+
+
+@pytest.mark.parametrize("kind", ["nb-calibrated", "axis"])
+def test_evaluate_quantifier_equals_estimate_per_cohort(kind):
+    """Scoring the pool once and slicing it gives each cohort the same
+    estimate, bit for bit, as estimate() on that cohort's own corpus."""
+    rng = np.random.default_rng(31)
+    world, w = synth.tilted_world(rng, d=60, gamma=0.3)
+    train = synth.sample_corpus(world, 400, rng)
+    cal = synth.sample_corpus(world, 200, rng, prefix="c")
+    pool = synth.sample_corpus(world, 500, rng, labeled_fraction=0.8, prefix="p")
+    if kind == "axis":
+        table = synth.derive_embeddings(world, w, rng, noise=0.8)
+        seeds = synth.seed_sets_from_direction(world, w)
+        clf = build_axis(table, seeds.pole_b, seeds.pole_a)
+    else:
+        clf = bayes.fit(train)[0]
+        clf.calibrator = fit_isotonic(clf.score(cal)[0], cal.labels)
+    quant = fit_quantifier(clf, cal, mode="acc")
+    report = evaluate_quantifier(quant, pool, repeats=12, size=60, prevalence=0.3, seed=8)
+    covered = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the axis is uncalibrated
+        for r, idx in enumerate(npp_sample(pool, 0.3, repeats=12, size=60, seed=8)):
+            cohort = pool.subset(idx)
+            est = estimate(quant, cohort)
+            assert est.point == report.estimates[r]
+            assert float((cohort.labels == 1).mean()) == report.truths[r]
+            if est.lower is not None:
+                covered.append(est.lower <= report.truths[r] <= est.upper)
+    assert report.mae == float(np.abs(report.estimates - report.truths).mean())
+    assert report.coverage == (float(np.mean(covered)) if covered else None)
+    assert (report.coverage is None) == (kind == "axis")
 
 
 def test_normal_and_exact_intervals_agree_for_large_m(rng):

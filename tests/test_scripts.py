@@ -52,6 +52,26 @@ def test_script_runs_and_writes_outputs(script, args, files, tmp_path):
         assert (out / name).stat().st_size > 0, name
 
 
+def test_synthetic_benchmark_bytes_repeat_across_runs(tmp_path):
+    """Same seed, same bytes: the four CSVs and summary.json (but for its
+    elapsed_s) of two smoke-size runs into the same directory."""
+    out = tmp_path / "out"
+    csvs = ["classification.csv", "quantification.csv", "learning_nb.csv", "learning_axis.csv"]
+    runs = []
+    for _ in range(2):
+        proc = _run("run_synthetic_benchmark.py", "--out-dir", str(out), "--seed", "0",
+                    "--n", "600", "--d", "30", "--n-boot", "2", "--repeats", "2",
+                    "--cohort-size", "20", "--sizes", "20", "40")
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary.pop("elapsed_s") >= 0
+        runs.append(({name: (out / name).read_bytes() for name in csvs}, summary))
+    assert runs[0] == runs[1]
+    # calibrated models: every quantification row reports a coverage
+    rows = runs[0][0]["quantification.csv"].decode("utf-8").splitlines()[1:]
+    assert rows and all(row.split(",")[4] for row in rows)
+
+
 def test_demo_chain_digests_repeat_across_runs(tmp_path):
     """Same seed, same bytes: every output and manifest of the CLI chain, run twice."""
     digests, manifests = [], []
