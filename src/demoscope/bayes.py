@@ -222,6 +222,21 @@ def fit_supervised(
     if not corpus.labeled_mask.all():
         n_un = int((~corpus.labeled_mask).sum())
         raise DataError(f"supervised fit requires labels on all rows; {n_un} unlabeled")
+    model = _closed_form(corpus, alpha1, alpha2, use_log_normal, pooled_activity)
+    ll = _objective(model, corpus, log_joint_matrix(model, corpus))
+    report = FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
+    return model, report
+
+
+def _closed_form(
+    corpus: LabeledCorpus,
+    alpha1: float,
+    alpha2: float,
+    use_log_normal: bool = False,
+    pooled_activity: bool = False,
+) -> NaiveBayesModel:
+    """The smoothed M-step on a fully labeled corpus with one-hot
+    responsibilities; every class must have a row."""
     counts = corpus.class_counts()
     if counts.min() < 1:
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -230,7 +245,7 @@ def fit_supervised(
     log_prior, log_cond, activity = _m_step(
         X, log_act, _one_hot(corpus.labels), alpha1, alpha2, use_log_normal, pooled_activity
     )
-    model = NaiveBayesModel(
+    return NaiveBayesModel(
         d=corpus.d,
         log_prior=log_prior,
         log_cond=log_cond,
@@ -238,9 +253,6 @@ def fit_supervised(
         alpha1=alpha1,
         alpha2=alpha2,
     )
-    ll = _objective(model, corpus, log_joint_matrix(model, corpus))
-    report = FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
-    return model, report
 
 
 def _objective(model: NaiveBayesModel, corpus: LabeledCorpus, lj: np.ndarray) -> float:
@@ -284,7 +296,7 @@ def fit_semisupervised(
     labeled = corpus.labeled_mask
     if not labeled.any():
         raise DataError("semi-supervised fit needs at least one labeled row")
-    model, _ = fit_supervised(
+    model = _closed_form(
         corpus.subset(np.flatnonzero(labeled)), alpha1, alpha2, use_log_normal, pooled_activity
     )
     X = corpus.to_csr()
@@ -379,22 +391,19 @@ def feature_log_odds_dispersion(
     """
     if n_boot < 2:
         raise DataError(f"n_boot must be >= 2, got {n_boot}")
-    lab_idx = np.flatnonzero(corpus.labeled_mask)
-    if lab_idx.size == 0:
+    if not corpus.labeled_mask.any():
         raise DataError("log-odds dispersion needs labeled rows")
-    labeled = corpus.subset(lab_idx)
-    counts = labeled.class_counts()
-    if counts.min() < 1:
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise DataError(f"class {missing} has no labeled rows")
+    # rows are drawn by position within each class pool, so drawing from
+    # the corpus's pools takes the rows a labeled-only subset would
+    class_pools = [np.flatnonzero(corpus.labels == y) for y in (0, 1)]
+    for y, pool in enumerate(class_pools):
+        if pool.size == 0:
+            raise DataError(f"class {y} has no labeled rows")
+    _validate_hyper(alpha1, alpha2)
     rng = np.random.default_rng(seed)
     draws = np.empty((n_boot, corpus.d), dtype=np.float64)
-    class_pools = [np.flatnonzero(labeled.labels == y) for y in (0, 1)]
     for b in range(n_boot):
-        take: list[int] = []
-        for pool in class_pools:
-            take += rng.choice(pool, size=pool.size, replace=True).tolist()
-        boot = labeled.subset(sorted(take))
-        model, _ = fit_supervised(boot, alpha1=alpha1, alpha2=alpha2)
-        draws[b] = feature_log_odds(model)
+        take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
+        boot = corpus.subset(np.sort(np.concatenate(take)))
+        draws[b] = feature_log_odds(_closed_form(boot, alpha1, alpha2))
     return draws.mean(axis=0), draws.std(axis=0, ddof=1)

@@ -470,8 +470,15 @@ def _factory_for(kind: str, run: Run) -> classifiers.TrainFn:
 
 def cmd_evaluate(run: Run):
     cfg = run.cfg
+    if run.args.robustness and run.args.cv_roc:
+        raise DataError("--robustness scores only the saved --model-path; run --cv-roc without it")
     corpus = _load_corpus(run)
-    clf = _load_classifier(run.input("model_path")) if run.args.robustness else None
+    if run.args.robustness:
+        clf = _load_classifier(run.input("model_path"))
+        path = run.output("robustness.csv")
+        evaluate.robustness_sweep(clf, corpus, cfg.taus).to_csv(path)
+        print(f"evaluate: confidence sweep over {len(cfg.taus)} taus -> {path}")
+        return
     factory = _factory_for(cfg.model, run)
     report = evaluate.bootstrap_eval(
         factory,
@@ -497,8 +504,6 @@ def cmd_evaluate(run: Run):
             factory, corpus, folds=cfg.folds, seed=stage_seed(cfg.seed, "cv-roc")
         )
         curve.to_csv(run.output("roc_curve.csv"))
-    if clf is not None:
-        evaluate.robustness_sweep(clf, corpus, cfg.taus).to_csv(run.output("robustness.csv"))
     mean_auc = summary["roc_auc"]["mean"]
     print(f"evaluate[{cfg.model}]: roc_auc mean {mean_auc:.4f} over {cfg.n_boot} replicates")
 
@@ -698,7 +703,13 @@ def build_parser() -> _Parser:
     p.add_argument("--folds", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--cv-roc", action="store_true", default=False, help="write a pooled CV ROC curve")
-    p.add_argument("--robustness", action="store_true", default=False, help="write a confidence-filter sweep")
+    p.add_argument(
+        "--robustness",
+        action="store_true",
+        default=False,
+        help="write only a confidence-filter sweep of the saved --model-path "
+        "(no bootstrap refits, no metrics.json)",
+    )
     p.add_argument("--taus", type=float, nargs="+", help="confidence filter thresholds")
     p.add_argument("--embeddings")
     p.add_argument("--seeds")

@@ -94,6 +94,10 @@ class LabeledCorpus:
     count is an integer in 1..MAX_COUNT; no row is empty. labels[i] is
     -1 (unlabeled), 0 or 1. The arrays are treated as immutable once the
     corpus is built.
+
+    Only this constructor checks. Rows of a valid corpus are valid, so
+    subset() and the corpora split() and random_oversample() return
+    inherit validity and are built without re-checking.
     """
 
     vocabulary: CommunityVocabulary
@@ -165,13 +169,16 @@ class LabeledCorpus:
     def subset(self, indices) -> "LabeledCorpus":
         """New corpus holding the given rows in the given order; indices may repeat."""
         idx = np.asarray(indices, dtype=np.int64)
-        out = LabeledCorpus(
+        X = self.X[idx]
+        X.has_canonical_format = True  # rows of a canonical matrix are canonical
+        out = object.__new__(LabeledCorpus)
+        out.__dict__.update(
             vocabulary=self.vocabulary,
-            X=self.X[idx],
+            X=X,
             user_ids=self.user_ids[idx],
             labels=self.labels[idx],
+            _activities=self.activities()[idx],
         )
-        out.__dict__["_activities"] = self.activities()[idx]
         return out
 
 
@@ -462,7 +469,7 @@ def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, Labele
 
     Returns (train, test). Row order within each side follows the
     original corpus order. With spec.oversample the train side is
-    additionally passed through random_oversample.
+    additionally oversampled as random_oversample does it.
     """
     if isinstance(spec.seed, np.random.SeedSequence):
         seq = spec.seed  # evaluation protocols pass spawned children directly
@@ -470,27 +477,47 @@ def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, Labele
         seq = np.random.SeedSequence(spec.seed)
     split_seed, over_seed = seq.spawn(2)
     rng = np.random.default_rng(split_seed)
-    labeled_idx = np.flatnonzero(corpus.labeled_mask)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    labels = corpus.labels
+    train_parts, test_parts = [], []
     for y in (0, 1):
-        pool = labeled_idx[corpus.labels[labeled_idx] == y]
+        pool = np.flatnonzero(labels == y)
         if len(pool) < 2:
             raise DataError(
                 f"stratified split needs >= 2 labeled rows per class, "
                 f"class {y} has {len(pool)}"
             )
-        shuffled = pool.copy()
-        rng.shuffle(shuffled)
-        n_test = int(np.floor(spec.test_fraction * len(shuffled)))
-        test_idx += shuffled[:n_test].tolist()
-        train_idx += shuffled[n_test:].tolist()
-    train_idx += np.flatnonzero(~corpus.labeled_mask).tolist()
-    train = corpus.subset(sorted(train_idx))
-    test = corpus.subset(sorted(test_idx))
+        rng.shuffle(pool)
+        n_test = int(np.floor(spec.test_fraction * len(pool)))
+        test_parts.append(pool[:n_test])
+        train_parts.append(pool[n_test:])
+    train_parts.append(np.flatnonzero(labels < 0))
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
     if spec.oversample:
-        train = random_oversample(train, seed=over_seed)
-    return train, test
+        train_idx = train_idx[_oversample_rows(labels[train_idx], over_seed)]
+    return corpus.subset(train_idx), corpus.subset(test_idx)
+
+
+def _oversample_rows(labels: np.ndarray, seed) -> np.ndarray:
+    """Row positions that balance the labeled classes of these labels.
+
+    Every position in order, then minority-class positions drawn with
+    replacement, grouped by class; every class needs a labeled row.
+    Composing these onto a corpus's row indices oversamples in the same
+    slice that selects the rows.
+    """
+    counts = np.bincount(labels[labels >= 0], minlength=2)
+    if counts.min() < 1:
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise DataError(f"oversampling needs >= 1 labeled row per class, class {missing} has 0")
+    target = int(counts.max())
+    rng = np.random.default_rng(seed)
+    parts = [np.arange(labels.size)]
+    for y in (0, 1):
+        deficit = target - int(counts[y])
+        if deficit:
+            parts.append(rng.choice(np.flatnonzero(labels == y), size=deficit, replace=True))
+    return np.concatenate(parts)
 
 
 def random_oversample(corpus: LabeledCorpus, seed=0) -> LabeledCorpus:
@@ -500,20 +527,5 @@ def random_oversample(corpus: LabeledCorpus, seed=0) -> LabeledCorpus:
     through unchanged. Original rows keep their order; duplicates are
     appended, grouped by class. A balanced corpus comes back unchanged.
     """
-    counts = corpus.class_counts()
-    if counts.min() < 1:
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise DataError(f"oversampling needs >= 1 labeled row per class, class {missing} has 0")
-    target = int(counts.max())
-    rng = np.random.default_rng(seed)
-    extra: list[int] = []
-    for y in (0, 1):
-        deficit = target - int(counts[y])
-        if deficit == 0:
-            continue
-        pool = np.flatnonzero(corpus.labels == y)
-        extra += rng.choice(pool, size=deficit, replace=True).tolist()
-    if not extra:
-        return corpus
-    keep = list(range(corpus.n)) + extra
-    return corpus.subset(keep)
+    rows = _oversample_rows(corpus.labels, seed)
+    return corpus if rows.size == corpus.n else corpus.subset(rows)

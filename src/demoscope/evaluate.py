@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import TrainFn, score_rows
-from .data import LabeledCorpus, SplitSpec, random_oversample, split, write_csv
+from .data import LabeledCorpus, SplitSpec, _oversample_rows, split, write_csv
 from .errors import DataError
 from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
 
@@ -202,17 +202,15 @@ def cv_roc(
         shuffled = pool.copy()
         rng.shuffle(shuffled)
         assignment[shuffled] = np.arange(shuffled.size) % folds
-    unlabeled_idx = np.flatnonzero(~corpus.labeled_mask)
     over_seeds = np.random.SeedSequence(seed).spawn(folds)
 
     pooled_scores = np.zeros(corpus.n, dtype=np.float64)
     scorable = np.zeros(corpus.n, dtype=bool)
     for fold in range(folds):
         test_idx = np.flatnonzero(assignment == fold)
-        train_idx = np.flatnonzero((assignment >= 0) & (assignment != fold))
-        train = corpus.subset(np.sort(np.concatenate([train_idx, unlabeled_idx])))
-        train = random_oversample(train, seed=over_seeds[fold])
-        clf = factory(train)
+        train_idx = np.flatnonzero(assignment != fold)  # unlabeled rows hold -1
+        train_idx = train_idx[_oversample_rows(labels[train_idx], over_seeds[fold])]
+        clf = factory(corpus.subset(train_idx))
         pooled_scores[test_idx], _, scorable[test_idx] = score_rows(clf, corpus.subset(test_idx))
 
     # every labeled row is in exactly one test fold
@@ -268,10 +266,9 @@ def learning_curve(
         if n_cal >= take.size:
             raise DataError(f"size {s} too small to carve a calibration split")
         cal_idx = take[:n_cal]
-        fit_idx = np.concatenate([take[n_cal:], unlabeled_idx])
-        fit_part = random_oversample(
-            train_pool.subset(np.sort(fit_idx)), seed=sub_rng.integers(2**63)
-        )
+        fit_idx = np.sort(np.concatenate([take[n_cal:], unlabeled_idx]))
+        fit_idx = fit_idx[_oversample_rows(train_pool.labels[fit_idx], sub_rng.integers(2**63))]
+        fit_part = train_pool.subset(fit_idx)
         cal_part = train_pool.subset(np.sort(cal_idx))
         clf = factory(fit_part)
         quant = fit_quantifier(clf, cal_part, mode="acc")

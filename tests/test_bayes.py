@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,20 @@ def test_feature_log_odds_dispersion(rng):
     assert np.all(std1 >= 0) and np.all(np.isfinite(mean1))
     with pytest.raises(DataError, match="n_boot"):
         feature_log_odds_dispersion(corpus, n_boot=1)
+
+
+def test_feature_log_odds_dispersion_bytes_are_pinned():
+    """The exact mean and std of a fixed-seed dispersion over a partly
+    labeled, imbalanced corpus: a change to the rows each draw takes, or
+    to the order of the draws, fails here."""
+    rng = np.random.default_rng(21)
+    X, y = _random_dense(rng, n=45, d=5)
+    y[2:][rng.uniform(size=43) < 0.3] = -1
+    y[2:][rng.uniform(size=43) < 0.3] = 1
+    mean, std = feature_log_odds_dispersion(corpus_from_dense(X, y), n_boot=6, seed=4)
+    assert hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest() == (
+        "1092b1c679f06faa3d6c4d35a7a9476015cd2f337c8094adccdc3585b8e1d5b5"
+    )
 
 
 def test_log_joint_rejects_out_of_vocab():

@@ -708,6 +708,53 @@ class TestEvaluateReport:
         assert code == 2
         assert "--model-path" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:scores are uncalibrated")
+    def test_robustness_scores_only_the_saved_model(self, demo_files, tmp_path, monkeypatch):
+        d = demo_files["dir"]
+        model_path = tmp_path / "model.json"
+        save_model(fit(demo_files["corpus"])[0], model_path)
+        monkeypatch.setattr(
+            "demoscope.evaluate.bootstrap_eval",
+            lambda *a, **k: pytest.fail("--robustness ran the bootstrap"),
+        )
+        out = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                "--corpus", str(d / "corpus.jsonl"),
+                "--vocabulary", str(d / "vocab.txt"),
+                "--robustness",
+                "--model-path", str(model_path),
+                "--taus", "0.1", "0.5",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "robustness.csv"]
+        assert _read_json(out / "manifest.json")["outputs"] == ["robustness.csv"]
+        lines = (out / "robustness.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "x,y,retained" and len(lines) == 3
+
+    def test_robustness_with_cv_roc_exits_two_with_one_line(self, demo_files, tmp_path, capsys):
+        d = demo_files["dir"]
+        model_path = tmp_path / "model.json"
+        save_model(fit(demo_files["corpus"])[0], model_path)
+        code = main(
+            [
+                "evaluate",
+                "--corpus", str(d / "corpus.jsonl"),
+                "--vocabulary", str(d / "vocab.txt"),
+                "--robustness",
+                "--cv-roc",
+                "--model-path", str(model_path),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--cv-roc" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_report_benchmarks_models(self, demo_files, tmp_path):
         d = demo_files["dir"]
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tempfile
@@ -511,3 +512,49 @@ def test_slices_match_dense_oracle(seed):
     over = random_oversample(corpus, seed=seed)
     check(over)
     assert (over.labels == 0).sum() == (over.labels == 1).sum() == max(n0, n1)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_slices_are_corpora_the_constructor_accepts_unchanged(seed):
+    """subset, split(oversample=True) and random_oversample build their
+    corpora without the constructor's checks; rebuilding each through the
+    public constructor gives back the same matrix, ids, labels and row
+    sums, and its CSR arrays are canonical when checked afresh."""
+    rng = np.random.default_rng(seed)
+    n0, n1, n_un = (int(v) for v in rng.integers(2, 12, size=3))
+    d = int(rng.integers(1, 7))
+    X_dense = rng.integers(0, 50, size=(n0 + n1 + n_un, d)) * (rng.uniform(size=(1, d)) < 0.7)
+    X_dense[X_dense.sum(axis=1) == 0, 0] = 1
+    y = rng.permutation(np.array([0] * n0 + [1] * n1 + [-1] * n_un))
+    corpus = corpus_from_dense(X_dense, y)
+    idx = rng.integers(0, corpus.n, size=int(rng.integers(1, 2 * corpus.n)))
+    sub = corpus.subset(idx)
+    parts = [sub, sub.subset(rng.integers(0, sub.n, size=sub.n)), corpus.subset([])]
+    parts += split(corpus, SplitSpec(test_fraction=0.4, oversample=True, seed=seed))
+    parts.append(random_oversample(corpus, seed=seed))
+    for part in parts:
+        X = part.X
+        fresh = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        assert fresh.has_canonical_format
+        assert X.dtype == np.float64 and part.labels.dtype == np.int64
+        rebuilt = LabeledCorpus(part.vocabulary, fresh.copy(), part.user_ids, part.labels)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(rebuilt.X, name), getattr(X, name))
+        assert rebuilt.X.shape == X.shape
+        assert rebuilt.user_ids.tolist() == part.user_ids.tolist()
+        assert np.array_equal(rebuilt.labels, part.labels)
+        assert np.array_equal(rebuilt.activities(), part.activities())
+
+
+def test_oversampled_split_rows_are_pinned():
+    """The rows, in order, of both sides of an oversampled split at a fixed
+    seed: a change to row order or to the order of RNG calls fails here."""
+    rng = np.random.default_rng(5)
+    y = rng.permutation(np.array([0] * 31 + [1] * 12 + [-1] * 9))
+    corpus = corpus_from_dense(rng.integers(1, 5, size=(y.size, 4)), y)
+    sides = split(corpus, SplitSpec(test_fraction=0.3, oversample=True, seed=11))
+    assert [hashlib.sha256("\n".join(side.user_ids).encode()).hexdigest() for side in sides] == [
+        "940a1eb22c44b262db17b6cc75790fd158ed01f14656d83619de61859bab74c4",
+        "af84fcf749ee080df1bb795e94f13cd3ee64a7fd90f2f2bccd805846b0143b50",
+    ]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,3 +321,40 @@ def test_curve_csv_columns_and_float_text(tmp_path):
     assert text == "x,y,y_std,retained\n0.1,nan,0.0,1.0\n1.0,0.5,1e-17,0.25\n"
     CurveData("k", x=np.array([]), y=np.array([])).to_csv(tmp_path / "e.csv")
     assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "x,y\n"
+
+
+def _recorded_training_rows(protocol, **kwargs) -> list[tuple[int, str]]:
+    """Row count and user-id sha256 prefix of each training corpus the
+    protocol hands its factory, on an imbalanced, partly labeled corpus."""
+    rng = np.random.default_rng(13)
+    y = (rng.uniform(size=150) < 0.3).astype(np.int64)
+    X = rng.integers(0, 3, size=(150, 5))
+    X[y == 1, 4] += rng.integers(1, 6, size=int(y.sum()))
+    X[X.sum(axis=1) == 0, 0] = 1
+    y[rng.uniform(size=150) < 0.25] = -1
+    seen = []
+    fit = nb_factory()
+
+    def factory(train):
+        seen.append((train.n, hashlib.sha256("\n".join(train.user_ids).encode()).hexdigest()[:16]))
+        return fit(train)
+
+    protocol(factory, corpus_from_dense(X, y), **kwargs)
+    return seen
+
+
+def test_cv_roc_training_rows_are_pinned():
+    """Every oversampled training fold, rows in order, at a fixed seed."""
+    assert _recorded_training_rows(cv_roc, folds=3, seed=6) == [
+        (152, "8d993c5f50535361"),
+        (152, "a82a58d420b5c58d"),
+        (152, "70d88870349a9f75"),
+    ]
+
+
+def test_learning_curve_training_rows_are_pinned():
+    """Every oversampled fit part, rows in order, at a fixed seed."""
+    rows = _recorded_training_rows(
+        learning_curve, sizes=[20, 40], repeats=2, cohort_size=10, seed=7
+    )
+    assert rows == [(56, "8f2972a0d9436802"), (78, "c962a30b9673c61b")]

@@ -87,7 +87,27 @@ def test_demo_chain_digests_repeat_across_runs(tmp_path):
     assert set(manifests[0]) == {name.split("/")[0] for name in digests[0]}
     assert manifests[0]["robustness"]["command"] == "evaluate"
     assert set(manifests[0]["robustness"]["inputs"]) == {"corpus", "vocabulary", "model_path"}
-    # each step of the chain wrote something besides its manifest
-    steps = {name.split("/")[0] for name in digests[0]}
-    assert {"extract", "train", "calibrate", "quantify", "predict", "robustness", "report",
-            "importance", "train-axis", "quantify-axis", "predict-axis"} <= steps
+    # the files each step writes besides its manifest, as its manifest lists them
+    written: dict[str, list[str]] = {}
+    for name in digests[0]:
+        step, file = name.split("/", 1)
+        written.setdefault(step, []).append(file)
+    assert written == CHAIN_OUTPUTS
+    assert {step: m["outputs"] for step, m in manifests[0].items()} == CHAIN_OUTPUTS
+
+
+CHAIN_OUTPUTS = {
+    "extract": ["declarations.jsonl", "extract_report.json", "labels.csv"],
+    "distant": ["distant_report.json", "labels.csv"],
+    "train": ["fit_report.json", "model.json"],
+    "calibrate": ["calibration_report.json", "model.json"],
+    "quantify": ["estimate.json", "quantifier.json"],
+    "predict": ["predictions.csv"],
+    "evaluate": ["metrics.json", "roc_curve.csv"],
+    "robustness": ["robustness.csv"],
+    "report": ["report.json", "roc_axis.csv", "roc_majority.csv", "roc_nb.csv", "roc_nb_ln.csv"],
+    "importance": ["importance.csv"],
+    "train-axis": ["fit_report.json", "model.json"],
+    "quantify-axis": ["estimate.json", "quantifier.json"],
+    "predict-axis": ["predictions.csv"],
+}
