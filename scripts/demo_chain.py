@@ -6,12 +6,16 @@
 Makes demo data in DIR/data with make_demo_data.py (any further options,
 such as --n-train 300, pass through to it), then runs the README chain
 plus axis train/quantify/predict and an evaluate --robustness sweep, one
-command per directory under DIR/out. Writes DIR/digests.json: the sha256
+command per directory under DIR/out. It runs in DIR and names every
+file relative to it, so the outputs and resolved configs of two runs do
+not depend on where each DIR is. Writes DIR/digests.json: the sha256
 of every file under DIR/out except manifest.json, which records a
 creation time. Writes DIR/manifests.json: per step, its manifest's
-command, its inputs as name -> sha256 (paths dropped) and its outputs.
-Two runs of one seed, or two commits that should behave alike, are
-compared by diffing their digests.json and manifests.json.
+command, config_hash, its inputs as name -> sha256 (paths dropped) and
+its outputs. Two runs of one seed, or two commits that should behave
+alike, are compared by diffing their digests.json and manifests.json; a
+change that moves a setting's resolved value shows in config_hash even
+where the outputs stay the same.
 
 Exits 1 if a command does not exit 0.
 """
@@ -19,6 +23,7 @@ Exits 1 if a command does not exit 0.
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +72,7 @@ def manifests(out: Path) -> dict[str, dict]:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         found[path.parent.name] = {
             "command": manifest["command"],
+            "config_hash": manifest["config_hash"],
             "inputs": {name: entry["sha256"] for name, entry in manifest["inputs"].items()},
             "outputs": manifest["outputs"],
         }
@@ -80,19 +86,25 @@ def main():
     args, data_args = ap.parse_known_args()
 
     root = Path(args.out_dir)
-    data, out = root / "data", root / "out"
-    make = [sys.executable, str(Path(__file__).with_name("make_demo_data.py")),
-            "--out-dir", str(data), "--seed", str(args.seed), *data_args]
-    subprocess.run(make, check=True)
+    root.mkdir(parents=True, exist_ok=True)
+    make = [sys.executable, str(Path(__file__).resolve().with_name("make_demo_data.py")),
+            "--out-dir", "data", "--seed", str(args.seed), *data_args]
+    # every path the chain passes is relative to DIR, so no resolved
+    # config, and no config_hash, depends on where DIR is; PYTHONPATH is
+    # made absolute first so that it still finds the package from DIR
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in paths if p))
+    os.chdir(root)
+    subprocess.run(make, check=True, env=env)
+    data, out = Path("data"), Path("out")
     for name, argv in chain(data, out):
         code = demoscope(argv)
         if code != 0:
             sys.exit(f"demo_chain: {name} exited {code}")
     for name, payload in (("digests.json", digests(out)), ("manifests.json", manifests(out))):
-        (root / name).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    print(f"demo_chain: digests and manifests of {out} -> {root}")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        Path(name).write_text(text, encoding="utf-8")
+    print(f"demo_chain: digests and manifests of {root / out} -> {root}")
 
 
 if __name__ == "__main__":

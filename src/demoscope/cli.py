@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -27,115 +28,142 @@ import yaml
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
-from .serialize import dumps, load_model, save_model
+from .serialize import dumps, load_model, parse_file, save_model
 
 # every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
 
 
+def _setting(default, help: str, choices: tuple[str, ...] = ()):
+    """A RunConfig field: its default, and the help and choices of its flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    """Every tunable shared by the subcommands; YAML keys match fields."""
+    """Every tunable shared by the subcommands. A YAML key is the field
+    name, and a flag the field name with dashes; both are checked against
+    the field's annotation and choices."""
 
-    corpus: str | None = None
-    vocabulary: str | None = None
-    labels: str | None = None
-    format: str = "jsonl"
-    comments: str | None = None
-    rules: str | None = None
-    botlist: str | None = None
-    seeds: str | None = None
-    embeddings: str | None = None
-    model_path: str | None = None
-    validation: str | None = None
-    target: str | None = None
-    quantifier: str | None = None
-    out_dir: str = "out"
-    attribute: str = "gender"
-    median: float | None = None
-    model: str = "nb"
-    models: tuple[str, ...] = ("majority", "nb")
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    use_log_normal: bool = False
-    pooled_activity: bool = False
-    semi_supervised: bool = False
-    max_iter: int = 100
-    tol: float = 1e-6
-    mode: str = "acc"
-    confidence: float = 0.95
-    n_boot: int = 100
-    test_fraction: float = 0.2
-    calibration_fraction: float = 0.2
-    folds: int = 10
-    repeats: int = 50
-    cohort_size: int = 500
-    prevalence: float | None = None
-    taus: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-    n_bins: int = 10
-    importance_boot: int = 50
-    seed: int = 0
-    threads: int = 1
+    corpus: str | None = _setting(None, "activity corpus file")
+    vocabulary: str | None = _setting(None, "community vocabulary file")
+    labels: str | None = _setting(None, "labels CSV (triplets format)")
+    format: str = _setting("jsonl", "corpus format", FORMATS)
+    comments: str | None = _setting(None, "comments JSONL (user, text, created_utc, community)")
+    rules: str | None = _setting(None, "declaration rules JSON (default: built-in rules)")
+    botlist: str | None = _setting(None, "file of bot user ids to drop")
+    seeds: str | None = _setting(None, "seed sets JSON")
+    embeddings: str | None = _setting(None, "community embedding TSV (axis model)")
+    model_path: str | None = _setting(None, "saved model JSON")
+    validation: str | None = _setting(None, "labeled corpus for rate fitting (acc mode)")
+    target: str | None = _setting(None, "corpus to quantify")
+    quantifier: str | None = _setting(None, "saved quantifier JSON (skips rate fitting)")
+    out_dir: str = _setting("out", "output directory")
+    attribute: str = _setting("gender", "attribute to label", (*labeling.ATTRIBUTES, "synthetic"))
+    median: float | None = _setting(None, "frozen birth-year median (year attribute)")
+    model: str = _setting("nb", "model kind", MODEL_KINDS)
+    models: tuple[str, ...] = _setting(("majority", "nb"), "model kinds to compare", MODEL_KINDS)
+    alpha1: float = _setting(1.0, "prior pseudo-count")
+    alpha2: float = _setting(1.0, "conditional pseudo-count")
+    use_log_normal: bool = _setting(False, "model activity as log-normal per class")
+    pooled_activity: bool = _setting(False, "one activity distribution for both classes")
+    semi_supervised: bool = _setting(False, "fit unlabeled rows by EM")
+    max_iter: int = _setting(100, "EM iteration limit")
+    tol: float = _setting(1e-6, "EM convergence tolerance")
+    mode: str = _setting("acc", "quantifier mode", quantify.MODES)
+    confidence: float = _setting(0.95, "interval confidence level")
+    n_boot: int = _setting(100, "bootstrap replicates")
+    test_fraction: float = _setting(0.2, "held-out share of each replicate")
+    calibration_fraction: float = _setting(0.2, "labeled training share held out for rates")
+    folds: int = _setting(10, "cross-validation folds")
+    repeats: int = _setting(50, "sampled cohorts per model")
+    cohort_size: int = _setting(500, "users per sampled cohort")
+    prevalence: float | None = _setting(None, "class-1 share of sampled cohorts (default: natural)")
+    taus: tuple[float, ...] = _setting((0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5), "filter thresholds")
+    n_bins: int = _setting(10, "reliability bins")
+    importance_boot: int = _setting(50, "bootstrap replicates per community")
+    seed: int = _setting(0, "root random seed")
+    threads: int = _setting(1, "bootstrap worker threads")
 
     def validate(self):
-        if self.format not in FORMATS:
-            raise DataError(f"unknown corpus format {self.format!r}")
-        if self.attribute not in labeling.ATTRIBUTES and self.attribute != "synthetic":
-            raise DataError(
-                f"unknown attribute {self.attribute!r}; expected one of "
-                f"{labeling.ATTRIBUTES} or 'synthetic'"
-            )
-        for kind in (self.model, *self.models):
-            if kind not in MODEL_KINDS:
-                raise DataError(f"unknown model {kind!r}; expected one of {MODEL_KINDS}")
-        if self.mode not in quantify.MODES:
-            raise DataError(f"unknown quantifier mode {self.mode!r}")
-        if not (0.0 < self.confidence < 1.0):
-            raise DataError("confidence must lie in (0, 1)")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise DataError("test_fraction must lie in (0, 1)")
-        if not (0.0 < self.calibration_fraction < 1.0):
-            raise DataError("calibration_fraction must lie in (0, 1)")
-        if self.n_boot < 1 or self.repeats < 1 or self.cohort_size < 1:
-            raise DataError("n_boot, repeats, and cohort_size must be >= 1")
+        for f in fields(self):
+            kind, many = _kind(f.type)
+            value = getattr(self, f.name)
+            values = value if many else (value,)
+            if not values:  # as the flag's nargs="+" requires
+                raise DataError(f"{f.name} must not be empty")
+            if kind is float and not all(v is None or math.isfinite(v) for v in values):
+                raise DataError(f"{f.name} must be finite, got {value!r}")
+            choices = f.metadata["choices"]
+            for v in values:
+                if choices and v not in choices:
+                    # a tuple field is named as the plural of its elements
+                    noun = f.name[:-1] if many else f.name
+                    raise DataError(f"unknown {noun} {v!r}; expected one of {choices}")
+        for name in ("confidence", "test_fraction", "calibration_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise DataError(f"{name} must lie in (0, 1)")
+        for name in ("n_boot", "repeats", "cohort_size", "threads", "max_iter"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1")
         if self.folds < 2:
             raise DataError("folds must be >= 2")
-        if self.threads < 1:
-            raise DataError("threads must be >= 1")
-        if self.max_iter < 1:
-            raise DataError("max_iter must be >= 1")
         if not self.tol > 0:
             raise DataError("tol must be > 0")
 
 
-_TUPLE_FIELDS = {"models", "taus"}
-_SCALARS = {"str": str, "int": int, "float": (int, float), "bool": bool}
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
+
+
+def _kind(annotation: str) -> tuple[type, bool]:
+    """The element type a RunConfig annotation names, and whether the
+    field is a tuple of them."""
+    base = annotation.partition(" | ")[0]
+    if base.startswith("tuple["):
+        return _TYPES[base[len("tuple[") : -len(", ...]")]], True
+    return _TYPES[base], False
 
 
 def _fits(value, kind) -> bool:
-    # YAML booleans are Python ints; only a bool field takes them
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    # YAML booleans are Python ints, so only a bool field takes them; a
+    # float field also takes an int
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _typed(path, name: str, annotation: str, value):
     """The YAML value of one RunConfig field, checked against its annotation."""
-    base, _, rest = annotation.partition(" | ")
-    if value is None and rest == "None":
+    kind, many = _kind(annotation)
+    if value is None and annotation.endswith(" | None"):
         return value
-    if base.startswith("tuple["):
-        elem = _SCALARS[base[len("tuple[") : -len(", ...]")]]
-        if isinstance(value, list) and all(_fits(v, elem) for v in value):
+    if many:
+        if isinstance(value, list) and all(_fits(v, kind) for v in value):
             return tuple(value)
-    elif _fits(value, _SCALARS[base]):
+    elif _fits(value, kind):
         return value
     raise DataError(f"{path}: config key {name!r} must be {annotation}, got {value!r}")
+
+
+def _flag_options(f) -> dict:
+    """add_argument options for the flag of RunConfig field f."""
+    kind, many = _kind(f.type)
+    default = " ".join(map(str, f.default)) if many else f.default
+    shown = "" if default is None or kind is bool else f" (default: {default})"
+    options = {"dest": f.name, "help": f.metadata["help"] + shown}
+    if kind is bool:
+        return options | {"action": "store_true", "default": None}
+    if many:
+        # tuple elements are checked in validate, so a bad one exits 2
+        return options | {"type": kind, "nargs": "+"}
+    return options | {"type": kind, "choices": f.metadata["choices"] or None}
 
 
 def load_config(path) -> RunConfig:
     """Read a YAML mapping of RunConfig fields; unknown keys and values of
     the wrong type are errors."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = parse_file(path, yaml.safe_load)
     except yaml.YAMLError as e:
         raise DataError(f"{path}: invalid YAML ({e})") from e
     if raw is None:
@@ -155,7 +183,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, f.name, tuple(value) if f.name in _TUPLE_FIELDS else value)
+            setattr(cfg, f.name, tuple(value) if isinstance(value, list) else value)
     cfg.validate()
     return cfg
 
@@ -617,129 +645,60 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML file of settings; flags override it")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="root random seed")
+# the settings each subcommand reads, by RunConfig field; every command
+# also takes --config and the _COMMON settings
+_COMMON = ("out_dir", "seed")
+_DATA = ("corpus", "vocabulary", "format", "labels")
+_NB = ("alpha1", "alpha2", "use_log_normal", "pooled_activity", "semi_supervised", "max_iter",
+       "tol")
+_AXIS = ("embeddings", "seeds", "attribute")
+_PROTOCOL = ("n_boot", "test_fraction", "folds", "threads")
+_QUANTIFY = ("mode", "confidence")
 
-
-def _add_data(p: argparse.ArgumentParser):
-    p.add_argument("--corpus", help="activity corpus file")
-    p.add_argument("--vocabulary", help="community vocabulary file")
-    p.add_argument("--format", choices=FORMATS, help="corpus format")
-    p.add_argument("--labels", help="labels CSV (triplets format)")
+_COMMANDS = {
+    # name: (function, help, the settings it reads besides _COMMON)
+    "extract": (cmd_extract, "mine self-declared labels from comments",
+                ("comments", "attribute", "rules", "botlist", "median")),
+    "label-distant": (cmd_label_distant, "label users from seed-community activity",
+                      (*_DATA, "seeds", "attribute")),
+    "train": (cmd_train, "fit a model", (*_DATA, "model", *_NB, *_AXIS)),
+    "predict": (cmd_predict, "score a corpus with a saved model", (*_DATA, "model_path")),
+    "calibrate": (cmd_calibrate, "fit an isotonic calibrator on held-out data",
+                  (*_DATA, "model_path", "n_bins")),
+    "quantify": (cmd_quantify, "estimate class prevalence in a cohort",
+                 (*_DATA, "model_path", "quantifier", "validation", "target", *_QUANTIFY)),
+    "evaluate": (cmd_evaluate, "bootstrap metrics, optional curves",
+                 (*_DATA, "model", "model_path", *_NB, *_PROTOCOL, "taus", *_AXIS)),
+    "importance": (cmd_importance, "per-community log-odds with bootstrap spread",
+                   (*_DATA, "importance_boot", "alpha1", "alpha2")),
+    "report": (cmd_report, "benchmark several models on one corpus",
+               (*_DATA, "models", *_NB, *_PROTOCOL, "repeats", "cohort_size",
+                "calibration_fraction", "prevalence", *_QUANTIFY, *_AXIS)),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="demoscope", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("extract", help="mine self-declared labels from comments")
-    _add_common(p)
-    p.add_argument("--comments", help="comments JSONL (user, text, created_utc, community)")
-    p.add_argument("--attribute", choices=labeling.ATTRIBUTES)
-    p.add_argument("--rules", help="declaration rules JSON (default: built-in rules)")
-    p.add_argument("--botlist", help="file of bot user ids to drop")
-    p.add_argument("--median", type=float, help="frozen birth-year median (year attribute)")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("label-distant", help="label users from seed-community activity")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--seeds", help="seed sets JSON")
-    p.add_argument("--attribute")
-    p.set_defaults(func=cmd_label_distant)
-
-    p = sub.add_parser("train", help="fit a model")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--alpha1", type=float, help="prior pseudo-count")
-    p.add_argument("--alpha2", type=float, help="conditional pseudo-count")
-    p.add_argument("--use-log-normal", dest="use_log_normal", action="store_true", default=None)
-    p.add_argument("--pooled-activity", dest="pooled_activity", action="store_true", default=None)
-    p.add_argument("--semi-supervised", dest="semi_supervised", action="store_true", default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--embeddings", help="community embedding TSV (axis model)")
-    p.add_argument("--seeds", help="seed sets JSON (axis model)")
-    p.add_argument("--attribute")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="score a corpus with a saved model")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--model-path", dest="model_path", help="saved model JSON")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("calibrate", help="fit an isotonic calibrator on held-out data")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--model-path", dest="model_path", help="saved model JSON")
-    p.add_argument("--n-bins", dest="n_bins", type=int, help="reliability bins")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("quantify", help="estimate class prevalence in a cohort")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--model-path", dest="model_path", help="saved classifier JSON")
-    p.add_argument("--quantifier", help="saved quantifier JSON (skips rate fitting)")
-    p.add_argument("--validation", help="labeled corpus for rate fitting (acc mode)")
-    p.add_argument("--target", help="corpus to quantify")
-    p.add_argument("--mode", choices=quantify.MODES)
-    p.add_argument("--confidence", type=float)
-    p.set_defaults(func=cmd_quantify)
-
-    p = sub.add_parser("evaluate", help="bootstrap metrics, optional curves")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--model-path", dest="model_path", help="saved model (robustness sweep)")
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--n-boot", dest="n_boot", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--cv-roc", action="store_true", default=False, help="write a pooled CV ROC curve")
-    p.add_argument(
+    settings = {f.name: f for f in fields(RunConfig)}
+    for command, (func, help, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="YAML file of settings; flags override it")
+        for name in (*_COMMON, *names):
+            p.add_argument(f"--{name.replace('_', '-')}", **_flag_options(settings[name]))
+    evaluate = sub.choices["evaluate"]
+    evaluate.add_argument(
+        "--cv-roc", action="store_true", default=False, help="write a pooled CV ROC curve"
+    )
+    evaluate.add_argument(
         "--robustness",
         action="store_true",
         default=False,
         help="write only a confidence-filter sweep of the saved --model-path "
         "(no bootstrap refits, no metrics.json)",
     )
-    p.add_argument("--taus", type=float, nargs="+", help="confidence filter thresholds")
-    p.add_argument("--embeddings")
-    p.add_argument("--seeds")
-    p.add_argument("--attribute")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("importance", help="per-community log-odds with bootstrap spread")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--importance-boot", dest="importance_boot", type=int)
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.set_defaults(func=cmd_importance)
-
-    p = sub.add_parser("report", help="benchmark several models on one corpus")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--models", nargs="+", help="model kinds to compare")
-    p.add_argument("--n-boot", dest="n_boot", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--cohort-size", dest="cohort_size", type=int)
-    p.add_argument("--mode", choices=quantify.MODES)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--embeddings")
-    p.add_argument("--seeds")
-    p.add_argument("--attribute")
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 

@@ -9,6 +9,7 @@ loaded parameters equal the saved ones bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -201,11 +202,32 @@ def save_model(model, path):
     Path(path).write_text(dumps(to_payload(model)), encoding="utf-8")
 
 
-def read_json(path):
-    """The JSON value a file holds; malformed JSON is a DataError naming
-    the file. Every JSON input file is read through here."""
+def parse_file(path, parse):
+    """parse(text) of a UTF-8 file. Bytes that are not UTF-8, and nesting
+    too deep for the parser, are DataErrors naming the file; parse's own
+    errors pass through."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    except RecursionError as e:
+        raise DataError(f"{path}: nested too deeply to parse") from e
+
+
+def read_json(path):
+    """The JSON value a file holds; malformed JSON, and the NaN, Infinity
+    and -Infinity tokens or a number too large for a float, are a
+    DataError naming the file. Every JSON input file is read through here."""
+
+    def non_finite(token):
+        raise DataError(f"{path}: invalid JSON (non-finite number {token})")
+
+    def number(text):
+        value = float(text)
+        return value if math.isfinite(value) else non_finite(text)
+
+    try:
+        return parse_file(path, partial(json.loads, parse_constant=non_finite, parse_float=number))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e.msg})") from e
 

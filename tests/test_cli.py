@@ -3,6 +3,7 @@
 import argparse
 import builtins
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -1068,3 +1069,226 @@ def test_wrong_typed_json_input_exits_two_with_one_line(
     assert len(err) == 1 and err[0].startswith("demoscope: data error:")
     assert expected in err[0]
     assert str(tmp_path) in err[0]
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# the flags each subcommand took before its settings were declared on RunConfig
+_FLAGS_BEFORE_TABLE = {
+    "extract": {"--attribute", "--botlist", "--comments", "--config", "--median", "--out-dir",
+                "--rules", "--seed"},
+    "label-distant": {"--attribute", "--config", "--corpus", "--format", "--labels",
+                      "--out-dir", "--seed", "--seeds", "--vocabulary"},
+    "train": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--embeddings",
+              "--format", "--labels", "--max-iter", "--model", "--out-dir", "--pooled-activity",
+              "--seed", "--seeds", "--semi-supervised", "--tol", "--use-log-normal",
+              "--vocabulary"},
+    "predict": {"--config", "--corpus", "--format", "--labels", "--model-path", "--out-dir",
+                "--seed", "--vocabulary"},
+    "calibrate": {"--config", "--corpus", "--format", "--labels", "--model-path", "--n-bins",
+                  "--out-dir", "--seed", "--vocabulary"},
+    "quantify": {"--confidence", "--config", "--corpus", "--format", "--labels", "--mode",
+                 "--model-path", "--out-dir", "--quantifier", "--seed", "--target",
+                 "--validation", "--vocabulary"},
+    "evaluate": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--cv-roc",
+                 "--embeddings", "--folds", "--format", "--labels", "--model", "--model-path",
+                 "--n-boot", "--out-dir", "--robustness", "--seed", "--seeds", "--taus",
+                 "--test-fraction", "--threads", "--vocabulary"},
+    "importance": {"--alpha1", "--alpha2", "--config", "--corpus", "--format",
+                   "--importance-boot", "--labels", "--out-dir", "--seed", "--vocabulary"},
+    "report": {"--attribute", "--cohort-size", "--config", "--corpus", "--embeddings",
+               "--folds", "--format", "--labels", "--mode", "--models", "--n-boot",
+               "--out-dir", "--repeats", "--seed", "--seeds", "--test-fraction", "--threads",
+               "--vocabulary"},
+}
+
+
+class TestFlagInventory:
+    def test_every_subcommand_keeps_its_flags_and_dests(self):
+        subparsers = _subparsers()
+        assert set(subparsers) == set(_FLAGS_BEFORE_TABLE)
+        for command, flags in _FLAGS_BEFORE_TABLE.items():
+            actions = subparsers[command]._option_string_actions
+            assert flags <= set(actions), command
+            for flag in flags:
+                assert actions[flag].dest == flag[2:].replace("-", "_"), (command, flag)
+
+    def test_every_config_field_is_a_flag(self):
+        dests = {a.dest for p in _subparsers().values() for a in p._actions}
+        assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
+
+    def test_evaluate_and_report_offer_every_nb_setting(self):
+        subparsers = _subparsers()
+        nb = {"--alpha1", "--alpha2", "--use-log-normal", "--pooled-activity",
+              "--semi-supervised", "--max-iter", "--tol"}
+        quant = {"--confidence", "--calibration-fraction", "--prevalence"}
+        assert nb <= set(subparsers["evaluate"]._option_string_actions)
+        assert nb | quant <= set(subparsers["report"]._option_string_actions)
+
+
+def _offered_choices():
+    return sorted(
+        {
+            (action.dest, choice)
+            for p in _subparsers().values()
+            for action in p._actions
+            if action.choices and action.dest != "command"
+            for choice in action.choices
+        }
+    )
+
+
+@pytest.mark.parametrize("dest,choice", _offered_choices())
+def test_every_offered_choice_passes_validation(dest, choice):
+    RunConfig(**{dest: choice}).validate()
+
+
+@pytest.mark.parametrize("command", ["label-distant", "train", "evaluate", "report"])
+def test_unknown_attribute_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--attribute", "foo"])
+    assert e.value.code == 1
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_extract_synthetic_attribute_finds_no_declarations(demo_files, tmp_path, capsys):
+    d = demo_files["dir"]
+    argv = ["extract", "--comments", str(d / "comments.jsonl"), "--attribute", "synthetic",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "no coherent 'synthetic' declarations" in capsys.readouterr().err
+
+
+def _float_settings():
+    """(field, first subcommand with its flag, whether it is a tuple)."""
+    subparsers = _subparsers()
+    return [
+        (f.name, next(c for c, p in subparsers.items()
+                      if any(a.dest == f.name for a in p._actions)), f.type.startswith("tuple"))
+        for f in dataclasses.fields(RunConfig)
+        if "float" in f.type
+    ]
+
+
+@pytest.mark.parametrize("value,yaml_value", [("nan", ".nan"), ("inf", ".inf"),
+                                              ("-inf", "-.inf")])
+@pytest.mark.parametrize("form", ["flag", "yaml"])
+@pytest.mark.parametrize("name,command,many", _float_settings())
+def test_non_finite_setting_exits_two_with_one_line(
+    tmp_path, capsys, name, command, many, form, value, yaml_value
+):
+    out = tmp_path / "out"
+    if form == "flag":
+        argv = [command, f"--{name.replace('_', '-')}={value}"]
+    else:
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{name}: {f'[0.5, {yaml_value}]' if many else yaml_value}\n",
+                       encoding="utf-8")
+        argv = [command, "--config", str(cfg)]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demoscope:")
+    assert f"{name} must be finite" in err[0]
+    assert not (out / "manifest.json").exists()
+
+
+def test_evaluate_use_log_normal_fits_as_nb_ln(demo_files, tmp_path):
+    d = demo_files["dir"]
+    data = ["--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt"),
+            "--n-boot", "3"]
+    flag, kind = tmp_path / "flag", tmp_path / "kind"
+    assert main(["evaluate", *data, "--model", "nb", "--use-log-normal",
+                 "--out-dir", str(flag)]) == 0
+    assert main(["evaluate", *data, "--model", "nb-ln", "--out-dir", str(kind)]) == 0
+    a, b = _read_json(flag / "metrics.json"), _read_json(kind / "metrics.json")
+    assert a["metrics"] == b["metrics"]
+    assert a["replicates"] == b["replicates"]
+
+
+def test_report_takes_nb_and_quantification_flags(demo_files, tmp_path):
+    d = demo_files["dir"]
+    out = tmp_path / "out"
+    code = main(
+        [
+            "report",
+            "--corpus", str(d / "corpus.jsonl"),
+            "--vocabulary", str(d / "vocab.txt"),
+            "--models", "majority", "nb",
+            "--n-boot", "2", "--folds", "2", "--repeats", "2", "--cohort-size", "50",
+            "--alpha1", "2", "--confidence", "0.9",
+            "--calibration-fraction", "0.3", "--prevalence", "0.4",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    config = _read_json(out / "manifest.json")["config"]
+    assert (config["alpha1"], config["confidence"]) == (2.0, 0.9)
+    assert (config["calibration_fraction"], config["prevalence"]) == (0.3, 0.4)
+
+
+def _with_token(path, token):
+    path.write_text(path.read_text(encoding="utf-8").replace('"@@"', token), encoding="utf-8")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_model_file_with_non_finite_number_exits_two(demo_files, tmp_path, capsys, token):
+    argv = _bad_nb(demo_files, tmp_path)
+    path = tmp_path / "model.json"
+    payload = _read_json(path)
+    payload["log_cond"][0][0] = "@@"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _with_token(path, token)
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demoscope: data error:")
+    assert f"{path}: invalid JSON (non-finite number {token})" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_seeds_file_with_non_finite_number_exits_two(demo_files, tmp_path, capsys, token):
+    argv = _bad_seeds(demo_files, tmp_path, threshold="@@")
+    path = tmp_path / "seeds.json"
+    _with_token(path, token)
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("demoscope: data error:")
+    assert f"{path}: invalid JSON (non-finite number {token})" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [(b"alpha1: 1.0\n# \xff\n", "not UTF-8 text"), (b"[" * 100_000, "nested too deeply")],
+    ids=["invalid-utf8", "deep-nesting"],
+)
+@pytest.mark.parametrize("reader", ["config", "model"])
+def test_unreadable_file_exits_two_naming_it(
+    demo_files, tmp_path, capsys, reader, content, expected
+):
+    if reader == "config":
+        path = tmp_path / "run.yaml"
+        argv = ["train", "--config", str(path)]
+    else:
+        argv = _bad_nb(demo_files, tmp_path)
+        path = tmp_path / "model.json"
+    path.write_bytes(content)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {path}: {expected}")
+
+
+@pytest.mark.parametrize("name,command", [("models", "report"), ("taus", "evaluate")])
+def test_empty_tuple_setting_from_yaml_exits_two(tmp_path, capsys, name, command):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"{name}: []\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"demoscope: data error: {name} must not be empty"]
+    assert not out.exists()
