@@ -12,13 +12,13 @@ ignored; users with no embeddable activity are unscorable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .calibrate import IsotonicMap, apply_map
 from .data import CommunityVocabulary, LabeledCorpus, NameIndex
 from .errors import DataError
+from .serialize import text_lines
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,21 @@ def load_embeddings(path) -> EmbeddingTable:
     """Read a TSV of 'name\\tv1\\tv2...' rows into an EmbeddingTable."""
     names: list[str] = []
     rows: list[list[float]] = []
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected 'name<TAB>values...'")
-            try:
-                vec = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: dimension {len(vec)} differs from first row ({dim})"
-                )
-            names.append(parts[0])
-            rows.append(vec)
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\r\n").split("\t")
+        if len(parts) < 2:
+            raise DataError(f"{path}:{lineno}: expected 'name<TAB>values...'")
+        try:
+            vec = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if rows and len(vec) != len(rows[0]):
+            dim = len(rows[0])
+            raise DataError(f"{path}:{lineno}: dimension {len(vec)} differs from first row ({dim})")
+        names.append(parts[0])
+        rows.append(vec)
     if not names:
         raise DataError(f"{path}: no embedding rows")
     return EmbeddingTable(tuple(names), np.array(rows, dtype=np.float64))

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -28,7 +29,7 @@ import yaml
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
-from .serialize import dumps, load_model, parse_file, save_model
+from .serialize import dumps, load_model, parse_file, save_model, text_lines
 
 # every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
@@ -103,11 +104,11 @@ class RunConfig:
         for name in ("confidence", "test_fraction", "calibration_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must lie in (0, 1)")
-        for name in ("n_boot", "repeats", "cohort_size", "threads", "max_iter"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
-        if self.folds < 2:
-            raise DataError("folds must be >= 2")
+        least = {"n_boot": 1, "repeats": 1, "cohort_size": 1, "threads": 1, "max_iter": 1,
+                 "folds": 2, "importance_boot": 2}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}")
         if not self.tol > 0:
             raise DataError("tol must be > 0")
 
@@ -282,14 +283,13 @@ def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
 
 
 def _read_comments(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                yield {"_malformed": lineno}
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            yield json.loads(line)
+        except (json.JSONDecodeError, RecursionError):
+            yield {"_malformed": lineno}
 
 
 # ---------------------------------------------------------------- commands
@@ -729,6 +729,8 @@ def _emit_error(kind: str, error):
 
 
 def entry():
+    # each warning is one line, without Python's file:line and source echo
+    warnings.formatwarning = lambda message, *_: f"demoscope: warning: {message}\n"
     sys.exit(main())
 
 

@@ -15,12 +15,12 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
+from .serialize import text_lines
 
 # Counts above this are treated as corrupt input rather than real activity.
 MAX_COUNT = 2**31 - 1
@@ -195,12 +195,8 @@ class LoadReport:
 
 def load_vocabulary(path) -> CommunityVocabulary:
     """Read one community name per line; blank lines ignored."""
-    names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        name = line.strip()
-        if name:
-            names.append(name)
-    return CommunityVocabulary(tuple(names))
+    names = (line.strip() for line in text_lines(path))
+    return CommunityVocabulary(tuple(name for name in names if name))
 
 
 def _check_count(value, where: str) -> int:
@@ -307,6 +303,7 @@ class _Builder:
         kept = np.diff(X.indptr) > 0
         if not kept.all():
             X, users, labels = X[kept], users[kept], labels[kept]
+        self.report.lines_read = len(self.line_nos)  # one per non-blank line
         self.report.users_kept = len(users)
         self.report.users_rejected_empty = len(self.rows) - len(users)
         if self.report.unknown_community_pairs:
@@ -321,90 +318,86 @@ class _Builder:
 
 def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
     acc = _Builder(vocabulary, path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                acc.report.lines_read += 1
-                where = f"{path}:{lineno}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DataError(f"{where}: invalid JSON ({e.msg})") from e
-                if not isinstance(rec, dict) or "user" not in rec:
-                    raise DataError(f"{where}: expected an object with a 'user' field")
-                user = rec["user"]
-                if not isinstance(user, str) or not user:
-                    raise DataError(f"{where}: 'user' must be a non-empty string")
-                counts = rec.get("counts", {})
-                if not isinstance(counts, dict):
-                    raise DataError(f"{where}: 'counts' must be an object")
-                values = list(counts.values())
-                if values and not (
-                    set(map(type, values)) <= _INT and min(values) >= 1 and max(values) <= MAX_COUNT
-                ):
-                    for c in values:  # the first bad count raises
-                        _check_count(c, where)
-                label = _check_label(rec.get("label", -1), where)
-                acc.add(user, counts, values, label, lineno, where)
-        except DataError:
-            acc.raise_merged_overflow()  # an earlier line's error comes first
-            raise
+    try:
+        for lineno, line in enumerate(text_lines(path), start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{where}: invalid JSON ({e.msg})") from e
+            except RecursionError as e:
+                raise DataError(f"{where}: nested too deeply to parse") from e
+            if not isinstance(rec, dict) or "user" not in rec:
+                raise DataError(f"{where}: expected an object with a 'user' field")
+            user = rec["user"]
+            if not isinstance(user, str) or not user:
+                raise DataError(f"{where}: 'user' must be a non-empty string")
+            counts = rec.get("counts", {})
+            if not isinstance(counts, dict):
+                raise DataError(f"{where}: 'counts' must be an object")
+            values = list(counts.values())
+            if values and not (
+                set(map(type, values)) <= _INT and min(values) >= 1 and max(values) <= MAX_COUNT
+            ):
+                for c in values:  # the first bad count raises
+                    _check_count(c, where)
+            label = _check_label(rec.get("label", -1), where)
+            acc.add(user, counts, values, label, lineno, where)
+    except DataError:
+        acc.raise_merged_overflow()  # an earlier line's error comes first
+        raise
     return acc.finish(acc.matrix())
+
+
+def _csv_records(path, header: tuple[str, ...]):
+    """(line number, "path:line", record) for each non-blank record of a
+    CSV file whose first record starts with header; any other field count,
+    and a record csv cannot parse, is an error at its path:line."""
+    reader = csv.reader(text_lines(path))
+    try:
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first[: len(header)]] != list(header):
+            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        for rec in reader:
+            if not rec:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(rec)}")
+            yield reader.line_num, where, rec
+    except csv.Error as e:
+        raise DataError(f"{path}:{reader.line_num}: {e}") from e
 
 
 def _load_triplets(
     path, vocabulary: CommunityVocabulary, labels_path=None
 ) -> tuple[LabeledCorpus, LoadReport]:
     acc = _Builder(vocabulary, path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["user", "community", "count"]:
-            raise DataError(f"{path}: expected header 'user,community,count'")
-        try:
-            for rec in reader:
-                if not rec:
-                    continue
-                acc.report.lines_read += 1
-                lineno = reader.line_num
-                where = f"{path}:{lineno}"
-                if len(rec) != 3:
-                    raise DataError(f"{where}: expected 3 fields, got {len(rec)}")
-                user, name, raw = rec
-                if not user:
-                    raise DataError(f"{where}: empty user id")
-                try:
-                    c = int(raw)
-                except ValueError:
-                    raise DataError(f"{where}: count must be an integer, got {raw!r}") from None
-                acc.add(user, (name,), [_check_count(c, where)], -1, lineno, where)
-        except DataError:
-            acc.raise_merged_overflow()  # an earlier line's error comes first
-            raise
+    try:
+        for lineno, where, (user, name, raw) in _csv_records(path, ("user", "community", "count")):
+            if not user:
+                raise DataError(f"{where}: empty user id")
+            try:
+                c = int(raw)
+            except ValueError:
+                raise DataError(f"{where}: count must be an integer, got {raw!r}") from None
+            acc.add(user, (name,), [_check_count(c, where)], -1, lineno, where)
+    except DataError:
+        acc.raise_merged_overflow()  # an earlier line's error comes first
+        raise
     X = acc.matrix()
     if labels_path is not None:
-        with open(labels_path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["user", "label"]:
-                raise DataError(f"{labels_path}: expected header 'user,label'")
-            for rec in reader:
-                if not rec:
-                    continue
-                where = f"{labels_path}:{reader.line_num}"
-                if len(rec) != 2:
-                    raise DataError(f"{where}: expected 2 fields, got {len(rec)}")
-                user, raw = rec[0], rec[1]
-                try:
-                    label = int(raw)
-                except ValueError:
-                    raise DataError(f"{where}: label must be an integer, got {raw!r}") from None
-                label = _check_label(label, where)
-                if user not in acc.rows:
-                    raise DataError(f"{where}: label for unknown user {user!r}")
-                acc.set_label(acc.rows[user], label, where)
+        for _, where, (user, raw) in _csv_records(labels_path, ("user", "label")):
+            try:
+                label = int(raw)
+            except ValueError:
+                raise DataError(f"{where}: label must be an integer, got {raw!r}") from None
+            label = _check_label(label, where)
+            if user not in acc.rows:
+                raise DataError(f"{where}: label for unknown user {user!r}")
+            acc.set_label(acc.rows[user], label, where)
     return acc.finish(X)
 
 

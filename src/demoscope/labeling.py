@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import LabeledCorpus, write_csv
 from .errors import DataError
-from .serialize import read_json
+from .serialize import read_json, text_lines
 
 try:
     from re import _parser as _sre_parse  # Python 3.11+
@@ -353,11 +353,14 @@ def binarize(values, attribute: str, median: float | None = None):
 
     year: 1 iff birth year strictly above the median (ties to 0); the
     median comes from the input unless one is passed in (freeze it from
-    training data and reuse it elsewhere). Returns (labels, median) for
-    year and (labels, None) otherwise.
+    training data and reuse it elsewhere); passing one for another
+    attribute is a DataError. Returns (labels, median) for year and
+    (labels, None) otherwise.
     """
     if attribute not in ATTRIBUTES:
         raise DataError(f"unknown attribute {attribute!r}")
+    if median is not None and attribute != "year":
+        raise DataError(f"a median applies only to attribute 'year', not {attribute!r}")
     if not values:
         raise DataError(f"binarize({attribute!r}): empty input, threshold undefined")
     if attribute == "year":
@@ -467,12 +470,8 @@ def load_seed_sets(path) -> dict[str, SeedSets]:
 
 def load_botlist(path) -> set[str]:
     """Read bot user ids, one per line; blank lines and # comments ignored."""
-    out = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        name = line.strip()
-        if name and not name.startswith("#"):
-            out.add(name)
-    return out
+    names = (line.strip() for line in text_lines(path))
+    return {name for name in names if name and not name.startswith("#")}
 
 
 def write_declarations(declarations, path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import partial
 from pathlib import Path
 
@@ -202,14 +203,23 @@ def save_model(model, path):
     Path(path).write_text(dumps(to_payload(model)), encoding="utf-8")
 
 
+def text_lines(path):
+    """Stream a UTF-8 file's lines with their endings; lines end at \\n,
+    \\r\\n or \\r, as csv needs. The first line that is not UTF-8 is a
+    DataError naming the file and line. Every text input is read here."""
+    bad_byte = re.compile("[\udc80-\udcff]")  # as errors="surrogateescape" decodes one
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and bad_byte.search(line):
+                raise DataError(f"{path}: not UTF-8 text (line {lineno})")
+            yield line
+
+
 def parse_file(path, parse):
-    """parse(text) of a UTF-8 file. Bytes that are not UTF-8, and nesting
-    too deep for the parser, are DataErrors naming the file; parse's own
-    errors pass through."""
+    """parse(text) of a file read by text_lines; nesting too deep for the
+    parser is a DataError naming the file, parse's own errors pass."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+        return parse("".join(text_lines(path)))
     except RecursionError as e:
         raise DataError(f"{path}: nested too deeply to parse") from e
 

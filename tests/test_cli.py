@@ -10,12 +10,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import demoscope
-from demoscope import synth
+from demoscope import labeling, synth
 from demoscope.axis import AxisModel
 from demoscope.bayes import fit, fit_supervised
 from demoscope.calibrate import IsotonicMap
@@ -1262,25 +1263,78 @@ def test_seeds_file_with_non_finite_number_exits_two(demo_files, tmp_path, capsy
     assert not out.exists()
 
 
+# each input kind: argv formatted as MANIFEST_CASES are (with m a saved
+# NB model), the file of that kind it reads, and whether that file holds
+# JSON or YAML
+UNREADABLE_CASES = {
+    "jsonl-corpus": (["train", *CORPUS], "{d}/corpus.jsonl", True),
+    "triplets-corpus": (["train", *TRIPLETS], "{t}/c.csv", False),
+    "labels": (["train", *TRIPLETS], "{t}/l.csv", False),
+    "vocabulary": (["train", *CORPUS], "{d}/vocab.txt", False),
+    "comments": (["extract", "--comments", "{d}/comments.jsonl"], "{d}/comments.jsonl", False),
+    "botlist": (["extract", "--comments", "{d}/comments.jsonl", "--botlist", "{d}/botlist.txt"],
+                "{d}/botlist.txt", False),
+    "embeddings": (["train", "--model", "axis", *AXIS], "{d}/embeddings.tsv", False),
+    "seeds": (["label-distant", *CORPUS, "--seeds", "{d}/seeds.json"], "{d}/seeds.json", True),
+    "rules": (["extract", "--comments", "{d}/comments.jsonl", "--rules", "{d}/rules.json"],
+              "{d}/rules.json", True),
+    "config": (["train", "--config", "{d}/run.yaml"], "{d}/run.yaml", True),
+    "model": (["predict", "--model-path", "{m}", *CORPUS], "{m}", True),
+}
+
+
+def _unreadable_case(demo_files, tmp_path, reader):
+    """The argv and input path of UNREADABLE_CASES[reader], every input
+    written valid."""
+    d = demo_files["dir"]
+    write_corpus_triplets(demo_files["corpus"], tmp_path / "c.csv", labels_path=tmp_path / "l.csv")
+    save_model(fit(demo_files["corpus"])[0], tmp_path / "m.json")
+    rules = Path(labeling.__file__).parent / "resources" / "rules.default.json"
+    (d / "rules.json").write_bytes(rules.read_bytes())
+    (d / "run.yaml").write_text("alpha1: 1.0\n", encoding="utf-8")
+    argv, path, _ = UNREADABLE_CASES[reader]
+    names = {"d": d, "m": tmp_path / "m.json", "t": tmp_path}
+    return [a.format(**names) for a in argv], Path(path.format(**names))
+
+
 @pytest.mark.parametrize(
-    "content, expected",
-    [(b"alpha1: 1.0\n# \xff\n", "not UTF-8 text"), (b"[" * 100_000, "nested too deeply")],
-    ids=["invalid-utf8", "deep-nesting"],
+    "reader, content",
+    [
+        pytest.param(reader, content, id=f"{reader}-{content}")
+        for reader, (_, _, structured) in UNREADABLE_CASES.items()
+        for content in ("invalid-utf8", "deep-nesting")[: 1 + structured]
+    ],
 )
-@pytest.mark.parametrize("reader", ["config", "model"])
-def test_unreadable_file_exits_two_naming_it(
-    demo_files, tmp_path, capsys, reader, content, expected
-):
-    if reader == "config":
-        path = tmp_path / "run.yaml"
-        argv = ["train", "--config", str(path)]
+def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reader, content):
+    """Invalid UTF-8 in any input, and nesting too deep to parse in any
+    JSON or YAML input, is one data-error line naming the file."""
+    argv, path = _unreadable_case(demo_files, tmp_path, reader)
+    if content == "invalid-utf8":
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join([*lines, b"\xff"]))
+        expected = f"{path}: not UTF-8 text (line {len(lines) + 1})"
     else:
-        argv = _bad_nb(demo_files, tmp_path)
-        path = tmp_path / "model.json"
-    path.write_bytes(content)
-    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        path.write_bytes(b"[" * 100_000)
+        expected = "nested too deeply to parse"
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {path}: {expected}")
+    assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {path}")
+    assert expected in err[0]
+    assert not (out / "manifest.json").exists()
+
+
+def test_too_deep_comment_is_skipped_and_counted(demo_files, tmp_path):
+    argv, path = _unreadable_case(demo_files, tmp_path, "comments")
+    assert main([*argv, "--out-dir", str(tmp_path / "clean")]) == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([*lines[:3], b"[" * 100_000 + b"\n", *lines[3:]]))
+    assert main([*argv, "--out-dir", str(tmp_path / "deep")]) == 0
+    clean = _read_json(tmp_path / "clean" / "extract_report.json")
+    deep = _read_json(tmp_path / "deep" / "extract_report.json")
+    assert deep["comments_skipped"] == clean["comments_skipped"] + 1
+    assert deep["comments_seen"] == clean["comments_seen"] + 1
+    assert deep["users_labeled"] == clean["users_labeled"]
 
 
 @pytest.mark.parametrize("name,command", [("models", "report"), ("taus", "evaluate")])
@@ -1292,3 +1346,49 @@ def test_empty_tuple_setting_from_yaml_exits_two(tmp_path, capsys, name, command
     err = capsys.readouterr().err.splitlines()
     assert err == [f"demoscope: data error: {name} must not be empty"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "yaml"])
+def test_importance_boot_below_two_exits_two_naming_it(demo_files, tmp_path, capsys, source):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("importance_boot: 1\n", encoding="utf-8")
+    setting = ["--importance-boot", "1"] if source == "flag" else ["--config", str(cfg)]
+    argv = ["importance", *[a.format(d=demo_files["dir"]) for a in CORPUS], *setting]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "demoscope: data error: importance_boot must be >= 2"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("attribute", ["gender", "partisan"])
+def test_extract_median_without_year_exits_two(demo_files, tmp_path, capsys, attribute):
+    out = tmp_path / "out"
+    comments = str(demo_files["dir"] / "comments.jsonl")
+    argv = ["extract", "--comments", comments, "--attribute", attribute, "--median", "1990"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"demoscope: data error: a median applies only to attribute 'year', not {attribute!r}"
+    ]
+    assert not out.exists()
+
+
+def test_warning_is_one_line_on_stderr(demo_files, tmp_path):
+    """The console entry prints a warning as one line, without Python's
+    file:line prefix or the source line."""
+    d = demo_files["dir"]
+    names = (d / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "half.txt").write_text("\n".join(names[::2]) + "\n", encoding="utf-8")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.realpath(demoscope.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["train", "--model", "majority", "--corpus", str(d / "corpus.jsonl"),
+            "--vocabulary", str(tmp_path / "half.txt"), "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-m", "demoscope.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("demoscope: warning: dropped ")
+    assert err[0].endswith(" activity pairs referencing communities outside the vocabulary")

@@ -218,6 +218,24 @@ def test_triplets_loader(tmp_path):
         load_corpus(f, vocab, fmt="triplets")
 
 
+@pytest.mark.parametrize("which", ["corpus", "labels"])
+def test_triplets_record_csv_cannot_parse_names_its_line(tmp_path, which):
+    vocab = CommunityVocabulary(("a",))
+    f, labels = tmp_path / "t.csv", tmp_path / "l.csv"
+    f.write_text("user,community,count\nu,a,1\n")
+    labels.write_text("user,label\nu,1\n")
+    bad = f if which == "corpus" else labels
+    bad.write_text(bad.read_text() + "u," + "x" * 200_000 + "\n")  # past csv's field limit
+    with pytest.raises(DataError, match=re.escape(f"{bad}:3: field larger than field limit")):
+        load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+
+
+def test_vocabulary_lines_split_only_at_line_ends(tmp_path):
+    f = tmp_path / "v.txt"
+    f.write_bytes("a\x0cb\r\nc\u2028d\re\n\n".encode())
+    assert load_vocabulary(f).names == ("a\x0cb", "c\u2028d", "e")
+
+
 def test_first_bad_line_in_file_order_is_reported(tmp_path):
     vocab = CommunityVocabulary(("a",))
     f = tmp_path / "c.jsonl"

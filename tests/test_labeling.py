@@ -458,6 +458,11 @@ class TestBinarize:
         with pytest.raises(DataError, match="unknown value"):
             binarize({"a": "nonbinary"}, "gender")
 
+    @pytest.mark.parametrize("attribute, value", [("gender", "male"), ("partisan", "democrat")])
+    def test_median_refused_for_other_attributes(self, attribute, value):
+        with pytest.raises(DataError, match=f"applies only to attribute 'year', not '{attribute}'"):
+            binarize({"a": value}, attribute, median=1990.0)
+
 
 class TestBots:
     def test_filter_drops_listed_users(self):

@@ -1,10 +1,14 @@
 """Model persistence: schema-tagged JSON with bit-exact round-trips."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demoscope
 from demoscope.axis import AxisModel
 from demoscope.bayes import NaiveBayesModel, fit_supervised
 from demoscope.calibrate import IsotonicMap
@@ -16,6 +20,7 @@ from demoscope.serialize import (
     from_payload,
     load_model,
     save_model,
+    text_lines,
     to_payload,
 )
 from helpers import corpus_from_dense
@@ -183,3 +188,52 @@ class TestErrors:
         a = model.score(corpus)
         b = load_model(path).score(corpus)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestTextLines:
+    def test_lines_keep_their_endings_and_split_only_at_line_ends(self, tmp_path):
+        path = tmp_path / "t.txt"
+        long = "x" * 8191 + "\u00e9"  # a two-byte character across the first read chunk
+        path.write_bytes(f"a\nb\r\nc\rd\x0ce\u2028f\n{long}".encode())
+        assert list(text_lines(path)) == ["a\n", "b\r\n", "c\r", "d\x0ce\u2028f\n", long]
+
+    @pytest.mark.parametrize(
+        "content, line", [(b"ok\n\xc3\xa9\n\xff\n", 3), (b"ok\r\nok\r\xc3", 3), (b"\xed\xa0\x80", 1)]
+    )
+    def test_first_line_not_utf8_is_a_data_error(self, tmp_path, content, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(content)
+        lines = text_lines(path)
+        for _ in range(line - 1):
+            next(lines)
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text (line {line})")):
+            next(lines)
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether a call is read_text, or an open without a write mode."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "read_text":
+        return True
+    if name != "open":
+        return False
+    # open(file, mode, ...) or path.open(mode, ...)
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    return not (isinstance(mode, str) and set(mode) & set("wax"))
+
+
+def test_only_serialize_opens_a_text_input():
+    """Every text input goes through serialize.text_lines: no other module
+    calls read_text, or open without a write mode. read_bytes does not
+    decode, so hashing a file stays allowed."""
+    reads = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(demoscope.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _reads_a_file(node)
+    }
+    assert {r for r in reads if not r.startswith("serialize.py:")} == set()
+    assert any(r.startswith("serialize.py:") for r in reads)  # the check sees text_lines
