@@ -87,6 +87,10 @@ class AxisModel:
         self.z = np.asarray(self.z, dtype=np.float64)
         if self.z.shape != (len(self.communities),):
             raise DataError("z must align with communities")
+        if len(set(self.communities)) != len(self.communities):
+            raise DataError("duplicate community names in axis model")
+        if not np.all(np.isfinite(self.z)):
+            raise DataError("z must be finite")
 
     def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
         """Squashed scores and hard predictions thresholded on the raw score."""

@@ -36,6 +36,10 @@ LOG_FLOOR = -745.0
 
 SIGMA_FLOOR = 1e-6
 
+# how far a class row of log_prior or log_cond may be from summing to 1;
+# fitted models are off by about 1e-13
+NORM_TOL = 1e-9
+
 
 @dataclass
 class NaiveBayesModel:
@@ -61,10 +65,20 @@ class NaiveBayesModel:
             raise DataError("log_prior must have shape (2,)")
         if self.log_cond.shape != (2, self.d):
             raise DataError(f"log_cond must have shape (2, {self.d})")
+        for name, logp in (("log_prior", self.log_prior), ("log_cond", self.log_cond)):
+            if not np.all(np.isfinite(logp)):
+                raise DataError(f"{name} must be finite")
+            if np.any(logp > 0):
+                raise DataError(f"{name} entries must be log probabilities (<= 0)")
+            # entries are finite and <= 0, so exp cannot overflow; cheaper than logsumexp
+            if np.any(np.abs(np.log(np.exp(logp).sum(axis=-1))) > NORM_TOL):
+                raise DataError(f"{name} must be normalized (logsumexp within {NORM_TOL} of 0)")
         if self.activity is not None:
             self.activity = np.asarray(self.activity, dtype=np.float64)
             if self.activity.shape != (2, 2):
                 raise DataError("activity must have shape (2, 2)")
+            if not np.all(np.isfinite(self.activity)):
+                raise DataError("activity must be finite")
             if np.any(self.activity[:, 1] <= 0):
                 raise DataError("activity sigma must be positive")
 

@@ -48,6 +48,12 @@ class MajorityClassifier:
     majority: int
     rate: float
 
+    def __post_init__(self):
+        if self.majority not in (0, 1):
+            raise DataError(f"majority must be class 0 or 1, got {self.majority}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise DataError(f"rate must lie in [0, 1], got {self.rate}")
+
     @classmethod
     def fit(cls, corpus: LabeledCorpus) -> "MajorityClassifier":
         counts = corpus.class_counts()

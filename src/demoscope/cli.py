@@ -166,7 +166,11 @@ def load_config(path) -> RunConfig:
     try:
         raw = parse_file(path, yaml.safe_load)
     except yaml.YAMLError as e:
-        raise DataError(f"{path}: invalid YAML ({e})") from e
+        # PyYAML's own message spans lines; keep the problem and its place
+        mark = getattr(e, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
+        problem = getattr(e, "problem", None) or " ".join(str(e).split())
+        raise DataError(f"{where}: invalid YAML ({problem})") from e
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

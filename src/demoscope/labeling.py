@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import LabeledCorpus, write_csv
 from .errors import DataError
-from .serialize import read_json, text_lines
+from .serialize import decode, read_json, text_lines
 
 try:
     from re import _parser as _sre_parse  # Python 3.11+
@@ -392,8 +392,6 @@ class SeedSets:
     threshold: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "pole_a", tuple(self.pole_a))
-        object.__setattr__(self, "pole_b", tuple(self.pole_b))
         if not self.pole_a or not self.pole_b:
             raise DataError("seed poles must be non-empty")
         overlap = set(self.pole_a) & set(self.pole_b)
@@ -424,44 +422,19 @@ def distant_label(corpus: LabeledCorpus, seeds: SeedSets) -> np.ndarray:
 
 
 def load_rules(path) -> list[DeclarationRule]:
-    """Read declaration rules from a JSON list."""
+    """Read declaration rules from a JSON list of rule objects."""
     raw = read_json(path)
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON list of rules")
-    rules = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "attribute" not in item or "patterns" not in item:
-            raise DataError(f"{path}: rule {i} needs 'attribute' and 'patterns'")
-        rules.append(
-            DeclarationRule(
-                attribute=item["attribute"],
-                patterns=list(item["patterns"]),
-                negation_patterns=list(item.get("negation_patterns", [])),
-                first_person_required=bool(item.get("first_person_required", True)),
-            )
-        )
-    return rules
+    return [decode(DeclarationRule, item, f"{path}: rule {i}") for i, item in enumerate(raw)]
 
 
 def load_seed_sets(path) -> dict[str, SeedSets]:
     """Read seed sets from JSON: one object or a list, keyed by attribute."""
     raw = read_json(path)
-    items = raw if isinstance(raw, list) else [raw]
     out: dict[str, SeedSets] = {}
-    for i, item in enumerate(items):
-        if not isinstance(item, dict) or not {"attribute", "pole_a", "pole_b"} <= set(item):
-            raise DataError(f"{path}: seed set {i} needs attribute, pole_a, pole_b")
-        if not isinstance(item["attribute"], str):
-            raise DataError(f"{path}: seed set {i} attribute must be a string")
-        for pole in ("pole_a", "pole_b"):
-            if not isinstance(item[pole], list) or not all(isinstance(c, str) for c in item[pole]):
-                raise DataError(f"{path}: seed set {i} {pole} must be a list of strings")
-        threshold = item.get("threshold", 3)
-        if isinstance(threshold, bool) or not isinstance(threshold, int):
-            raise DataError(
-                f"{path}: seed set {i} threshold must be a JSON integer, got {threshold!r:.40}"
-            )
-        seeds = SeedSets(item["attribute"], tuple(item["pole_a"]), tuple(item["pole_b"]), threshold)
+    for i, item in enumerate(raw if isinstance(raw, list) else [raw]):
+        seeds = decode(SeedSets, item, f"{path}: seed set {i}")
         if seeds.attribute in out:
             raise DataError(f"{path}: duplicate seed set for {seeds.attribute!r}")
         out[seeds.attribute] = seeds

@@ -53,6 +53,8 @@ class QuantifierModel:
                     f"degenerate correction: tpr == fpr == {self.tpr}; "
                     "the classifier carries no class signal"
                 )
+        if self.validation_size < 0:
+            raise DataError(f"validation_size must be >= 0, got {self.validation_size}")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .axis import EmbeddingTable
 from .data import CommunityVocabulary, LabeledCorpus
 from .errors import DataError
 from .labeling import SeedSets
+from .serialize import encode
 
 
 @dataclass
@@ -178,14 +179,8 @@ def write_embeddings_tsv(table: EmbeddingTable, path):
 
 
 def write_seeds_json(seeds: SeedSets, path):
-    payload = {
-        "attribute": seeds.attribute,
-        "pole_a": list(seeds.pole_a),
-        "pole_b": list(seeds.pole_b),
-        "threshold": seeds.threshold,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(encode(seeds), indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------- declaration comments

@@ -50,6 +50,11 @@ def test_embedding_table_validation():
         EmbeddingTable(("a",), np.array([[np.nan, 0.0]]))
 
 
+def test_axis_model_refuses_non_finite_z():
+    with pytest.raises(DataError, match="z must be finite"):
+        AxisModel("t", ("a", "b"), np.array([0.0, np.nan]), ("a",), ("b",))
+
+
 def test_load_embeddings_roundtrip(tmp_path):
     p = tmp_path / "emb.tsv"
     p.write_text("a\t0.5\t-1.0\nb\t1.5\t2.0\n\n")

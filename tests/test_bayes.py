@@ -176,6 +176,23 @@ def test_model_refuses_other_than_two_classes():
         )
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("log_cond", np.array([[-0.5, -1.0], [np.nan, -0.5]])),
+        ("log_prior", np.array([0.0, -np.inf])),
+        ("activity", np.array([[1.0, np.nan], [1.0, 1.0]])),
+    ],
+    ids=["log-cond-nan", "log-prior-minus-inf", "activity-sigma-nan"],
+)
+def test_model_refuses_non_finite_parameters(name, value):
+    """JSON model files cannot hold these (their reader refuses NaN and
+    Infinity), so only the constructor sees them."""
+    params = {"d": 2, "log_prior": np.log([0.5, 0.5]), "log_cond": np.log(np.full((2, 2), 0.5))}
+    with pytest.raises(DataError, match=f"{name} must be finite"):
+        NaiveBayesModel(**params | {name: value})
+
+
 def test_supervised_rejects_unlabeled_and_missing_class():
     corpus = corpus_from_dense([[1, 0], [0, 1], [1, 1]], [0, 1, -1])
     with pytest.raises(DataError, match="unlabeled"):

@@ -135,7 +135,9 @@ class TestConfigFile:
         cfg.write_text("alpha1: [unclosed\n", encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--model", "nb"])
         assert code == 2
-        assert "invalid YAML" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"demoscope: data error: {cfg}:2:1: invalid YAML (expected ',' or ']'")
 
     @pytest.mark.parametrize(
         "yaml_text, corpus_is_dir, expected",
@@ -1025,11 +1027,34 @@ def _bad_axis(demo_files, tmp_path, **fields) -> list[str]:
 def _bad_model(model, demo_files, tmp_path, **fields) -> list[str]:
     path = tmp_path / "model.json"
     save_model(model, path)
-    payload = _read_json(path) | fields
+    payload = _read_json(path)
+    payload |= {k: v(payload[k]) if callable(v) else v for k, v in fields.items()}
     path.write_text(json.dumps(payload), encoding="utf-8")
     d = demo_files["dir"]
     return ["predict", "--model-path", str(path), "--corpus", str(d / "target.jsonl"),
             "--vocabulary", str(d / "vocab.txt")]
+
+
+def _bad_majority(demo_files, tmp_path, **fields) -> list[str]:
+    return _bad_model(MajorityClassifier(majority=0, rate=0.3), demo_files, tmp_path, **fields)
+
+
+def _bad_quant(demo_files, tmp_path, **fields) -> list[str]:
+    quant = QuantifierModel(MajorityClassifier(majority=0, rate=0.3), mode="cc")
+    _bad_model(quant, demo_files, tmp_path, **fields)
+    d = demo_files["dir"]
+    return ["quantify", "--quantifier", str(tmp_path / "model.json"),
+            "--target", str(d / "target.jsonl"), "--vocabulary", str(d / "vocab.txt")]
+
+
+def _bad_rules(demo_files, tmp_path, **fields) -> list[str]:
+    """extract with the default rules, the gender rule's fields replaced."""
+    rules = _read_json(Path(labeling.__file__).parent / "resources" / "rules.default.json")
+    rules[1] |= fields
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules), encoding="utf-8")
+    return ["extract", "--comments", str(demo_files["dir"] / "comments.jsonl"),
+            "--rules", str(path)]
 
 
 def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
@@ -1052,14 +1077,40 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
         (_bad_nb, {"alpha1": [1.0]}, "field 'alpha1': expected a JSON number"),
         (_bad_axis, {"communities": "ab"}, "field 'communities': expected a JSON list of strings"),
         (_bad_axis, {"projection": "dot"}, "field 'projection': axis models score by cosine"),
-        (_bad_seeds, {"threshold": "x"}, "threshold must be a JSON integer"),
-        (_bad_seeds, {"threshold": 2.7}, "threshold must be a JSON integer"),
-        (_bad_seeds, {"pole_a": "abc"}, "pole_a must be a list of strings"),
+        (_bad_seeds, {"threshold": "x"}, "field 'threshold': expected a JSON integer"),
+        (_bad_seeds, {"threshold": 2.7}, "field 'threshold': expected a JSON integer"),
+        (_bad_seeds, {"pole_a": "abc"}, "field 'pole_a': expected a JSON list of strings"),
+        (_bad_seeds, {"treshold": 2}, "seed set 0 unknown field 'treshold'"),
+        (_bad_rules, {"negation_patterns": "not"},
+         "rule 1 field 'negation_patterns': expected a JSON list of strings"),
+        (_bad_rules, {"negation_patterns": [1]},
+         "rule 1 field 'negation_patterns': expected a JSON list of strings"),
+        (_bad_rules, {"first_person_required": "false"},
+         "rule 1 field 'first_person_required': expected a JSON boolean"),
+        (_bad_rules, {"negation_pattern": ["not"]}, "rule 1 unknown field 'negation_pattern'"),
+        (_bad_nb, {"alpha3": 1.0}, "model payload (nb/1) unknown field 'alpha3'"),
+        (_bad_axis, {"attribute": 7}, "field 'attribute': expected a JSON string"),
+        (_bad_nb, {"log_cond": lambda lc: [[5.0, *lc[0][1:]], lc[1]]},
+         "log_cond entries must be log probabilities"),
+        (_bad_nb, {"log_prior": [0.0, 0.0]}, "log_prior must be normalized"),
+        (_bad_nb, {"log_cond": lambda lc: [[v - 3.0 for v in lc[0]], lc[1]]},
+         "log_cond must be normalized"),
+        (_bad_majority, {"majority": 5}, "majority must be class 0 or 1, got 5"),
+        (_bad_majority, {"rate": 7.0}, "rate must lie in [0, 1], got 7.0"),
+        (_bad_quant, {"validation_size": -5}, "validation_size must be >= 0, got -5"),
+        (_bad_quant, {"classifier": {"schema": "iso/1", "breakpoints": [0.5], "values": [0.5]}},
+         "field 'classifier': expected a classifier payload, got 'iso/1'"),
+        (_bad_axis, {"communities": ["a", "a"]}, "duplicate community names"),
     ],
     ids=["model-k-string", "model-k-three", "model-ragged-log-cond", "model-alpha-list",
          "axis-communities-string",
          "axis-projection-dot",
-         "seeds-threshold-string", "seeds-threshold-float", "seeds-pole-string"],
+         "seeds-threshold-string", "seeds-threshold-float", "seeds-pole-string",
+         "seeds-threshold-typo", "rules-negation-string", "rules-negation-number",
+         "rules-first-person-string", "rules-negation-typo", "model-unknown-key",
+         "axis-attribute-number", "nb-log-cond-positive", "nb-log-prior-zeros",
+         "nb-row-shifted", "majority-class-five", "majority-rate-seven",
+         "quant-validation-negative", "quant-iso-classifier", "axis-duplicate-community"],
 )
 def test_wrong_typed_json_input_exits_two_with_one_line(
     demo_files, tmp_path, capsys, make, fields, expected
@@ -1302,17 +1353,21 @@ def _unreadable_case(demo_files, tmp_path, reader):
     [
         pytest.param(reader, content, id=f"{reader}-{content}")
         for reader, (_, _, structured) in UNREADABLE_CASES.items()
-        for content in ("invalid-utf8", "deep-nesting")[: 1 + structured]
+        for content in ("invalid-utf8", "bom", "deep-nesting")[: 2 + structured]
     ],
 )
 def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reader, content):
-    """Invalid UTF-8 in any input, and nesting too deep to parse in any
-    JSON or YAML input, is one data-error line naming the file."""
+    """Invalid UTF-8 or a leading byte-order mark in any input, and nesting
+    too deep to parse in any JSON or YAML input, is one data-error line
+    naming the file."""
     argv, path = _unreadable_case(demo_files, tmp_path, reader)
     if content == "invalid-utf8":
         lines = path.read_bytes().splitlines()
         path.write_bytes(b"\n".join([*lines, b"\xff"]))
         expected = f"{path}: not UTF-8 text (line {len(lines) + 1})"
+    elif content == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        expected = f"{path}: starts with a UTF-8 byte-order mark"
     else:
         path.write_bytes(b"[" * 100_000)
         expected = "nested too deeply to parse"

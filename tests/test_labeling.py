@@ -556,7 +556,7 @@ class TestRuleFiles:
     def test_load_rules_rejects_incomplete_rule(self, tmp_path):
         p = tmp_path / "rules.json"
         p.write_text('[{"attribute": "year"}]', encoding="utf-8")
-        with pytest.raises(DataError, match="needs 'attribute' and 'patterns'"):
+        with pytest.raises(DataError, match="rule 0 missing field 'patterns'"):
             load_rules(p)
 
     @pytest.mark.parametrize(
@@ -624,7 +624,7 @@ class TestSeedFiles:
     def test_missing_keys_rejected(self, tmp_path):
         p = tmp_path / "seeds.json"
         p.write_text('[{"attribute": "gender"}]', encoding="utf-8")
-        with pytest.raises(DataError, match="needs attribute"):
+        with pytest.raises(DataError, match="seed set 0 missing field 'pole_a'"):
             load_seed_sets(p)
 
 

@@ -1,6 +1,7 @@
 """Model persistence: schema-tagged JSON with bit-exact round-trips."""
 
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -20,6 +21,7 @@ from demoscope.serialize import (
     from_payload,
     load_model,
     save_model,
+    schemas,
     text_lines,
     to_payload,
 )
@@ -144,6 +146,40 @@ class TestRoundTrips:
             assert p1.read_bytes() == p2.read_bytes()
 
 
+# one model of each schema, and of each kind a schema nests: a calibrator
+# in nb and axis models, each classifier kind in a quantifier
+SCHEMA_CASES = {
+    "nb": lambda: _nb_model(use_log_normal=False),
+    "nb-calibrated": lambda: _nb_model(use_log_normal=False, calibrator=_iso_map()),
+    "nb-ln": _nb_model,
+    "axis": _axis_model,
+    "axis-calibrated": lambda: _axis_model(calibrator=_iso_map()),
+    "iso": _iso_map,
+    "majority": lambda: MajorityClassifier(majority=1, rate=0.625),
+    "quant-nb": lambda: QuantifierModel(_nb_model(calibrator=_iso_map()), "acc", 0.85, 0.15, 40),
+    "quant-axis": lambda: QuantifierModel(_axis_model(), "cc"),
+    "quant-majority": lambda: QuantifierModel(MajorityClassifier(majority=0, rate=0.3), "cc"),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHEMA_CASES))
+def test_schema_round_trip_writes_each_field_once(tmp_path, case):
+    """save -> load -> save is byte-identical, and a payload's keys are the
+    schema tag ("k" too for nb/1) and the class's fields, no more."""
+    model = SCHEMA_CASES[case]()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    payload = json.loads(first.read_text(encoding="utf-8"))
+    tags = {"schema", "k"} if payload["schema"] == "nb/1" else {"schema"}
+    assert set(payload) == tags | {f.name for f in dataclasses.fields(model)}
+
+
+def test_schema_cases_cover_the_schema_table():
+    assert {to_payload(make())["schema"] for make in SCHEMA_CASES.values()} == set(schemas())
+
+
 class TestDumps:
     def test_canonical_form(self):
         text = dumps({"b": 1, "a": [0.1]})
@@ -167,6 +203,12 @@ class TestErrors:
         payload = to_payload(_nb_model())
         del payload["log_prior"]
         with pytest.raises(DataError, match="log_prior"):
+            from_payload(payload)
+
+    def test_model_field_with_a_default_is_still_required(self):
+        payload = to_payload(_nb_model())
+        del payload["calibrator"]
+        with pytest.raises(DataError, match=r"model payload \(nb/1\) missing field 'calibrator'"):
             from_payload(payload)
 
     def test_unserializable_object(self):
