@@ -125,15 +125,17 @@ def log_activity_pmf(a, mu: float, sigma: float) -> np.ndarray:
     """log[ CDF(a + 1) - CDF(a) ] under LogNormal(mu, sigma).
 
     Computed as a difference of normal log-CDFs of ln(t), so the result
-    stays finite far into the tails; floored at LOG_FLOOR.
+    stays finite far into the tails; floored at LOG_FLOOR. Totals repeat
+    across users, so each distinct total is computed once.
     """
     a = np.asarray(a, dtype=np.float64)
     if np.any(a < 1):
         raise DataError("total activity must be >= 1")
-    hi = log_ndtr((np.log(a + 1.0) - mu) / sigma)
-    lo = log_ndtr((np.log(a) - mu) / sigma)
+    totals, rows = np.unique(a, return_inverse=True)
+    hi = log_ndtr((np.log(totals + 1.0) - mu) / sigma)
+    lo = log_ndtr((np.log(totals) - mu) / sigma)
     out = hi + _log1mexp(np.minimum(lo - hi, 0.0))
-    return np.maximum(out, LOG_FLOOR)
+    return np.maximum(out, LOG_FLOOR)[rows].reshape(a.shape)
 
 
 def _activity_log_matrix(activities: np.ndarray, activity: np.ndarray) -> np.ndarray:
@@ -230,12 +232,6 @@ def fit_supervised(
 
     Every row must carry a label and every class must be represented.
     """
-    _validate_hyper(alpha1, alpha2)
-    if corpus.n == 0:
-        raise DataError("cannot fit on an empty corpus")
-    if not corpus.labeled_mask.all():
-        n_un = int((~corpus.labeled_mask).sum())
-        raise DataError(f"supervised fit requires labels on all rows; {n_un} unlabeled")
     model = _closed_form(corpus, alpha1, alpha2, use_log_normal, pooled_activity)
     ll = _objective(model, corpus, log_joint_matrix(model, corpus))
     report = FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
@@ -244,13 +240,19 @@ def fit_supervised(
 
 def _closed_form(
     corpus: LabeledCorpus,
-    alpha1: float,
-    alpha2: float,
+    alpha1: float = 1.0,
+    alpha2: float = 1.0,
     use_log_normal: bool = False,
     pooled_activity: bool = False,
 ) -> NaiveBayesModel:
     """The smoothed M-step on a fully labeled corpus with one-hot
     responsibilities; every class must have a row."""
+    _validate_hyper(alpha1, alpha2)
+    if corpus.n == 0:
+        raise DataError("cannot fit on an empty corpus")
+    if not corpus.labeled_mask.all():
+        n_un = int((~corpus.labeled_mask).sum())
+        raise DataError(f"supervised fit requires labels on all rows; {n_un} unlabeled")
     counts = corpus.class_counts()
     if counts.min() < 1:
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -376,6 +378,20 @@ def fit(
     return fit_supervised(corpus.subset(np.flatnonzero(corpus.labeled_mask)), **options)
 
 
+def fit_model(
+    corpus: LabeledCorpus,
+    semi_supervised: bool = False,
+    max_iter: int = 100,
+    tol: float = 1e-6,
+    **options,
+) -> NaiveBayesModel:
+    """The model fit returns, without its report: a supervised fit is the
+    closed form alone, with no pass over the corpus for the objective."""
+    if semi_supervised:
+        return fit_semisupervised(corpus, max_iter=max_iter, tol=tol, **options)[0]
+    return _closed_form(corpus.subset(np.flatnonzero(corpus.labeled_mask)), **options)
+
+
 def _validate_hyper(alpha1: float, alpha2: float):
     if not (alpha1 > 0 and np.isfinite(alpha1)):
         raise DataError(f"alpha1 must be positive and finite, got {alpha1}")
@@ -413,7 +429,6 @@ def feature_log_odds_dispersion(
     for y, pool in enumerate(class_pools):
         if pool.size == 0:
             raise DataError(f"class {y} has no labeled rows")
-    _validate_hyper(alpha1, alpha2)
     rng = np.random.default_rng(seed)
     draws = np.empty((n_boot, corpus.d), dtype=np.float64)
     for b in range(n_boot):

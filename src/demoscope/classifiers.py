@@ -76,10 +76,11 @@ TrainFn = Callable[[LabeledCorpus], ScoringClassifier]
 
 
 def nb_factory(**options) -> TrainFn:
-    """Training closure for evaluation protocols: bayes.fit with options."""
+    """Training closure for evaluation protocols: the model of bayes.fit
+    with options, fitted without the report that fit also computes."""
 
     def train(corpus: LabeledCorpus) -> bayes.NaiveBayesModel:
-        return bayes.fit(corpus, **options)[0]
+        return bayes.fit_model(corpus, **options)
 
     return train
 

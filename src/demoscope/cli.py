@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import warnings
@@ -29,7 +28,7 @@ import yaml
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
-from .serialize import dumps, load_model, parse_file, save_model, text_lines
+from .serialize import dumps, load_model, parse_file, save_model
 
 # every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
@@ -286,16 +285,6 @@ def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
     return corpus
 
 
-def _read_comments(path):
-    for lineno, line in enumerate(text_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            yield json.loads(line)
-        except (json.JSONDecodeError, RecursionError):
-            yield {"_malformed": lineno}
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -304,7 +293,7 @@ def cmd_extract(run: Run):
     rules_path = run.optional("rules")
     rules = labeling.load_rules(rules_path) if rules_path else labeling.default_rules()
     rules = [r for r in rules if r.attribute == cfg.attribute] or rules
-    decls, report = labeling.extract_declarations(_read_comments(run.input("comments")), rules)
+    decls, report = labeling.extract_file(run.input("comments"), rules)
     before = len(decls)
     botlist = run.optional("botlist")
     if botlist:

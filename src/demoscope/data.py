@@ -14,13 +14,14 @@ import json
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .serialize import text_lines
+from .serialize import in_ranges, text_lines
 
 # Counts above this are treated as corrupt input rather than real activity.
 MAX_COUNT = 2**31 - 1
@@ -218,7 +219,8 @@ def _check_label(value, where: str) -> int:
 
 
 class _Builder:
-    """Collects a corpus file's lines as flat (row, column, count) entries.
+    """Collects a corpus file's lines, or one byte range's, as flat
+    (row, column, count) entries.
 
     Rows are users in first-appearance order. Entries go to typed
     buffers, and each line keeps its row, entry count and line number
@@ -237,6 +239,7 @@ class _Builder:
         self.line_rows = array("i")
         self.line_sizes = array("q")
         self.line_nos = array("q")
+        self.lines = 0  # lines read, blank ones too
         self.report = LoadReport()
 
     def add(self, user: str, names, counts: list, label: int, lineno: int, where: str):
@@ -259,6 +262,29 @@ class _Builder:
         self.line_sizes.append(len(cols))
         self.line_nos.append(lineno)
         self.set_label(row, label, where)
+
+    @staticmethod
+    def joined(parts: list) -> "_Builder | None":
+        """The builders of consecutive byte ranges of a file as one, as if
+        the first had read on through the others; None when two share a
+        user. parts is emptied as they are taken in, which frees each."""
+        acc = parts.pop(0)
+        while parts:
+            part = parts.pop(0)
+            if not acc.rows.keys().isdisjoint(part.rows):
+                return None
+            base = len(acc.labels)
+            acc.rows.update(zip(part.rows, range(base, base + len(part.labels))))
+            acc.labels += part.labels
+            acc.cols += part.cols
+            acc.counts += part.counts
+            acc.line_rows += array("i", (row + base for row in part.line_rows))
+            acc.line_sizes += part.line_sizes
+            acc.line_nos += array("q", (lineno + acc.lines for lineno in part.line_nos))
+            acc.lines += part.lines
+            acc.report.unknown_community_pairs += part.report.unknown_community_pairs
+            acc.report.merged_duplicate_users += part.report.merged_duplicate_users
+        return acc
 
     def set_label(self, row: int, label: int, where: str):
         """Record a row's label; -1 keeps what is there, a second
@@ -317,9 +343,18 @@ class _Builder:
 
 
 def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
+    acc = _Builder.joined(in_ranges(path, partial(_read_jsonl, path, vocabulary)))
+    if acc is None:  # a user in two ranges: merge as one pass does
+        acc = _read_jsonl(path, vocabulary)
+    return acc.finish(acc.matrix())
+
+
+def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None) -> "_Builder":
+    """The lines of a jsonl corpus, or of one byte range of it, in a _Builder."""
     acc = _Builder(vocabulary, path)
+    lineno = 0
     try:
-        for lineno, line in enumerate(text_lines(path), start=1):
+        for lineno, line in enumerate(text_lines(path, start, end), start=1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -348,7 +383,8 @@ def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, L
     except DataError:
         acc.raise_merged_overflow()  # an earlier line's error comes first
         raise
-    return acc.finish(acc.matrix())
+    acc.lines = lineno
+    return acc
 
 
 def _csv_records(path, header: tuple[str, ...]):

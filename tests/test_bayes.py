@@ -80,6 +80,7 @@ def test_activity_pmf_matches_lognorm_cdf():
 @pytest.mark.parametrize("mu, sigma", [(0.3, 0.8), (-1.0, 3.0), (2.0, 0.05), (5.0, 1e-6)])
 def test_activity_pmf_equals_norm_logcdf_formula_exactly(mu, sigma):
     a = np.concatenate([np.arange(1.0, 300.0), [1e3, 1e6, 1e9, 1e15]])
+    a = np.concatenate([a, a[::-3], a[::7]])  # totals repeat, in any order
     hi = norm.logcdf((np.log(a + 1.0) - mu) / sigma)
     lo = norm.logcdf((np.log(a) - mu) / sigma)
     want = np.maximum(hi + _log1mexp(np.minimum(lo - hi, 0.0)), LOG_FLOOR)

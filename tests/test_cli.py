@@ -260,7 +260,9 @@ class TestExtract:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("demoscope: data error: rule 'gender' negation 1: ")
+        assert err[0].startswith(
+            f"demoscope: data error: {rules}: rule 0: rule 'gender' negation 1: "
+        )
 
 
 class TestLabelDistant:
@@ -1101,6 +1103,10 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
         (_bad_quant, {"classifier": {"schema": "iso/1", "breakpoints": [0.5], "values": [0.5]}},
          "field 'classifier': expected a classifier payload, got 'iso/1'"),
         (_bad_axis, {"communities": ["a", "a"]}, "duplicate community names"),
+        (_bad_seeds, {"pole_a": ["a", "b"], "pole_b": ["b", "c"]},
+         "seeds.json: seed set 0: seed poles overlap: ['b']"),
+        (_bad_quant, {"mode": "acc", "tpr": 0.5, "fpr": 0.5},
+         "model.json: model payload (quant/1): degenerate correction: tpr == fpr == 0.5"),
     ],
     ids=["model-k-string", "model-k-three", "model-ragged-log-cond", "model-alpha-list",
          "axis-communities-string",
@@ -1110,7 +1116,8 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
          "rules-first-person-string", "rules-negation-typo", "model-unknown-key",
          "axis-attribute-number", "nb-log-cond-positive", "nb-log-prior-zeros",
          "nb-row-shifted", "majority-class-five", "majority-rate-seven",
-         "quant-validation-negative", "quant-iso-classifier", "axis-duplicate-community"],
+         "quant-validation-negative", "quant-iso-classifier", "axis-duplicate-community",
+         "seeds-poles-overlap", "quant-tpr-equals-fpr"],
 )
 def test_wrong_typed_json_input_exits_two_with_one_line(
     demo_files, tmp_path, capsys, make, fields, expected
