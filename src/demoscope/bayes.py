@@ -227,32 +227,36 @@ def fit_supervised(
     alpha2: float = 1.0,
     use_log_normal: bool = False,
     pooled_activity: bool = False,
-) -> tuple[NaiveBayesModel, FitReport]:
+    report: bool = True,
+) -> tuple[NaiveBayesModel, FitReport | None]:
     """Closed-form smoothed fit on a fully labeled corpus.
 
     Every row must carry a label and every class must be represented.
+    With report=False the FitReport, a further pass over the corpus for
+    the objective, is not computed and None stands in its place.
     """
-    model = _closed_form(corpus, alpha1, alpha2, use_log_normal, pooled_activity)
-    ll = _objective(model, corpus, log_joint_matrix(model, corpus))
-    report = FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
-    return model, report
-
-
-def _closed_form(
-    corpus: LabeledCorpus,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
-    use_log_normal: bool = False,
-    pooled_activity: bool = False,
-) -> NaiveBayesModel:
-    """The smoothed M-step on a fully labeled corpus with one-hot
-    responsibilities; every class must have a row."""
     _validate_hyper(alpha1, alpha2)
     if corpus.n == 0:
         raise DataError("cannot fit on an empty corpus")
     if not corpus.labeled_mask.all():
         n_un = int((~corpus.labeled_mask).sum())
         raise DataError(f"supervised fit requires labels on all rows; {n_un} unlabeled")
+    model = _closed_form(corpus, alpha1, alpha2, use_log_normal, pooled_activity)
+    if not report:
+        return model, None
+    ll = _objective(model, corpus, log_joint_matrix(model, corpus))
+    return model, FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
+
+
+def _closed_form(
+    corpus: LabeledCorpus,
+    alpha1: float,
+    alpha2: float,
+    use_log_normal: bool = False,
+    pooled_activity: bool = False,
+) -> NaiveBayesModel:
+    """The smoothed M-step on a fully labeled corpus with one-hot
+    responsibilities; every class must have a row."""
     counts = corpus.class_counts()
     if counts.min() < 1:
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -369,27 +373,16 @@ def fit(
     semi_supervised: bool = False,
     max_iter: int = 100,
     tol: float = 1e-6,
+    report: bool = True,
     **options,
-) -> tuple[NaiveBayesModel, FitReport]:
+) -> tuple[NaiveBayesModel, FitReport | None]:
     """EM over every row when semi_supervised, else the closed form on the
-    labeled rows alone; options are fit_supervised's keyword arguments."""
+    labeled rows alone; options are fit_supervised's keyword arguments.
+    report=False skips a supervised fit's report (EM's is its trace)."""
     if semi_supervised:
         return fit_semisupervised(corpus, max_iter=max_iter, tol=tol, **options)
-    return fit_supervised(corpus.subset(np.flatnonzero(corpus.labeled_mask)), **options)
-
-
-def fit_model(
-    corpus: LabeledCorpus,
-    semi_supervised: bool = False,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    **options,
-) -> NaiveBayesModel:
-    """The model fit returns, without its report: a supervised fit is the
-    closed form alone, with no pass over the corpus for the objective."""
-    if semi_supervised:
-        return fit_semisupervised(corpus, max_iter=max_iter, tol=tol, **options)[0]
-    return _closed_form(corpus.subset(np.flatnonzero(corpus.labeled_mask)), **options)
+    labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
+    return fit_supervised(labeled, report=report, **options)
 
 
 def _validate_hyper(alpha1: float, alpha2: float):
@@ -429,6 +422,7 @@ def feature_log_odds_dispersion(
     for y, pool in enumerate(class_pools):
         if pool.size == 0:
             raise DataError(f"class {y} has no labeled rows")
+    _validate_hyper(alpha1, alpha2)
     rng = np.random.default_rng(seed)
     draws = np.empty((n_boot, corpus.d), dtype=np.float64)
     for b in range(n_boot):

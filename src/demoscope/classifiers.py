@@ -77,10 +77,10 @@ TrainFn = Callable[[LabeledCorpus], ScoringClassifier]
 
 def nb_factory(**options) -> TrainFn:
     """Training closure for evaluation protocols: the model of bayes.fit
-    with options, fitted without the report that fit also computes."""
+    with options, fitted without a report nothing reads."""
 
     def train(corpus: LabeledCorpus) -> bayes.NaiveBayesModel:
-        return bayes.fit_model(corpus, **options)
+        return bayes.fit(corpus, report=False, **options)[0]
 
     return train
 

@@ -15,7 +15,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -266,21 +266,34 @@ class _Builder:
     @staticmethod
     def joined(parts: list) -> "_Builder | None":
         """The builders of consecutive byte ranges of a file as one, as if
-        the first had read on through the others; None when two share a
-        user. parts is emptied as they are taken in, which frees each."""
+        the first had read on through the others: a user met in an earlier
+        range keeps its row and label, and counts as a merged duplicate.
+        None when such a user's labels conflict, a load error that one pass
+        must name at its line. parts is emptied as they are taken in,
+        which frees each."""
         acc = parts.pop(0)
         while parts:
             part = parts.pop(0)
-            if not acc.rows.keys().isdisjoint(part.rows):
-                return None
-            base = len(acc.labels)
-            acc.rows.update(zip(part.rows, range(base, base + len(part.labels))))
-            acc.labels += part.labels
+            base, n = len(acc.labels), len(part.labels)
+            rows = np.fromiter(map(acc.rows.get, part.rows, repeat(-1)), np.intc, n)
+            new = rows < 0  # users no earlier range has
+            shared = np.flatnonzero(~new).tolist()
+            rows[new] = np.arange(base, base + n - len(shared), dtype=np.intc)
+            acc.rows.update(zip(compress(part.rows, new.tolist()), count(base)))
+            acc.labels += compress(part.labels, new.tolist())
+            for k in shared:
+                label, row = part.labels[k], rows[k]
+                if label != -1:
+                    if acc.labels[row] not in (-1, label):
+                        return None
+                    acc.labels[row] = label
+            acc.report.merged_duplicate_users += len(shared)
             acc.cols += part.cols
             acc.counts += part.counts
-            acc.line_rows += array("i", (row + base for row in part.line_rows))
+            acc.line_rows.frombytes(rows[np.frombuffer(part.line_rows, dtype=np.intc)].tobytes())
             acc.line_sizes += part.line_sizes
-            acc.line_nos += array("q", (lineno + acc.lines for lineno in part.line_nos))
+            line_nos = np.frombuffer(part.line_nos, dtype=np.longlong) + acc.lines
+            acc.line_nos.frombytes(line_nos.tobytes())
             acc.lines += part.lines
             acc.report.unknown_community_pairs += part.report.unknown_community_pairs
             acc.report.merged_duplicate_users += part.report.merged_duplicate_users
@@ -344,7 +357,7 @@ class _Builder:
 
 def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
     acc = _Builder.joined(in_ranges(path, partial(_read_jsonl, path, vocabulary)))
-    if acc is None:  # a user in two ranges: merge as one pass does
+    if acc is None:  # labels that conflict across ranges: fail as one pass does
         acc = _read_jsonl(path, vocabulary)
     return acc.finish(acc.matrix())
 

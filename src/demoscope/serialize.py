@@ -249,6 +249,12 @@ class _ByteRange(io.RawIOBase):
 # rounded up to a power of two.
 MIN_RANGE_BYTES = 1 << 19
 
+# At most this many ranges, however many CPUs there are: the gain was
+# measured on two cores only, and a CPU quota the affinity mask does not
+# show could leave more workers fighting for one or two cores while the
+# parent joins their results one after another.
+MAX_RANGES = 2
+
 
 def usable_cpus() -> int:
     """CPUs this process may run on, as its affinity mask (taskset) says."""
@@ -281,18 +287,19 @@ def line_ranges(path, parts: int) -> list[tuple[int, int]]:
 def in_ranges(path, work) -> list:
     """[work(start, end) for each range of line_ranges(path)], in file order.
 
-    There is one range per usable CPU, each at least MIN_RANGE_BYTES. The
-    first range runs in this process, the others in forked workers. A
-    single range is work(0, None), the whole file read in this process;
-    so is every run where a range raises a DataError, which makes the
-    error the one a single pass meets first, with its line number.
+    There is one range per usable CPU, at most MAX_RANGES and each at
+    least MIN_RANGE_BYTES. The first range runs in this process, the
+    others in forked workers. A single range is work(0, None), the whole
+    file read in this process; so is every run where a range raises a
+    DataError, which makes the error the one a single pass meets first,
+    with its line number.
 
     Workers are forked, never spawned: a spawned worker imports the
     package again, about 0.5 s. Fork copies only the calling thread, so
     a process running other threads reads one range, as does a platform
     without fork. A worker that dies is a ChildProcessError.
     """
-    parts = min(usable_cpus(), os.path.getsize(path) // MIN_RANGE_BYTES)
+    parts = min(usable_cpus(), MAX_RANGES, os.path.getsize(path) // MIN_RANGE_BYTES)
     if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [work(0, None)]
     import multiprocessing  # here, off every command's start-up path

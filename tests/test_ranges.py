@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demoscope import data as data_module
 from demoscope import serialize
 from demoscope.cli import main
 from demoscope.data import MAX_COUNT, CommunityVocabulary, load_corpus
@@ -39,6 +40,7 @@ def ranges(monkeypatch):
 
     monkeypatch.setattr(serialize, "line_ranges", spy)
     monkeypatch.setattr(serialize, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(serialize, "MAX_RANGES", 3)
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 3)
     return cut
 
@@ -64,34 +66,58 @@ def _load(path, cpus, monkeypatch):
 
 
 @st.composite
-def _corpus_text(draw):
-    """jsonl lines over six users, so a user often recurs across a cut:
-    known and unknown communities, labels that may conflict, counts that
-    overflow once merged, blank lines and \\n, \\r\\n or \\r endings."""
+def _corpus_bytes(draw):
+    """A jsonl corpus and the offsets, each just after a \\n byte, where
+    it is cut. Users come from a pool of six, so one often recurs across
+    a cut, or of a thousand, so most are unique. Lines hold known and
+    unknown communities, labels that may conflict and counts that
+    overflow once merged; blank lines and \\n, \\r\\n or \\r endings."""
     pairs = st.dictionaries(
         st.sampled_from(_NAMES + ("zz",)), st.sampled_from([1, 2, 5, 2**30]), max_size=3
     )
     label = st.sampled_from([None, None, -1, 0, 1])
-    line = st.tuples(st.sampled_from([f"u{i}" for i in range(6)]), pairs, label)
-    lines = draw(st.lists(st.one_of(line, st.just(None)), min_size=1, max_size=14))
+    users = st.integers(0, draw(st.sampled_from([5, 999]))).map("u{}".format)
+    line = st.tuples(users, pairs, label)
+    lines = draw(st.lists(st.one_of(line, st.just(None)), min_size=2, max_size=14))
     text = ""
-    for item in lines:
+    for k, item in enumerate(lines):
         if item is not None:
             user, counts, y = item
             rec = {"user": user, "counts": counts} | ({} if y is None else {"label": y})
             text += json.dumps(rec)
-        text += draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
-    return text
+        text += "\n" if k == 0 else draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    data = text.encode()
+    newlines = [i + 1 for i in range(len(data) - 1) if data[i] == ord("\n")]
+    cuts = draw(st.lists(st.sampled_from(newlines), min_size=1, max_size=2, unique=True))
+    return data, sorted(cuts)
 
 
-@given(text=_corpus_text())
+@given(corpus=_corpus_bytes())
 @settings(max_examples=60, deadline=None)
-def test_corpus_in_ranges_equals_one_pass(text):
+def test_corpus_in_ranges_equals_one_pass(corpus):
+    """Equal to one pass, and a load that succeeds joins its ranges
+    without reading the whole file again."""
+    data, cuts = corpus
+    spans = list(zip([0, *cuts], [*cuts, len(data)]))
     with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
+        serial = _load(path, 1, monkeypatch)
+        cut, read_here = [], []
+        real_read = data_module._read_jsonl
+
+        def read(*args):
+            read_here.append(args[2:])
+            return real_read(*args)
+
+        monkeypatch.setattr(serialize, "line_ranges", lambda *_: cut.append(spans) or spans)
+        monkeypatch.setattr(data_module, "_read_jsonl", read)
         monkeypatch.setattr(serialize, "MIN_RANGE_BYTES", 1)
-        assert _load(path, 3, monkeypatch) == _load(path, 1, monkeypatch)
+        monkeypatch.setattr(serialize, "MAX_RANGES", 3)
+        assert _load(path, 3, monkeypatch) == serial
+        assert cut == [spans] and len(spans) > 1
+        if not isinstance(serial, str):
+            assert read_here == [spans[0]]
 
 
 def _good_lines(n: int) -> list[bytes]:
@@ -231,3 +257,12 @@ def test_a_process_running_other_threads_reads_one_range(tmp_path, ranges):
         release.set()
         other.join(timeout=10)
     assert spans == [(os.getpid(), (0, None))] and not other.is_alive()
+
+
+def test_no_more_than_max_ranges_however_many_cpus(tmp_path, monkeypatch):
+    path = tmp_path / "t.txt"
+    path.write_text("".join(f"line {i}\n" for i in range(30)))
+    monkeypatch.setattr(serialize, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 64)
+    spans = serialize.in_ranges(path, lambda *span: span)
+    assert len(spans) == serialize.MAX_RANGES == 2
