@@ -29,6 +29,7 @@ from scipy.special import log_ndtr, log_softmax, logsumexp
 from .calibrate import IsotonicMap, apply_map
 from .data import LabeledCorpus
 from .errors import DataError, NumericError
+from .serialize import in_chunks
 
 # smallest log mass assigned to any activity bin; exp(-745) is the
 # smallest positive normal-range double
@@ -410,7 +411,9 @@ def feature_log_odds_dispersion(
     """Bootstrap mean and sample std of the per-community log odds.
 
     Refits a supervised plain model on n_boot stratified resamples
-    (labeled rows only, resampled with replacement within class).
+    (labeled rows only, resampled with replacement within class). The
+    resamples are drawn in turn from one generator, so a chunk of them
+    (serialize.in_chunks) draws and drops those before it.
     """
     if n_boot < 2:
         raise DataError(f"n_boot must be >= 2, got {n_boot}")
@@ -423,10 +426,15 @@ def feature_log_odds_dispersion(
         if pool.size == 0:
             raise DataError(f"class {y} has no labeled rows")
     _validate_hyper(alpha1, alpha2)
-    rng = np.random.default_rng(seed)
-    draws = np.empty((n_boot, corpus.d), dtype=np.float64)
-    for b in range(n_boot):
-        take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
-        boot = corpus.subset(np.sort(np.concatenate(take)))
-        draws[b] = feature_log_odds(_closed_form(boot, alpha1, alpha2))
+
+    def replicates(lo: int, hi: int) -> list[np.ndarray]:
+        rng, found = np.random.default_rng(seed), []
+        for b in range(hi):
+            take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
+            if b >= lo:
+                boot = corpus.subset(np.sort(np.concatenate(take)))
+                found.append(feature_log_odds(_closed_form(boot, alpha1, alpha2)))
+        return found
+
+    draws = np.array(in_chunks(replicates, n_boot, corpus.X.nnz, "importance replicates"))
     return draws.mean(axis=0), draws.std(axis=0, ddof=1)

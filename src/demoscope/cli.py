@@ -83,7 +83,6 @@ class RunConfig:
     n_bins: int = _setting(10, "reliability bins")
     importance_boot: int = _setting(50, "bootstrap replicates per community")
     seed: int = _setting(0, "root random seed")
-    threads: int = _setting(1, "bootstrap worker threads")
 
     def validate(self):
         for f in fields(self):
@@ -103,7 +102,7 @@ class RunConfig:
         for name in ("confidence", "test_fraction", "calibration_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must lie in (0, 1)")
-        least = {"n_boot": 1, "repeats": 1, "cohort_size": 1, "threads": 1, "max_iter": 1,
+        least = {"n_boot": 1, "repeats": 1, "cohort_size": 1, "max_iter": 1,
                  "folds": 2, "importance_boot": 2}
         for name, low in least.items():
             if getattr(self, name) < low:
@@ -281,6 +280,8 @@ def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
     corpus, report = load_corpus(
         path, vocab, fmt=run.cfg.format, labels_path=run.optional("labels")
     )
+    if corpus.n == 0:
+        raise DataError(f"{path}: no user rows")
     run.counters[name] = asdict(report)
     return corpus
 
@@ -350,13 +351,16 @@ def cmd_label_distant(run: Run):
 
 def _seed_set(run: Run) -> labeling.SeedSets:
     """The seed set for cfg.attribute, else the file's only set."""
-    seed_sets = labeling.load_seed_sets(run.input("seeds"))
+    path = run.input("seeds")
+    seed_sets = labeling.load_seed_sets(path)
     attribute = run.cfg.attribute
     if attribute in seed_sets:
         return seed_sets[attribute]
     if len(seed_sets) == 1:
         return next(iter(seed_sets.values()))
-    raise DataError(f"seed file has no entry for {attribute!r}; available: {sorted(seed_sets)}")
+    raise DataError(
+        f"{path}: seed file has no entry for {attribute!r}; available: {sorted(seed_sets)}"
+    )
 
 
 def _axis_from_config(run: Run) -> axis.AxisModel:
@@ -507,7 +511,6 @@ def cmd_evaluate(run: Run):
         n_boot=cfg.n_boot,
         test_fraction=cfg.test_fraction,
         seed=stage_seed(cfg.seed, "bootstrap"),
-        threads=cfg.threads,
     )
     summary = report.summary()
     run.write_json(
@@ -563,7 +566,6 @@ def cmd_report(run: Run):
             n_boot=cfg.n_boot,
             test_fraction=cfg.test_fraction,
             seed=stage_seed(cfg.seed, f"bootstrap-{kind}"),
-            threads=cfg.threads,
         )
         classification[kind] = rep.summary() | {"dropped_rows": rep.dropped_rows}
         curve = evaluate.cv_roc(
@@ -645,7 +647,7 @@ _DATA = ("corpus", "vocabulary", "format", "labels")
 _NB = ("alpha1", "alpha2", "use_log_normal", "pooled_activity", "semi_supervised", "max_iter",
        "tol")
 _AXIS = ("embeddings", "seeds", "attribute")
-_PROTOCOL = ("n_boot", "test_fraction", "folds", "threads")
+_PROTOCOL = ("n_boot", "test_fraction", "folds")
 _QUANTIFY = ("mode", "confidence")
 
 _COMMANDS = {

@@ -195,9 +195,13 @@ class LoadReport:
 
 
 def load_vocabulary(path) -> CommunityVocabulary:
-    """Read one community name per line; blank lines ignored."""
-    names = (line.strip() for line in text_lines(path))
-    return CommunityVocabulary(tuple(name for name in names if name))
+    """Read one community name per line; blank lines ignored. An empty
+    vocabulary or a repeated name is a DataError naming the file."""
+    names = tuple(name for name in (line.strip() for line in text_lines(path)) if name)
+    try:
+        return CommunityVocabulary(names)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _check_count(value, where: str) -> int:

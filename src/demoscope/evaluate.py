@@ -7,7 +7,6 @@ score are dropped and counted, never imputed.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,7 @@ from .classifiers import TrainFn, score_rows
 from .data import LabeledCorpus, SplitSpec, _oversample_rows, split, write_csv
 from .errors import DataError
 from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
+from .serialize import in_chunks
 
 EPS_PROB = 1e-12
 
@@ -137,22 +137,25 @@ def bootstrap_eval(
     n_boot: int = 100,
     test_fraction: float = 0.2,
     seed: int = 0,
-    threads: int = 1,
 ) -> MetricReport:
     """Repeated stratified holdout: train on oversampled 1 - test_fraction,
     score ROC AUC and F1 on the held-out rows.
 
     Replicates are independent and deterministic given (seed, replicate
-    index), so the thread count never changes the numbers.
+    index), so running them in chunks (serialize.in_chunks) never
+    changes the numbers.
     """
     if n_boot < 1:
         raise DataError(f"n_boot must be >= 1, got {n_boot}")
     if not (0.0 < test_fraction < 1.0):
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    rep_seeds = np.random.SeedSequence(seed).spawn(n_boot)
 
     def one(b: int):
-        spec = SplitSpec(test_fraction=test_fraction, oversample=True, seed=rep_seeds[b])
+        # child b of SeedSequence(seed), made anew on each call: split
+        # spawns from the sequence it is given, and after a failed chunk
+        # every replicate runs again
+        child = np.random.SeedSequence(seed, spawn_key=(b,))
+        spec = SplitSpec(test_fraction=test_fraction, oversample=True, seed=child)
         train, test = split(corpus, spec)
         scores, preds, ok = score_rows(factory(train), test)
         labels = test.labels[ok]  # the test side of a split is all labeled
@@ -160,7 +163,8 @@ def bootstrap_eval(
             raise DataError(f"replicate {b}: test side lost a class after dropping rows")
         return roc_auc(scores[ok], labels), f1(preds[ok], labels), int((~ok).sum())
 
-    results = _run_replicates(one, n_boot, threads)
+    results = in_chunks(lambda lo, hi: list(map(one, range(lo, hi))), n_boot, corpus.X.nnz,
+                        "bootstrap replicates")
     aucs = np.array([r[0] for r in results])
     f1s = np.array([r[1] for r in results])
     dropped = int(sum(r[2] for r in results))
@@ -169,13 +173,6 @@ def bootstrap_eval(
         metrics={"roc_auc": aucs, "f1": f1s},
         dropped_rows=dropped,
     )
-
-
-def _run_replicates(fn, n: int, threads: int):
-    if threads <= 1:
-        return [fn(b) for b in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def cv_roc(
@@ -204,14 +201,19 @@ def cv_roc(
         assignment[shuffled] = np.arange(shuffled.size) % folds
     over_seeds = np.random.SeedSequence(seed).spawn(folds)
 
-    pooled_scores = np.zeros(corpus.n, dtype=np.float64)
-    scorable = np.zeros(corpus.n, dtype=bool)
-    for fold in range(folds):
+    def one(fold: int):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)  # unlabeled rows hold -1
         train_idx = train_idx[_oversample_rows(labels[train_idx], over_seeds[fold])]
-        clf = factory(corpus.subset(train_idx))
-        pooled_scores[test_idx], _, scorable[test_idx] = score_rows(clf, corpus.subset(test_idx))
+        scores, _, ok = score_rows(factory(corpus.subset(train_idx)), corpus.subset(test_idx))
+        return test_idx, scores, ok
+
+    results = in_chunks(lambda lo, hi: list(map(one, range(lo, hi))), folds, corpus.X.nnz,
+                        "cross-validation folds")
+    pooled_scores = np.zeros(corpus.n, dtype=np.float64)
+    scorable = np.zeros(corpus.n, dtype=bool)
+    for test_idx, scores, ok in results:
+        pooled_scores[test_idx], scorable[test_idx] = scores, ok
 
     # every labeled row is in exactly one test fold
     ok = np.flatnonzero(scorable)

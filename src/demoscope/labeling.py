@@ -48,10 +48,6 @@ _TOKEN_RE = re.compile(r"\S+")
 _SENTENCE_RE = re.compile(r"[^.!?\n]+")
 _STRIP_CHARS = "\"'’.,!?;:()[]{}<>*~_-"
 
-# one encoder for every declaration line; json.dumps(sort_keys=True)
-# would build a new one per call
-_DECLARATION_JSON = json.JSONEncoder(sort_keys=True)
-
 _GENDER_VALUES = {
     "m": "male",
     "male": "male",
@@ -480,20 +476,17 @@ def load_botlist(path) -> set[str]:
 
 
 def write_declarations(declarations, path):
+    """One JSON object per line, with the bytes json.JSONEncoder(sort_keys=True)
+    writes: keys sorted, ASCII only; a value is a string or an int."""
+    text = json.encoder.encode_basestring_ascii
+    lines = (
+        f'{{"attribute": {text(d.attribute)}, "community": {text(d.community)}, '
+        f'"created_utc": {d.created_utc}, "user": {text(d.user_id)}, '
+        f'"value": {text(d.value) if isinstance(d.value, str) else d.value}}}\n'
+        for d in declarations
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for d in declarations:
-            fh.write(
-                _DECLARATION_JSON.encode(
-                    {
-                        "user": d.user_id,
-                        "attribute": d.attribute,
-                        "value": d.value,
-                        "created_utc": d.created_utc,
-                        "community": d.community,
-                    }
-                )
-                + "\n"
-            )
+        fh.write("".join(lines))
 
 
 def write_labels_csv(labels: dict, path):

@@ -249,7 +249,14 @@ class _ByteRange(io.RawIOBase):
 # rounded up to a power of two.
 MIN_RANGE_BYTES = 1 << 19
 
-# At most this many ranges, however many CPUs there are: the gain was
+# Replicate loops fork only over a corpus of at least this many stored
+# entries (X.nnz): below it, a worker costs more than it saves. On two
+# cores, 20 naive Bayes bootstrap refits in two chunks overtake one chunk
+# at about 24-36k entries; rounded up to a power of two, which keeps the
+# 31k-entry demo corpus in one process.
+MIN_FORK_ENTRIES = 1 << 16
+
+# At most this many parts, however many CPUs there are: the gain was
 # measured on two cores only, and a CPU quota the affinity mask does not
 # show could leave more workers fighting for one or two cores while the
 # parent joins their results one after another.
@@ -284,39 +291,40 @@ def line_ranges(path, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def in_ranges(path, work) -> list:
-    """[work(start, end) for each range of line_ranges(path)], in file order.
+def _parts(wanted: int) -> int:
+    """How many of wanted parts may run at once: one per usable CPU, at
+    most MAX_RANGES. Only 1 without fork, or while another thread runs,
+    since fork copies only the calling thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(wanted, usable_cpus(), MAX_RANGES)
 
-    There is one range per usable CPU, at most MAX_RANGES and each at
-    least MIN_RANGE_BYTES. The first range runs in this process, the
-    others in forked workers. A single range is work(0, None), the whole
-    file read in this process; so is every run where a range raises a
-    DataError, which makes the error the one a single pass meets first,
-    with its line number.
+
+def fork_join(work, spans, what: str) -> list | None:
+    """[work(start, end) for (start, end) in spans], in order. The first
+    span runs in this process, each later one in a forked worker; None
+    when a span raised a DataError or NumericError, and the caller then
+    makes one serial pass, so the error it raises is the first in order.
 
     Workers are forked, never spawned: a spawned worker imports the
-    package again, about 0.5 s. Fork copies only the calling thread, so
-    a process running other threads reads one range, as does a platform
-    without fork. A worker that dies is a ChildProcessError.
+    package again, about 0.5 s. A worker that dies is a ChildProcessError
+    naming what and its span.
     """
-    parts = min(usable_cpus(), MAX_RANGES, os.path.getsize(path) // MIN_RANGE_BYTES)
-    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [work(0, None)]
     import multiprocessing  # here, off every command's start-up path
 
     context = multiprocessing.get_context("fork")
-    first, *rest = line_ranges(path, parts)
+    first, *rest = spans
     workers, failed = [], False
     try:
         for start, end in rest:
             receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_range_worker, args=(work, start, end, send))
+            worker = context.Process(target=_worker, args=(work, start, end, send))
             worker.start()
             send.close()  # so recv meets the end of the pipe if the worker dies
             workers.append((worker, receive, start, end))
         try:
             results = [work(*first)]
-        except DataError:
+        except (DataError, NumericError):
             failed = True
         for worker, receive, start, end in workers:
             if failed:
@@ -326,8 +334,7 @@ def in_ranges(path, work) -> list:
             except EOFError:
                 worker.join()
                 raise ChildProcessError(
-                    f"{path}: the worker reading bytes {start}-{end} ended with exit code "
-                    f"{worker.exitcode} and no result"
+                    f"{what} {start}-{end} ended with exit code {worker.exitcode} and no result"
                 ) from None
             results.append(result)
     finally:
@@ -335,17 +342,52 @@ def in_ranges(path, work) -> list:
             receive.close()
             worker.kill()
             worker.join()
-    return [work(0, None)] if failed else results
+    return None if failed else results
 
 
-def _range_worker(work, start: int, end: int, send):
-    """A forked worker's body: sends (failed, result) for one range.
+def _worker(work, start: int, end: int, send):
+    """A forked worker's body: sends (failed, result) for one span.
     multiprocessing then leaves the process by os._exit, so none of the
     parent's exit handlers or finally blocks run here."""
     try:
         send.send((False, work(start, end)))
-    except DataError:
+    except (DataError, NumericError):
         send.send((True, None))
+
+
+def in_ranges(path, work) -> list:
+    """[work(start, end) for each range of line_ranges(path)], in file
+    order, run by fork_join.
+
+    There is one range per usable CPU, at most MAX_RANGES and each at
+    least MIN_RANGE_BYTES. A single range is work(0, None), the whole
+    file read in this process; so is every run where a range raises a
+    DataError, which makes the error the one a single pass meets first,
+    with its line number.
+    """
+    parts = _parts(os.path.getsize(path) // MIN_RANGE_BYTES)
+    if parts < 2:
+        return [work(0, None)]
+    results = fork_join(work, line_ranges(path, parts), f"{path}: the worker reading bytes")
+    return [work(0, None)] if results is None else results
+
+
+def in_chunks(work, n: int, entries: int, what: str) -> list:
+    """work(0, n), the results of n replicates in order, where work(lo, hi)
+    gives those of replicates lo..hi-1.
+
+    Over a corpus of at least MIN_FORK_ENTRIES stored entries, the
+    replicates are cut into contiguous chunks, one per usable CPU, run by
+    fork_join and joined in order. If a chunk fails, work(0, n) runs in
+    this process, so the error raised is the first in replicate order.
+    """
+    parts = _parts(n if entries >= MIN_FORK_ENTRIES else 1)
+    if parts < 2:
+        return work(0, n)
+    # cut at ceilings: this process starts its chunk first, so it takes the larger one
+    cuts = [-(-n * i // parts) for i in range(parts + 1)]
+    results = fork_join(work, list(zip(cuts, cuts[1:])), f"the worker running {what}")
+    return work(0, n) if results is None else [r for chunk in results for r in chunk]
 
 
 def parse_file(path, parse):

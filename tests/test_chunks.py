@@ -1,0 +1,172 @@
+"""Replicate loops run in chunks on several CPUs give what one serial loop
+gives.
+
+Forking is forced here by setting serialize.MIN_FORK_ENTRIES to 0 and
+faking the usable CPU count; real runs fork only over corpora of tens of
+thousands of stored entries.
+"""
+
+import hashlib
+import os
+import signal
+from functools import partial
+
+import pytest
+
+from demoscope import bayes, evaluate, serialize
+from demoscope.classifiers import nb_factory
+from demoscope.cli import main
+from demoscope.errors import DataError, NumericError
+
+
+@pytest.fixture(params=[2, 3], ids=["2-cpus", "3-cpus"])
+def in_workers(request, monkeypatch):
+    """run(call): call() with every replicate loop cut into one chunk per
+    CPU, the later chunks in forked workers; returns the result and the
+    chunk spans of each loop. run.cpus is the CPU count."""
+
+    def run(call):
+        spans = []
+        real = serialize.fork_join
+        with monkeypatch.context() as m:
+            m.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
+            m.setattr(serialize, "MIN_FORK_ENTRIES", 0)
+            m.setattr(serialize, "MAX_RANGES", request.param)
+            m.setattr(serialize, "usable_cpus", lambda: request.param)
+            return call(), spans
+
+    run.cpus = request.param
+    return run
+
+
+def test_bootstrap_in_workers_equals_one_loop(tilted, in_workers):
+    boot = partial(
+        evaluate.bootstrap_eval, nb_factory(use_log_normal=True), tilted[2], n_boot=6, seed=4
+    )
+    serial = boot()
+    forked, spans = in_workers(boot)
+    assert len(spans) == 1 and len(spans[0]) == in_workers.cpus
+    assert forked.metrics.keys() == serial.metrics.keys()
+    for name, values in serial.metrics.items():
+        assert forked.metrics[name].tobytes() == values.tobytes()
+    assert forked.dropped_rows == serial.dropped_rows
+
+
+def test_cv_roc_in_workers_equals_one_loop(tilted, in_workers):
+    cv = partial(evaluate.cv_roc, nb_factory(semi_supervised=True), tilted[2], folds=3, seed=5)
+    serial = cv()
+    forked, spans = in_workers(cv)
+    assert len(spans) == 1 and len(spans[0]) == in_workers.cpus
+    assert forked.x.tobytes() == serial.x.tobytes()
+    assert forked.y.tobytes() == serial.y.tobytes()
+    assert forked.meta == serial.meta
+
+
+def test_log_odds_dispersion_in_workers_equals_one_loop(tilted, in_workers):
+    dispersion = partial(bayes.feature_log_odds_dispersion, tilted[2], n_boot=5, seed=6)
+    serial = dispersion()
+    forked, spans = in_workers(dispersion)
+    assert len(spans) == 1 and len(spans[0]) == in_workers.cpus
+    assert [a.tobytes() for a in forked] == [a.tobytes() for a in serial]
+
+
+@pytest.mark.parametrize("error", [DataError, NumericError])
+def test_first_error_in_replicate_order_is_raised(in_workers, error):
+    """Replicates 3 and 5 fail; 3 falls in a worker's chunk."""
+
+    def work(lo, hi):
+        for i in range(lo, hi):
+            if i in (3, 5):
+                raise error(f"replicate {i} failed")
+        return list(range(lo, hi))
+
+    with pytest.raises(error, match="^replicate 3 failed$"):
+        in_workers(lambda: serialize.in_chunks(work, 6, 0, "replicates"))
+
+
+def test_first_failing_bootstrap_replicate_is_the_error_raised(tilted, in_workers):
+    """Every replicate from 3 on fails, all of them in forked workers'
+    chunks: the error is replicate 3's, as one loop raises it."""
+    corpus = tilted[2]
+    fit, seen = nb_factory(), []
+
+    def key(train):
+        return hashlib.sha256("\n".join(train.user_ids).encode()).hexdigest()
+
+    evaluate.bootstrap_eval(lambda train: seen.append(key(train)) or fit(train), corpus, n_boot=6)
+
+    def failing(train):
+        b = seen.index(key(train))
+        if b >= 3:
+            raise DataError(f"replicate {b} cannot fit")
+        return fit(train)
+
+    with pytest.raises(DataError, match="^replicate 3 cannot fit$"):
+        in_workers(lambda: evaluate.bootstrap_eval(failing, corpus, n_boot=6))
+
+
+def test_a_killed_worker_exits_two(demo_files, tmp_path, capsys, monkeypatch, in_workers):
+    parent, real = os.getpid(), evaluate.score_rows
+
+    def score_rows(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "score_rows", score_rows)
+    d, out = demo_files["dir"], tmp_path / "out"
+    argv = ["evaluate", "--corpus", str(d / "corpus.jsonl"), "--vocabulary",
+            str(d / "vocab.txt"), "--n-boot", "4", "--out-dir", str(out)]
+    code, spans = in_workers(lambda: main(argv))
+    assert code == 2
+    start, end = spans[0][1]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"demoscope: data error: the worker running bootstrap replicates {start}-{end} "
+        "ended with exit code -9 and no result"
+    ]
+    assert not (out / "metrics.json").exists()
+
+
+def test_below_the_entry_floor_one_loop_runs_here(monkeypatch):
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+    calls = []
+
+    def work(lo, hi):
+        calls.append((lo, hi))
+        return [os.getpid()] * (hi - lo)
+
+    floor = serialize.MIN_FORK_ENTRIES
+    assert serialize.in_chunks(work, 6, floor - 1, "replicates") == [os.getpid()] * 6
+    assert calls == [(0, 6)]
+    pids = serialize.in_chunks(work, 6, floor, "replicates")
+    assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
+
+
+def test_a_worker_chunk_that_fails_reruns_the_loop_here(in_workers):
+    """A chunk that fails only in a worker: the loop runs again in this
+    process and gives its results."""
+    parent = os.getpid()
+
+    def work(lo, hi):
+        if os.getpid() != parent:
+            raise NumericError("worker")
+        return list(range(lo, hi))
+
+    assert in_workers(lambda: serialize.in_chunks(work, 6, 0, "replicates"))[0] == list(range(6))
+
+
+def test_bootstrap_rerun_after_a_failed_worker_equals_one_loop(tilted, in_workers):
+    """Replicates that already ran here run again with the same splits."""
+    corpus, parent, fit = tilted[2], os.getpid(), nb_factory()
+    serial = evaluate.bootstrap_eval(fit, corpus, n_boot=6, seed=8)
+
+    def here_only(train):
+        if os.getpid() != parent:
+            raise DataError("not in a worker")
+        return fit(train)
+
+    rerun, spans = in_workers(lambda: evaluate.bootstrap_eval(here_only, corpus, n_boot=6, seed=8))
+    assert len(spans) == 1
+    assert rerun.metrics["roc_auc"].tobytes() == serial.metrics["roc_auc"].tobytes()
+    assert rerun.metrics["f1"].tobytes() == serial.metrics["f1"].tobytes()

@@ -402,6 +402,7 @@ class TestTrain:
         assert train("partisan", tmp_path / "partisan") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "no entry for 'partisan'" in err[0]
+        assert err[0].startswith(f"demoscope: data error: {seeds_path}: seed file has no entry")
         assert not (tmp_path / "partisan" / "model.json").exists()
 
     @pytest.mark.parametrize(
@@ -1135,7 +1136,8 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-# the flags each subcommand took before its settings were declared on RunConfig
+# the flags each subcommand took before its settings were declared on
+# RunConfig, less --threads: evaluation now forks workers by itself
 _FLAGS_BEFORE_TABLE = {
     "extract": {"--attribute", "--botlist", "--comments", "--config", "--median", "--out-dir",
                 "--rules", "--seed"},
@@ -1155,12 +1157,12 @@ _FLAGS_BEFORE_TABLE = {
     "evaluate": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--cv-roc",
                  "--embeddings", "--folds", "--format", "--labels", "--model", "--model-path",
                  "--n-boot", "--out-dir", "--robustness", "--seed", "--seeds", "--taus",
-                 "--test-fraction", "--threads", "--vocabulary"},
+                 "--test-fraction", "--vocabulary"},
     "importance": {"--alpha1", "--alpha2", "--config", "--corpus", "--format",
                    "--importance-boot", "--labels", "--out-dir", "--seed", "--vocabulary"},
     "report": {"--attribute", "--cohort-size", "--config", "--corpus", "--embeddings",
                "--folds", "--format", "--labels", "--mode", "--models", "--n-boot",
-               "--out-dir", "--repeats", "--seed", "--seeds", "--test-fraction", "--threads",
+               "--out-dir", "--repeats", "--seed", "--seeds", "--test-fraction",
                "--vocabulary"},
 }
 
@@ -1174,6 +1176,13 @@ class TestFlagInventory:
             assert flags <= set(actions), command
             for flag in flags:
                 assert actions[flag].dest == flag[2:].replace("-", "_"), (command, flag)
+
+    def test_threads_is_no_flag_and_no_config_key(self, tmp_path, capsys):
+        assert all("--threads" not in p._option_string_actions for p in _subparsers().values())
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("threads: 2\n", encoding="utf-8")
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert "unknown config keys: threads" in capsys.readouterr().err
 
     def test_every_config_field_is_a_flag(self):
         dests = {a.dest for p in _subparsers().values() for a in p._actions}
@@ -1361,14 +1370,19 @@ def _unreadable_case(demo_files, tmp_path, reader):
         pytest.param(reader, content, id=f"{reader}-{content}")
         for reader, (_, _, structured) in UNREADABLE_CASES.items()
         for content in ("invalid-utf8", "bom", "deep-nesting")[: 2 + structured]
+        + ("empty",) * reader.endswith("-corpus")
     ],
 )
 def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reader, content):
-    """Invalid UTF-8 or a leading byte-order mark in any input, and nesting
-    too deep to parse in any JSON or YAML input, is one data-error line
-    naming the file."""
+    """Invalid UTF-8 or a leading byte-order mark in any input, nesting
+    too deep to parse in any JSON or YAML input, and an empty corpus, is
+    one data-error line naming the file."""
     argv, path = _unreadable_case(demo_files, tmp_path, reader)
-    if content == "invalid-utf8":
+    if content == "empty":
+        path.write_bytes(b"")
+        # a triplets file must at least hold its header
+        expected = "expected header" if reader == "triplets-corpus" else f"{path}: no user rows"
+    elif content == "invalid-utf8":
         lines = path.read_bytes().splitlines()
         path.write_bytes(b"\n".join([*lines, b"\xff"]))
         expected = f"{path}: not UTF-8 text (line {len(lines) + 1})"
@@ -1384,6 +1398,31 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {path}")
     assert expected in err[0]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "label-distant", "quantify"])
+@pytest.mark.parametrize(
+    "fmt, content",
+    [("jsonl", b""), ("jsonl", b"\n  \n"), ("triplets", b"user,community,count\n")],
+    ids=["empty", "blank-lines", "header-only"],
+)
+def test_corpus_without_user_rows_exits_two_before_writing(
+    demo_files, tmp_path, capsys, command, fmt, content
+):
+    d, empty = demo_files["dir"], tmp_path / "empty"
+    empty.write_bytes(content)
+    save_model(fit(demo_files["corpus"])[0], tmp_path / "m.json")
+    data = ["--vocabulary", str(d / "vocab.txt"), "--format", fmt]
+    argv = {
+        "predict": ["predict", "--model-path", str(tmp_path / "m.json"), "--corpus", str(empty)],
+        "label-distant": ["label-distant", "--corpus", str(empty), "--seeds", str(d / "seeds.json")],
+        "quantify": ["quantify", "--model-path", str(tmp_path / "m.json"), "--target", str(empty),
+                     "--validation", str(d / "corpus.jsonl")],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, *data, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"demoscope: data error: {empty}: no user rows"]
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_too_deep_comment_is_skipped_and_counted(demo_files, tmp_path):

@@ -236,6 +236,18 @@ def test_vocabulary_lines_split_only_at_line_ends(tmp_path):
     assert load_vocabulary(f).names == ("a\x0cb", "c\u2028d", "e")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"", "vocabulary is empty"), (b"\n \n", "vocabulary is empty"),
+     (b"a\nb\na\n", "duplicate vocabulary entries: ['a']")],
+)
+def test_vocabulary_errors_name_the_file(tmp_path, content, message):
+    f = tmp_path / "v.txt"
+    f.write_bytes(content)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{f}: {message}')}$"):
+        load_vocabulary(f)
+
+
 def test_first_bad_line_in_file_order_is_reported(tmp_path):
     vocab = CommunityVocabulary(("a",))
     f = tmp_path / "c.jsonl"

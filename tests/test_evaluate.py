@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from demoscope import serialize
 from demoscope.classifiers import majority_factory, nb_factory
 from demoscope.errors import DataError
 from demoscope.evaluate import (
@@ -145,11 +146,17 @@ def _separable_corpus(n=120, seed=0, labeled_fraction=1.0):
     return corpus_from_dense(X, labels)
 
 
-def test_bootstrap_eval_deterministic_and_thread_invariant():
+def test_bootstrap_eval_deterministic_and_worker_invariant(monkeypatch):
     corpus = _separable_corpus()
     a = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3)
     b = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3)
-    c = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3, threads=4)
+    spans = []
+    real = serialize.fork_join
+    monkeypatch.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
+    monkeypatch.setattr(serialize, "MIN_FORK_ENTRIES", 0)
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+    c = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3)
+    assert spans == [[(0, 3), (3, 6)]]  # replicates 3-5 ran in a forked worker
     assert np.array_equal(a.metrics["roc_auc"], b.metrics["roc_auc"])
     assert np.array_equal(a.metrics["roc_auc"], c.metrics["roc_auc"])
     assert np.array_equal(a.metrics["f1"], c.metrics["f1"])

@@ -647,6 +647,25 @@ class TestWriters:
             "community": "c",
         }
 
+    def test_write_declarations_bytes_are_the_json_encoders(self, tmp_path):
+        """Non-ASCII names, quotes and backslashes, and int and str values,
+        each written as json.JSONEncoder(sort_keys=True) writes them."""
+        decls = [
+            Declaration("ünï\u2028cødé", "gender", "female", TS, "r/españa"),
+            Declaration('q"uo\\te', "year", 1987, 0, 'c"\\'),
+            Declaration("u\x00\t\n", "party", "démocrat\U0001f600", -5, ""),
+            Declaration("u", "year", -12, TS, "c"),
+        ]
+        p = tmp_path / "decls.jsonl"
+        write_declarations(decls, p)
+        encoder = json.JSONEncoder(sort_keys=True)
+        expected = "".join(
+            encoder.encode({"user": d.user_id, "attribute": d.attribute, "value": d.value,
+                            "created_utc": d.created_utc, "community": d.community}) + "\n"
+            for d in decls
+        )
+        assert p.read_bytes() == expected.encode("ascii")
+
     def test_write_labels_csv_sorted(self, tmp_path):
         p = tmp_path / "labels.csv"
         write_labels_csv({"zeta": 1, "alpha": 0}, p)

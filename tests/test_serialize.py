@@ -279,3 +279,29 @@ def test_only_serialize_opens_a_text_input():
     }
     assert {r for r in reads if not r.startswith("serialize.py:")} == set()
     assert any(r.startswith("serialize.py:") for r in reads)  # the check sees text_lines
+
+
+_PARALLEL_MODULES = ("multiprocessing", "concurrent", "threading")
+
+
+def _goes_parallel(node: ast.AST) -> bool:
+    """Whether a node imports a parallel module or calls os.fork."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in _PARALLEL_MODULES for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] in _PARALLEL_MODULES
+    func = getattr(node, "func", None)
+    return isinstance(func, ast.Attribute) and func.attr in ("fork", "forkpty")
+
+
+def test_only_serialize_runs_work_in_parallel():
+    """serialize.fork_join is the one parallel mechanism: no other module
+    imports multiprocessing, concurrent.futures or threading, or forks."""
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(demoscope.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _goes_parallel(node)
+    }
+    assert {r for r in found if not r.startswith("serialize.py:")} == set()
+    assert any(r.startswith("serialize.py:") for r in found)  # the check sees fork_join
