@@ -21,15 +21,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import log_ndtr, log_softmax, logsumexp
 
 from .calibrate import IsotonicMap, apply_map
 from .data import LabeledCorpus
 from .errors import DataError, NumericError
 from .serialize import in_chunks
+
+# scipy.special is imported by each function that uses it, off the
+# start-up path of every command (see data)
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # smallest log mass assigned to any activity bin; exp(-745) is the
 # smallest positive normal-range double
@@ -129,6 +133,8 @@ def log_activity_pmf(a, mu: float, sigma: float) -> np.ndarray:
     stays finite far into the tails; floored at LOG_FLOOR. Totals repeat
     across users, so each distinct total is computed once.
     """
+    from scipy.special import log_ndtr
+
     a = np.asarray(a, dtype=np.float64)
     if np.any(a < 1):
         raise DataError("total activity must be >= 1")
@@ -214,6 +220,8 @@ def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarra
 
 def predict_proba_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
     """Posterior p(y | x) per row, shape (n, 2); calibrated if attached."""
+    from scipy.special import log_softmax
+
     lj = log_joint_matrix(model, corpus)
     proba = np.exp(log_softmax(lj, axis=1))
     if model.calibrator is not None:
@@ -281,6 +289,8 @@ def _objective(model: NaiveBayesModel, corpus: LabeledCorpus, lj: np.ndarray) ->
     joint lj: joint likelihood of the labeled rows, marginal of the
     unlabeled rows, plus the pseudo-count penalty the smoothed M-step
     maximizes jointly with Q."""
+    from scipy.special import logsumexp
+
     labels = corpus.labels
     labeled = labels >= 0
     ll = 0.0
@@ -309,6 +319,8 @@ def fit_semisupervised(
     tol, or after max_iter maximizations. The trace in the report starts
     with the objective of the initial model.
     """
+    from scipy.special import log_softmax
+
     _validate_hyper(alpha1, alpha2)
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 usage, 2 data problem, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import math
 import sys
@@ -23,7 +24,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
@@ -161,6 +161,8 @@ def _flag_options(f) -> dict:
 def load_config(path) -> RunConfig:
     """Read a YAML mapping of RunConfig fields; unknown keys and values of
     the wrong type are errors."""
+    import yaml
+
     try:
         raw = parse_file(path, yaml.safe_load)
     except yaml.YAMLError as e:
@@ -293,8 +295,13 @@ def cmd_extract(run: Run):
     cfg = run.cfg
     rules_path = run.optional("rules")
     rules = labeling.load_rules(rules_path) if rules_path else labeling.default_rules()
-    rules = [r for r in rules if r.attribute == cfg.attribute] or rules
-    decls, report = labeling.extract_file(run.input("comments"), rules)
+    rules = [r for r in rules if r.attribute == cfg.attribute]
+    if not rules:
+        # mining with no rule for the attribute could only end in no labels
+        source = rules_path or "the built-in rules"
+        raise DataError(f"{source}: no rule for attribute {cfg.attribute!r}")
+    comments = run.input("comments")
+    decls, report = labeling.extract_file(comments, rules)
     before = len(decls)
     botlist = run.optional("botlist")
     if botlist:
@@ -302,7 +309,7 @@ def cmd_extract(run: Run):
     coherence = labeling.resolve_coherence(decls)
     values = coherence.resolved.get(cfg.attribute, {})
     if not values:
-        raise DataError(f"no coherent {cfg.attribute!r} declarations found")
+        raise DataError(f"{comments}: no coherent {cfg.attribute!r} declarations found")
     labels, median = labeling.binarize(values, cfg.attribute, median=cfg.median)
     labeling.write_declarations(decls, run.output("declarations.jsonl"))
     labeling.write_labels_csv(labels, run.output("labels.csv"))
@@ -726,7 +733,16 @@ def _emit_error(kind: str, error):
 def entry():
     # each warning is one line, without Python's file:line and source echo
     warnings.formatwarning = lambda message, *_: f"demoscope: warning: {message}\n"
-    sys.exit(main())
+    # the collector never scans frozen objects again: collections during
+    # the run skip what the imports made, and forked workers copy fewer
+    # pages; frozen again at the end, what the command loaded and built is
+    # left to the process's exit instead of being collected at shutdown
+    gc.freeze()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

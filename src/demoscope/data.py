@@ -16,12 +16,17 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count, islice, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 from .serialize import in_ranges, text_lines
+
+# scipy.sparse takes about 0.25 s to import, so it is imported where a
+# matrix is first built: a command that builds none never loads it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Counts above this are treated as corrupt input rather than real activity.
 MAX_COUNT = 2**31 - 1
@@ -107,6 +112,8 @@ class LabeledCorpus:
     labels: np.ndarray
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         X = self.X if isinstance(self.X, sp.csr_matrix) else sp.csr_matrix(self.X)
         self.X = X = X.astype(np.float64, copy=False)
         self.user_ids = np.asarray(self.user_ids, dtype=object)
@@ -331,6 +338,8 @@ class _Builder:
     def matrix(self) -> sp.csr_matrix:
         """Every entry in one CSR matrix, duplicates summed, one row per
         user seen; a merged count above MAX_COUNT is an error."""
+        import scipy.sparse as sp
+
         sizes = np.frombuffer(self.line_sizes, dtype=np.longlong)
         rows = np.repeat(np.frombuffer(self.line_rows, dtype=np.intc), sizes)
         cols = np.frombuffer(self.cols, dtype=np.intc)

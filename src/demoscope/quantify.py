@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .classifiers import ScoringClassifier, score_rows
 from .data import LabeledCorpus
@@ -149,6 +148,8 @@ def poisson_binomial_interval(
 def _normal_half_width(q: np.ndarray, confidence: float) -> float:
     """z * sqrt(sum q(1-q)) / m: the normal half-width for the mean of
     m independent Bernoulli(q) draws."""
+    from scipy.special import ndtri
+
     z = float(ndtri(0.5 + confidence / 2.0))
     return z * float(np.sqrt((q * (1.0 - q)).sum())) / q.size
 

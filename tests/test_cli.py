@@ -41,16 +41,71 @@ def _read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def test_cli_import_loads_no_scipy_stats():
-    """scipy.stats costs more to import than most commands take to run."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports demoscope from this checkout, its
+    output read through pipes, which it buffers as it does by default."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     src = os.path.dirname(os.path.dirname(os.path.realpath(demoscope.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, demoscope.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+# prints the scipy and yaml modules a fresh interpreter has loaded
+_PRINT_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
+
+
+def test_cli_import_loads_no_scipy_stats():
+    """Importing the CLI loads no scipy module and no yaml: scipy.sparse
+    alone costs about as much to import as a demo-scale command takes to
+    run, so each loads where it is first used."""
+    done = _python("-c", f"import sys, demoscope.cli; {_PRINT_LOADED}")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_extract_loads_neither_sparse_nor_special(demo_files, tmp_path):
+    d, out = demo_files["dir"], tmp_path / "out"
+    argv = ["extract", "--comments", str(d / "comments.jsonl"), "--botlist",
+            str(d / "botlist.txt"), "--out-dir", str(out)]
+    code = ("import sys; from demoscope.cli import main; assert main(%r) == 0; "
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules))")
+    done = _python("-c", code % argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert "scipy" in _read_json(out / "manifest.json")["versions"]
+
+
+def test_range_worker_job_imports_no_scipy(demo_files):
+    """data._read_jsonl, the job of a forked range worker, parses without
+    scipy, so no worker is the first to pay for its import."""
+    d = demo_files["dir"]
+    code = (
+        "import sys; from demoscope import data; "
+        f"vocab = data.load_vocabulary({str(d / 'vocab.txt')!r}); "
+        f"print(len(data._read_jsonl({str(d / 'corpus.jsonl')!r}, vocab).labels)); "
+        + _PRINT_LOADED
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [str(demo_files["corpus"].n), "[]"]
+
+
+def test_console_entry_through_a_pipe(demo_files, tmp_path):
+    """python -m demoscope.cli flushes its line to a pipe on success, and
+    exits 2 with one stderr line on a bad input."""
+    out, missing = tmp_path / "out", tmp_path / "missing.jsonl"
+    comments = str(demo_files["dir"] / "comments.jsonl")
+    done = _python("-m", "demoscope.cli", "extract", "--comments", comments, "--out-dir", str(out))
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert line.startswith("extract: ") and line.endswith(f" -> {out}")
+    done = _python("-m", "demoscope.cli", "extract", "--comments", str(missing),
+                   "--out-dir", str(out))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [f"demoscope: data error: file not found: {missing}"]
 
 
 class TestArgHandling:
@@ -168,6 +223,12 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("demoscope: data error:")
         assert expected in err[0]
+
+    @pytest.mark.parametrize("text", ["", "{}\n"], ids=["empty", "empty-mapping"])
+    def test_empty_config_is_the_defaults(self, tmp_path, text):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        assert load_config(cfg) == RunConfig()
 
     def test_config_validation(self, demo_files, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -1227,7 +1288,10 @@ def test_extract_synthetic_attribute_finds_no_declarations(demo_files, tmp_path,
     argv = ["extract", "--comments", str(d / "comments.jsonl"), "--attribute", "synthetic",
             "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert "no coherent 'synthetic' declarations" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "demoscope: data error: the built-in rules: no rule for attribute 'synthetic'"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def _float_settings():
@@ -1364,24 +1428,70 @@ def _unreadable_case(demo_files, tmp_path, reader):
     return [a.format(**names) for a in argv], Path(path.format(**names))
 
 
+# a JSON or YAML file whose top-level value has the wrong type: its
+# content by test id, and per input kind the refusal of each
+WRONG_TOP_LEVEL = {"list": "[]", "string": '"x"', "object": "{}", "numbers": "[1]"}
+WRONG_TOP_LEVEL_REFUSALS = {
+    "jsonl-corpus": dict.fromkeys(WRONG_TOP_LEVEL, ":1: expected an object with a 'user' field"),
+    "seeds": {
+        "list": "seed file has no entry for 'gender'",
+        "string": "seed set 0: expected a JSON object",
+        "object": "seed set 0 missing field 'attribute'",
+        "numbers": "seed set 0: expected a JSON object",
+    },
+    "rules": {
+        "list": "no rule for attribute 'gender'",
+        "string": "expected a JSON list of rules",
+        "object": "expected a JSON list of rules",
+        "numbers": "rule 0: expected a JSON object",
+    },
+    # an empty mapping is a valid config
+    "config": dict.fromkeys(("list", "string", "numbers"), "config must be a mapping"),
+    "model": dict.fromkeys(WRONG_TOP_LEVEL, "model payload lacks a schema tag"),
+}
+
+
+def _unreadable_contents(reader: str, structured: bool) -> tuple[str, ...]:
+    return (
+        ("invalid-utf8", "bom", "deep-nesting")[: 2 + structured]
+        + ("empty",) * (reader.endswith("-corpus") or reader == "comments")
+        + ("truncated",) * (reader in ("jsonl-corpus", "seeds", "model"))
+        + tuple(WRONG_TOP_LEVEL_REFUSALS.get(reader, ()))
+        + ("lists",) * (reader == "comments")
+    )
+
+
 @pytest.mark.parametrize(
     "reader, content",
     [
         pytest.param(reader, content, id=f"{reader}-{content}")
         for reader, (_, _, structured) in UNREADABLE_CASES.items()
-        for content in ("invalid-utf8", "bom", "deep-nesting")[: 2 + structured]
-        + ("empty",) * reader.endswith("-corpus")
+        for content in _unreadable_contents(reader, structured)
     ],
 )
 def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reader, content):
     """Invalid UTF-8 or a leading byte-order mark in any input, nesting
-    too deep to parse in any JSON or YAML input, and an empty corpus, is
-    one data-error line naming the file."""
+    too deep to parse, a truncated file or a top-level value of the wrong
+    type in a JSON or YAML input, an empty corpus, and a comments file
+    with no comment in it, is one data-error line naming the file."""
     argv, path = _unreadable_case(demo_files, tmp_path, reader)
     if content == "empty":
         path.write_bytes(b"")
         # a triplets file must at least hold its header
-        expected = "expected header" if reader == "triplets-corpus" else f"{path}: no user rows"
+        expected = {
+            "triplets-corpus": "expected header",
+            "comments": f"{path}: no coherent 'gender' declarations found",
+        }.get(reader, f"{path}: no user rows")
+    elif content == "lists":
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(f"[{line}]\n" for line in lines), encoding="utf-8")
+        expected = f"{path}: no coherent 'gender' declarations found"
+    elif content == "truncated":
+        path.write_bytes(path.read_bytes().rstrip()[:-1])
+        expected = "invalid JSON ("
+    elif content in WRONG_TOP_LEVEL:
+        path.write_text(WRONG_TOP_LEVEL[content] + "\n", encoding="utf-8")
+        expected = WRONG_TOP_LEVEL_REFUSALS[reader][content]
     elif content == "invalid-utf8":
         lines = path.read_bytes().splitlines()
         path.write_bytes(b"\n".join([*lines, b"\xff"]))
@@ -1481,13 +1591,9 @@ def test_warning_is_one_line_on_stderr(demo_files, tmp_path):
     d = demo_files["dir"]
     names = (d / "vocab.txt").read_text(encoding="utf-8").splitlines()
     (tmp_path / "half.txt").write_text("\n".join(names[::2]) + "\n", encoding="utf-8")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.realpath(demoscope.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = ["train", "--model", "majority", "--corpus", str(d / "corpus.jsonl"),
             "--vocabulary", str(tmp_path / "half.txt"), "--out-dir", str(tmp_path / "out")]
-    done = subprocess.run([sys.executable, "-m", "demoscope.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _python("-m", "demoscope.cli", *argv)
     assert done.returncode == 0, done.stderr
     err = done.stderr.splitlines()
     assert len(err) == 1, err
