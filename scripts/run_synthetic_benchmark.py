@@ -24,6 +24,7 @@ from demoscope import synth
 from demoscope.axis import build_axis
 from demoscope.calibrate import fit_isotonic
 from demoscope.classifiers import axis_factory, majority_factory, nb_factory
+from demoscope.cli import RunConfig, nb_options
 from demoscope.data import SplitSpec, split
 from demoscope.evaluate import bootstrap_eval, learning_curve
 from demoscope.quantify import evaluate_quantifier, fit_quantifier
@@ -98,13 +99,10 @@ def main():
     axis = build_axis(table, pole_a=seeds.pole_b, pole_b=seeds.pole_a,
                       attribute="synthetic")
 
-    factories = {
-        "majority": majority_factory(),
-        "nb": nb_factory(),
-        "nb-ln": nb_factory(use_log_normal=True),
-        "nb-ss": nb_factory(use_log_normal=True, semi_supervised=True),
-        "axis": axis_factory(axis),
-    }
+    # each NB kind as the CLI's --model defines it, at the default settings
+    defaults = RunConfig()
+    nb_kinds = {kind: nb_factory(**nb_options(kind, defaults)) for kind in ("nb", "nb-ln", "nb-ss")}
+    factories = {"majority": majority_factory(), **nb_kinds, "axis": axis_factory(axis)}
 
     print(f"classification ({args.n_boot} bootstrap replicates)")
     cls_headline = classification_stage(factories, corpus, args.n_boot, args.seed, out)
@@ -117,12 +115,12 @@ def main():
 
     print(f"learning curves over sizes {args.sizes}")
     nb_curve = learning_curve(
-        nb_factory(use_log_normal=True), corpus, args.sizes,
+        factories["nb-ln"], corpus, args.sizes,
         repeats=args.repeats, cohort_size=args.cohort_size, seed=args.seed,
     )
     nb_curve.to_csv(out / "learning_nb.csv")
     ax_curve = learning_curve(
-        axis_factory(axis), corpus, args.sizes,
+        factories["axis"], corpus, args.sizes,
         repeats=args.repeats, cohort_size=args.cohort_size, seed=args.seed,
     )
     ax_curve.to_csv(out / "learning_axis.csv")

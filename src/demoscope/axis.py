@@ -80,7 +80,6 @@ class AxisModel:
     pole_a: tuple[str, ...]
     pole_b: tuple[str, ...]
     threshold: float = 0.0
-    projection: str = "cosine"
     calibrator: IsotonicMap | None = None
 
     def __post_init__(self):

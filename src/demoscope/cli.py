@@ -136,11 +136,12 @@ def _typed(path, name: str, annotation: str, value):
     kind, many = _kind(annotation)
     if value is None and annotation.endswith(" | None"):
         return value
+    # kind(value) turns an int in a float field into the float its flag gives
     if many:
         if isinstance(value, list) and all(_fits(v, kind) for v in value):
-            return tuple(value)
+            return tuple(map(kind, value))
     elif _fits(value, kind):
-        return value
+        return kind(value)
     raise DataError(f"{path}: config key {name!r} must be {annotation}, got {value!r}")
 
 
@@ -380,7 +381,7 @@ def _axis_from_config(run: Run) -> axis.AxisModel:
     )
 
 
-def _nb_options(kind: str, cfg: RunConfig) -> dict:
+def nb_options(kind: str, cfg: RunConfig) -> dict:
     """bayes.fit settings for an NB kind: every NB setting of cfg, with
     nb-ln and nb-ss each forcing its switch on."""
     return {
@@ -404,7 +405,7 @@ def cmd_train(run: Run):
         report = {"model": kind, "majority": model.majority, "rate": model.rate}
     else:
         corpus = _load_corpus(run)
-        options = _nb_options(kind, run.cfg)
+        options = nb_options(kind, run.cfg)
         model, fit = bayes.fit(corpus, **options)
         dropped = corpus.n - fit.n_labeled - fit.n_unlabeled
         if dropped:
@@ -497,7 +498,7 @@ def _factory_for(kind: str, run: Run) -> classifiers.TrainFn:
         return classifiers.majority_factory()
     if kind == "axis":
         return classifiers.axis_factory(_axis_from_config(run))
-    return classifiers.nb_factory(**_nb_options(kind, run.cfg))
+    return classifiers.nb_factory(**nb_options(kind, run.cfg))
 
 
 def cmd_evaluate(run: Run):

@@ -15,7 +15,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count, islice, repeat
+from itertools import count, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -229,155 +229,142 @@ def _check_label(value, where: str) -> int:
     return value
 
 
-class _Builder:
-    """Collects a corpus file's lines, or one byte range's, as flat
-    (row, column, count) entries.
+class _Lines:
+    """A corpus file's non-blank lines as read, or one byte range's: each
+    line's user id, label, entry count and line number, and its
+    in-vocabulary (column, count) entries in flat typed buffers. Nothing
+    is merged while lines are read, so byte ranges join by concatenation;
+    corpus() merges once, over every line."""
 
-    Rows are users in first-appearance order. Entries go to typed
-    buffers, and each line keeps its row, entry count and line number
-    for error messages. matrix() merges duplicate users' entries into
-    one CSR matrix; counts are checked per line before they get here.
-    """
-
-    def __init__(self, vocabulary: CommunityVocabulary, path):
-        self.vocabulary = vocabulary
-        self.index = vocabulary.index
+    def __init__(self, path):
         self.path = path
-        self.rows: dict[str, int] = {}
-        self.labels: list[int] = []
+        self.users: list[str] = []
+        self.labels = array("b")
+        self.sizes = array("q")
+        self.line_nos = array("q")
         self.cols = array("i")
         self.counts = array("d")
-        self.line_rows = array("i")
-        self.line_sizes = array("q")
-        self.line_nos = array("q")
         self.lines = 0  # lines read, blank ones too
-        self.report = LoadReport()
+        self.unknown = 0  # entries dropped for a community outside the vocabulary
 
-    def add(self, user: str, names, counts: list, label: int, lineno: int, where: str):
-        """One line: user, community names and their checked counts, label."""
-        row = self.rows.get(user)
-        if row is None:
-            row = self.rows[user] = len(self.labels)
-            self.labels.append(-1)
-        else:
-            self.report.merged_duplicate_users += 1
-        cols = list(map(self.index.get, names))
+    def add(self, user: str, cols: list, counts: list, label: int, lineno: int):
+        """One line; a column is None for a community outside the vocabulary."""
         if None in cols:
             known = [i for i, j in enumerate(cols) if j is not None]
-            self.report.unknown_community_pairs += len(cols) - len(known)
+            self.unknown += len(cols) - len(known)
             cols = [cols[i] for i in known]
             counts = [counts[i] for i in known]
+        self.users.append(user)
+        self.labels.append(label)
+        self.sizes.append(len(cols))
+        self.line_nos.append(lineno)
         self.cols.extend(cols)
         self.counts.extend(counts)
-        self.line_rows.append(row)
-        self.line_sizes.append(len(cols))
-        self.line_nos.append(lineno)
-        self.set_label(row, label, where)
 
     @staticmethod
-    def joined(parts: list) -> "_Builder | None":
-        """The builders of consecutive byte ranges of a file as one, as if
-        the first had read on through the others: a user met in an earlier
-        range keeps its row and label, and counts as a merged duplicate.
-        None when such a user's labels conflict, a load error that one pass
-        must name at its line. parts is emptied as they are taken in,
-        which frees each."""
+    def joined(parts: list) -> "_Lines":
+        """The lines of consecutive byte ranges of a file as one, as if the
+        first had read on through the others. parts is emptied as they are
+        taken in, which frees each."""
         acc = parts.pop(0)
         while parts:
             part = parts.pop(0)
-            base, n = len(acc.labels), len(part.labels)
-            rows = np.fromiter(map(acc.rows.get, part.rows, repeat(-1)), np.intc, n)
-            new = rows < 0  # users no earlier range has
-            shared = np.flatnonzero(~new).tolist()
-            rows[new] = np.arange(base, base + n - len(shared), dtype=np.intc)
-            acc.rows.update(zip(compress(part.rows, new.tolist()), count(base)))
-            acc.labels += compress(part.labels, new.tolist())
-            for k in shared:
-                label, row = part.labels[k], rows[k]
-                if label != -1:
-                    if acc.labels[row] not in (-1, label):
-                        return None
-                    acc.labels[row] = label
-            acc.report.merged_duplicate_users += len(shared)
-            acc.cols += part.cols
-            acc.counts += part.counts
-            acc.line_rows.frombytes(rows[np.frombuffer(part.line_rows, dtype=np.intc)].tobytes())
-            acc.line_sizes += part.line_sizes
-            line_nos = np.frombuffer(part.line_nos, dtype=np.longlong) + acc.lines
-            acc.line_nos.frombytes(line_nos.tobytes())
+            part.line_nos = array("q", [lineno + acc.lines for lineno in part.line_nos])
+            for name in ("users", "labels", "sizes", "line_nos", "cols", "counts"):
+                getattr(acc, name).extend(getattr(part, name))
             acc.lines += part.lines
-            acc.report.unknown_community_pairs += part.report.unknown_community_pairs
-            acc.report.merged_duplicate_users += part.report.merged_duplicate_users
+            acc.unknown += part.unknown
         return acc
 
-    def set_label(self, row: int, label: int, where: str):
-        """Record a row's label; -1 keeps what is there, a second
-        different class is an error."""
-        if label == -1:
-            return
-        prev = self.labels[row]
-        if prev != -1 and prev != label:
-            user = list(self.rows)[row]
-            raise DataError(f"{where}: user {user!r} has conflicting labels {prev} and {label}")
-        self.labels[row] = label
+    def rows(self) -> tuple[list[str], np.ndarray]:
+        """The users in first-appearance order, and each line's row: its
+        user's position among them."""
+        users = list(dict.fromkeys(self.users))
+        if len(users) == len(self.users):  # no user repeats
+            return users, np.arange(len(users), dtype=np.intc)
+        index = dict(zip(users, count()))
+        return users, np.fromiter(map(index.__getitem__, self.users), np.intc, len(self.users))
 
-    def raise_merged_overflow(self):
-        """Raise the error of the first line, in file order, that pushed a
-        user's merged count for one community past MAX_COUNT, if any did."""
+    def row_labels(self, rows: np.ndarray, n: int, overflow: bool) -> np.ndarray:
+        """Each of n rows' first label other than -1 (-1 if none), line k
+        being in row rows[k]. Raises the first merge error in file order:
+        a labeled line that disagrees with its row's first label or, if
+        overflow, a line that pushes its user's summed count for one
+        community past MAX_COUNT, which comes first on one line."""
+        labels = np.frombuffer(self.labels, dtype=np.int8)
+        labeled = np.flatnonzero(labels != -1)
+        firsts = labeled[np.unique(rows[labeled], return_index=True)[1]]
+        out = np.full(n, -1, dtype=np.int64)
+        out[rows[firsts]] = labels[firsts]
+        conflicts = labeled[labels[labeled] != out[rows[labeled]]]
+        k = int(conflicts[0]) if conflicts.size else len(rows)
+        if overflow:
+            self._raise_overflow(rows[: k + 1])
+        if k < len(rows):
+            raise DataError(
+                f"{self.path}:{self.line_nos[k]}: user {self.users[k]!r} has conflicting "
+                f"labels {out[rows[k]]} and {labels[k]}"
+            )
+        return out
+
+    def _raise_overflow(self, rows: np.ndarray):
+        """Raise the error of the first line, of those rows covers, that
+        pushed its user's summed count for one community past MAX_COUNT."""
         cols, counts = iter(self.cols), iter(self.counts)
         merged: dict[tuple[int, int], float] = {}
-        for row, size, lineno in zip(self.line_rows, self.line_sizes, self.line_nos):
+        for k, (row, size) in enumerate(zip(rows.tolist(), self.sizes)):
             for j, c in zip(islice(cols, size), islice(counts, size)):
                 total = merged[row, j] = merged.get((row, j), 0) + c
                 if total > MAX_COUNT:
-                    user = list(self.rows)[row]
                     raise DataError(
-                        f"{self.path}:{lineno}: merged count for user {user!r} exceeds {MAX_COUNT}"
+                        f"{self.path}:{self.line_nos[k]}: merged count for user "
+                        f"{self.users[k]!r} exceeds {MAX_COUNT}"
                     )
 
-    def matrix(self) -> sp.csr_matrix:
-        """Every entry in one CSR matrix, duplicates summed, one row per
-        user seen; a merged count above MAX_COUNT is an error."""
+    def check(self):
+        """Raise the first merge error of the lines read so far, if any."""
+        users, rows = self.rows()
+        # a count over MAX_COUNT is refused per line, so only a repeat can overflow
+        self.row_labels(rows, len(users), overflow=len(users) < len(self.users))
+
+    def corpus(self, vocabulary: CommunityVocabulary, labels_path=None):
+        """The corpus these lines hold, one row per user with a count, and
+        its LoadReport. A row sums its user's lines' counts and takes their
+        first label other than -1, or that of labels_path, a 'user,label'
+        CSV. Raises the first merge error in file order."""
         import scipy.sparse as sp
 
-        sizes = np.frombuffer(self.line_sizes, dtype=np.longlong)
-        rows = np.repeat(np.frombuffer(self.line_rows, dtype=np.intc), sizes)
+        users, rows = self.rows()
+        n = len(users)
+        sizes = np.frombuffer(self.sizes, dtype=np.longlong)
         cols = np.frombuffer(self.cols, dtype=np.intc)
         counts = np.frombuffer(self.counts, dtype=np.float64)
-        X = sp.csr_matrix((counts, (rows, cols)), shape=(len(self.labels), self.vocabulary.size))
-        if X.nnz and X.data.max() > MAX_COUNT:
-            self.raise_merged_overflow()
-        return X
-
-    def finish(self, X: sp.csr_matrix) -> tuple[LabeledCorpus, LoadReport]:
-        users = np.array(list(self.rows), dtype=object)
-        labels = np.array(self.labels, dtype=np.int64)
+        X = sp.csr_matrix((counts, (np.repeat(rows, sizes), cols)), shape=(n, vocabulary.size))
+        labels = self.row_labels(rows, n, overflow=bool(X.nnz) and X.data.max() > MAX_COUNT)
+        if labels_path is not None:
+            labels = _read_labels(labels_path, users)
+        users = np.array(users, dtype=object)
         kept = np.diff(X.indptr) > 0
         if not kept.all():
             X, users, labels = X[kept], users[kept], labels[kept]
-        self.report.lines_read = len(self.line_nos)  # one per non-blank line
-        self.report.users_kept = len(users)
-        self.report.users_rejected_empty = len(self.rows) - len(users)
-        if self.report.unknown_community_pairs:
-            warnings.warn(
-                f"dropped {self.report.unknown_community_pairs} activity pairs "
-                "referencing communities outside the vocabulary",
-                stacklevel=3,
-            )
-        corpus = LabeledCorpus(vocabulary=self.vocabulary, X=X, user_ids=users, labels=labels)
-        return corpus, self.report
+        report = LoadReport(
+            lines_read=len(self.users), users_kept=len(users), users_rejected_empty=n - len(users),
+            unknown_community_pairs=self.unknown, merged_duplicate_users=len(self.users) - n,
+        )
+        if self.unknown:
+            what = f"{self.unknown} activity pairs referencing communities outside the vocabulary"
+            warnings.warn(f"dropped {what}", stacklevel=3)
+        return LabeledCorpus(vocabulary=vocabulary, X=X, user_ids=users, labels=labels), report
 
 
 def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
-    acc = _Builder.joined(in_ranges(path, partial(_read_jsonl, path, vocabulary)))
-    if acc is None:  # labels that conflict across ranges: fail as one pass does
-        acc = _read_jsonl(path, vocabulary)
-    return acc.finish(acc.matrix())
+    parts = in_ranges(path, partial(_read_jsonl, path, vocabulary))
+    return _Lines.joined(parts).corpus(vocabulary)
 
 
-def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None) -> "_Builder":
-    """The lines of a jsonl corpus, or of one byte range of it, in a _Builder."""
-    acc = _Builder(vocabulary, path)
+def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None) -> _Lines:
+    """The lines of a jsonl corpus, or of one byte range of it."""
+    acc, index = _Lines(path), vocabulary.index
     lineno = 0
     try:
         for lineno, line in enumerate(text_lines(path, start, end), start=1):
@@ -405,9 +392,9 @@ def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None)
                 for c in values:  # the first bad count raises
                     _check_count(c, where)
             label = _check_label(rec.get("label", -1), where)
-            acc.add(user, counts, values, label, lineno, where)
+            acc.add(user, list(map(index.get, counts)), values, label, lineno)
     except DataError:
-        acc.raise_merged_overflow()  # an earlier line's error comes first
+        acc.check()  # a merge error on an earlier line comes first
         raise
     acc.lines = lineno
     return acc
@@ -436,7 +423,7 @@ def _csv_records(path, header: tuple[str, ...]):
 def _load_triplets(
     path, vocabulary: CommunityVocabulary, labels_path=None
 ) -> tuple[LabeledCorpus, LoadReport]:
-    acc = _Builder(vocabulary, path)
+    acc, index = _Lines(path), vocabulary.index
     try:
         for lineno, where, (user, name, raw) in _csv_records(path, ("user", "community", "count")):
             if not user:
@@ -445,22 +432,31 @@ def _load_triplets(
                 c = int(raw)
             except ValueError:
                 raise DataError(f"{where}: count must be an integer, got {raw!r}") from None
-            acc.add(user, (name,), [_check_count(c, where)], -1, lineno, where)
+            acc.add(user, [index.get(name)], [_check_count(c, where)], -1, lineno)
     except DataError:
-        acc.raise_merged_overflow()  # an earlier line's error comes first
+        acc.check()  # a merge error on an earlier line comes first
         raise
-    X = acc.matrix()
-    if labels_path is not None:
-        for _, where, (user, raw) in _csv_records(labels_path, ("user", "label")):
+    return acc.corpus(vocabulary, labels_path)
+
+
+def _read_labels(path, users: list[str]) -> np.ndarray:
+    """Each user's label in a 'user,label' CSV, merged as a corpus's line
+    labels are; -1 for a user it does not name, which users must hold."""
+    given, index = _Lines(path), dict(zip(users, count()))
+    try:
+        for lineno, where, (user, raw) in _csv_records(path, ("user", "label")):
             try:
                 label = int(raw)
             except ValueError:
                 raise DataError(f"{where}: label must be an integer, got {raw!r}") from None
             label = _check_label(label, where)
-            if user not in acc.rows:
+            if user not in index:
                 raise DataError(f"{where}: label for unknown user {user!r}")
-            acc.set_label(acc.rows[user], label, where)
-    return acc.finish(X)
+            given.add(user, [], [], label, lineno)
+    finally:  # an earlier line's conflict replaces a line error
+        rows = np.fromiter(map(index.__getitem__, given.users), np.intc, len(given.users))
+        labels = given.row_labels(rows, len(users), overflow=False)
+    return labels
 
 
 def load_corpus(
@@ -531,26 +527,30 @@ def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, Labele
     else:
         seq = np.random.SeedSequence(spec.seed)
     split_seed, over_seed = seq.spawn(2)
-    rng = np.random.default_rng(split_seed)
-    labels = corpus.labels
-    train_parts, test_parts = [], []
+    labels, counts = corpus.labels, corpus.class_counts()
     for y in (0, 1):
-        pool = np.flatnonzero(labels == y)
-        if len(pool) < 2:
+        if counts[y] < 2:
             raise DataError(
-                f"stratified split needs >= 2 labeled rows per class, "
-                f"class {y} has {len(pool)}"
+                f"stratified split needs >= 2 labeled rows per class, class {y} has {counts[y]}"
             )
-        rng.shuffle(pool)
-        n_test = int(np.floor(spec.test_fraction * len(pool)))
-        test_parts.append(pool[:n_test])
-        train_parts.append(pool[n_test:])
-    train_parts.append(np.flatnonzero(labels < 0))
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts))
+    position = class_positions(labels, np.random.default_rng(split_seed))
+    n_test = np.floor(spec.test_fraction * counts).astype(np.int64)
+    test = (labels >= 0) & (position < n_test[labels])  # unlabeled rows go to train
+    train_idx, test_idx = np.flatnonzero(~test), np.flatnonzero(test)
     if spec.oversample:
         train_idx = train_idx[_oversample_rows(labels[train_idx], over_seed)]
     return corpus.subset(train_idx), corpus.subset(test_idx)
+
+
+def class_positions(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Each labeled row's position in a shuffle of its class's rows, -1 for
+    an unlabeled row; rng shuffles class 0's rows, then class 1's."""
+    position = np.full(labels.size, -1, dtype=np.int64)
+    for y in (0, 1):
+        pool = np.flatnonzero(labels == y)
+        rng.shuffle(pool)
+        position[pool] = np.arange(pool.size)
+    return position
 
 
 def _oversample_rows(labels: np.ndarray, seed) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import TrainFn, score_rows
-from .data import LabeledCorpus, SplitSpec, _oversample_rows, split, write_csv
+from .data import LabeledCorpus, SplitSpec, _oversample_rows, class_positions, split, write_csv
 from .errors import DataError
 from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
 from .serialize import in_chunks
@@ -189,16 +189,12 @@ def cv_roc(
     """
     if folds < 2:
         raise DataError(f"folds must be >= 2, got {folds}")
-    rng = np.random.default_rng(seed)
-    labels = corpus.labels
-    assignment = np.full(corpus.n, -1, dtype=np.int64)
+    labels, counts = corpus.labels, corpus.class_counts()
     for y in (0, 1):
-        pool = np.flatnonzero(labels == y)
-        if pool.size < folds:
-            raise DataError(f"class {y} has {pool.size} labeled rows, needs >= {folds}")
-        shuffled = pool.copy()
-        rng.shuffle(shuffled)
-        assignment[shuffled] = np.arange(shuffled.size) % folds
+        if counts[y] < folds:
+            raise DataError(f"class {y} has {counts[y]} labeled rows, needs >= {folds}")
+    position = class_positions(labels, np.random.default_rng(seed))
+    assignment = np.where(position >= 0, position % folds, -1)
     over_seeds = np.random.SeedSequence(seed).spawn(folds)
 
     def one(fold: int):

@@ -2,9 +2,9 @@
 typed reader of every JSON object that becomes a dataclass.
 
 A model payload is a schema tag ("nb/1", "axis/1", "iso/1", "quant/1",
-"majority/1") plus one key per field of the tag's class. Floats are
-written with shortest round-trip repr via plain JSON, so save -> load ->
-save is byte-identical and loaded parameters equal the saved ones bit for bit.
+"majority/1"), its fixed tags and one key per field of the tag's class.
+Floats are written with shortest round-trip repr via plain JSON, so save ->
+load -> save is byte-identical and loaded parameters equal the saved ones bit for bit.
 """
 
 from __future__ import annotations
@@ -161,17 +161,21 @@ def _projection(value):
         raise ValueError(f"axis models score by cosine projection only, got {value!r:.40}")
 
 
-# what a schema adds to its class's fields: nb/1 files also carry the
-# class count "k", always 2, and axis/1 models score by cosine only
-_SCHEMA_CHECKS = {"nb/1": {"k": _two_classes}, "axis/1": {"projection": _projection}}
+# what a schema writes beside its class's fields: fixed values, each with
+# the check that reads it back. nb/1 files carry the class count "k",
+# always 2, and axis/1 files the projection, always cosine
+_SCHEMA_TAGS = {
+    "nb/1": {"k": (2, _two_classes)},
+    "axis/1": {"projection": ("cosine", _projection)},
+}
 
 
 def to_payload(model) -> dict:
     """Schema-tagged JSON-ready dict for any supported model object."""
     for schema, cls in schemas().items():
         if isinstance(model, cls):
-            tags = {"schema": schema, "k": 2} if schema == "nb/1" else {"schema": schema}
-            return tags | encode(model)
+            tags = {key: value for key, (value, _) in _SCHEMA_TAGS.get(schema, {}).items()}
+            return {"schema": schema} | tags | encode(model)
     raise DataError(f"cannot serialize object of type {type(model).__name__}")
 
 
@@ -185,7 +189,7 @@ def from_payload(payload: dict):
     table = schemas()
     if not isinstance(schema, str) or schema not in table:
         raise DataError(f"unknown model schema {schema!r}; supported: {', '.join(table)}")
-    checks = _SCHEMA_CHECKS.get(schema)
+    checks = {key: check for key, (_, check) in _SCHEMA_TAGS.get(schema, {}).items()}
     return decode(table[schema], body, f"model payload ({schema})", checks, defaults=False)
 
 

@@ -178,6 +178,24 @@ class TestConfigFile:
         assert manifest["config"]["seed"] == 7
         assert manifest["seed"] == 7
 
+    def test_yaml_int_in_a_float_setting_resolves_as_its_flag(self, demo_files, tmp_path):
+        """YAML `alpha1: 2` is the 2.0 of `--alpha1 2`, taus elements
+        too, so the two runs record one config and one config_hash."""
+        d = demo_files["dir"]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("alpha1: 2\ntol: 1\ntaus: [0, 1]\n", encoding="utf-8")
+        out, manifests = tmp_path / "out", []
+        for settings in (["--config", str(cfg)], ["--alpha1", "2", "--tol", "1", "--taus", "0", "1"]):
+            argv = ["evaluate", "--corpus", str(d / "corpus.jsonl"), "--vocabulary",
+                    str(d / "vocab.txt"), "--model", "nb", "--n-boot", "1",
+                    "--out-dir", str(out), *settings]
+            assert main(argv) == 0
+            manifests.append(_read_json(out / "manifest.json"))
+        by_yaml, by_flags = manifests
+        assert by_yaml["config_hash"] == by_flags["config_hash"]
+        loaded = load_config(cfg)
+        assert [type(v) for v in (loaded.alpha1, loaded.tol, *loaded.taus)] == [float] * 4
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("alpha_one: 2.5\n", encoding="utf-8")

@@ -295,6 +295,24 @@ def test_merged_overflow_names_user_and_line(tmp_path, fmt):
         load_corpus(f, vocab, fmt=fmt)
 
 
+def test_merge_errors_keep_file_order(tmp_path):
+    """A line that both overflows a merged count and conflicts on a label
+    is named for the count, as one pass adding line by line names it;
+    and a label conflict in the labels CSV comes before a later bad line
+    there."""
+    f = tmp_path / "c.jsonl"
+    lines = [{"user": "u", "counts": {"a": 2**31 - 1}, "label": 0},
+             {"user": "u", "counts": {"a": 1}, "label": 1}]
+    f.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    got, want = _load_both(f)
+    assert got == want == f"{f}:2: merged count for user 'u' exceeds 2147483647"
+    f, labels = tmp_path / "t.csv", tmp_path / "l.csv"
+    f.write_text("user,community,count\nu,a,1\nw,b,1\n")
+    labels.write_text("user,label\nu,0\nw,1\nu,1\nw,2\n")
+    got, want = _load_both(f, "triplets", labels)
+    assert got == want == f"{labels}:4: user 'u' has conflicting labels 0 and 1"
+
+
 def test_triplets_user_with_only_unknown_communities_is_rejected_empty(tmp_path):
     vocab = CommunityVocabulary(("a",))
     f = tmp_path / "t.csv"

@@ -95,8 +95,9 @@ def _corpus_bytes(draw):
 @given(corpus=_corpus_bytes())
 @settings(max_examples=60, deadline=None)
 def test_corpus_in_ranges_equals_one_pass(corpus):
-    """Equal to one pass, and a load that succeeds joins its ranges
-    without reading the whole file again."""
+    """Equal to one pass, and the ranges are joined without reading the
+    whole file again: by a load that succeeds, and by one that fails on
+    a label conflict or a merged overflow, which is found after the join."""
     data, cuts = corpus
     spans = list(zip([0, *cuts], [*cuts, len(data)]))
     with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as tmp:
@@ -116,8 +117,9 @@ def test_corpus_in_ranges_equals_one_pass(corpus):
         monkeypatch.setattr(serialize, "MAX_RANGES", 3)
         assert _load(path, 3, monkeypatch) == serial
         assert cut == [spans] and len(spans) > 1
-        if not isinstance(serial, str):
-            assert read_here == [spans[0]]
+        if isinstance(serial, str):  # these lines parse, so only a merge can fail
+            assert "conflicting labels" in serial or "merged count" in serial
+        assert read_here == [spans[0]]
 
 
 def _good_lines(n: int) -> list[bytes]:

@@ -51,7 +51,6 @@ def _axis_model(calibrator=None):
         pole_a=("c_a",),
         pole_b=("c_c",),
         threshold=0.1,
-        projection="cosine",
         calibrator=calibrator,
     )
 
@@ -89,7 +88,7 @@ class TestRoundTrips:
         assert np.array_equal(loaded.z, model.z)
         assert loaded.pole_a == ("c_a",) and loaded.pole_b == ("c_c",)
         assert loaded.threshold == 0.1
-        assert loaded.projection == "cosine"
+        assert json.loads(path.read_text(encoding="utf-8"))["projection"] == "cosine"
         assert np.array_equal(loaded.calibrator.breakpoints, [0.2, 0.8])
 
     def test_isotonic_map(self, tmp_path):
@@ -165,14 +164,15 @@ SCHEMA_CASES = {
 @pytest.mark.parametrize("case", list(SCHEMA_CASES))
 def test_schema_round_trip_writes_each_field_once(tmp_path, case):
     """save -> load -> save is byte-identical, and a payload's keys are the
-    schema tag ("k" too for nb/1) and the class's fields, no more."""
+    schema tag, its fixed tags ("k" for nb/1, "projection" for axis/1)
+    and the class's fields, no more."""
     model = SCHEMA_CASES[case]()
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_model(model, first)
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text(encoding="utf-8"))
-    tags = {"schema", "k"} if payload["schema"] == "nb/1" else {"schema"}
+    tags = {"schema", *{"nb/1": ["k"], "axis/1": ["projection"]}.get(payload["schema"], [])}
     assert set(payload) == tags | {f.name for f in dataclasses.fields(model)}
 
 
