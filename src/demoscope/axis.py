@@ -34,8 +34,7 @@ class EmbeddingTable(NameIndex):
         object.__setattr__(self, "vectors", vec)
         if len(self.names) == 0:
             raise DataError("embedding table is empty")
-        if len(set(self.names)) != len(self.names):
-            raise DataError("duplicate community names in embedding table")
+        self._refuse_repeats()
         if vec.ndim != 2 or vec.shape[0] != len(self.names):
             raise DataError("vectors must be a 2-d array aligned with names")
         if not np.all(np.isfinite(vec)):
@@ -67,7 +66,10 @@ def load_embeddings(path) -> EmbeddingTable:
         rows.append(vec)
     if not names:
         raise DataError(f"{path}: no embedding rows")
-    return EmbeddingTable(tuple(names), np.array(rows, dtype=np.float64))
+    try:
+        return EmbeddingTable(tuple(names), np.array(rows, dtype=np.float64))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 @dataclass

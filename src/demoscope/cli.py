@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
-from .serialize import dumps, load_model, parse_file, save_model
+from .serialize import decode, dumps, load_model, parse_file, save_model
 
 # every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
@@ -103,7 +103,7 @@ class RunConfig:
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must lie in (0, 1)")
         least = {"n_boot": 1, "repeats": 1, "cohort_size": 1, "max_iter": 1,
-                 "folds": 2, "importance_boot": 2}
+                 "folds": 2, "importance_boot": 2, "seed": 0}
         for name, low in least.items():
             if getattr(self, name) < low:
                 raise DataError(f"{name} must be >= {low}")
@@ -123,28 +123,6 @@ def _kind(annotation: str) -> tuple[type, bool]:
     return _TYPES[base], False
 
 
-def _fits(value, kind) -> bool:
-    # YAML booleans are Python ints, so only a bool field takes them; a
-    # float field also takes an int
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _typed(path, name: str, annotation: str, value):
-    """The YAML value of one RunConfig field, checked against its annotation."""
-    kind, many = _kind(annotation)
-    if value is None and annotation.endswith(" | None"):
-        return value
-    # kind(value) turns an int in a float field into the float its flag gives
-    if many:
-        if isinstance(value, list) and all(_fits(v, kind) for v in value):
-            return tuple(map(kind, value))
-    elif _fits(value, kind):
-        return kind(value)
-    raise DataError(f"{path}: config key {name!r} must be {annotation}, got {value!r}")
-
-
 def _flag_options(f) -> dict:
     """add_argument options for the flag of RunConfig field f."""
     kind, many = _kind(f.type)
@@ -160,8 +138,8 @@ def _flag_options(f) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    """Read a YAML mapping of RunConfig fields; unknown keys and values of
-    the wrong type are errors."""
+    """Read a YAML mapping of RunConfig fields, decoded as a JSON object
+    is: an unknown key or a value of the wrong type is a DataError."""
     import yaml
 
     try:
@@ -172,15 +150,7 @@ def load_config(path) -> RunConfig:
         where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
         problem = getattr(e, "problem", None) or " ".join(str(e).split())
         raise DataError(f"{where}: invalid YAML ({problem})") from e
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a mapping")
-    annotations = {f.name: f.type for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - set(annotations))
-    if unknown:
-        raise DataError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    return RunConfig(**{k: _typed(path, k, annotations[k], v) for k, v in raw.items()})
+    return decode(RunConfig, {} if raw is None else raw, f"{path}: config")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -384,15 +354,10 @@ def _axis_from_config(run: Run) -> axis.AxisModel:
 def nb_options(kind: str, cfg: RunConfig) -> dict:
     """bayes.fit settings for an NB kind: every NB setting of cfg, with
     nb-ln and nb-ss each forcing its switch on."""
-    return {
-        "alpha1": cfg.alpha1,
-        "alpha2": cfg.alpha2,
-        "use_log_normal": cfg.use_log_normal or kind == "nb-ln",
-        "pooled_activity": cfg.pooled_activity,
-        "semi_supervised": cfg.semi_supervised or kind == "nb-ss",
-        "max_iter": cfg.max_iter,
-        "tol": cfg.tol,
-    }
+    options = {name: getattr(cfg, name) for name in _NB}
+    options["use_log_normal"] |= kind == "nb-ln"
+    options["semi_supervised"] |= kind == "nb-ss"
+    return options
 
 
 def cmd_train(run: Run):
@@ -444,6 +409,8 @@ def cmd_calibrate(run: Run):
         raise DataError(f"{model_path} holds a majority model, which has no scores to calibrate")
     corpus = _load_corpus(run)
     labels = corpus.labels
+    # a map already attached is replaced, so the new one is fitted to raw scores
+    model.calibrator = None
     scores, _, scorable = classifiers.score_rows(model, corpus)
     ok = scorable & corpus.labeled_mask
     if not ok.any():
@@ -451,8 +418,8 @@ def cmd_calibrate(run: Run):
     before = calibrate.reliability(scores[ok], labels[ok], n_bins=run.cfg.n_bins)
     cal = calibrate.fit_isotonic(scores[ok], labels[ok])
     model.calibrator = cal
-    after_scores = model.score(corpus)[0]
-    after = calibrate.reliability(after_scores[ok], labels[ok], n_bins=run.cfg.n_bins)
+    after = calibrate.reliability(calibrate.apply_map(cal, scores[ok]), labels[ok],
+                                  n_bins=run.cfg.n_bins)
     path = run.output("model.json")
     save_model(model, path)
     run.write_json(

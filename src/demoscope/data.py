@@ -13,6 +13,7 @@ import csv
 import json
 import warnings
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice
@@ -43,6 +44,12 @@ class NameIndex:
     map. The community vocabulary and the embedding table are both one."""
 
     _where = ""  # what holds the names, as pole messages call it
+
+    def _refuse_repeats(self):
+        """Raise a DataError naming up to five repeated names, if any repeat."""
+        if len(set(self.names)) != len(self.names):
+            repeated = sorted(n for n, k in Counter(self.names).items() if k > 1)
+            raise DataError(f"duplicate {self._where} entries: {repeated[:5]}")
 
     @property
     def index(self) -> dict[str, int]:
@@ -78,13 +85,7 @@ class CommunityVocabulary(NameIndex):
             raise DataError("vocabulary is empty")
         if any(not isinstance(n, str) or n == "" for n in self.names):
             raise DataError("vocabulary entries must be non-empty strings")
-        if len(set(self.names)) != len(self.names):
-            seen, dups = set(), []
-            for n in self.names:
-                if n in seen:
-                    dups.append(n)
-                seen.add(n)
-            raise DataError(f"duplicate vocabulary entries: {sorted(set(dups))[:5]}")
+        self._refuse_repeats()
 
     @property
     def size(self) -> int:
@@ -324,8 +325,11 @@ class _Lines:
     def check(self):
         """Raise the first merge error of the lines read so far, if any."""
         users, rows = self.rows()
-        # a count over MAX_COUNT is refused per line, so only a repeat can overflow
-        self.row_labels(rows, len(users), overflow=len(users) < len(self.users))
+        # a count over MAX_COUNT is refused per line, so a merged count can
+        # pass it only in a row whose counts sum past it
+        entry_rows = np.repeat(rows, np.frombuffer(self.sizes, dtype=np.longlong))
+        totals = np.bincount(entry_rows, weights=np.frombuffer(self.counts), minlength=1)
+        self.row_labels(rows, len(users), overflow=totals.max() > MAX_COUNT)
 
     def corpus(self, vocabulary: CommunityVocabulary, labels_path=None):
         """The corpus these lines hold, one row per user with a count, and

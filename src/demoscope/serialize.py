@@ -60,10 +60,24 @@ _integer, _string, _boolean = _json(int, "integer"), _json(str, "string"), _json
 _number = _json((int, float), "number")
 
 
+def _float(value) -> float:
+    """A JSON number as a float; an integer too large for one is a ValueError."""
+    try:
+        return float(_number(value))
+    except OverflowError:
+        raise ValueError("number too large for a float") from None
+
+
 def _strings(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError("expected a JSON list of strings")
     return tuple(value)
+
+
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON list of numbers")
+    return tuple(map(_float, value))
 
 
 def _array(value) -> np.ndarray:
@@ -95,10 +109,11 @@ def _codec(annotation):
         return (lambda v: None if v is None else dec(v)), (lambda v: None if v is None else enc(v))
     return {
         int: (_integer, int),
-        float: (lambda v: float(_number(v)), float),
+        float: (_float, float),
         str: (_string, str),
         bool: (_boolean, bool),
         tuple[str, ...]: (_strings, list),
+        tuple[float, ...]: (_floats, list),
         list[str]: (lambda v: list(_strings(v)), list),
         np.ndarray: (_array, np.ndarray.tolist),
         # a nested calibrator is written untagged, a nested classifier tagged

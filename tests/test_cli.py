@@ -201,7 +201,7 @@ class TestConfigFile:
         cfg.write_text("alpha_one: 2.5\n", encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--model", "nb"])
         assert code == 2
-        assert "unknown config keys: alpha_one" in capsys.readouterr().err
+        assert "config unknown field 'alpha_one'" in capsys.readouterr().err
 
     def test_invalid_yaml_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -215,11 +215,15 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "yaml_text, corpus_is_dir, expected",
         [
-            ("n_boot: many\n", False, "'n_boot' must be int"),
-            ("models: 5\n", False, "'models' must be tuple[str, ...]"),
+            ("n_boot: many\n", False, "field 'n_boot': expected a JSON integer, got 'many'"),
+            ("models: 5\n", False, "field 'models': expected a JSON list of strings"),
             ("", True, "Is a directory"),
+            ("1: x\n", False, "config unknown field 1"),
+            ("true: 1\n", False, "config unknown field True"),
+            (f"alpha1: 1{'0' * 400}\n", False, "field 'alpha1': number too large for a float"),
         ],
-        ids=["n_boot-string", "models-int", "corpus-directory"],
+        ids=["n_boot-string", "models-int", "corpus-directory", "int-key", "bool-key",
+             "alpha1-huge"],
     )
     def test_bad_value_or_path_exits_two_with_one_line(
         self, demo_files, tmp_path, capsys, yaml_text, corpus_is_dir, expected
@@ -1018,6 +1022,21 @@ class TestManifest:
         assert written != read
         assert _read_json(out / "manifest.json")["inputs"]["model_path"]["sha256"] == read
 
+    def test_calibrating_a_calibrated_model_refits_its_map(self, demo_files, tmp_path):
+        """The map is fitted to the model's uncalibrated scores, and
+        replaces a map already attached: calibrating twice writes what
+        calibrating once does."""
+        d = demo_files["dir"]
+        data = ["--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt")]
+        model = tmp_path / "m" / "model.json"
+        assert main(["train", *data, "--model", "nb", "--out-dir", str(model.parent)]) == 0
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        for out in (once, twice):
+            assert main(["calibrate", *data, "--model-path", str(model), "--out-dir", str(out)]) == 0
+            model = out / "model.json"
+        for name in ("model.json", "calibration_report.json"):
+            assert (once / name).read_bytes() == (twice / name).read_bytes()
+
 
 CORPUS = ["--corpus", "{d}/corpus.jsonl", "--vocabulary", "{d}/vocab.txt"]
 TRIPLETS = ["--corpus", "{t}/c.csv", "--format", "triplets", "--labels", "{t}/l.csv",
@@ -1179,6 +1198,7 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
          "log_cond must be normalized"),
         (_bad_majority, {"majority": 5}, "majority must be class 0 or 1, got 5"),
         (_bad_majority, {"rate": 7.0}, "rate must lie in [0, 1], got 7.0"),
+        (_bad_majority, {"rate": 10**400}, "field 'rate': number too large for a float"),
         (_bad_quant, {"validation_size": -5}, "validation_size must be >= 0, got -5"),
         (_bad_quant, {"classifier": {"schema": "iso/1", "breakpoints": [0.5], "values": [0.5]}},
          "field 'classifier': expected a classifier payload, got 'iso/1'"),
@@ -1195,7 +1215,7 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
          "seeds-threshold-typo", "rules-negation-string", "rules-negation-number",
          "rules-first-person-string", "rules-negation-typo", "model-unknown-key",
          "axis-attribute-number", "nb-log-cond-positive", "nb-log-prior-zeros",
-         "nb-row-shifted", "majority-class-five", "majority-rate-seven",
+         "nb-row-shifted", "majority-class-five", "majority-rate-seven", "majority-rate-huge",
          "quant-validation-negative", "quant-iso-classifier", "axis-duplicate-community",
          "seeds-poles-overlap", "quant-tpr-equals-fpr"],
 )
@@ -1261,7 +1281,7 @@ class TestFlagInventory:
         cfg = tmp_path / "run.yaml"
         cfg.write_text("threads: 2\n", encoding="utf-8")
         assert main(["report", "--config", str(cfg)]) == 2
-        assert "unknown config keys: threads" in capsys.readouterr().err
+        assert "config unknown field 'threads'" in capsys.readouterr().err
 
     def test_every_config_field_is_a_flag(self):
         dests = {a.dest for p in _subparsers().values() for a in p._actions}
@@ -1464,7 +1484,7 @@ WRONG_TOP_LEVEL_REFUSALS = {
         "numbers": "rule 0: expected a JSON object",
     },
     # an empty mapping is a valid config
-    "config": dict.fromkeys(("list", "string", "numbers"), "config must be a mapping"),
+    "config": dict.fromkeys(("list", "string", "numbers"), "config: expected a JSON object"),
     "model": dict.fromkeys(WRONG_TOP_LEVEL, "model payload lacks a schema tag"),
 }
 
@@ -1476,6 +1496,7 @@ def _unreadable_contents(reader: str, structured: bool) -> tuple[str, ...]:
         + ("truncated",) * (reader in ("jsonl-corpus", "seeds", "model"))
         + tuple(WRONG_TOP_LEVEL_REFUSALS.get(reader, ()))
         + ("lists",) * (reader == "comments")
+        + ("duplicate", "non-finite") * (reader == "embeddings")
     )
 
 
@@ -1507,6 +1528,15 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     elif content == "truncated":
         path.write_bytes(path.read_bytes().rstrip()[:-1])
         expected = "invalid JSON ("
+    elif content == "duplicate":
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([*lines, lines[0]]), encoding="utf-8")
+        names = [lines[0].split("\t")[0]]
+        expected = f"{path}: duplicate table entries: {names}"
+    elif content == "non-finite":
+        name, _, rest = path.read_text(encoding="utf-8").split("\t", 2)
+        path.write_text("\t".join([name, "nan", rest]), encoding="utf-8")
+        expected = f"{path}: embedding vectors must be finite"
     elif content in WRONG_TOP_LEVEL:
         path.write_text(WRONG_TOP_LEVEL[content] + "\n", encoding="utf-8")
         expected = WRONG_TOP_LEVEL_REFUSALS[reader][content]
@@ -1577,16 +1607,28 @@ def test_empty_tuple_setting_from_yaml_exits_two(tmp_path, capsys, name, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "yaml"])
-def test_importance_boot_below_two_exits_two_naming_it(demo_files, tmp_path, capsys, source):
+@pytest.mark.parametrize(
+    "source, name, value, least",
+    [
+        pytest.param("flag", "importance_boot", 1, 2, id="flag"),
+        pytest.param("yaml", "importance_boot", 1, 2, id="yaml"),
+        pytest.param("flag", "seed", -1, 0, id="seed-flag"),
+        pytest.param("yaml", "seed", -1, 0, id="seed-yaml"),
+    ],
+)
+def test_importance_boot_below_two_exits_two_naming_it(
+    demo_files, tmp_path, capsys, source, name, value, least
+):
+    """importance_boot below 2, and a negative seed, exit 2 before anything runs."""
     cfg = tmp_path / "run.yaml"
-    cfg.write_text("importance_boot: 1\n", encoding="utf-8")
-    setting = ["--importance-boot", "1"] if source == "flag" else ["--config", str(cfg)]
+    cfg.write_text(f"{name}: {value}\n", encoding="utf-8")
+    flag = f"--{name.replace('_', '-')}"
+    setting = [f"{flag}={value}"] if source == "flag" else ["--config", str(cfg)]
     argv = ["importance", *[a.format(d=demo_files["dir"]) for a in CORPUS], *setting]
     out = tmp_path / "out"
     assert main([*argv, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "demoscope: data error: importance_boot must be >= 2"
+        f"demoscope: data error: {name} must be >= {least}"
     ]
     assert not out.exists()
 

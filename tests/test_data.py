@@ -313,6 +313,28 @@ def test_merge_errors_keep_file_order(tmp_path):
     assert got == want == f"{labels}:4: user 'u' has conflicting labels 0 and 1"
 
 
+@pytest.mark.parametrize(
+    "second, scans", [(2**31 - 6, False), (2**31 - 5, True)], ids=["at-limit", "past-limit"]
+)
+def test_bad_line_scans_merged_counts_only_past_the_limit(tmp_path, monkeypatch, second, scans):
+    """Before a bad line's error, the lines above it are checked for merge
+    errors; the per-entry overflow scan runs only when some user's counts
+    sum past MAX_COUNT, here 5 + second."""
+    from demoscope import data
+
+    f = tmp_path / "c.jsonl"
+    lines = [{"user": "u", "counts": {"a": 5}}, {"user": "u", "counts": {"a": second}}]
+    f.write_text("".join(json.dumps(rec) + "\n" for rec in lines) + "not json\n")
+    calls, scan = [], data._Lines._raise_overflow
+    monkeypatch.setattr(
+        data._Lines, "_raise_overflow", lambda self, rows: calls.append(rows) or scan(self, rows)
+    )
+    message = ":2: merged count for user 'u' exceeds" if scans else ":3: invalid JSON"
+    with pytest.raises(DataError, match=re.escape(f"{f}{message}")):
+        load_corpus(f, CommunityVocabulary(("a",)))
+    assert len(calls) == scans
+
+
 def test_triplets_user_with_only_unknown_communities_is_rejected_empty(tmp_path):
     vocab = CommunityVocabulary(("a",))
     f = tmp_path / "t.csv"
