@@ -166,7 +166,7 @@ def _z_for_vocabulary(axis: AxisModel, vocabulary: CommunityVocabulary):
 def score_corpus(axis: AxisModel, corpus: LabeledCorpus) -> np.ndarray:
     """Axis score per row; NaN for rows with no embeddable activity."""
     values, mask = _z_for_vocabulary(axis, corpus.vocabulary)
-    X = corpus.to_csr()
+    X = corpus.X
     num = X @ (values * mask)
     den = X @ mask.astype(np.float64)
     out = np.full(corpus.n, np.nan, dtype=np.float64)

@@ -207,7 +207,7 @@ def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarra
     Raises DataError when the corpus does not have one column per model
     community.
     """
-    X = corpus.to_csr()
+    X = corpus.X
     if X.shape[1] != model.d:
         raise DataError(
             f"corpus has {X.shape[1]} communities, the model was fit on {model.d}"
@@ -270,7 +270,7 @@ def _closed_form(
     if counts.min() < 1:
         missing = int(np.flatnonzero(counts == 0)[0])
         raise DataError(f"class {missing} has no labeled rows")
-    X, log_act = corpus.to_csr(), np.log(corpus.activities())
+    X, log_act = corpus.X, np.log(corpus.activities())
     log_prior, log_cond, activity = _m_step(
         X, log_act, _one_hot(corpus.labels), alpha1, alpha2, use_log_normal, pooled_activity
     )
@@ -332,7 +332,7 @@ def fit_semisupervised(
     model = _closed_form(
         corpus.subset(np.flatnonzero(labeled)), alpha1, alpha2, use_log_normal, pooled_activity
     )
-    X = corpus.to_csr()
+    X = corpus.X
     activities = corpus.activities()
     log_act = np.log(activities)
     hard = _one_hot(corpus.labels[labeled])

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
 from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
-from .serialize import decode, dumps, load_model, parse_file, save_model
+from .serialize import decode, dumps, load_model, parse_file, save_model, unconverted
 
 # every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
@@ -150,6 +150,8 @@ def load_config(path) -> RunConfig:
         where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
         problem = getattr(e, "problem", None) or " ".join(str(e).split())
         raise DataError(f"{where}: invalid YAML ({problem})") from e
+    except ValueError as e:  # a scalar it cannot convert: a long integer, a bad date
+        raise DataError(f"{path}: invalid YAML ({unconverted(e)})") from None
     return decode(RunConfig, {} if raw is None else raw, f"{path}: config")
 
 

@@ -4,7 +4,7 @@ A corpus is one CSR (compressed sparse row) matrix of users x
 communities: row i is user i's participation profile, positive integer
 counts over a fixed community vocabulary. Aligned arrays hold the user
 ids and optional binary class labels (-1 marks unlabeled rows). Subsets
-are row slices of that matrix.
+are row views of that matrix: each slices its rows out on first read.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataError
-from .serialize import in_ranges, text_lines
+from .serialize import in_ranges, text_lines, unconverted
 
 # scipy.sparse takes about 0.25 s to import, so it is imported where a
 # matrix is first built: a command that builds none never loads it
@@ -105,6 +105,11 @@ class LabeledCorpus:
     Only this constructor checks. Rows of a valid corpus are valid, so
     subset() and the corpora split() and random_oversample() return
     inherit validity and are built without re-checking.
+
+    A subset is a view: it holds its base corpus and its row indices,
+    with labels and row sums sliced at once. Its X and user_ids are
+    sliced from the base on first read and then kept, so a fit that
+    reads only labels copies no rows.
     """
 
     vocabulary: CommunityVocabulary
@@ -148,9 +153,23 @@ class LabeledCorpus:
         row = int(np.searchsorted(self.X.indptr, np.flatnonzero(bad)[0], side="right")) - 1
         raise DataError(f"user {self.user_ids[row]!r}: {what}")
 
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: a view's X or user_ids
+        view = self.__dict__.get("_view")
+        if view is None or name not in ("X", "user_ids"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        base, rows = view
+        if name == "X":
+            value = base.X[rows]
+            value.has_canonical_format = True  # rows of a canonical matrix are canonical
+        else:
+            value = base.user_ids[rows]
+        self.__dict__[name] = value
+        return value
+
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.labels.shape[0]
 
     @property
     def d(self) -> int:
@@ -165,7 +184,8 @@ class LabeledCorpus:
         return np.bincount(self.labels[self.labeled_mask], minlength=2).astype(np.int64)
 
     def to_csr(self) -> sp.csr_matrix:
-        """The count matrix X, float64, shape (n, d)."""
+        """The count matrix X. The program reads X; this stays only for
+        perfbench/tracer.py, which sizes a loaded corpus through it."""
         return self.X
 
     def activities(self) -> np.ndarray:
@@ -176,17 +196,17 @@ class LabeledCorpus:
         return cached
 
     def subset(self, indices) -> "LabeledCorpus":
-        """New corpus holding the given rows in the given order; indices may repeat."""
-        idx = np.asarray(indices, dtype=np.int64)
-        X = self.X[idx]
-        X.has_canonical_format = True  # rows of a canonical matrix are canonical
+        """A view of the given rows in the given order; indices may repeat.
+        A subset of a view indexes the same base, so no corpus in between
+        builds its rows."""
+        idx = np.array(indices, dtype=np.int64)  # a copy: the view keeps it
+        base, rows = self.__dict__.get("_view", (self, None))
         out = object.__new__(LabeledCorpus)
         out.__dict__.update(
             vocabulary=self.vocabulary,
-            X=X,
-            user_ids=self.user_ids[idx],
             labels=self.labels[idx],
             _activities=self.activities()[idx],
+            _view=(base, idx if rows is None else rows[idx]),
         )
         return out
 
@@ -343,7 +363,12 @@ class _Lines:
         sizes = np.frombuffer(self.sizes, dtype=np.longlong)
         cols = np.frombuffer(self.cols, dtype=np.intc)
         counts = np.frombuffer(self.counts, dtype=np.float64)
-        X = sp.csr_matrix((counts, (np.repeat(rows, sizes), cols)), shape=(n, vocabulary.size))
+        if n < len(self.users):  # merged users: COO sums their entries
+            X = sp.csr_matrix((counts, (np.repeat(rows, sizes), cols)), shape=(n, vocabulary.size))
+        else:  # a line per row: X takes over the lines' buffers as its arrays
+            indptr = np.concatenate([[0], np.cumsum(sizes)])
+            X = sp.csr_matrix((counts, cols, indptr), shape=(n, vocabulary.size))
+            X.sort_indices()  # in place; JSON key order is not column order
         labels = self.row_labels(rows, n, overflow=bool(X.nnz) and X.data.max() > MAX_COUNT)
         if labels_path is not None:
             labels = _read_labels(labels_path, users)
@@ -379,6 +404,8 @@ def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None)
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{where}: invalid JSON ({e.msg})") from e
+            except ValueError as e:  # an integer past the int-string limit
+                raise DataError(f"{where}: invalid JSON ({unconverted(e)})") from None
             except RecursionError as e:
                 raise DataError(f"{where}: nested too deeply to parse") from e
             if not isinstance(rec, dict) or "user" not in rec:

@@ -304,7 +304,7 @@ def _read_comments(path, start: int = 0, end=None):
             continue
         try:
             yield json.loads(line)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # JSONDecodeError, or an integer too long
             yield {"_malformed": lineno}
 
 
@@ -439,7 +439,7 @@ def distant_label(corpus: LabeledCorpus, seeds: SeedSets) -> np.ndarray:
     """
     ia = corpus.vocabulary.pole(seeds.pole_a, "pole_a", "seed")
     ib = corpus.vocabulary.pole(seeds.pole_b, "pole_b", "seed")
-    X = corpus.to_csr()
+    X = corpus.X
     ca = np.asarray(X[:, ia].sum(axis=1)).ravel()
     cb = np.asarray(X[:, ib].sum(axis=1)).ravel()
     delta = ca - cb

@@ -418,10 +418,19 @@ def parse_file(path, parse):
         raise DataError(f"{path}: nested too deeply to parse") from e
 
 
+def unconverted(e: ValueError) -> str:
+    """Why a parser could not convert a value, in one clause: an integer
+    past Python's int-string limit (4,300 digits by default), the one
+    such error of json.loads, or a YAML date that does not exist. The
+    limit's message ends in a remedy for programs, not input files."""
+    return str(e).partition(";")[0]
+
+
 def read_json(path):
-    """The JSON value a file holds; malformed JSON, and the NaN, Infinity
-    and -Infinity tokens or a number too large for a float, are a
-    DataError naming the file. Every JSON input file is read through here."""
+    """The JSON value a file holds; malformed JSON, the NaN, Infinity
+    and -Infinity tokens, a number too large for a float and an integer
+    past the int-string limit are a DataError naming the file. Every
+    JSON input file is read through here."""
 
     def non_finite(token):
         raise DataError(f"{path}: invalid JSON (non-finite number {token})")
@@ -434,6 +443,8 @@ def read_json(path):
         return parse_file(path, partial(json.loads, parse_constant=non_finite, parse_float=number))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e.msg})") from e
+    except ValueError as e:  # an integer past the int-string limit
+        raise DataError(f"{path}: invalid JSON ({unconverted(e)})") from None
 
 
 def load_model(path):

@@ -156,7 +156,7 @@ def write_vocabulary(vocabulary: CommunityVocabulary, path):
 
 def _rows(corpus: LabeledCorpus):
     """(user id, community indices, counts) per row, read off the CSR arrays."""
-    X = corpus.to_csr()
+    X = corpus.X
     for i, user in enumerate(corpus.user_ids):
         lo, hi = X.indptr[i], X.indptr[i + 1]
         yield user, X.indices[lo:hi].tolist(), X.data[lo:hi].astype(np.int64).tolist()

@@ -221,9 +221,10 @@ class TestConfigFile:
             ("1: x\n", False, "config unknown field 1"),
             ("true: 1\n", False, "config unknown field True"),
             (f"alpha1: 1{'0' * 400}\n", False, "field 'alpha1': number too large for a float"),
+            ("seed: 2001-13-14\n", False, "run.yaml: invalid YAML (month must be in 1..12)"),
         ],
         ids=["n_boot-string", "models-int", "corpus-directory", "int-key", "bool-key",
-             "alpha1-huge"],
+             "alpha1-huge", "date-nonexistent"],
     )
     def test_bad_value_or_path_exits_two_with_one_line(
         self, demo_files, tmp_path, capsys, yaml_text, corpus_is_dir, expected
@@ -1469,6 +1470,8 @@ def _unreadable_case(demo_files, tmp_path, reader):
 # a JSON or YAML file whose top-level value has the wrong type: its
 # content by test id, and per input kind the refusal of each
 WRONG_TOP_LEVEL = {"list": "[]", "string": '"x"', "object": "{}", "numbers": "[1]"}
+# an integer of more digits than Python converts from a string by default
+LONG_INTEGER = "1" + "0" * 5000
 WRONG_TOP_LEVEL_REFUSALS = {
     "jsonl-corpus": dict.fromkeys(WRONG_TOP_LEVEL, ":1: expected an object with a 'user' field"),
     "seeds": {
@@ -1494,6 +1497,7 @@ def _unreadable_contents(reader: str, structured: bool) -> tuple[str, ...]:
         ("invalid-utf8", "bom", "deep-nesting")[: 2 + structured]
         + ("empty",) * (reader.endswith("-corpus") or reader == "comments")
         + ("truncated",) * (reader in ("jsonl-corpus", "seeds", "model"))
+        + ("long-integer",) * (reader == "jsonl-corpus" or structured)
         + tuple(WRONG_TOP_LEVEL_REFUSALS.get(reader, ()))
         + ("lists",) * (reader == "comments")
         + ("duplicate", "non-finite") * (reader == "embeddings")
@@ -1528,6 +1532,17 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     elif content == "truncated":
         path.write_bytes(path.read_bytes().rstrip()[:-1])
         expected = "invalid JSON ("
+    elif content == "long-integer":
+        # past Python's int-string limit, where json and yaml raise ValueError
+        if reader == "jsonl-corpus":
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            line = f'{{"user": "long", "counts": {{"c": {LONG_INTEGER}}}}}\n'
+            path.write_text("".join([*lines, line]), encoding="utf-8")
+            expected = f"{path}:{len(lines) + 1}: invalid JSON (Exceeds the limit"
+        else:
+            path.write_text(LONG_INTEGER + "\n", encoding="utf-8")
+            kind = "YAML" if reader == "config" else "JSON"
+            expected = f"{path}: invalid {kind} (Exceeds the limit"
     elif content == "duplicate":
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join([*lines, lines[0]]), encoding="utf-8")
@@ -1583,17 +1598,26 @@ def test_corpus_without_user_rows_exits_two_before_writing(
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def test_too_deep_comment_is_skipped_and_counted(demo_files, tmp_path):
+def _comment_line_is_skipped_and_counted(demo_files, tmp_path, bad_line: bytes):
     argv, path = _unreadable_case(demo_files, tmp_path, "comments")
     assert main([*argv, "--out-dir", str(tmp_path / "clean")]) == 0
     lines = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join([*lines[:3], b"[" * 100_000 + b"\n", *lines[3:]]))
-    assert main([*argv, "--out-dir", str(tmp_path / "deep")]) == 0
+    path.write_bytes(b"".join([*lines[:3], bad_line + b"\n", *lines[3:]]))
+    assert main([*argv, "--out-dir", str(tmp_path / "bad")]) == 0
     clean = _read_json(tmp_path / "clean" / "extract_report.json")
-    deep = _read_json(tmp_path / "deep" / "extract_report.json")
-    assert deep["comments_skipped"] == clean["comments_skipped"] + 1
-    assert deep["comments_seen"] == clean["comments_seen"] + 1
-    assert deep["users_labeled"] == clean["users_labeled"]
+    bad = _read_json(tmp_path / "bad" / "extract_report.json")
+    assert bad["comments_skipped"] == clean["comments_skipped"] + 1
+    assert bad["comments_seen"] == clean["comments_seen"] + 1
+    assert bad["users_labeled"] == clean["users_labeled"]
+
+
+def test_too_deep_comment_is_skipped_and_counted(demo_files, tmp_path):
+    _comment_line_is_skipped_and_counted(demo_files, tmp_path, b"[" * 100_000)
+
+
+def test_comment_with_a_too_long_integer_is_skipped_and_counted(demo_files, tmp_path):
+    line = f'{{"user": "u", "text": "I am a woman", "created_utc": {LONG_INTEGER}}}'
+    _comment_line_is_skipped_and_counted(demo_files, tmp_path, line.encode())
 
 
 @pytest.mark.parametrize("name,command", [("models", "report"), ("taus", "evaluate")])

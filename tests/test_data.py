@@ -12,6 +12,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demoscope import bayes
+from demoscope.axis import AxisModel
+from demoscope.classifiers import MajorityClassifier, axis_factory
 from demoscope.data import (
     CommunityVocabulary,
     LabeledCorpus,
@@ -615,6 +618,62 @@ def test_slices_are_corpora_the_constructor_accepts_unchanged(seed):
         assert rebuilt.user_ids.tolist() == part.user_ids.tolist()
         assert np.array_equal(rebuilt.labels, part.labels)
         assert np.array_equal(rebuilt.activities(), part.activities())
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_views_equal_eager_slices(data):
+    """A subset and a subset of it, with indices that repeat, are empty or
+    are unsorted, equal the eager row slices of the base in every array,
+    whichever of the two is read first."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, d = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+    X_dense = rng.integers(0, 9, size=(n, d)) * (rng.uniform(size=(1, d)) < 0.7)
+    X_dense[X_dense.sum(axis=1) == 0, 0] = 1
+    corpus = corpus_from_dense(X_dense, rng.integers(-1, 2, size=n))
+    outer = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+    inner = np.array(
+        data.draw(st.lists(st.integers(0, max(outer.size - 1, 0)), max_size=2 * n))
+        if outer.size else [],
+        dtype=np.int64,
+    )
+    view = corpus.subset(outer)
+    nested = view.subset(inner)
+    order = [nested, view] if data.draw(st.booleans()) else [view, nested]
+    for part in order:
+        rows = outer if part is view else outer[inner]
+        X = part.X
+        want = corpus.X[outer] if part is view else corpus.X[outer][inner]  # sliced eagerly
+        for name in ("data", "indices", "indptr"):
+            got, expected = getattr(X, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert X.shape == want.shape and X.has_canonical_format
+        assert part.user_ids.tolist() == corpus.user_ids[rows].tolist()
+        assert np.array_equal(part.labels, corpus.labels[rows])
+        assert np.array_equal(part.activities(), X_dense[rows].sum(axis=1))
+        assert part.n == rows.size
+
+
+def test_a_fit_builds_only_the_rows_it_reads(monkeypatch):
+    """Of a split's training side, the majority and axis fits build no
+    rows, and a supervised naive Bayes fit builds only the labeled ones."""
+    built = []
+    read = LabeledCorpus.__getattr__
+
+    def spy(self, name):
+        built.append((name, self.labels))
+        return read(self, name)
+
+    monkeypatch.setattr(LabeledCorpus, "__getattr__", spy)
+    corpus = _labeled_corpus(40, 20, n_unlabeled=15)
+    train, _ = split(corpus, SplitSpec(test_fraction=0.3, oversample=True, seed=4))
+    MajorityClassifier.fit(train)
+    axis_factory(AxisModel("t", ("c0000",), np.array([0.0]), ("c0000",), ("c0001",)))(train)
+    assert built == []
+    bayes.fit(train)
+    assert [name for name, _ in built] == ["X"]
+    assert np.array_equal(built[0][1], train.labels[train.labels >= 0])
+    assert "X" not in vars(train) and "user_ids" not in vars(train)
 
 
 def test_oversampled_split_rows_are_pinned():
