@@ -158,16 +158,13 @@ def _m_step(
     alpha1: float,
     alpha2: float,
     use_log_normal: bool,
-    pooled_activity: bool = False,
 ):
     """Smoothed maximization given responsibilities resp of shape (n, 2).
 
     Returns (log_prior, log_cond, activity or None). Priors use
     pseudo-count alpha1 per class; conditionals use alpha2 per
     (class, community) cell. Activity parameters are the responsibility-
-    weighted mean and population std of log totals per class; with
-    pooled_activity=True every class instead gets the unweighted pooled
-    statistics over all rows.
+    weighted mean and population std of log totals per class.
     """
     n, d = X.shape
     n_y = resp.sum(axis=0)
@@ -178,19 +175,13 @@ def _m_step(
     activity = None
     if use_log_normal:
         activity = np.empty((2, 2), dtype=np.float64)
-        if pooled_activity:
-            mu = float(log_activities.mean())
-            sigma = float(log_activities.std())
-            activity[:, 0] = mu
-            activity[:, 1] = sigma
-        else:
-            if np.any(n_y <= 0):
-                raise NumericError("a class lost all responsibility mass")
-            mu = (resp * log_activities[:, None]).sum(axis=0) / n_y
-            centered_sq = (log_activities[:, None] - mu[None, :]) ** 2
-            var = (resp * centered_sq).sum(axis=0) / n_y
-            activity[:, 0] = mu
-            activity[:, 1] = np.sqrt(var)
+        if np.any(n_y <= 0):
+            raise NumericError("a class lost all responsibility mass")
+        mu = (resp * log_activities[:, None]).sum(axis=0) / n_y
+        centered_sq = (log_activities[:, None] - mu[None, :]) ** 2
+        var = (resp * centered_sq).sum(axis=0) / n_y
+        activity[:, 0] = mu
+        activity[:, 1] = np.sqrt(var)
         if np.any(activity[:, 1] < SIGMA_FLOOR):
             warnings.warn("activity sigma hit the floor; totals are near-constant")
             activity[:, 1] = np.maximum(activity[:, 1], SIGMA_FLOOR)
@@ -235,7 +226,6 @@ def fit_supervised(
     alpha1: float = 1.0,
     alpha2: float = 1.0,
     use_log_normal: bool = False,
-    pooled_activity: bool = False,
     report: bool = True,
 ) -> tuple[NaiveBayesModel, FitReport | None]:
     """Closed-form smoothed fit on a fully labeled corpus.
@@ -244,13 +234,13 @@ def fit_supervised(
     With report=False the FitReport, a further pass over the corpus for
     the objective, is not computed and None stands in its place.
     """
-    _validate_hyper(alpha1, alpha2)
+    _validate_hyper(alpha1=alpha1, alpha2=alpha2)
     if corpus.n == 0:
         raise DataError("cannot fit on an empty corpus")
     if not corpus.labeled_mask.all():
         n_un = int((~corpus.labeled_mask).sum())
         raise DataError(f"supervised fit requires labels on all rows; {n_un} unlabeled")
-    model = _closed_form(corpus, alpha1, alpha2, use_log_normal, pooled_activity)
+    model = _closed_form(corpus, alpha1, alpha2, use_log_normal)
     if not report:
         return model, None
     ll = _objective(model, corpus, log_joint_matrix(model, corpus))
@@ -262,7 +252,6 @@ def _closed_form(
     alpha1: float,
     alpha2: float,
     use_log_normal: bool = False,
-    pooled_activity: bool = False,
 ) -> NaiveBayesModel:
     """The smoothed M-step on a fully labeled corpus with one-hot
     responsibilities; every class must have a row."""
@@ -272,7 +261,7 @@ def _closed_form(
         raise DataError(f"class {missing} has no labeled rows")
     X, log_act = corpus.X, np.log(corpus.activities())
     log_prior, log_cond, activity = _m_step(
-        X, log_act, _one_hot(corpus.labels), alpha1, alpha2, use_log_normal, pooled_activity
+        X, log_act, _one_hot(corpus.labels), alpha1, alpha2, use_log_normal
     )
     return NaiveBayesModel(
         d=corpus.d,
@@ -306,7 +295,6 @@ def fit_semisupervised(
     alpha1: float = 1.0,
     alpha2: float = 1.0,
     use_log_normal: bool = False,
-    pooled_activity: bool = False,
     max_iter: int = 100,
     tol: float = 1e-6,
 ) -> tuple[NaiveBayesModel, FitReport]:
@@ -321,7 +309,7 @@ def fit_semisupervised(
     """
     from scipy.special import log_softmax
 
-    _validate_hyper(alpha1, alpha2)
+    _validate_hyper(alpha1=alpha1, alpha2=alpha2)
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
@@ -329,9 +317,7 @@ def fit_semisupervised(
     labeled = corpus.labeled_mask
     if not labeled.any():
         raise DataError("semi-supervised fit needs at least one labeled row")
-    model = _closed_form(
-        corpus.subset(np.flatnonzero(labeled)), alpha1, alpha2, use_log_normal, pooled_activity
-    )
+    model = _closed_form(corpus.subset(np.flatnonzero(labeled)), alpha1, alpha2, use_log_normal)
     X = corpus.X
     activities = corpus.activities()
     log_act = np.log(activities)
@@ -346,10 +332,8 @@ def fit_semisupervised(
     for it in range(1, max_iter + 1):
         resp = np.exp(log_softmax(lj, axis=1))
         resp[labeled] = hard
-        log_prior, log_cond, activity = _m_step(
-            X, log_act, resp, alpha1, alpha2, use_log_normal, pooled_activity
-        )
-        if use_log_normal and not pooled_activity:
+        log_prior, log_cond, activity = _m_step(X, log_act, resp, alpha1, alpha2, use_log_normal)
+        if use_log_normal:
             # the weighted closed form maximizes a density surrogate of
             # the binned activity mass and can slip near convergence;
             # keep the previous parameters for any class it would hurt,
@@ -398,11 +382,10 @@ def fit(
     return fit_supervised(labeled, report=report, **options)
 
 
-def _validate_hyper(alpha1: float, alpha2: float):
-    if not (alpha1 > 0 and np.isfinite(alpha1)):
-        raise DataError(f"alpha1 must be positive and finite, got {alpha1}")
-    if not (alpha2 > 0 and np.isfinite(alpha2)):
-        raise DataError(f"alpha2 must be positive and finite, got {alpha2}")
+def _validate_hyper(**alphas: float):
+    for name, alpha in alphas.items():
+        if not (alpha > 0 and np.isfinite(alpha)):
+            raise DataError(f"{name} must be positive and finite, got {alpha}")
 
 
 def feature_log_odds(model: NaiveBayesModel) -> np.ndarray:
@@ -417,7 +400,6 @@ def feature_log_odds_dispersion(
     corpus: LabeledCorpus,
     n_boot: int = 50,
     seed: int = 0,
-    alpha1: float = 1.0,
     alpha2: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrap mean and sample std of the per-community log odds.
@@ -437,7 +419,7 @@ def feature_log_odds_dispersion(
     for y, pool in enumerate(class_pools):
         if pool.size == 0:
             raise DataError(f"class {y} has no labeled rows")
-    _validate_hyper(alpha1, alpha2)
+    _validate_hyper(alpha2=alpha2)
 
     def replicates(lo: int, hi: int) -> list[np.ndarray]:
         rng, found = np.random.default_rng(seed), []
@@ -445,7 +427,8 @@ def feature_log_odds_dispersion(
             take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
             if b >= lo:
                 boot = corpus.subset(np.sort(np.concatenate(take)))
-                found.append(feature_log_odds(_closed_form(boot, alpha1, alpha2)))
+                # the log odds read only the conditionals: no prior pseudo-count moves them
+                found.append(feature_log_odds(_closed_form(boot, 1.0, alpha2)))
         return found
 
     draws = np.array(in_chunks(replicates, n_boot, corpus.X.nnz, "importance replicates"))

@@ -66,7 +66,6 @@ class RunConfig:
     alpha1: float = _setting(1.0, "prior pseudo-count")
     alpha2: float = _setting(1.0, "conditional pseudo-count")
     use_log_normal: bool = _setting(False, "model activity as log-normal per class")
-    pooled_activity: bool = _setting(False, "one activity distribution for both classes")
     semi_supervised: bool = _setting(False, "fit unlabeled rows by EM")
     max_iter: int = _setting(100, "EM iteration limit")
     tol: float = _setting(1e-6, "EM convergence tolerance")
@@ -103,10 +102,14 @@ class RunConfig:
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must lie in (0, 1)")
         least = {"n_boot": 1, "repeats": 1, "cohort_size": 1, "max_iter": 1,
-                 "folds": 2, "importance_boot": 2, "seed": 0}
+                 "folds": 2, "importance_boot": 2, "n_bins": 1, "seed": 0}
         for name, low in least.items():
             if getattr(self, name) < low:
                 raise DataError(f"{name} must be >= {low}")
+        # reliability allocates its per-bin arrays before reading a score;
+        # a million bins take tens of MB, more than any corpus can fill
+        if self.n_bins > 1_000_000:
+            raise DataError("n_bins must be <= 1000000")
         if not self.tol > 0:
             raise DataError("tol must be > 0")
 
@@ -516,7 +519,6 @@ def cmd_importance(run: Run):
         corpus,
         n_boot=cfg.importance_boot,
         seed=stage_seed(cfg.seed, "importance"),
-        alpha1=cfg.alpha1,
         alpha2=cfg.alpha2,
     )
     names = corpus.vocabulary.names
@@ -621,8 +623,7 @@ class _Parser(argparse.ArgumentParser):
 # also takes --config and the _COMMON settings
 _COMMON = ("out_dir", "seed")
 _DATA = ("corpus", "vocabulary", "format", "labels")
-_NB = ("alpha1", "alpha2", "use_log_normal", "pooled_activity", "semi_supervised", "max_iter",
-       "tol")
+_NB = ("alpha1", "alpha2", "use_log_normal", "semi_supervised", "max_iter", "tol")
 _AXIS = ("embeddings", "seeds", "attribute")
 _PROTOCOL = ("n_boot", "test_fraction", "folds")
 _QUANTIFY = ("mode", "confidence")
@@ -638,11 +639,12 @@ _COMMANDS = {
     "calibrate": (cmd_calibrate, "fit an isotonic calibrator on held-out data",
                   (*_DATA, "model_path", "n_bins")),
     "quantify": (cmd_quantify, "estimate class prevalence in a cohort",
-                 (*_DATA, "model_path", "quantifier", "validation", "target", *_QUANTIFY)),
+                 ("vocabulary", "format", "labels", "model_path", "quantifier", "validation",
+                  "target", *_QUANTIFY)),
     "evaluate": (cmd_evaluate, "bootstrap metrics, optional curves",
                  (*_DATA, "model", "model_path", *_NB, *_PROTOCOL, "taus", *_AXIS)),
     "importance": (cmd_importance, "per-community log-odds with bootstrap spread",
-                   (*_DATA, "importance_boot", "alpha1", "alpha2")),
+                   (*_DATA, "importance_boot", "alpha2")),
     "report": (cmd_report, "benchmark several models on one corpus",
                (*_DATA, "models", *_NB, *_PROTOCOL, "repeats", "cohort_size",
                 "calibration_fraction", "prevalence", *_QUANTIFY, *_AXIS)),
@@ -688,11 +690,10 @@ def main(argv=None) -> int:
     except NumericError as e:
         _emit_error("numeric", e)
         return 3
-    except FileNotFoundError as e:
-        _emit_error("data", f"file not found: {e.filename}")
-        return 2
     except OSError as e:
-        _emit_error("data", e)
+        # a path the system refused as too long is cut short
+        reason = "file not found" if isinstance(e, FileNotFoundError) else e.strerror
+        _emit_error("data", f"{reason}: {e.filename!s:.200}" if e.filename else e)
         return 2
 
 

@@ -147,11 +147,11 @@ class LabeledCorpus:
             self._reject(X.data > MAX_COUNT, f"count exceeds {MAX_COUNT}")
         empty = np.flatnonzero(np.diff(X.indptr) == 0)
         if empty.size:
-            raise DataError(f"user {self.user_ids[empty[0]]!r}: empty activity vector")
+            raise DataError(f"user {self.user_ids[empty[0]]!r:.40}: empty activity vector")
 
     def _reject(self, bad: np.ndarray, what: str):
         row = int(np.searchsorted(self.X.indptr, np.flatnonzero(bad)[0], side="right")) - 1
-        raise DataError(f"user {self.user_ids[row]!r}: {what}")
+        raise DataError(f"user {self.user_ids[row]!r:.40}: {what}")
 
     def __getattr__(self, name):
         # reached only for an attribute not yet set: a view's X or user_ids
@@ -232,21 +232,22 @@ def load_vocabulary(path) -> CommunityVocabulary:
         raise DataError(f"{path}: {e}") from None
 
 
+# each check echoes at most 40 characters of the value it refuses
 def _check_count(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{where}: count must be an integer, got {value!r}")
+        raise DataError(f"{where}: count must be an integer, got {value!r:.40}")
     if value < 1:
-        raise DataError(f"{where}: count {value} below 1")
+        raise DataError(f"{where}: count {value!r:.40} below 1")
     if value > MAX_COUNT:
-        raise DataError(f"{where}: count {value} exceeds {MAX_COUNT}")
+        raise DataError(f"{where}: count {value!r:.40} exceeds {MAX_COUNT}")
     return value
 
 
 def _check_label(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"{where}: label must be an integer, got {value!r}")
+        raise DataError(f"{where}: label must be an integer, got {value!r:.40}")
     if value not in (-1, 0, 1):
-        raise DataError(f"{where}: label {value} outside -1..1")
+        raise DataError(f"{where}: label {value!r:.40} outside -1..1")
     return value
 
 
@@ -323,7 +324,7 @@ class _Lines:
             self._raise_overflow(rows[: k + 1])
         if k < len(rows):
             raise DataError(
-                f"{self.path}:{self.line_nos[k]}: user {self.users[k]!r} has conflicting "
+                f"{self.path}:{self.line_nos[k]}: user {self.users[k]!r:.40} has conflicting "
                 f"labels {out[rows[k]]} and {labels[k]}"
             )
         return out
@@ -339,7 +340,7 @@ class _Lines:
                 if total > MAX_COUNT:
                     raise DataError(
                         f"{self.path}:{self.line_nos[k]}: merged count for user "
-                        f"{self.users[k]!r} exceeds {MAX_COUNT}"
+                        f"{self.users[k]!r:.40} exceeds {MAX_COUNT}"
                     )
 
     def check(self):
@@ -451,6 +452,17 @@ def _csv_records(path, header: tuple[str, ...]):
         raise DataError(f"{path}:{reader.line_num}: {e}") from e
 
 
+def _int_field(raw: str, what: str, where: str) -> int:
+    """A CSV field read as an integer: one that is none is echoed, cut to
+    40 characters, and one past Python's int-string limit named as such."""
+    try:
+        return int(raw)
+    except ValueError as e:
+        if str(e).startswith("Exceeds the limit"):
+            raise DataError(f"{where}: {what} too long ({unconverted(e)})") from None
+        raise DataError(f"{where}: {what} must be an integer, got {raw!r:.40}") from None
+
+
 def _load_triplets(
     path, vocabulary: CommunityVocabulary, labels_path=None
 ) -> tuple[LabeledCorpus, LoadReport]:
@@ -459,10 +471,7 @@ def _load_triplets(
         for lineno, where, (user, name, raw) in _csv_records(path, ("user", "community", "count")):
             if not user:
                 raise DataError(f"{where}: empty user id")
-            try:
-                c = int(raw)
-            except ValueError:
-                raise DataError(f"{where}: count must be an integer, got {raw!r}") from None
+            c = _int_field(raw, "count", where)
             acc.add(user, [index.get(name)], [_check_count(c, where)], -1, lineno)
     except DataError:
         acc.check()  # a merge error on an earlier line comes first
@@ -476,13 +485,9 @@ def _read_labels(path, users: list[str]) -> np.ndarray:
     given, index = _Lines(path), dict(zip(users, count()))
     try:
         for lineno, where, (user, raw) in _csv_records(path, ("user", "label")):
-            try:
-                label = int(raw)
-            except ValueError:
-                raise DataError(f"{where}: label must be an integer, got {raw!r}") from None
-            label = _check_label(label, where)
+            label = _check_label(_int_field(raw, "label", where), where)
             if user not in index:
-                raise DataError(f"{where}: label for unknown user {user!r}")
+                raise DataError(f"{where}: label for unknown user {user!r:.40}")
             given.add(user, [], [], label, lineno)
     finally:  # an earlier line's conflict replaces a line error
         rows = np.fromiter(map(index.__getitem__, given.users), np.intc, len(given.users))

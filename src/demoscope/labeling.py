@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import LabeledCorpus, write_csv
 from .errors import DataError
-from .serialize import decode, in_ranges, read_json, text_lines
+from .serialize import decode, in_ranges, read_json, text_lines, unconverted
 
 try:
     from re import _parser as _sre_parse  # Python 3.11+
@@ -78,6 +78,15 @@ class Declaration(NamedTuple):
     community: str
 
 
+def _compile(pattern: str, what: str) -> re.Pattern:
+    """pattern compiled case-blind; one that does not compile, or whose
+    repeat count overflows or is past the int-string limit, a DataError."""
+    try:
+        return re.compile(pattern, re.IGNORECASE)
+    except (re.error, OverflowError, ValueError) as e:
+        raise DataError(f"{what}: {unconverted(e)}") from e
+
+
 @dataclass
 class DeclarationRule:
     """Patterns for one attribute plus its suppression patterns."""
@@ -95,20 +104,14 @@ class DeclarationRule:
         group = GROUP_FOR[self.attribute]
         compiled = []
         for i, pat in enumerate(self.patterns):
-            try:
-                c = re.compile(pat, re.IGNORECASE)
-            except re.error as e:
-                raise DataError(f"rule {self.attribute!r} pattern {i}: {e}") from e
+            c = _compile(pat, f"rule {self.attribute!r} pattern {i}")
             if group not in c.groupindex:
                 raise DataError(
                     f"rule {self.attribute!r} pattern {i} lacks the (?P<{group}>...) group"
                 )
             compiled.append(c)
         for i, pat in enumerate(self.negation_patterns):
-            try:
-                negation = re.compile(pat, re.IGNORECASE)
-            except re.error as e:
-                raise DataError(f"rule {self.attribute!r} negation {i}: {e}") from e
+            negation = _compile(pat, f"rule {self.attribute!r} negation {i}")
             if not _joinable(negation):
                 raise DataError(
                     f"rule {self.attribute!r} negation {i}: named groups, backreferences "
@@ -402,7 +405,7 @@ def binarize(values, attribute: str, median: float | None = None):
     labels = {}
     for u, v in values.items():
         if v not in coding:
-            raise DataError(f"binarize({attribute!r}): unknown value {v!r} for user {u!r}")
+            raise DataError(f"binarize({attribute!r}): unknown value {v!r:.40} for user {u!r:.40}")
         labels[u] = coding[v]
     return labels, None
 
@@ -443,9 +446,11 @@ def distant_label(corpus: LabeledCorpus, seeds: SeedSets) -> np.ndarray:
     ca = np.asarray(X[:, ia].sum(axis=1)).ravel()
     cb = np.asarray(X[:, ib].sum(axis=1)).ravel()
     delta = ca - cb
+    # past every int64 count sum it labels nobody, and numpy can compare it
+    threshold = min(seeds.threshold, np.iinfo(np.int64).max)
     labels = np.full(corpus.n, -1, dtype=np.int64)
-    labels[delta > seeds.threshold] = 0
-    labels[-delta > seeds.threshold] = 1
+    labels[delta > threshold] = 0
+    labels[-delta > threshold] = 1
     return labels
 
 

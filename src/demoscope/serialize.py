@@ -81,7 +81,10 @@ def _floats(value) -> tuple[float, ...]:
 
 
 def _array(value) -> np.ndarray:
-    array = np.array(value)  # a ragged nesting raises ValueError
+    try:
+        array = np.array(value)
+    except ValueError:  # a ragged nesting; numpy's own message runs to three sentences
+        raise TypeError("expected a rectangular JSON array of numbers") from None
     if array.dtype.kind not in "iuf":
         raise TypeError("expected a JSON array of numbers")
     return array.astype(np.float64)

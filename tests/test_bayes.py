@@ -236,10 +236,8 @@ def test_em_monotone_likelihood():
     rng = np.random.default_rng(31)
     world, _ = synth.tilted_world(rng, d=40, gamma=0.5)
     corpus = synth.sample_corpus(world, 300, rng, labeled_fraction=0.25)
-    for use_ln, pooled in ((False, False), (True, False), (True, True)):
-        _, report = fit_semisupervised(
-            corpus, use_log_normal=use_ln, pooled_activity=pooled, tol=1e-9
-        )
+    for use_ln in (False, True):
+        _, report = fit_semisupervised(corpus, use_log_normal=use_ln, tol=1e-9)
         trace = np.array(report.log_likelihood)
         assert trace.size >= 2
         assert np.all(np.diff(trace) >= -1e-8)
@@ -261,15 +259,6 @@ def test_em_needs_labeled_rows():
     corpus = corpus_from_dense([[1, 0], [0, 1]], [-1, -1])
     with pytest.raises(DataError, match="labeled"):
         fit_semisupervised(corpus)
-
-
-def test_pooled_activity_shared_statistics(rng):
-    X, y = _random_dense(rng, n=30, d=5)
-    corpus = corpus_from_dense(X, y)
-    model, _ = fit_supervised(corpus, use_log_normal=True, pooled_activity=True)
-    la = np.log(corpus.activities())
-    assert model.activity[:, 0] == pytest.approx([la.mean()] * 2, rel=1e-12)
-    assert model.activity[:, 1] == pytest.approx([la.std()] * 2, rel=1e-12)
 
 
 def test_feature_log_odds_direction():

@@ -314,6 +314,22 @@ class TestExtract:
             ["declarations.jsonl", "labels.csv", "extract_report.json"]
         )
 
+    @pytest.mark.parametrize("content", ["", "# none\n"], ids=["empty", "all-commented"])
+    def test_botlist_naming_no_bot_drops_nothing(self, demo_files, tmp_path, content):
+        """A botlist with no id in it is a valid list of no bots: the run
+        writes what a run without --botlist writes, and records the file."""
+        d = demo_files["dir"]
+        botlist = tmp_path / "bots.txt"
+        botlist.write_text(content, encoding="utf-8")
+        extract = ["extract", "--comments", str(d / "comments.jsonl")]
+        assert main([*extract, "--out-dir", str(tmp_path / "plain")]) == 0
+        out = tmp_path / "out"
+        assert main([*extract, "--botlist", str(botlist), "--out-dir", str(out)]) == 0
+        assert _read_json(out / "extract_report.json")["bot_declarations_dropped"] == 0
+        for name in ("labels.csv", "declarations.jsonl", "extract_report.json"):
+            assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert set(_read_json(out / "manifest.json")["inputs"]) == {"comments", "botlist"}
+
     def test_extract_frozen_median(self, demo_files, tmp_path):
         d = demo_files["dir"]
         out = tmp_path / "out"
@@ -672,12 +688,13 @@ class TestPredictCalibrateQuantify:
         args = [
             command,
             "--model-path", str(path),
-            "--corpus", str(d / "corpus.jsonl"),
             "--vocabulary", str(d / "vocab.txt"),
             "--out-dir", str(tmp_path / "out"),
         ]
         if command == "quantify":
             args += ["--validation", str(d / "corpus.jsonl"), "--target", str(d / "target.jsonl")]
+        else:
+            args += ["--corpus", str(d / "corpus.jsonl")]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -872,15 +889,17 @@ class TestEvaluateReport:
         assert (out / "roc_nb.csv").exists()
         assert (out / "roc_majority.csv").exists()
 
-    def test_nb_ln_factory_honours_yaml_pooled_activity(self, demo_files, tmp_path):
+    def test_nb_ln_factory_honours_yaml_alpha2(self, demo_files, tmp_path):
         labeled = demo_files["corpus"].subset(np.flatnonzero(demo_files["corpus"].labeled_mask))
         cfg_path = tmp_path / "run.yaml"
-        for pooled in (True, False):
-            cfg_path.write_text(f"pooled_activity: {str(pooled).lower()}\n", encoding="utf-8")
+        for alpha2 in (0.5, 2.0):
+            cfg_path.write_text(f"alpha2: {alpha2}\n", encoding="utf-8")
             run = Run("evaluate", load_config(cfg_path), argparse.Namespace())
             model = _factory_for("nb-ln", run)(labeled)
-            # pooled statistics give every class the same (mu, sigma)
-            assert np.array_equal(model.activity[0], model.activity[1]) == pooled
+            expected, _ = fit_supervised(labeled, alpha2=alpha2, use_log_normal=True)
+            assert model.alpha2 == alpha2
+            assert np.array_equal(model.log_cond, expected.log_cond)
+            assert np.array_equal(model.activity, expected.activity)
 
     @pytest.mark.parametrize("kind", ["nb-ln", "nb-ss"])
     def test_evaluate_runs_nb_variants(self, demo_files, tmp_path, kind):
@@ -1237,28 +1256,30 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
 
 
 # the flags each subcommand took before its settings were declared on
-# RunConfig, less --threads: evaluation now forks workers by itself
+# RunConfig, less --threads (evaluation forks workers by itself) and the
+# settings no output of the command read: --pooled-activity (a
+# class-independent activity term cancels in the posterior), importance
+# --alpha1 (the log odds read only the conditionals) and quantify --corpus
 _FLAGS_BEFORE_TABLE = {
     "extract": {"--attribute", "--botlist", "--comments", "--config", "--median", "--out-dir",
                 "--rules", "--seed"},
     "label-distant": {"--attribute", "--config", "--corpus", "--format", "--labels",
                       "--out-dir", "--seed", "--seeds", "--vocabulary"},
     "train": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--embeddings",
-              "--format", "--labels", "--max-iter", "--model", "--out-dir", "--pooled-activity",
-              "--seed", "--seeds", "--semi-supervised", "--tol", "--use-log-normal",
-              "--vocabulary"},
+              "--format", "--labels", "--max-iter", "--model", "--out-dir", "--seed", "--seeds",
+              "--semi-supervised", "--tol", "--use-log-normal", "--vocabulary"},
     "predict": {"--config", "--corpus", "--format", "--labels", "--model-path", "--out-dir",
                 "--seed", "--vocabulary"},
     "calibrate": {"--config", "--corpus", "--format", "--labels", "--model-path", "--n-bins",
                   "--out-dir", "--seed", "--vocabulary"},
-    "quantify": {"--confidence", "--config", "--corpus", "--format", "--labels", "--mode",
+    "quantify": {"--confidence", "--config", "--format", "--labels", "--mode",
                  "--model-path", "--out-dir", "--quantifier", "--seed", "--target",
                  "--validation", "--vocabulary"},
     "evaluate": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--cv-roc",
                  "--embeddings", "--folds", "--format", "--labels", "--model", "--model-path",
                  "--n-boot", "--out-dir", "--robustness", "--seed", "--seeds", "--taus",
                  "--test-fraction", "--vocabulary"},
-    "importance": {"--alpha1", "--alpha2", "--config", "--corpus", "--format",
+    "importance": {"--alpha2", "--config", "--corpus", "--format",
                    "--importance-boot", "--labels", "--out-dir", "--seed", "--vocabulary"},
     "report": {"--attribute", "--cohort-size", "--config", "--corpus", "--embeddings",
                "--folds", "--format", "--labels", "--mode", "--models", "--n-boot",
@@ -1277,12 +1298,24 @@ class TestFlagInventory:
             for flag in flags:
                 assert actions[flag].dest == flag[2:].replace("-", "_"), (command, flag)
 
-    def test_threads_is_no_flag_and_no_config_key(self, tmp_path, capsys):
-        assert all("--threads" not in p._option_string_actions for p in _subparsers().values())
+    @pytest.mark.parametrize("name,value", [("threads", "2"), ("pooled_activity", "true")],
+                             ids=["threads", "pooled-activity"])
+    def test_deleted_setting_is_no_flag_and_no_config_key(self, tmp_path, capsys, name, value):
+        flag = "--" + name.replace("_", "-")
+        assert all(flag not in p._option_string_actions for p in _subparsers().values())
         cfg = tmp_path / "run.yaml"
-        cfg.write_text("threads: 2\n", encoding="utf-8")
+        cfg.write_text(f"{name}: {value}\n", encoding="utf-8")
         assert main(["report", "--config", str(cfg)]) == 2
-        assert "config unknown field 'threads'" in capsys.readouterr().err
+        assert f"config unknown field '{name}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["importance", "--alpha1", "2"],
+                                      ["quantify", "--corpus", "x"]],
+                             ids=["importance-alpha1", "quantify-corpus"])
+    def test_setting_the_command_does_not_read_is_no_flag_of_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     def test_every_config_field_is_a_flag(self):
         dests = {a.dest for p in _subparsers().values() for a in p._actions}
@@ -1290,8 +1323,8 @@ class TestFlagInventory:
 
     def test_evaluate_and_report_offer_every_nb_setting(self):
         subparsers = _subparsers()
-        nb = {"--alpha1", "--alpha2", "--use-log-normal", "--pooled-activity",
-              "--semi-supervised", "--max-iter", "--tol"}
+        nb = {"--alpha1", "--alpha2", "--use-log-normal", "--semi-supervised", "--max-iter",
+              "--tol"}
         quant = {"--confidence", "--calibration-fraction", "--prevalence"}
         assert nb <= set(subparsers["evaluate"]._option_string_actions)
         assert nb | quant <= set(subparsers["report"]._option_string_actions)
@@ -1497,7 +1530,8 @@ def _unreadable_contents(reader: str, structured: bool) -> tuple[str, ...]:
         ("invalid-utf8", "bom", "deep-nesting")[: 2 + structured]
         + ("empty",) * (reader.endswith("-corpus") or reader == "comments")
         + ("truncated",) * (reader in ("jsonl-corpus", "seeds", "model"))
-        + ("long-integer",) * (reader == "jsonl-corpus" or structured)
+        + ("long-integer",) * (reader in ("jsonl-corpus", "triplets-corpus", "labels")
+                               or structured)
         + tuple(WRONG_TOP_LEVEL_REFUSALS.get(reader, ()))
         + ("lists",) * (reader == "comments")
         + ("duplicate", "non-finite") * (reader == "embeddings")
@@ -1539,6 +1573,13 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
             line = f'{{"user": "long", "counts": {{"c": {LONG_INTEGER}}}}}\n'
             path.write_text("".join([*lines, line]), encoding="utf-8")
             expected = f"{path}:{len(lines) + 1}: invalid JSON (Exceeds the limit"
+        elif reader in ("triplets-corpus", "labels"):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            # the first record with its last field, the count or label, replaced
+            line = lines[1].rstrip("\n").rpartition(",")[0] + f",{LONG_INTEGER}\n"
+            path.write_text("".join([*lines, line]), encoding="utf-8")
+            what = "count" if reader == "triplets-corpus" else "label"
+            expected = f"{path}:{len(lines) + 1}: {what} too long (Exceeds the limit"
         else:
             path.write_text(LONG_INTEGER + "\n", encoding="utf-8")
             kind = "YAML" if reader == "config" else "JSON"
@@ -1570,6 +1611,7 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {path}")
     assert expected in err[0]
+    assert len(err[0]) < len(str(path)) + 200
     assert not (out / "manifest.json").exists()
 
 
@@ -1683,3 +1725,15 @@ def test_warning_is_one_line_on_stderr(demo_files, tmp_path):
     assert len(err) == 1, err
     assert err[0].startswith("demoscope: warning: dropped ")
     assert err[0].endswith(" activity pairs referencing communities outside the vocabulary")
+
+
+@pytest.mark.parametrize("value, refusal", [("0", "n_bins must be >= 1"),
+                                            ("10000000000000", "n_bins must be <= 1000000")],
+                         ids=["zero", "ten-trillion"])
+def test_n_bins_out_of_range_exits_two_before_any_input(tmp_path, capsys, value, refusal):
+    """Refused while the settings resolve: the command names no input,
+    so nothing is read and no reliability table is allocated."""
+    out = tmp_path / "out"
+    assert main(["calibrate", "--n-bins", value, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"demoscope: data error: {refusal}"]
+    assert not out.exists()
