@@ -23,9 +23,9 @@ import numpy as np
 from demoscope import synth
 from demoscope.axis import build_axis
 from demoscope.calibrate import fit_isotonic
-from demoscope.classifiers import axis_factory, majority_factory, nb_factory
+from demoscope.classifiers import MajorityClassifier, axis_factory, nb_factory
 from demoscope.cli import RunConfig, nb_options
-from demoscope.data import SplitSpec, split
+from demoscope.data import split
 from demoscope.evaluate import bootstrap_eval, learning_curve
 from demoscope.quantify import evaluate_quantifier, fit_quantifier
 
@@ -48,8 +48,8 @@ def classification_stage(factories, corpus, n_boot, seed, out):
 
 def quantification_stage(factories, corpus, repeats, cohort_size, seed, out):
     # the evaluation pool must hold several cohorts' worth of each class
-    rest, eval_pool = split(corpus, SplitSpec(test_fraction=0.4, seed=seed))
-    fit_part, cal_part = split(rest, SplitSpec(test_fraction=0.25, seed=seed + 1))
+    rest, eval_pool = split(corpus, 0.4, seed)
+    fit_part, cal_part = split(rest, 0.25, seed + 1)
     lines = ["model,mode,mae,ae_std,coverage"]
     headline = {}
     for tag, factory in factories.items():
@@ -102,7 +102,7 @@ def main():
     # each NB kind as the CLI's --model defines it, at the default settings
     defaults = RunConfig()
     nb_kinds = {kind: nb_factory(**nb_options(kind, defaults)) for kind in ("nb", "nb-ln", "nb-ss")}
-    factories = {"majority": majority_factory(), **nb_kinds, "axis": axis_factory(axis)}
+    factories = {"majority": MajorityClassifier.fit, **nb_kinds, "axis": axis_factory(axis)}
 
     print(f"classification ({args.n_boot} bootstrap replicates)")
     cls_headline = classification_stage(factories, corpus, args.n_boot, args.seed, out)

@@ -221,32 +221,6 @@ def predict_proba_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.nd
     return proba
 
 
-def fit_supervised(
-    corpus: LabeledCorpus,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
-    use_log_normal: bool = False,
-    report: bool = True,
-) -> tuple[NaiveBayesModel, FitReport | None]:
-    """Closed-form smoothed fit on a fully labeled corpus.
-
-    Every row must carry a label and every class must be represented.
-    With report=False the FitReport, a further pass over the corpus for
-    the objective, is not computed and None stands in its place.
-    """
-    _validate_hyper(alpha1=alpha1, alpha2=alpha2)
-    if corpus.n == 0:
-        raise DataError("cannot fit on an empty corpus")
-    if not corpus.labeled_mask.all():
-        n_un = int((~corpus.labeled_mask).sum())
-        raise DataError(f"supervised fit requires labels on all rows; {n_un} unlabeled")
-    model = _closed_form(corpus, alpha1, alpha2, use_log_normal)
-    if not report:
-        return model, None
-    ll = _objective(model, corpus, log_joint_matrix(model, corpus))
-    return model, FitReport(iterations=0, log_likelihood=[ll], n_labeled=corpus.n)
-
-
 def _closed_form(
     corpus: LabeledCorpus,
     alpha1: float,
@@ -367,19 +341,31 @@ def fit_semisupervised(
 
 def fit(
     corpus: LabeledCorpus,
+    alpha1: float = 1.0,
+    alpha2: float = 1.0,
+    use_log_normal: bool = False,
     semi_supervised: bool = False,
     max_iter: int = 100,
     tol: float = 1e-6,
     report: bool = True,
-    **options,
 ) -> tuple[NaiveBayesModel, FitReport | None]:
-    """EM over every row when semi_supervised, else the closed form on the
-    labeled rows alone; options are fit_supervised's keyword arguments.
-    report=False skips a supervised fit's report (EM's is its trace)."""
+    """EM over every row when semi_supervised (see fit_semisupervised),
+    else the closed-form smoothed fit on the labeled rows alone, where
+    every class must be represented; max_iter and tol apply to EM only.
+    With report=False a supervised fit skips its FitReport, a further
+    pass over the corpus for the objective, and returns None in its
+    place; EM's report is its trace and always comes back."""
     if semi_supervised:
-        return fit_semisupervised(corpus, max_iter=max_iter, tol=tol, **options)
+        return fit_semisupervised(corpus, alpha1, alpha2, use_log_normal, max_iter, tol)
+    _validate_hyper(alpha1=alpha1, alpha2=alpha2)
     labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
-    return fit_supervised(labeled, report=report, **options)
+    if labeled.n == 0:
+        raise DataError("cannot fit on an empty corpus")
+    model = _closed_form(labeled, alpha1, alpha2, use_log_normal)
+    if not report:
+        return model, None
+    ll = _objective(model, labeled, log_joint_matrix(model, labeled))
+    return model, FitReport(iterations=0, log_likelihood=[ll], n_labeled=labeled.n)
 
 
 def _validate_hyper(**alphas: float):

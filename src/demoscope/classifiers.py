@@ -92,7 +92,3 @@ def axis_factory(model: axis_mod.AxisModel) -> TrainFn:
         return model
 
     return train
-
-
-def majority_factory() -> TrainFn:
-    return MajorityClassifier.fit

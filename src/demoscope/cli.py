@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
-from .data import FORMATS, LabeledCorpus, SplitSpec, load_corpus, load_vocabulary, split, write_csv
+from .data import FORMATS, LabeledCorpus, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
-from .serialize import decode, dumps, load_model, parse_file, save_model, unconverted
+from .serialize import decode, dumps, file_digest, load_model, parse_file, save_model, unconverted
 
 # every model kind _factory_for builds and train fits
 MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
@@ -175,11 +175,6 @@ def stage_seed(root: int, stage: str) -> int:
     return int(mixed.generate_state(1)[0])
 
 
-def _sha256(path) -> dict:
-    data = Path(path).read_bytes()
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-
-
 @dataclass
 class Run:
     """The record of one command: the files it read and the files it wrote.
@@ -203,7 +198,7 @@ class Run:
         if path in (None, ""):
             return None
         if name not in self.inputs:
-            self.inputs[name] = _sha256(path)
+            self.inputs[name] = file_digest(path)
         return path
 
     def input(self, name: str) -> str:
@@ -467,7 +462,7 @@ def cmd_quantify(run: Run):
 
 def _factory_for(kind: str, run: Run) -> classifiers.TrainFn:
     if kind == "majority":
-        return classifiers.majority_factory()
+        return classifiers.MajorityClassifier.fit
     if kind == "axis":
         return classifiers.axis_factory(_axis_from_config(run))
     return classifiers.nb_factory(**nb_options(kind, run.cfg))
@@ -534,9 +529,7 @@ def cmd_report(run: Run):
     corpus = _load_corpus(run)
     classification: dict = {}
     quantification: dict = {}
-    train_pool, eval_pool = split(
-        corpus, SplitSpec(test_fraction=0.3, seed=stage_seed(cfg.seed, "report-split"))
-    )
+    train_pool, eval_pool = split(corpus, 0.3, stage_seed(cfg.seed, "report-split"))
     for kind in cfg.models:
         factory = _factory_for(kind, run)
         rep = evaluate.bootstrap_eval(

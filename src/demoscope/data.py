@@ -103,8 +103,8 @@ class LabeledCorpus:
     corpus is built.
 
     Only this constructor checks. Rows of a valid corpus are valid, so
-    subset() and the corpora split() and random_oversample() return
-    inherit validity and are built without re-checking.
+    subset() and the corpora split() returns inherit validity and are
+    built without re-checking.
 
     A subset is a view: it holds its base corpus and its row indices,
     with labels and row sums sliced at once. Its X and user_ids are
@@ -533,36 +533,24 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/test split parameters.
-
-    test_fraction applies to the labeled rows of each class, rounded
-    down; the rest of the labeled rows and every unlabeled row go to
-    train.
-    """
-
-    test_fraction: float = 0.3
-    oversample: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.test_fraction < 1.0):
-            raise DataError("test_fraction must lie strictly between 0 and 1")
-
-
-def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, LabeledCorpus]:
+def split(
+    corpus: LabeledCorpus, test_fraction: float, seed, oversample: bool = False
+) -> tuple[LabeledCorpus, LabeledCorpus]:
     """Seeded train/test split, stratified over labels.
 
-    Returns (train, test). Row order within each side follows the
-    original corpus order. With spec.oversample the train side is
-    additionally oversampled as random_oversample does it.
+    test_fraction, strictly between 0 and 1, applies to the labeled rows
+    of each class, rounded down; the rest of the labeled rows and every
+    unlabeled row go to train. Returns (train, test). Row order within
+    each side follows the original corpus order. With oversample the
+    train side's labeled classes are then balanced by _oversample_rows.
+    seed is an int or a SeedSequence (evaluation protocols pass spawned
+    children directly).
     """
-    if isinstance(spec.seed, np.random.SeedSequence):
-        seq = spec.seed  # evaluation protocols pass spawned children directly
-    else:
-        seq = np.random.SeedSequence(spec.seed)
-    split_seed, over_seed = seq.spawn(2)
+    if not (0.0 < test_fraction < 1.0):
+        raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    split_seed, over_seed = seed.spawn(2)
     labels, counts = corpus.labels, corpus.class_counts()
     for y in (0, 1):
         if counts[y] < 2:
@@ -570,10 +558,10 @@ def split(corpus: LabeledCorpus, spec: SplitSpec) -> tuple[LabeledCorpus, Labele
                 f"stratified split needs >= 2 labeled rows per class, class {y} has {counts[y]}"
             )
     position = class_positions(labels, np.random.default_rng(split_seed))
-    n_test = np.floor(spec.test_fraction * counts).astype(np.int64)
+    n_test = np.floor(test_fraction * counts).astype(np.int64)
     test = (labels >= 0) & (position < n_test[labels])  # unlabeled rows go to train
     train_idx, test_idx = np.flatnonzero(~test), np.flatnonzero(test)
-    if spec.oversample:
+    if oversample:
         train_idx = train_idx[_oversample_rows(labels[train_idx], over_seed)]
     return corpus.subset(train_idx), corpus.subset(test_idx)
 
@@ -609,14 +597,3 @@ def _oversample_rows(labels: np.ndarray, seed) -> np.ndarray:
         if deficit:
             parts.append(rng.choice(np.flatnonzero(labels == y), size=deficit, replace=True))
     return np.concatenate(parts)
-
-
-def random_oversample(corpus: LabeledCorpus, seed=0) -> LabeledCorpus:
-    """Balance labeled classes by duplicating minority rows with replacement.
-
-    Every class must have at least one labeled row. Unlabeled rows pass
-    through unchanged. Original rows keep their order; duplicates are
-    appended, grouped by class. A balanced corpus comes back unchanged.
-    """
-    rows = _oversample_rows(corpus.labels, seed)
-    return corpus if rows.size == corpus.n else corpus.subset(rows)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import TrainFn, score_rows
-from .data import LabeledCorpus, SplitSpec, _oversample_rows, class_positions, split, write_csv
+from .data import LabeledCorpus, _oversample_rows, class_positions, split, write_csv
 from .errors import DataError
 from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
 from .serialize import in_chunks
@@ -113,7 +113,6 @@ class MetricReport:
 class CurveData:
     """A plotted series: x, y, optional spread, named auxiliary series."""
 
-    kind: str
     x: np.ndarray
     y: np.ndarray
     y_std: np.ndarray | None = None
@@ -147,16 +146,13 @@ def bootstrap_eval(
     """
     if n_boot < 1:
         raise DataError(f"n_boot must be >= 1, got {n_boot}")
-    if not (0.0 < test_fraction < 1.0):
-        raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
 
     def one(b: int):
         # child b of SeedSequence(seed), made anew on each call: split
         # spawns from the sequence it is given, and after a failed chunk
         # every replicate runs again
         child = np.random.SeedSequence(seed, spawn_key=(b,))
-        spec = SplitSpec(test_fraction=test_fraction, oversample=True, seed=child)
-        train, test = split(corpus, spec)
+        train, test = split(corpus, test_fraction, child, oversample=True)
         scores, preds, ok = score_rows(factory(train), test)
         labels = test.labels[ok]  # the test side of a split is all labeled
         if not ok.any() or len(set(labels.tolist())) < 2:
@@ -217,7 +213,6 @@ def cv_roc(
     fpr, tpr, _ = roc_curve(pooled_scores[ok], labels[ok])
     auc = roc_auc(pooled_scores[ok], labels[ok])
     return CurveData(
-        kind="roc",
         x=fpr,
         y=tpr,
         meta={"auc": auc, "folds": folds, "dropped_rows": dropped},
@@ -245,7 +240,7 @@ def learning_curve(
         raise DataError("sizes must be strictly increasing")
     root = np.random.SeedSequence(seed)
     split_seed, sub_seed, npp_seed = root.spawn(3)
-    train_pool, eval_pool = split(corpus, SplitSpec(test_fraction=0.3, seed=split_seed))
+    train_pool, eval_pool = split(corpus, 0.3, split_seed)
     lab_idx = np.flatnonzero(train_pool.labeled_mask)
     if sizes[-1] > lab_idx.size:
         raise DataError(
@@ -280,7 +275,6 @@ def learning_curve(
         maes[i] = rep.mae
         stds[i] = rep.ae_std
     return CurveData(
-        kind="learning",
         x=np.array(sizes, dtype=np.float64),
         y=maes,
         y_std=stds,
@@ -332,7 +326,6 @@ def robustness_sweep(
         if keep.any() and len(set(labels[keep].tolist())) == 2:
             aucs[i] = roc_auc(scores[keep], labels[keep])
     return CurveData(
-        kind="robustness",
         x=taus,
         y=aucs,
         aux={"retained": retained},

@@ -42,6 +42,8 @@ ATTRIBUTES = ("year", "gender", "partisan")
 GROUP_FOR = {"year": "age", "gender": "gender", "partisan": "party"}
 
 AGE_MIN, AGE_MAX = 13, 100
+# the created_utc range a datetime holds: 0001-01-01 to 9999-12-31T23:59:59 UTC
+UTC_MIN, UTC_MAX = -62135596800, 253402300799
 
 _FIRST_PERSON = {"i", "im", "me", "my", "mine", "myself"}
 _TOKEN_RE = re.compile(r"\S+")
@@ -156,7 +158,10 @@ def _comment_fields(element) -> tuple[str, str, int, str]:
         raise ValueError("bad timestamp")
     if not isinstance(community, str):
         raise ValueError("bad community")
-    return user, text, int(ts), community
+    ts = int(ts)
+    if not UTC_MIN <= ts <= UTC_MAX:
+        raise ValueError("bad timestamp")
+    return user, text, ts, community
 
 
 def _joinable(negation: re.Pattern) -> bool:

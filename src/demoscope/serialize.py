@@ -9,6 +9,7 @@ load -> save is byte-identical and loaded parameters equal the saved ones bit fo
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -248,6 +249,22 @@ def text_lines(path, start: int = 0, end: int | None = None):
                 if lineno == 1 and start == 0 and line[0] == "\ufeff":
                     raise DataError(f"{path}: starts with a UTF-8 byte-order mark")
             yield line
+
+
+# bytes file_digest reads at a time; reads of 1 MiB raised the peak RSS of
+# each demo-scale command by about 0.7 MB, reads of 64 KiB do not
+HASH_CHUNK = 1 << 16
+
+
+def file_digest(path) -> dict:
+    """A manifest's record of a file: its path, sha256 and size. The file
+    is read in chunks, so a large input is not held in memory twice."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
+            size += len(chunk)
+    return {"path": str(path), "sha256": digest.hexdigest(), "bytes": size}
 
 
 class _ByteRange(io.RawIOBase):

@@ -308,6 +308,7 @@ def _ref_fields(element) -> tuple:
         raise ValueError("bad timestamp")
     if not isinstance(community, str):
         raise ValueError("bad community")
+    datetime.fromtimestamp(int(ts), tz=timezone.utc)  # fails past the years datetime holds
     return user, text, int(ts), community
 
 

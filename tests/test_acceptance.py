@@ -22,11 +22,11 @@ import numpy as np
 
 from demoscope import synth
 from demoscope.axis import build_axis
-from demoscope.bayes import fit_semisupervised, fit_supervised, predict_proba_matrix
+from demoscope.bayes import fit, fit_semisupervised, predict_proba_matrix
 from demoscope.calibrate import _pava, apply_map, fit_isotonic, reliability
 from demoscope.classifiers import axis_factory, nb_factory
 from demoscope.cli import main
-from demoscope.data import SplitSpec, load_corpus, load_vocabulary, split
+from demoscope.data import load_corpus, load_vocabulary, split
 from demoscope.evaluate import bootstrap_eval, learning_curve, roc_auc
 from demoscope.labeling import (
     SeedSets,
@@ -95,7 +95,7 @@ def test_criterion_1_dense_oracle_equivalence():
             a1 = float(rng.uniform(0.3, 3.0))
             a2 = float(rng.uniform(0.3, 3.0))
             corpus = corpus_from_dense(X, y)
-            model, _ = fit_supervised(corpus, alpha1=a1, alpha2=a2)
+            model, _ = fit(corpus, alpha1=a1, alpha2=a2)
             prior, cond, _ = dense_nb_fit(X, y, 2, a1, a2, use_log_normal=False)
             worst = max(
                 worst,
@@ -161,7 +161,7 @@ def test_criterion_2_em_objective_and_supervised_limit():
                     continue
                 break
             corpus = corpus_from_dense(X, y)
-            sup, _ = fit_supervised(corpus, use_log_normal=use_ln)
+            sup, _ = fit(corpus, use_log_normal=use_ln)
             em, _ = fit_semisupervised(corpus, use_log_normal=use_ln)
             assert np.array_equal(sup.log_prior, em.log_prior)
             assert np.array_equal(sup.log_cond, em.log_cond)
@@ -309,8 +309,8 @@ def _check_reference_metrics(root: Path):
             f"{attr}: AUC {auc:.4f} vs reference {REFERENCE_AUC[attr]}"
         )
 
-        rest, eval_pool = split(corpus, SplitSpec(test_fraction=0.2, seed=1))
-        fit_part, cal_part = split(rest, SplitSpec(test_fraction=0.25, seed=2))
+        rest, eval_pool = split(corpus, 0.2, 1)
+        fit_part, cal_part = split(rest, 0.25, 2)
         clf = nb_factory()(fit_part)
         quant = fit_quantifier(clf, cal_part, mode="acc")
         maes = [

@@ -14,8 +14,8 @@ from demoscope.bayes import (
     _log1mexp,
     feature_log_odds,
     feature_log_odds_dispersion,
+    fit,
     fit_semisupervised,
-    fit_supervised,
     log_activity_pmf,
     log_joint_matrix,
     predict_proba_matrix,
@@ -45,7 +45,7 @@ def test_posterior_hand_fixture():
 
 def test_fit_hand_fixture():
     corpus = corpus_from_dense([[2, 1], [1, 0], [0, 3]], [0, 0, 1])
-    model, report = fit_supervised(corpus)
+    model, report = fit(corpus)
     assert np.exp(model.log_prior) == pytest.approx([0.6, 0.4])
     assert np.exp(model.log_cond[0]) == pytest.approx([2 / 3, 1 / 3])
     assert np.exp(model.log_cond[1]) == pytest.approx([0.2, 0.8])
@@ -121,7 +121,7 @@ def _random_dense(rng, n=40, d=6):
 def test_supervised_matches_dense_oracle(rng, use_log_normal):
     X, y = _random_dense(rng)
     corpus = corpus_from_dense(X, y)
-    model, _ = fit_supervised(corpus, alpha1=1.0, alpha2=1.0, use_log_normal=use_log_normal)
+    model, _ = fit(corpus, alpha1=1.0, alpha2=1.0, use_log_normal=use_log_normal)
     prior, cond, activity = dense_nb_fit(X, y, 2, 1.0, 1.0, use_log_normal)
     assert np.exp(model.log_prior) == pytest.approx(prior, rel=1e-12)
     assert np.exp(model.log_cond) == pytest.approx(cond, rel=1e-12)
@@ -137,7 +137,7 @@ def test_posterior_rows_sum_to_one(rng):
     X, y = _random_dense(rng, n=60, d=10)
     corpus = corpus_from_dense(X, y)
     for use_ln in (False, True):
-        model, _ = fit_supervised(corpus, use_log_normal=use_ln)
+        model, _ = fit(corpus, use_log_normal=use_ln)
         proba = predict_proba_matrix(model, corpus)
         assert proba.sum(axis=1) == pytest.approx(np.ones(corpus.n), abs=1e-12)
         assert proba.min() >= 0.0
@@ -146,7 +146,7 @@ def test_posterior_rows_sum_to_one(rng):
 def test_single_row_matches_matrix(rng):
     X, y = _random_dense(rng, n=20, d=5)
     corpus = corpus_from_dense(X, y)
-    model, _ = fit_supervised(corpus, use_log_normal=True)
+    model, _ = fit(corpus, use_log_normal=True)
     proba = predict_proba_matrix(model, corpus)
     for i in (0, 7, 19):
         one = predict_proba_matrix(model, corpus.subset([i]))
@@ -194,21 +194,26 @@ def test_model_refuses_non_finite_parameters(name, value):
         NaiveBayesModel(**params | {name: value})
 
 
-def test_supervised_rejects_unlabeled_and_missing_class():
+def test_supervised_fits_labeled_rows_and_rejects_missing_class():
     corpus = corpus_from_dense([[1, 0], [0, 1], [1, 1]], [0, 1, -1])
-    with pytest.raises(DataError, match="unlabeled"):
-        fit_supervised(corpus)
+    model, report = fit(corpus)
+    labeled, _ = fit(corpus.subset([0, 1]))
+    assert np.array_equal(model.log_prior, labeled.log_prior)
+    assert np.array_equal(model.log_cond, labeled.log_cond)
+    assert report.n_labeled == 2 and report.n_unlabeled == 0
+    with pytest.raises(DataError, match="empty corpus"):
+        fit(corpus_from_dense([[1, 0], [0, 1]], [-1, -1]))
     corpus = corpus_from_dense([[1, 0], [0, 1]], [0, 0])
     with pytest.raises(DataError, match="class 1"):
-        fit_supervised(corpus)
+        fit(corpus)
 
 
 def test_hyperparameter_validation():
     corpus = corpus_from_dense([[1, 0], [0, 1]], [0, 1])
     with pytest.raises(DataError, match="alpha1"):
-        fit_supervised(corpus, alpha1=0.0)
+        fit(corpus, alpha1=0.0)
     with pytest.raises(DataError, match="alpha2"):
-        fit_supervised(corpus, alpha2=-1.0)
+        fit(corpus, alpha2=-1.0)
     with pytest.raises(DataError, match="max_iter"):
         fit_semisupervised(corpus, max_iter=0)
     with pytest.raises(DataError, match="tol"):
@@ -219,7 +224,7 @@ def test_em_zero_unlabeled_matches_supervised_exactly(rng):
     X, y = _random_dense(rng, n=50, d=8)
     corpus = corpus_from_dense(X, y)
     for use_ln in (False, True):
-        sup, _ = fit_supervised(corpus, use_log_normal=use_ln)
+        sup, _ = fit(corpus, use_log_normal=use_ln)
         em, report = fit_semisupervised(corpus, use_log_normal=use_ln)
         assert np.array_equal(sup.log_prior, em.log_prior)
         assert np.array_equal(sup.log_cond, em.log_cond)
@@ -305,7 +310,7 @@ def test_log_joint_rejects_out_of_vocab():
 def test_calibrator_applied_to_posterior(rng):
     X, y = _random_dense(rng, n=30, d=5)
     corpus = corpus_from_dense(X, y)
-    model, _ = fit_supervised(corpus)
+    model, _ = fit(corpus)
     raw = predict_proba_matrix(model, corpus)
     model.calibrator = IsotonicMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     ident = predict_proba_matrix(model, corpus)
@@ -327,6 +332,6 @@ def test_fitted_conditionals_normalize(X, y):
     y = y.copy()
     y[0], y[1] = 0, 1
     corpus = corpus_from_dense(X, y)
-    model, _ = fit_supervised(corpus, alpha1=0.5, alpha2=2.0)
+    model, _ = fit(corpus, alpha1=0.5, alpha2=2.0)
     assert np.exp(model.log_cond).sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
     assert np.exp(model.log_prior).sum() == pytest.approx(1.0, abs=1e-12)

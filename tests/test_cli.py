@@ -18,7 +18,7 @@ import pytest
 import demoscope
 from demoscope import labeling, synth
 from demoscope.axis import AxisModel
-from demoscope.bayes import fit, fit_supervised
+from demoscope.bayes import fit
 from demoscope.calibrate import IsotonicMap
 from demoscope.classifiers import MajorityClassifier
 from demoscope.cli import (
@@ -406,7 +406,7 @@ class TestTrain:
         vocab = load_vocabulary(d / "vocab.txt")
         corpus, _ = load_corpus(d / "corpus.jsonl", vocab)
         labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
-        model, _ = fit_supervised(labeled, use_log_normal=True)
+        model, _ = fit(labeled, use_log_normal=True)
         ref = tmp_path / "ref.json"
         save_model(model, ref)
         assert ref.read_bytes() == (out / "model.json").read_bytes()
@@ -896,7 +896,7 @@ class TestEvaluateReport:
             cfg_path.write_text(f"alpha2: {alpha2}\n", encoding="utf-8")
             run = Run("evaluate", load_config(cfg_path), argparse.Namespace())
             model = _factory_for("nb-ln", run)(labeled)
-            expected, _ = fit_supervised(labeled, alpha2=alpha2, use_log_normal=True)
+            expected, _ = fit(labeled, alpha2=alpha2, use_log_normal=True)
             assert model.alpha2 == alpha2
             assert np.array_equal(model.log_cond, expected.log_cond)
             assert np.array_equal(model.activity, expected.activity)
@@ -1640,8 +1640,9 @@ def test_corpus_without_user_rows_exits_two_before_writing(
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def _comment_line_is_skipped_and_counted(demo_files, tmp_path, bad_line: bytes):
+def _comment_line_is_skipped_and_counted(demo_files, tmp_path, bad_line: bytes, *extra: str):
     argv, path = _unreadable_case(demo_files, tmp_path, "comments")
+    argv += extra
     assert main([*argv, "--out-dir", str(tmp_path / "clean")]) == 0
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join([*lines[:3], bad_line + b"\n", *lines[3:]]))
@@ -1660,6 +1661,22 @@ def test_too_deep_comment_is_skipped_and_counted(demo_files, tmp_path):
 def test_comment_with_a_too_long_integer_is_skipped_and_counted(demo_files, tmp_path):
     line = f'{{"user": "u", "text": "I am a woman", "created_utc": {LONG_INTEGER}}}'
     _comment_line_is_skipped_and_counted(demo_files, tmp_path, line.encode())
+
+
+@pytest.mark.parametrize(
+    "created_utc",
+    ["99999999999999999999", "253402300800", "-1e18"],
+    ids=["past-int64", "year-10000", "minus-1e18"],
+)
+def test_comment_with_a_timestamp_past_datetime_is_skipped_and_counted(
+    demo_files, tmp_path, created_utc
+):
+    """A birth year from a created_utc no datetime holds: the comment is
+    skipped, not a traceback or an error naming no file."""
+    line = f'{{"user": "u", "text": "I\'m 25 years old.", "created_utc": {created_utc}}}'
+    _comment_line_is_skipped_and_counted(
+        demo_files, tmp_path, line.encode(), "--attribute", "year"
+    )
 
 
 @pytest.mark.parametrize("name,command", [("models", "report"), ("taus", "evaluate")])

@@ -18,10 +18,9 @@ from demoscope.classifiers import MajorityClassifier, axis_factory
 from demoscope.data import (
     CommunityVocabulary,
     LabeledCorpus,
-    SplitSpec,
+    _oversample_rows,
     load_corpus,
     load_vocabulary,
-    random_oversample,
     split,
 )
 from demoscope.errors import DataError
@@ -465,9 +464,8 @@ def _labeled_corpus(n0, n1, n_unlabeled=0, seed=0):
 
 def test_split_deterministic_and_stratified():
     corpus = _labeled_corpus(40, 20, n_unlabeled=10)
-    spec = SplitSpec(test_fraction=0.3, seed=9)
-    tr1, te1 = split(corpus, spec)
-    tr2, te2 = split(corpus, spec)
+    tr1, te1 = split(corpus, 0.3, 9)
+    tr2, te2 = split(corpus, 0.3, 9)
     assert tr1.user_ids.tolist() == tr2.user_ids.tolist()
     assert te1.user_ids.tolist() == te2.user_ids.tolist()
     # unlabeled rows all go to train
@@ -486,7 +484,7 @@ def test_split_deterministic_and_stratified():
 def test_split_proportions_property():
     corpus = _labeled_corpus(33, 17)
     for seed in range(5):
-        tr, te = split(corpus, SplitSpec(test_fraction=0.4, seed=seed))
+        tr, te = split(corpus, 0.4, seed)
         p_orig = 17 / 50
         for side in (tr, te):
             p = (side.labels == 1).sum() / side.n
@@ -497,19 +495,19 @@ def test_split_proportions_property():
 def test_split_requires_two_per_class():
     corpus = _labeled_corpus(5, 1)
     with pytest.raises(DataError, match="class 1"):
-        split(corpus, SplitSpec(seed=0))
+        split(corpus, 0.3, 0)
 
 
 def test_split_rejects_bad_fractions():
-    with pytest.raises(DataError):
-        SplitSpec(test_fraction=0.0)
-    with pytest.raises(DataError):
-        SplitSpec(test_fraction=1.0)
+    corpus = _labeled_corpus(5, 5)
+    for fraction in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(DataError, match="test_fraction must lie in"):
+            split(corpus, fraction, 0)
 
 
 def test_oversample_balances():
     corpus = _labeled_corpus(30, 10, n_unlabeled=5)
-    out = random_oversample(corpus, seed=3)
+    out = corpus.subset(_oversample_rows(corpus.labels, 3))
     assert (out.labels == 0).sum() == 30
     assert (out.labels == 1).sum() == 30
     assert (out.labels == -1).sum() == 5
@@ -522,22 +520,23 @@ def test_oversample_balances():
 
 
 def test_oversample_balanced_input_unchanged():
-    corpus = _labeled_corpus(15, 15)
-    out = random_oversample(corpus, seed=1)
-    assert out is corpus
+    labels = _labeled_corpus(15, 15, n_unlabeled=4).labels
+    assert np.array_equal(_oversample_rows(labels, 1), np.arange(labels.size))
 
 
 def test_oversample_deterministic():
     corpus = _labeled_corpus(20, 5)
-    a = random_oversample(corpus, seed=7)
-    b = random_oversample(corpus, seed=7)
-    assert a.user_ids.tolist() == b.user_ids.tolist()
+    a = split(corpus, 0.2, 7, oversample=True)
+    b = split(corpus, 0.2, 7, oversample=True)
+    for side_a, side_b in zip(a, b):
+        assert side_a.user_ids.tolist() == side_b.user_ids.tolist()
+    assert np.array_equal(_oversample_rows(corpus.labels, 7), _oversample_rows(corpus.labels, 7))
 
 
 def test_oversample_missing_class():
     corpus = _labeled_corpus(5, 0, n_unlabeled=3)
     with pytest.raises(DataError, match="class 1"):
-        random_oversample(corpus, seed=0)
+        _oversample_rows(corpus.labels, 0)
 
 
 def test_subset_shares_rows():
@@ -553,7 +552,7 @@ def test_subset_shares_rows():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_slices_match_dense_oracle(seed):
-    """subset, split and random_oversample return exactly the dense rows
+    """subset, split and oversampled rows return exactly the dense rows
     X_dense[idx], repeated indices included, with ids, labels and row
     sums aligned."""
     rng = np.random.default_rng(seed)
@@ -579,10 +578,9 @@ def test_slices_match_dense_oracle(seed):
     inner = rng.integers(0, sub.n, size=sub.n)
     check(sub.subset(inner), idx[inner])
     check(corpus.subset([]), [])
-    spec = SplitSpec(test_fraction=0.4, oversample=True, seed=seed)
-    for part in split(corpus, spec):
+    for part in split(corpus, 0.4, seed, oversample=True):
         check(part)
-    over = random_oversample(corpus, seed=seed)
+    over = corpus.subset(_oversample_rows(y, seed))
     check(over)
     assert (over.labels == 0).sum() == (over.labels == 1).sum() == max(n0, n1)
 
@@ -590,7 +588,7 @@ def test_slices_match_dense_oracle(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_slices_are_corpora_the_constructor_accepts_unchanged(seed):
-    """subset, split(oversample=True) and random_oversample build their
+    """subset, split(oversample=True) and oversampled rows build their
     corpora without the constructor's checks; rebuilding each through the
     public constructor gives back the same matrix, ids, labels and row
     sums, and its CSR arrays are canonical when checked afresh."""
@@ -604,8 +602,8 @@ def test_slices_are_corpora_the_constructor_accepts_unchanged(seed):
     idx = rng.integers(0, corpus.n, size=int(rng.integers(1, 2 * corpus.n)))
     sub = corpus.subset(idx)
     parts = [sub, sub.subset(rng.integers(0, sub.n, size=sub.n)), corpus.subset([])]
-    parts += split(corpus, SplitSpec(test_fraction=0.4, oversample=True, seed=seed))
-    parts.append(random_oversample(corpus, seed=seed))
+    parts += split(corpus, 0.4, seed, oversample=True)
+    parts.append(corpus.subset(_oversample_rows(y, seed)))
     for part in parts:
         X = part.X
         fresh = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
@@ -666,7 +664,7 @@ def test_a_fit_builds_only_the_rows_it_reads(monkeypatch):
 
     monkeypatch.setattr(LabeledCorpus, "__getattr__", spy)
     corpus = _labeled_corpus(40, 20, n_unlabeled=15)
-    train, _ = split(corpus, SplitSpec(test_fraction=0.3, oversample=True, seed=4))
+    train, _ = split(corpus, 0.3, 4, oversample=True)
     MajorityClassifier.fit(train)
     axis_factory(AxisModel("t", ("c0000",), np.array([0.0]), ("c0000",), ("c0001",)))(train)
     assert built == []
@@ -682,7 +680,7 @@ def test_oversampled_split_rows_are_pinned():
     rng = np.random.default_rng(5)
     y = rng.permutation(np.array([0] * 31 + [1] * 12 + [-1] * 9))
     corpus = corpus_from_dense(rng.integers(1, 5, size=(y.size, 4)), y)
-    sides = split(corpus, SplitSpec(test_fraction=0.3, oversample=True, seed=11))
+    sides = split(corpus, 0.3, 11, oversample=True)
     assert [hashlib.sha256("\n".join(side.user_ids).encode()).hexdigest() for side in sides] == [
         "940a1eb22c44b262db17b6cc75790fd158ed01f14656d83619de61859bab74c4",
         "af84fcf749ee080df1bb795e94f13cd3ee64a7fd90f2f2bccd805846b0143b50",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from demoscope import serialize
-from demoscope.classifiers import majority_factory, nb_factory
+from demoscope.classifiers import MajorityClassifier, nb_factory
 from demoscope.errors import DataError
 from demoscope.evaluate import (
     CurveData,
@@ -182,7 +182,7 @@ def test_bootstrap_eval_seed_changes_replicates():
 
 def test_bootstrap_eval_majority_baseline_exact():
     corpus = _separable_corpus()
-    rep = bootstrap_eval(majority_factory(), corpus, n_boot=4, seed=0)
+    rep = bootstrap_eval(MajorityClassifier.fit, corpus, n_boot=4, seed=0)
     # constant scores: AUC exactly one half on every replicate
     assert np.all(rep.metrics["roc_auc"] == 0.5)
 
@@ -198,7 +198,6 @@ def test_bootstrap_eval_validation():
 def test_cv_roc_pools_all_labeled_rows():
     corpus = _separable_corpus(n=100, labeled_fraction=0.8)
     curve = cv_roc(nb_factory(semi_supervised=True), corpus, folds=5, seed=4)
-    assert curve.kind == "roc"
     assert curve.meta["auc"] > 0.8
     assert curve.meta["dropped_rows"] == 0
     assert np.all(np.diff(curve.x) >= 0)
@@ -221,7 +220,6 @@ def test_learning_curve_shapes_and_determinism():
     curve = learning_curve(
         nb_factory(), corpus, sizes, repeats=4, cohort_size=30, seed=8
     )
-    assert curve.kind == "learning"
     assert curve.x.tolist() == [20.0, 60.0, 120.0]
     assert curve.y.shape == (3,)
     assert np.all(np.isfinite(curve.y))
@@ -285,7 +283,6 @@ def test_robustness_boundary_tau_zero():
 
 def test_curve_data_to_csv_roundtrip(tmp_path):
     curve = CurveData(
-        kind="learning",
         x=np.array([10.0, 20.0]),
         y=np.array([0.125, 0.0625]),
         y_std=np.array([0.01, 0.0078125]),
@@ -317,7 +314,6 @@ def test_scored_subset_drops_unscorable_rows():
 
 def test_curve_csv_columns_and_float_text(tmp_path):
     curve = CurveData(
-        "k",
         x=np.array([0.1, 1.0]),
         y=np.array([np.nan, 0.5]),
         y_std=np.array([0.0, 1e-17]),
@@ -326,7 +322,7 @@ def test_curve_csv_columns_and_float_text(tmp_path):
     curve.to_csv(tmp_path / "c.csv")
     text = (tmp_path / "c.csv").read_bytes().decode("utf-8")
     assert text == "x,y,y_std,retained\n0.1,nan,0.0,1.0\n1.0,0.5,1e-17,0.25\n"
-    CurveData("k", x=np.array([]), y=np.array([])).to_csv(tmp_path / "e.csv")
+    CurveData(x=np.array([]), y=np.array([])).to_csv(tmp_path / "e.csv")
     assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "x,y\n"
 
 

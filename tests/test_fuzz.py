@@ -59,6 +59,7 @@ KINDS = {
     "labels": ("l.csv", ["train", *TRIPLETS]),
     "vocabulary": ("vocab.txt", ["predict", "--model-path", "{d}/nb.json", *TARGET]),
     "comments": ("comments.jsonl", EXTRACT),
+    "comments-year": ("comments.jsonl", [*EXTRACT, "--attribute", "year"]),
     "seeds": ("seeds.json", ["label-distant", *CORPUS, "--seeds", "{d}/seeds.json"]),
     "rules": ("rules.json", [*EXTRACT, "--rules", "{d}/rules.json"]),
     "config": ("run.yaml", ["train", "--config", "{d}/run.yaml"]),

@@ -243,6 +243,20 @@ class TestExtraction:
         assert report.comments_skipped == 4
         assert _triples(decls) == [("u9", "year", 1980)]
 
+    def test_timestamp_outside_datetime_is_skipped(self):
+        """created_utc from the first to the last second a datetime holds
+        gives a birth year; one step past either end, or a number no
+        datetime reaches, skips the comment."""
+        first, last = -62135596800, 253402300799  # 0001-01-01, 9999-12-31T23:59:59 UTC
+        for ts, year in ((first, 1 - 40), (last, 9999 - 40)):
+            decls, report = _extract("I'm 40 years old.", ts=ts)
+            assert _triples(decls) == [("u1", "year", year)]
+            assert report.comments_skipped == 0
+        for ts in (first - 1, last + 1, 10**20, -1e18, 1e300):
+            decls, report = _extract("I'm 40 years old.", ts=ts)
+            assert decls == []
+            assert report.comments_skipped == 1
+
     def test_empty_text_is_seen_not_skipped(self):
         _, report = _extract("")
         assert report.comments_seen == 1

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -11,13 +12,15 @@ import pytest
 
 import demoscope
 from demoscope.axis import AxisModel
-from demoscope.bayes import NaiveBayesModel, fit_supervised
+from demoscope.bayes import NaiveBayesModel, fit
 from demoscope.calibrate import IsotonicMap
 from demoscope.classifiers import MajorityClassifier
 from demoscope.errors import DataError
 from demoscope.quantify import QuantifierModel
 from demoscope.serialize import (
+    HASH_CHUNK,
     dumps,
+    file_digest,
     from_payload,
     load_model,
     save_model,
@@ -31,7 +34,7 @@ from helpers import corpus_from_dense
 def _nb_model(use_log_normal=True, calibrator=None):
     X = np.array([[3, 1, 0], [2, 2, 1], [0, 1, 4], [1, 0, 5]])
     corpus = corpus_from_dense(X, [0, 0, 1, 1])
-    model, _ = fit_supervised(corpus, use_log_normal=use_log_normal)
+    model, _ = fit(corpus, use_log_normal=use_log_normal)
     if calibrator is not None:
         model.calibrator = calibrator
     return model
@@ -250,6 +253,16 @@ class TestTextLines:
             next(lines)
         with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text (line {line})")):
             next(lines)
+
+
+@pytest.mark.parametrize("size", [0, HASH_CHUNK, 2 * HASH_CHUNK + 123])
+def test_file_digest_read_in_chunks_is_the_whole_file_digest(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert file_digest(path) == {
+        "path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "bytes": size
+    }
 
 
 def _reads_a_file(call: ast.Call) -> bool:
