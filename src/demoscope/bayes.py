@@ -289,9 +289,7 @@ def fit_semisupervised(
     if not tol > 0:
         raise DataError(f"tol must be > 0, got {tol}")
     labeled = corpus.labeled_mask
-    if not labeled.any():
-        raise DataError("semi-supervised fit needs at least one labeled row")
-    model = _closed_form(corpus.subset(np.flatnonzero(labeled)), alpha1, alpha2, use_log_normal)
+    model = _closed_form(_labeled_rows(corpus), alpha1, alpha2, use_log_normal)
     X = corpus.X
     activities = corpus.activities()
     log_act = np.log(activities)
@@ -358,14 +356,21 @@ def fit(
     if semi_supervised:
         return fit_semisupervised(corpus, alpha1, alpha2, use_log_normal, max_iter, tol)
     _validate_hyper(alpha1=alpha1, alpha2=alpha2)
-    labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
-    if labeled.n == 0:
-        raise DataError("cannot fit on an empty corpus")
+    labeled = _labeled_rows(corpus)
     model = _closed_form(labeled, alpha1, alpha2, use_log_normal)
     if not report:
         return model, None
     ll = _objective(model, labeled, log_joint_matrix(model, labeled))
     return model, FitReport(iterations=0, log_likelihood=[ll], n_labeled=labeled.n)
+
+
+def _labeled_rows(corpus: LabeledCorpus) -> LabeledCorpus:
+    """The view of a corpus's labeled rows, on which the supervised fit,
+    and so EM's initial model, is made; it must hold at least one."""
+    labeled = corpus.subset(np.flatnonzero(corpus.labeled_mask))
+    if labeled.n == 0:
+        raise DataError("no labeled rows to fit")
+    return labeled
 
 
 def _validate_hyper(**alphas: float):

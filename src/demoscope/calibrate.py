@@ -91,20 +91,9 @@ def fit_isotonic(scores, labels) -> IsotonicMap:
 
     # one breakpoint per block endpoint: single-point blocks contribute
     # one knot, longer blocks contribute their first and last scores
-    breakpoints: list[float] = []
-    values: list[float] = []
-    i = 0
-    while i < fitted.size:
-        j = i
-        while j + 1 < fitted.size and fitted[j + 1] == fitted[i]:
-            j += 1
-        breakpoints.append(float(uniq[i]))
-        values.append(float(fitted[i]))
-        if j > i:
-            breakpoints.append(float(uniq[j]))
-            values.append(float(fitted[j]))
-        i = j + 1
-    return IsotonicMap(np.array(breakpoints), np.array(values))
+    change = fitted[1:] != fitted[:-1]
+    knots = np.r_[True, change] | np.r_[change, True]
+    return IsotonicMap(uniq[knots], fitted[knots])
 
 
 def apply_map(cal: IsotonicMap, scores) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, axis, bayes, calibrate, classifiers, evaluate, labeling, quantify
-from .data import FORMATS, LabeledCorpus, load_corpus, load_vocabulary, split, write_csv
+from .data import LabeledCorpus, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
 from .serialize import decode, dumps, file_digest, load_model, parse_file, save_model, unconverted
 
@@ -47,8 +47,7 @@ class RunConfig:
 
     corpus: str | None = _setting(None, "activity corpus file")
     vocabulary: str | None = _setting(None, "community vocabulary file")
-    labels: str | None = _setting(None, "labels CSV (triplets format)")
-    format: str = _setting("jsonl", "corpus format", FORMATS)
+    labels: str | None = _setting(None, "labels CSV of a triplets corpus (quantify: --validation's)")
     comments: str | None = _setting(None, "comments JSONL (user, text, created_utc, community)")
     rules: str | None = _setting(None, "declaration rules JSON (default: built-in rules)")
     botlist: str | None = _setting(None, "file of bot user ids to drop")
@@ -79,6 +78,9 @@ class RunConfig:
     cohort_size: int = _setting(500, "users per sampled cohort")
     prevalence: float | None = _setting(None, "class-1 share of sampled cohorts (default: natural)")
     taus: tuple[float, ...] = _setting((0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5), "filter thresholds")
+    cv_roc: bool = _setting(False, "write a pooled CV ROC curve")
+    robustness: bool = _setting(False, "write only a confidence-filter sweep of the saved "
+                                "--model-path (no bootstrap refits, no metrics.json)")
     n_bins: int = _setting(10, "reliability bins")
     importance_boot: int = _setting(50, "bootstrap replicates per community")
     seed: int = _setting(0, "root random seed")
@@ -188,7 +190,6 @@ class Run:
 
     command: str
     cfg: RunConfig
-    args: argparse.Namespace
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
@@ -242,17 +243,11 @@ def write_manifest(run: Run):
     (Path(run.cfg.out_dir) / "manifest.json").write_text(dumps(manifest), encoding="utf-8")
 
 
-def _load_corpus(run: Run, name: str = "corpus") -> LabeledCorpus:
+def _load_corpus(run: Run, name: str = "corpus", labeled: bool = True) -> LabeledCorpus:
     path = run.input(name)
-    if run.cfg.labels and run.cfg.format != "triplets":
-        raise DataError(
-            f"--labels applies only with --format triplets; "
-            f"--{name} {path} is read as {run.cfg.format}"
-        )
     vocab = load_vocabulary(run.input("vocabulary"))
-    corpus, report = load_corpus(
-        path, vocab, fmt=run.cfg.format, labels_path=run.optional("labels")
-    )
+    labels = run.optional("labels") if labeled else None
+    corpus, report = load_corpus(path, vocab, labels_path=labels)
     if corpus.n == 0:
         raise DataError(f"{path}: no user rows")
     run.counters[name] = asdict(report)
@@ -436,7 +431,8 @@ def cmd_calibrate(run: Run):
 
 def cmd_quantify(run: Run):
     cfg = run.cfg
-    target = _load_corpus(run, "target")
+    # estimate reads no target label, so --labels labels the validation corpus
+    target = _load_corpus(run, "target", labeled=False)
     quantifier_path = run.optional("quantifier")
     if quantifier_path:
         quant = load_model(quantifier_path)
@@ -470,10 +466,10 @@ def _factory_for(kind: str, run: Run) -> classifiers.TrainFn:
 
 def cmd_evaluate(run: Run):
     cfg = run.cfg
-    if run.args.robustness and run.args.cv_roc:
+    if cfg.robustness and cfg.cv_roc:
         raise DataError("--robustness scores only the saved --model-path; run --cv-roc without it")
     corpus = _load_corpus(run)
-    if run.args.robustness:
+    if cfg.robustness:
         clf = _load_classifier(run.input("model_path"))
         path = run.output("robustness.csv")
         evaluate.robustness_sweep(clf, corpus, cfg.taus).to_csv(path)
@@ -498,7 +494,7 @@ def cmd_evaluate(run: Run):
             "replicates": {k: v.tolist() for k, v in report.metrics.items()},
         },
     )
-    if run.args.cv_roc:
+    if cfg.cv_roc:
         curve = evaluate.cv_roc(
             factory, corpus, folds=cfg.folds, seed=stage_seed(cfg.seed, "cv-roc")
         )
@@ -615,7 +611,7 @@ class _Parser(argparse.ArgumentParser):
 # the settings each subcommand reads, by RunConfig field; every command
 # also takes --config and the _COMMON settings
 _COMMON = ("out_dir", "seed")
-_DATA = ("corpus", "vocabulary", "format", "labels")
+_DATA = ("corpus", "vocabulary", "labels")
 _NB = ("alpha1", "alpha2", "use_log_normal", "semi_supervised", "max_iter", "tol")
 _AXIS = ("embeddings", "seeds", "attribute")
 _PROTOCOL = ("n_boot", "test_fraction", "folds")
@@ -632,10 +628,11 @@ _COMMANDS = {
     "calibrate": (cmd_calibrate, "fit an isotonic calibrator on held-out data",
                   (*_DATA, "model_path", "n_bins")),
     "quantify": (cmd_quantify, "estimate class prevalence in a cohort",
-                 ("vocabulary", "format", "labels", "model_path", "quantifier", "validation",
+                 ("vocabulary", "labels", "model_path", "quantifier", "validation",
                   "target", *_QUANTIFY)),
     "evaluate": (cmd_evaluate, "bootstrap metrics, optional curves",
-                 (*_DATA, "model", "model_path", *_NB, *_PROTOCOL, "taus", *_AXIS)),
+                 (*_DATA, "model", "model_path", *_NB, *_PROTOCOL, "taus", "cv_roc",
+                  "robustness", *_AXIS)),
     "importance": (cmd_importance, "per-community log-odds with bootstrap spread",
                    (*_DATA, "importance_boot", "alpha2")),
     "report": (cmd_report, "benchmark several models on one corpus",
@@ -655,17 +652,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="YAML file of settings; flags override it")
         for name in (*_COMMON, *names):
             p.add_argument(f"--{name.replace('_', '-')}", **_flag_options(settings[name]))
-    evaluate = sub.choices["evaluate"]
-    evaluate.add_argument(
-        "--cv-roc", action="store_true", default=False, help="write a pooled CV ROC curve"
-    )
-    evaluate.add_argument(
-        "--robustness",
-        action="store_true",
-        default=False,
-        help="write only a confidence-filter sweep of the saved --model-path "
-        "(no bootstrap refits, no metrics.json)",
-    )
     return parser
 
 
@@ -673,7 +659,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        run = Run(args.command, resolve_config(args), args)
+        run = Run(args.command, resolve_config(args))
         args.func(run)
         write_manifest(run)
         return 0

@@ -32,8 +32,9 @@ if TYPE_CHECKING:
 # Counts above this are treated as corrupt input rather than real activity.
 MAX_COUNT = 2**31 - 1
 
-# corpus file formats load_corpus reads
-FORMATS = ("jsonl", "triplets")
+# the header a triplets corpus opens with; no jsonl line can be it, so
+# load_corpus reads a file as triplets exactly when it starts with it
+TRIPLETS_HEADER = ("user", "community", "count")
 
 # the type set of a line whose counts are all JSON integers
 _INT = frozenset({int})
@@ -432,14 +433,19 @@ def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None)
     return acc
 
 
+def _opens_with(first: list[str] | None, header: tuple[str, ...]) -> bool:
+    """Whether a CSV file's first record (None if it has none) starts with
+    header, each field stripped of surrounding blanks."""
+    return first is not None and [h.strip() for h in first[: len(header)]] == list(header)
+
+
 def _csv_records(path, header: tuple[str, ...]):
     """(line number, "path:line", record) for each non-blank record of a
     CSV file whose first record starts with header; any other field count,
     and a record csv cannot parse, is an error at its path:line."""
     reader = csv.reader(text_lines(path))
     try:
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first[: len(header)]] != list(header):
+        if not _opens_with(next(reader, None), header):
             raise DataError(f"{path}: expected header '{','.join(header)}'")
         for rec in reader:
             if not rec:
@@ -468,7 +474,7 @@ def _load_triplets(
 ) -> tuple[LabeledCorpus, LoadReport]:
     acc, index = _Lines(path), vocabulary.index
     try:
-        for lineno, where, (user, name, raw) in _csv_records(path, ("user", "community", "count")):
+        for lineno, where, (user, name, raw) in _csv_records(path, TRIPLETS_HEADER):
             if not user:
                 raise DataError(f"{where}: empty user id")
             c = _int_field(raw, "count", where)
@@ -495,31 +501,42 @@ def _read_labels(path, users: list[str]) -> np.ndarray:
     return labels
 
 
-def load_corpus(
-    path,
-    vocabulary: CommunityVocabulary,
-    fmt: str = "jsonl",
-    labels_path=None,
-) -> tuple[LabeledCorpus, LoadReport]:
-    """Load a corpus from disk.
+def _is_triplets(path) -> bool:
+    """Whether a file's first CSV record starts with TRIPLETS_HEADER; a
+    first record csv cannot parse does not."""
+    lines = text_lines(path)
+    try:
+        return _opens_with(next(csv.reader(lines), None), TRIPLETS_HEADER)
+    except csv.Error:
+        return False
+    finally:
+        lines.close()
 
-    Formats:
-      jsonl    one object per line: {"user": str, "counts": {community: int},
-               "label": int (optional, -1 = unlabeled)}
+
+def load_corpus(
+    path, vocabulary: CommunityVocabulary, labels_path=None
+) -> tuple[LabeledCorpus, LoadReport]:
+    """Load a corpus from disk. A file whose first CSV record starts with
+    the triplets header is read as triplets, any other as jsonl:
+
       triplets CSV 'user,community,count' plus an optional labels CSV
                'user,label' given via labels_path.
+      jsonl    one object per line: {"user": str, "counts": {community: int},
+               "label": int (optional, -1 = unlabeled)}; it holds its own
+               labels, so labels_path is refused.
 
     Duplicate users are merged by entry-wise count sum. Unknown
     communities are dropped (counted in the report, single warning).
     Users left with no in-vocabulary activity are rejected, not errors.
     Conflicting labels for one user raise DataError.
     """
-    if fmt not in FORMATS:
-        raise DataError(f"unknown corpus format {fmt!r}")
-    if fmt == "triplets":
+    if _is_triplets(path):
         return _load_triplets(path, vocabulary, labels_path)
     if labels_path is not None:
-        raise DataError("labels_path only applies to fmt='triplets'")
+        raise DataError(
+            f"{path}: is read as jsonl, as it does not open with the triplets header "
+            f"'{','.join(TRIPLETS_HEADER)}'; a labels file applies only to a triplets corpus"
+        )
     return _load_jsonl(path, vocabulary)
 
 

@@ -177,7 +177,10 @@ def estimate(
     interval-free with a warning. The ACC interval is the CC interval
     width scaled by 1 / |tpr - fpr|, clamped to [0, 1].
     """
-    return _estimate(quantifier, *score_rows(quantifier.classifier, cohort), confidence)
+    est = _estimate(quantifier, *score_rows(quantifier.classifier, cohort), confidence)
+    if not quantifier.classifier.calibrated:
+        warnings.warn("scores are uncalibrated; skipping the interval")
+    return est
 
 
 def _estimate(
@@ -187,7 +190,8 @@ def _estimate(
     ok: np.ndarray,
     confidence: float,
 ) -> PrevalenceEstimate:
-    """estimate() on one cohort's scores, predictions and scorable mask."""
+    """estimate() on one cohort's scores, predictions and scorable mask,
+    without its warning: evaluate_quantifier runs it once per cohort."""
     excluded = int((~ok).sum())
     m = int(ok.sum())
     if m == 0:
@@ -203,9 +207,7 @@ def _estimate(
         scale = 1.0 / abs(spread)
         method = "acc"
     lower = upper = None
-    if not quantifier.classifier.calibrated:
-        warnings.warn("scores are uncalibrated; skipping the interval")
-    else:
+    if quantifier.classifier.calibrated:
         half = _normal_half_width(scores[ok], confidence) * scale
         lower = float(np.clip(point - half, 0.0, 1.0))
         upper = float(np.clip(point + half, 0.0, 1.0))
@@ -308,14 +310,12 @@ def evaluate_quantifier(
     ests = np.empty(repeats, dtype=np.float64)
     truths = np.empty(repeats, dtype=np.float64)
     covered = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r, idx in enumerate(cohorts):
-            est = _estimate(quantifier, scores[idx], preds[idx], ok[idx], confidence)
-            ests[r] = est.point
-            truths[r] = float((labels[idx] == 1).mean())
-            if est.lower is not None:
-                covered.append(est.lower <= truths[r] <= est.upper)
+    for r, idx in enumerate(cohorts):
+        est = _estimate(quantifier, scores[idx], preds[idx], ok[idx], confidence)
+        ests[r] = est.point
+        truths[r] = float((labels[idx] == 1).mean())
+        if est.lower is not None:
+            covered.append(est.lower <= truths[r] <= est.upper)
     errors = np.abs(ests - truths)
     return QuantReport(
         estimates=ests,

@@ -201,7 +201,7 @@ def test_supervised_fits_labeled_rows_and_rejects_missing_class():
     assert np.array_equal(model.log_prior, labeled.log_prior)
     assert np.array_equal(model.log_cond, labeled.log_cond)
     assert report.n_labeled == 2 and report.n_unlabeled == 0
-    with pytest.raises(DataError, match="empty corpus"):
+    with pytest.raises(DataError, match="^no labeled rows to fit$"):
         fit(corpus_from_dense([[1, 0], [0, 1]], [-1, -1]))
     corpus = corpus_from_dense([[1, 0], [0, 1]], [0, 0])
     with pytest.raises(DataError, match="class 1"):

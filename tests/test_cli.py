@@ -428,7 +428,6 @@ class TestTrain:
             [
                 "train",
                 "--corpus", str(tmp_path / "c.csv"),
-                "--format", "triplets",
                 "--labels", str(tmp_path / "l.csv"),
                 "--vocabulary", str(d / "vocab.txt"),
                 "--model", "nb",
@@ -446,10 +445,25 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         corpus = demo_files["dir"] / "corpus.jsonl"
         assert err == [
-            "demoscope: data error: --labels applies only with --format triplets; "
-            f"--corpus {corpus} is read as jsonl"
+            f"demoscope: data error: {corpus}: is read as jsonl, as it does not open with the "
+            "triplets header 'user,community,count'; a labels file applies only to a triplets "
+            "corpus"
         ]
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("kind", ["nb", "nb-ss"])
+    def test_corpus_without_labels_exits_two_with_one_line(
+        self, demo_files, tmp_path, capsys, kind
+    ):
+        write_corpus_triplets(demo_files["target"], tmp_path / "t.csv")
+        out = tmp_path / "out"
+        argv = ["train", "--corpus", str(tmp_path / "t.csv"), "--model", kind,
+                "--vocabulary", str(demo_files["dir"] / "vocab.txt"), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "demoscope: data error: no labeled rows to fit"
+        ]
+        assert not out.exists()
 
     def test_train_axis(self, demo_files, tmp_path):
         d = demo_files["dir"]
@@ -676,6 +690,28 @@ class TestPredictCalibrateQuantify:
         assert (out2 / "estimate.json").read_bytes() == (out / "estimate.json").read_bytes()
         assert not (out2 / "quantifier.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:scores are uncalibrated")
+    @pytest.mark.parametrize("target", ["triplets", "jsonl"])
+    def test_labels_label_a_triplets_validation_whatever_the_target(
+        self, demo_files, trained, tmp_path, target
+    ):
+        """--labels labels the validation corpus, which estimate needs,
+        never the target: each run writes what the jsonl files give."""
+        d, model_path = trained
+        write_corpus_triplets(demo_files["corpus"], tmp_path / "v.csv",
+                              labels_path=tmp_path / "vl.csv")
+        write_corpus_triplets(demo_files["target"], tmp_path / "t.csv")
+        targets = {"triplets": tmp_path / "t.csv", "jsonl": d / "target.jsonl"}
+        argv = ["quantify", "--model-path", str(model_path), "--vocabulary", str(d / "vocab.txt")]
+        want, got = tmp_path / "want", tmp_path / "got"
+        assert main([*argv, "--validation", str(d / "corpus.jsonl"),
+                     "--target", str(d / "target.jsonl"), "--out-dir", str(want)]) == 0
+        assert main([*argv, "--validation", str(tmp_path / "v.csv"),
+                     "--labels", str(tmp_path / "vl.csv"),
+                     "--target", str(targets[target]), "--out-dir", str(got)]) == 0
+        for name in ("estimate.json", "quantifier.json"):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
+
     @pytest.mark.parametrize("command", ["predict", "calibrate", "quantify"])
     @pytest.mark.parametrize("saved", ["quantifier", "isotonic"])
     def test_model_path_rejects_non_classifier(self, demo_files, tmp_path, capsys, command, saved):
@@ -843,6 +879,25 @@ class TestEvaluateReport:
         lines = (out / "robustness.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,y,retained" and len(lines) == 3
 
+    @pytest.mark.filterwarnings("ignore:scores are uncalibrated")
+    def test_robustness_from_yaml_resolves_as_its_flag(self, demo_files, tmp_path):
+        d = demo_files["dir"]
+        model_path = tmp_path / "model.json"
+        save_model(fit(demo_files["corpus"])[0], model_path)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("robustness: true\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["evaluate", "--corpus", str(d / "corpus.jsonl"), "--vocabulary",
+                str(d / "vocab.txt"), "--model-path", str(model_path), "--out-dir", str(out)]
+        manifests = []
+        for extra in (["--robustness"], ["--config", str(cfg)]):
+            assert main([*argv, *extra]) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "robustness.csv"]
+            manifests.append(_read_json(out / "manifest.json"))
+        flag, yaml = manifests
+        assert flag["config"]["robustness"] is True and flag["config"]["cv_roc"] is False
+        assert flag["config_hash"] == yaml["config_hash"]
+
     def test_robustness_with_cv_roc_exits_two_with_one_line(self, demo_files, tmp_path, capsys):
         d = demo_files["dir"]
         model_path = tmp_path / "model.json"
@@ -894,7 +949,7 @@ class TestEvaluateReport:
         cfg_path = tmp_path / "run.yaml"
         for alpha2 in (0.5, 2.0):
             cfg_path.write_text(f"alpha2: {alpha2}\n", encoding="utf-8")
-            run = Run("evaluate", load_config(cfg_path), argparse.Namespace())
+            run = Run("evaluate", load_config(cfg_path))
             model = _factory_for("nb-ln", run)(labeled)
             expected, _ = fit(labeled, alpha2=alpha2, use_log_normal=True)
             assert model.alpha2 == alpha2
@@ -1059,7 +1114,7 @@ class TestManifest:
 
 
 CORPUS = ["--corpus", "{d}/corpus.jsonl", "--vocabulary", "{d}/vocab.txt"]
-TRIPLETS = ["--corpus", "{t}/c.csv", "--format", "triplets", "--labels", "{t}/l.csv",
+TRIPLETS = ["--corpus", "{t}/c.csv", "--labels", "{t}/l.csv",
             "--vocabulary", "{d}/vocab.txt"]
 AXIS = ["--embeddings", "{d}/embeddings.tsv", "--seeds", "{d}/seeds.json"]
 TINY = ["--n-boot", "2", "--folds", "2"]
@@ -1084,6 +1139,15 @@ MANIFEST_CASES = {
     "quantify-saved": (["quantify", "--quantifier", "{q}", "--model-path", "{m}",
                         "--target", "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"],
                        {"quantifier", "target", "vocabulary"}),
+    "quantify-triplets-validation": (["quantify", "--model-path", "{m}", "--validation",
+                                      "{t}/c.csv", "--labels", "{t}/l.csv", "--target",
+                                      "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"],
+                                     {"model_path", "validation", "labels", "target",
+                                      "vocabulary"}),
+    # a saved quantifier needs no validation corpus, so the labels go unread
+    "quantify-saved-labels": (["quantify", "--quantifier", "{q}", "--labels", "{t}/l.csv",
+                               "--target", "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"],
+                              {"quantifier", "target", "vocabulary"}),
     "evaluate-robustness": (["evaluate", *CORPUS, *TINY, "--robustness", "--model-path", "{m}"],
                             {"corpus", "vocabulary", "model_path"}),
     "evaluate-axis": (["evaluate", *CORPUS, *TINY, "--model", "axis", *AXIS],
@@ -1256,33 +1320,34 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
 
 
 # the flags each subcommand took before its settings were declared on
-# RunConfig, less --threads (evaluation forks workers by itself) and the
-# settings no output of the command read: --pooled-activity (a
-# class-independent activity term cancels in the posterior), importance
-# --alpha1 (the log odds read only the conditionals) and quantify --corpus
+# RunConfig, less --threads (evaluation forks workers by itself), --format
+# (a corpus file's first record names its format) and the settings no
+# output of the command read: --pooled-activity (a class-independent
+# activity term cancels in the posterior), importance --alpha1 (the log
+# odds read only the conditionals) and quantify --corpus
 _FLAGS_BEFORE_TABLE = {
     "extract": {"--attribute", "--botlist", "--comments", "--config", "--median", "--out-dir",
                 "--rules", "--seed"},
-    "label-distant": {"--attribute", "--config", "--corpus", "--format", "--labels",
+    "label-distant": {"--attribute", "--config", "--corpus", "--labels",
                       "--out-dir", "--seed", "--seeds", "--vocabulary"},
     "train": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--embeddings",
-              "--format", "--labels", "--max-iter", "--model", "--out-dir", "--seed", "--seeds",
+              "--labels", "--max-iter", "--model", "--out-dir", "--seed", "--seeds",
               "--semi-supervised", "--tol", "--use-log-normal", "--vocabulary"},
-    "predict": {"--config", "--corpus", "--format", "--labels", "--model-path", "--out-dir",
+    "predict": {"--config", "--corpus", "--labels", "--model-path", "--out-dir",
                 "--seed", "--vocabulary"},
-    "calibrate": {"--config", "--corpus", "--format", "--labels", "--model-path", "--n-bins",
+    "calibrate": {"--config", "--corpus", "--labels", "--model-path", "--n-bins",
                   "--out-dir", "--seed", "--vocabulary"},
-    "quantify": {"--confidence", "--config", "--format", "--labels", "--mode",
+    "quantify": {"--confidence", "--config", "--labels", "--mode",
                  "--model-path", "--out-dir", "--quantifier", "--seed", "--target",
                  "--validation", "--vocabulary"},
     "evaluate": {"--alpha1", "--alpha2", "--attribute", "--config", "--corpus", "--cv-roc",
-                 "--embeddings", "--folds", "--format", "--labels", "--model", "--model-path",
+                 "--embeddings", "--folds", "--labels", "--model", "--model-path",
                  "--n-boot", "--out-dir", "--robustness", "--seed", "--seeds", "--taus",
                  "--test-fraction", "--vocabulary"},
-    "importance": {"--alpha2", "--config", "--corpus", "--format",
+    "importance": {"--alpha2", "--config", "--corpus",
                    "--importance-boot", "--labels", "--out-dir", "--seed", "--vocabulary"},
     "report": {"--attribute", "--cohort-size", "--config", "--corpus", "--embeddings",
-               "--folds", "--format", "--labels", "--mode", "--models", "--n-boot",
+               "--folds", "--labels", "--mode", "--models", "--n-boot",
                "--out-dir", "--repeats", "--seed", "--seeds", "--test-fraction",
                "--vocabulary"},
 }
@@ -1298,11 +1363,16 @@ class TestFlagInventory:
             for flag in flags:
                 assert actions[flag].dest == flag[2:].replace("-", "_"), (command, flag)
 
-    @pytest.mark.parametrize("name,value", [("threads", "2"), ("pooled_activity", "true")],
-                             ids=["threads", "pooled-activity"])
+    @pytest.mark.parametrize("name,value", [("threads", "2"), ("pooled_activity", "true"),
+                                            ("format", "jsonl")],
+                             ids=["threads", "pooled-activity", "format"])
     def test_deleted_setting_is_no_flag_and_no_config_key(self, tmp_path, capsys, name, value):
         flag = "--" + name.replace("_", "-")
         assert all(flag not in p._option_string_actions for p in _subparsers().values())
+        with pytest.raises(SystemExit) as e:
+            main(["report", flag, value])
+        assert e.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"{name}: {value}\n", encoding="utf-8")
         assert main(["report", "--config", str(cfg)]) == 2
@@ -1554,9 +1624,9 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     argv, path = _unreadable_case(demo_files, tmp_path, reader)
     if content == "empty":
         path.write_bytes(b"")
-        # a triplets file must at least hold its header
+        # without the triplets header a file is jsonl, which a labels file cannot label
         expected = {
-            "triplets-corpus": "expected header",
+            "triplets-corpus": f"{path}: is read as jsonl",
             "comments": f"{path}: no coherent 'gender' declarations found",
         }.get(reader, f"{path}: no user rows")
     elif content == "lists":
@@ -1617,17 +1687,16 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
 
 @pytest.mark.parametrize("command", ["predict", "label-distant", "quantify"])
 @pytest.mark.parametrize(
-    "fmt, content",
-    [("jsonl", b""), ("jsonl", b"\n  \n"), ("triplets", b"user,community,count\n")],
+    "content", [b"", b"\n  \n", b"user,community,count\n"],
     ids=["empty", "blank-lines", "header-only"],
 )
 def test_corpus_without_user_rows_exits_two_before_writing(
-    demo_files, tmp_path, capsys, command, fmt, content
+    demo_files, tmp_path, capsys, command, content
 ):
     d, empty = demo_files["dir"], tmp_path / "empty"
     empty.write_bytes(content)
     save_model(fit(demo_files["corpus"])[0], tmp_path / "m.json")
-    data = ["--vocabulary", str(d / "vocab.txt"), "--format", fmt]
+    data = ["--vocabulary", str(d / "vocab.txt")]
     argv = {
         "predict": ["predict", "--model-path", str(tmp_path / "m.json"), "--corpus", str(empty)],
         "label-distant": ["label-distant", "--corpus", str(empty), "--seeds", str(d / "seeds.json")],
@@ -1638,6 +1707,36 @@ def test_corpus_without_user_rows_exits_two_before_writing(
     assert main([*argv, *data, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"demoscope: data error: {empty}: no user rows"]
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_corpus_format_is_read_from_its_first_record(tmp_path, capsys):
+    """A file whose first CSV record starts with the triplets header, in
+    any shape csv reads, loads as the jsonl file holding the same rows
+    does; any other file is jsonl, so a first line that is not JSON, or
+    that csv cannot parse, is one jsonl error at line 1."""
+    vocab = CommunityVocabulary(("a", "b"))
+    twin, f, labels = tmp_path / "c.jsonl", tmp_path / "c.csv", tmp_path / "l.csv"
+    twin.write_text('{"user": "u", "counts": {"a": 2, "b": 1}, "label": 1}\n'
+                    '{"user": "w", "counts": {"b": 4}, "label": 0}\n', encoding="utf-8")
+    labels.write_text("user,label\nu,1\nw,0\n", encoding="utf-8")
+    want, _ = load_corpus(twin, vocab)
+    for header in ("user,community,count", '"user","community","count"',
+                   " user , community ,count ", "user,community,count,note"):
+        f.write_text(f"{header}\nu,a,2\nu,b,1\nw,b,4\n", encoding="utf-8")
+        got, _ = load_corpus(f, vocab, labels_path=labels)
+        assert got.user_ids.tolist() == want.user_ids.tolist(), header
+        assert got.labels.tolist() == want.labels.tolist(), header
+        assert np.array_equal(got.X.toarray(), want.X.toarray()), header
+    (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
+    argv = ["train", "--corpus", str(f), "--vocabulary", str(tmp_path / "vocab.txt"),
+            "--out-dir", str(tmp_path / "out")]
+    for first in (b'\x00{"user": "u", "counts": {"a": 1}}', b"user;community;count",
+                  b'"' + b"x" * 200_000):  # past csv's field limit
+        f.write_bytes(first + b"\n" + twin.read_bytes())
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {f}:1: invalid JSON (")
+        assert len(err[0]) < len(str(f)) + 100
 
 
 def _comment_line_is_skipped_and_counted(demo_files, tmp_path, bad_line: bytes, *extra: str):

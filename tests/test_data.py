@@ -4,6 +4,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -200,24 +201,25 @@ def test_triplets_loader(tmp_path):
     f.write_text("user,community,count\nu1,a,2\nu1,a,1\nu2,b,4\n")
     labels = tmp_path / "l.csv"
     labels.write_text("user,label\nu2,1\n")
-    corpus, report = load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+    corpus, report = load_corpus(f, vocab, labels_path=labels)
     assert corpus.n == 2
     assert corpus.to_csr().toarray().tolist() == [[3.0, 0.0], [0.0, 4.0]]
     assert corpus.labels.tolist() == [-1, 1]
 
     labels.write_text("user,label\nzz,1\n")
     with pytest.raises(DataError, match="unknown user"):
-        load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+        load_corpus(f, vocab, labels_path=labels)
     # the jsonl merge rule: a repeated label is fine, -1 keeps it, a second class is not
     labels.write_text("user,label\nu2,1\nu2,-1\nu2,1\n")
-    assert load_corpus(f, vocab, fmt="triplets", labels_path=labels)[0].labels.tolist() == [-1, 1]
+    assert load_corpus(f, vocab, labels_path=labels)[0].labels.tolist() == [-1, 1]
     labels.write_text("user,label\nu2,1\nu2,0\n")
     with pytest.raises(DataError, match=r"l\.csv:3: user 'u2' has conflicting labels 1 and 0"):
-        load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+        load_corpus(f, vocab, labels_path=labels)
 
+    # a file that does not open with the triplets header is read as jsonl
     f.write_text("wrong,header,here\nu1,a,2\n")
-    with pytest.raises(DataError, match="header"):
-        load_corpus(f, vocab, fmt="triplets")
+    with pytest.raises(DataError, match=r"t\.csv:1: invalid JSON"):
+        load_corpus(f, vocab)
 
 
 @pytest.mark.parametrize("which", ["corpus", "labels"])
@@ -229,7 +231,7 @@ def test_triplets_record_csv_cannot_parse_names_its_line(tmp_path, which):
     bad = f if which == "corpus" else labels
     bad.write_text(bad.read_text() + "u," + "x" * 200_000 + "\n")  # past csv's field limit
     with pytest.raises(DataError, match=re.escape(f"{bad}:3: field larger than field limit")):
-        load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+        load_corpus(f, vocab, labels_path=labels)
 
 
 def test_vocabulary_lines_split_only_at_line_ends(tmp_path):
@@ -294,7 +296,7 @@ def test_merged_overflow_names_user_and_line(tmp_path, fmt):
         where = "c.csv:6"
     message = f"{where}: merged count for user 'u' exceeds 2147483647"
     with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}/{re.escape(message)}$"):
-        load_corpus(f, vocab, fmt=fmt)
+        load_corpus(f, vocab)
 
 
 def test_merge_errors_keep_file_order(tmp_path):
@@ -344,7 +346,7 @@ def test_triplets_user_with_only_unknown_communities_is_rejected_empty(tmp_path)
     labels = tmp_path / "l.csv"
     labels.write_text("user,label\nghost_user,1\nu,0\n")
     with pytest.warns(UserWarning, match="dropped 1"):
-        corpus, report = load_corpus(f, vocab, fmt="triplets", labels_path=labels)
+        corpus, report = load_corpus(f, vocab, labels_path=labels)
     assert corpus.user_ids.tolist() == ["u"] and corpus.labels.tolist() == [0]
     assert report.users_kept == 1 and report.users_rejected_empty == 1
     assert report.unknown_community_pairs == 1
@@ -376,12 +378,13 @@ def _corpus_lines(draw):
 def _load_both(path, fmt="jsonl", labels_path=None):
     """load_corpus and the dict oracle: each a result or a DataError message."""
     out = []
+    loads = (partial(load_corpus, path, CommunityVocabulary(_NAMES)),
+             partial(dict_load_corpus, path, _NAMES, fmt))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for load in (load_corpus, dict_load_corpus):
-            vocab = CommunityVocabulary(_NAMES) if load is load_corpus else _NAMES
+        for load in loads:
             try:
-                out.append(load(path, vocab, fmt=fmt, labels_path=labels_path))
+                out.append(load(labels_path=labels_path))
             except DataError as e:
                 out.append(str(e))
     return out
@@ -446,12 +449,6 @@ def test_csv_errors_name_the_physical_line(tmp_path):
     labels.write_text('user,label\n"u\nx",1\nw,2\n')
     got, want = _load_both(f, "triplets", labels)
     assert got == want == f"{labels}:4: label 2 outside -1..1"
-
-
-def test_unknown_format(tmp_path):
-    vocab = CommunityVocabulary(("a",))
-    with pytest.raises(DataError, match="format"):
-        load_corpus(tmp_path / "x", vocab, fmt="parquet")
 
 
 def _labeled_corpus(n0, n1, n_unlabeled=0, seed=0):

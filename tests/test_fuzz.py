@@ -42,7 +42,7 @@ CHARS = (b'"', b",", b"{", b"]", b":", b"\n", b"\t", b"#", b" ", b"x", b"0", b"\
 NUMBER = re.compile(rb"(?<![\w.-])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 CORPUS = ["--corpus", "{d}/corpus.jsonl", "--vocabulary", "{d}/vocab.txt"]
-TRIPLETS = ["--corpus", "{d}/c.csv", "--format", "triplets", "--labels", "{d}/l.csv",
+TRIPLETS = ["--corpus", "{d}/c.csv", "--labels", "{d}/l.csv",
             "--vocabulary", "{d}/vocab.txt"]
 TARGET = ["--corpus", "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"]
 EXTRACT = ["extract", "--comments", "{d}/comments.jsonl"]

@@ -108,7 +108,6 @@ class TestRoundTrips:
         loaded, _ = load_corpus(
             tmp_path / "corpus.csv",
             vocab,
-            fmt="triplets",
             labels_path=tmp_path / "labels.csv",
         )
         assert np.array_equal(loaded.labels, corpus.labels)
