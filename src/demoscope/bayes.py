@@ -30,8 +30,9 @@ from .data import LabeledCorpus
 from .errors import DataError, NumericError
 from .serialize import in_chunks
 
-# scipy.special is imported by each function that uses it, off the
-# start-up path of every command (see data)
+# scipy.special is imported only where the log-normal activity term
+# needs log_ndtr, off the start-up path of every command (see data); the
+# two-class posterior kernels below are plain numpy
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -91,7 +92,7 @@ class NaiveBayesModel:
         """Class-1 posterior and hard predictions from one pass;
         posterior ties predict the lower class."""
         proba = predict_proba_matrix(self, corpus)
-        return proba[:, 1], np.argmax(proba, axis=1).astype(np.int64)
+        return proba[:, 1], (proba[:, 1] > proba[:, 0]).astype(np.int64)
 
     @property
     def calibrated(self) -> bool:
@@ -126,29 +127,31 @@ def _log1mexp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_activity_pmf(a, mu: float, sigma: float) -> np.ndarray:
+def log_activity_pmf(a, mu, sigma) -> np.ndarray:
     """log[ CDF(a + 1) - CDF(a) ] under LogNormal(mu, sigma).
 
     Computed as a difference of normal log-CDFs of ln(t), so the result
-    stays finite far into the tails; floored at LOG_FLOOR. Totals repeat
-    across users, so each distinct total is computed once.
+    stays finite far into the tails; floored at LOG_FLOOR. mu and sigma
+    may be arrays of per-class parameters, whose axis then follows a's.
+    Totals repeat across users, so each distinct total is computed once
+    for every class.
     """
     from scipy.special import log_ndtr
 
     a = np.asarray(a, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
     if np.any(a < 1):
         raise DataError("total activity must be >= 1")
     totals, rows = np.unique(a, return_inverse=True)
-    hi = log_ndtr((np.log(totals + 1.0) - mu) / sigma)
-    lo = log_ndtr((np.log(totals) - mu) / sigma)
-    out = hi + _log1mexp(np.minimum(lo - hi, 0.0))
-    return np.maximum(out, LOG_FLOOR)[rows].reshape(a.shape)
+    hi = log_ndtr(np.subtract.outer(np.log(totals + 1.0), mu) / sigma)
+    lo = log_ndtr(np.subtract.outer(np.log(totals), mu) / sigma)
+    out = np.maximum(hi + _log1mexp(np.minimum(lo - hi, 0.0)), LOG_FLOOR)
+    return out.take(rows.ravel(), axis=0).reshape(a.shape + mu.shape)
 
 
 def _activity_log_matrix(activities: np.ndarray, activity: np.ndarray) -> np.ndarray:
     """Per-row, per-class log activity mass, shape (n, 2)."""
-    cols = [log_activity_pmf(activities, mu, sigma) for mu, sigma in activity]
-    return np.stack(cols, axis=1)
+    return log_activity_pmf(activities, activity[:, 0], activity[:, 1])
 
 
 def _m_step(
@@ -192,6 +195,37 @@ def _one_hot(labels: np.ndarray) -> np.ndarray:
     return np.eye(2)[labels]
 
 
+# The two kernels below are scipy.special's log_softmax and logsumexp
+# over axis 1, bit for bit, written for exactly two columns: numpy
+# reduces an (n, 2) array over its length-2 axis one row at a time,
+# which cost more than the sparse products of a fit. They use only
+# elementwise numpy operations on contiguous temporaries, the same exp,
+# log and log1p loops scipy's versions run.
+
+
+def _log_softmax(lj: np.ndarray) -> np.ndarray:
+    """log p(y | x) from the log joint lj of shape (n, 2)."""
+    hi = np.maximum(lj[:, 0], lj[:, 1])
+    hi[~np.isfinite(hi)] = 0.0
+    t0, t1 = lj[:, 0] - hi, lj[:, 1] - hi
+    with np.errstate(divide="ignore"):
+        log_norm = np.log(np.exp(t0) + np.exp(t1))
+    out = np.empty(lj.shape)
+    out[:, 0] = t0 - log_norm
+    out[:, 1] = t1 - log_norm
+    return out
+
+
+def _logsumexp(lj: np.ndarray) -> np.ndarray:
+    """log(exp(lj[:, 0]) + exp(lj[:, 1])) per row: scipy's
+    log1p(s / m) + log(m) + max with m maxima, so a tied row is
+    log(2) + max."""
+    hi = np.maximum(lj[:, 0], lj[:, 1])
+    lo = np.minimum(lj[:, 0], lj[:, 1])
+    with np.errstate(invalid="ignore"):
+        return np.where(lo == hi, np.log(2.0) + hi, np.log1p(np.exp(lo - hi)) + hi)
+
+
 def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
     """log p(x, y) for every row and class, shape (n, 2).
 
@@ -211,10 +245,8 @@ def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarra
 
 def predict_proba_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarray:
     """Posterior p(y | x) per row, shape (n, 2); calibrated if attached."""
-    from scipy.special import log_softmax
-
     lj = log_joint_matrix(model, corpus)
-    proba = np.exp(log_softmax(lj, axis=1))
+    proba = np.exp(_log_softmax(lj))
     if model.calibrator is not None:
         p1 = apply_map(model.calibrator, proba[:, 1])
         proba = np.stack([1.0 - p1, p1], axis=1)
@@ -252,15 +284,13 @@ def _objective(model: NaiveBayesModel, corpus: LabeledCorpus, lj: np.ndarray) ->
     joint lj: joint likelihood of the labeled rows, marginal of the
     unlabeled rows, plus the pseudo-count penalty the smoothed M-step
     maximizes jointly with Q."""
-    from scipy.special import logsumexp
-
     labels = corpus.labels
     labeled = labels >= 0
     ll = 0.0
     if labeled.any():
-        ll += float(lj[np.flatnonzero(labeled), labels[labeled]].sum())
+        ll += float(np.where(labels == 1, lj[:, 1], lj[:, 0])[labeled].sum())
     if (~labeled).any():
-        ll += float(logsumexp(lj[~labeled], axis=1).sum())
+        ll += float(_logsumexp(lj.compress(~labeled, axis=0)).sum())
     return ll + float(model.alpha1 * model.log_prior.sum() + model.alpha2 * model.log_cond.sum())
 
 
@@ -281,8 +311,6 @@ def fit_semisupervised(
     tol, or after max_iter maximizations. The trace in the report starts
     with the objective of the initial model.
     """
-    from scipy.special import log_softmax
-
     _validate_hyper(alpha1=alpha1, alpha2=alpha2)
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
@@ -293,7 +321,8 @@ def fit_semisupervised(
     X = corpus.X
     activities = corpus.activities()
     log_act = np.log(activities)
-    hard = _one_hot(corpus.labels[labeled])
+    hard1 = (corpus.labels[labeled] == 1).astype(np.float64)
+    hard0 = 1.0 - hard1
     lj = log_joint_matrix(model, corpus)
     ll = _objective(model, corpus, lj)
     if not np.isfinite(ll):
@@ -302,8 +331,9 @@ def fit_semisupervised(
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        resp = np.exp(log_softmax(lj, axis=1))
-        resp[labeled] = hard
+        resp = np.exp(_log_softmax(lj))
+        resp[:, 0][labeled] = hard0
+        resp[:, 1][labeled] = hard1
         log_prior, log_cond, activity = _m_step(X, log_act, resp, alpha1, alpha2, use_log_normal)
         if use_log_normal:
             # the weighted closed form maximizes a density surrogate of

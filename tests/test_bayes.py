@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from demoscope.bayes import (
     LOG_FLOOR,
     NaiveBayesModel,
     _log1mexp,
+    _log_softmax,
+    _logsumexp,
     feature_log_odds,
     feature_log_odds_dispersion,
     fit,
@@ -87,6 +90,14 @@ def test_activity_pmf_equals_norm_logcdf_formula_exactly(mu, sigma):
     assert log_activity_pmf(a, mu, sigma).tobytes() == want.tobytes()
 
 
+def test_activity_pmf_per_class_columns_equal_the_scalar_calls():
+    a = np.concatenate([np.arange(1.0, 200.0), [1e9], np.arange(150.0, 1.0, -3.0)])
+    both = log_activity_pmf(a, [0.3, 2.0], [0.8, 0.05])
+    assert both.shape == (a.size, 2)
+    for y, (mu, sigma) in enumerate([(0.3, 0.8), (2.0, 0.05)]):
+        assert both[:, y].tobytes() == log_activity_pmf(a, mu, sigma).tobytes()
+
+
 def test_activity_pmf_tail_hits_floor():
     out = log_activity_pmf(np.array([1e9]), 0.0, 0.5)
     assert np.isfinite(out).all()
@@ -107,6 +118,48 @@ def test_log1mexp_tiny_argument_stable():
     # naive 1 - exp(x) underflows to 0 here; the expm1 branch does not
     out = _log1mexp(np.array([-1e-18]))
     assert out[0] == pytest.approx(np.log(1e-18), rel=1e-9)
+
+
+def _two_column_log_joints(n, seed):
+    """Seeded (n, 2) inputs: per-row scales 1e-3 to 1e4, offsets down to
+    -1e4, and one row in five tied."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 4.0, size=(n, 1))
+    offset = -(10.0 ** rng.uniform(-3.0, 4.0, size=(n, 1)))
+    lj = offset + scale * rng.standard_normal((n, 2))
+    lj[::5, 1] = lj[::5, 0]
+    return lj
+
+
+def _assert_same_bits(got, want):
+    """Equal bit patterns, except that a NaN only has to sit where scipy's does."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 20_000])
+def test_two_class_kernels_match_scipy_bit_for_bit(n):
+    """The posterior and the EM objective run on these kernels, so model
+    files and fit traces depend on every bit matching scipy's."""
+    from scipy.special import log_softmax, logsumexp
+
+    lj = _two_column_log_joints(n, seed=n)
+    assert lj.flags.c_contiguous
+    assert np.array_equal(_log_softmax(lj).view(np.int64), log_softmax(lj, axis=1).view(np.int64))
+    assert np.array_equal(_logsumexp(lj).view(np.int64), logsumexp(lj, axis=1).view(np.int64))
+
+
+def test_two_class_kernels_match_scipy_on_non_finite_rows():
+    from scipy.special import log_softmax, logsumexp
+
+    values = [np.inf, -np.inf, np.nan, 0.5, -700.0]
+    lj = np.array(list(itertools.product(values, repeat=2)))
+    lj = np.concatenate([lj, _two_column_log_joints(50, seed=3)])
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_log_softmax(lj), log_softmax(lj, axis=1))
+        _assert_same_bits(_logsumexp(lj), logsumexp(lj, axis=1))
 
 
 def _random_dense(rng, n=40, d=6):
@@ -296,6 +349,26 @@ def test_feature_log_odds_dispersion_bytes_are_pinned():
     assert hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest() == (
         "1092b1c679f06faa3d6c4d35a7a9476015cd2f337c8094adccdc3585b8e1d5b5"
     )
+
+
+@pytest.mark.parametrize("use_ln, want", [
+    (False, "8a2d9ddc432316e2ec0fac17a9854e10b9a0701336c664696aea7606f0fd82ef"),
+    (True, "ffe6250854994d366466409821fff8f23cf119045ccee512aa671a3a7c09b0f2"),
+])
+def test_em_fit_and_posterior_bytes_are_pinned(use_ln, want):
+    """The exact parameters, EM trace and posterior of a fixed-seed
+    semi-supervised fit: a change to the bits of the E step, the
+    objective, the activity term or the posterior fails here."""
+    rng = np.random.default_rng(26)
+    world, _ = synth.tilted_world(rng, d=40, gamma=0.4, activity_mu=(2.8, 3.2))
+    corpus = synth.sample_corpus(world, 600, rng, labeled_fraction=0.3)
+    model, report = fit_semisupervised(corpus, use_log_normal=use_ln, tol=1e-10)
+    assert report.converged and report.iterations >= 6
+    parts = [model.log_prior, model.log_cond, np.array(report.log_likelihood),
+             predict_proba_matrix(model, corpus)]
+    if use_ln:
+        parts.append(model.activity)
+    assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() == want
 
 
 def test_log_joint_rejects_out_of_vocab():

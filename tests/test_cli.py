@@ -65,16 +65,37 @@ def test_cli_import_loads_no_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
-def test_extract_loads_neither_sparse_nor_special(demo_files, tmp_path):
-    d, out = demo_files["dir"], tmp_path / "out"
-    argv = ["extract", "--comments", str(d / "comments.jsonl"), "--botlist",
-            str(d / "botlist.txt"), "--out-dir", str(out)]
+def _sparse_and_special_after(argv) -> str:
+    """Which of scipy.sparse and scipy.special a fresh interpreter has
+    loaded once main(argv) has returned 0, as a printed list."""
     code = ("import sys; from demoscope.cli import main; assert main(%r) == 0; "
             "print(sorted(m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules))")
     done = _python("-c", code % argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_extract_loads_neither_sparse_nor_special(demo_files, tmp_path):
+    d, out = demo_files["dir"], tmp_path / "out"
+    argv = ["extract", "--comments", str(d / "comments.jsonl"), "--botlist",
+            str(d / "botlist.txt"), "--out-dir", str(out)]
+    assert _sparse_and_special_after(argv) == "[]"
     assert "scipy" in _read_json(out / "manifest.json")["versions"]
+
+
+@pytest.mark.parametrize("argv, special", [
+    (["evaluate", "--model", "nb", "--cv-roc", "--folds", "3"], False),
+    (["train", "--model", "nb", "--semi-supervised"], False),
+    (["train", "--model", "nb", "--use-log-normal"], True),
+], ids=["evaluate-cv-roc", "train-em", "train-log-normal"])
+def test_naive_bayes_loads_special_only_for_log_normal(demo_files, tmp_path, argv, special):
+    """The naive Bayes posterior and EM are plain numpy; scipy.special
+    loads only for the log-normal activity term's log_ndtr."""
+    d = demo_files["dir"]
+    argv = [*argv, "--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt"),
+            "--out-dir", str(tmp_path / "out")]
+    want = ["scipy.sparse", "scipy.special"] if special else ["scipy.sparse"]
+    assert _sparse_and_special_after(argv) == str(want)
 
 
 def test_range_worker_job_imports_no_scipy(demo_files):
