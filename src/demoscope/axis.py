@@ -4,14 +4,14 @@ An axis is the difference between the mean embedding of two curated
 community pole sets. Every community in the table gets a cosine
 similarity to the axis, z-standardized over the whole table. A user's
 score is the activity-weighted average of the z scores of the
-communities they participate in; class 1 iff the score exceeds the
-threshold (default 0). Communities absent from the embedding table are
-ignored; users with no embeddable activity are unscorable.
+communities they participate in; class 1 iff the score is above 0.
+Communities absent from the embedding table are ignored; users with no
+embeddable activity are unscorable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +74,13 @@ def load_embeddings(path) -> EmbeddingTable:
 
 @dataclass
 class AxisModel:
-    """A fitted axis: per-community z scores plus the decision threshold."""
+    """A fitted axis: per-community z scores and an optional calibrator."""
 
     attribute: str
     communities: tuple[str, ...]
     z: np.ndarray
     pole_a: tuple[str, ...]
     pole_b: tuple[str, ...]
-    threshold: float = 0.0
     calibrator: IsotonicMap | None = None
 
     def __post_init__(self):
@@ -94,9 +93,18 @@ class AxisModel:
             raise DataError("z must be finite")
 
     def score(self, corpus: LabeledCorpus) -> tuple[np.ndarray, np.ndarray]:
-        """Squashed scores and hard predictions thresholded on the raw score."""
+        """Raw scores squashed to (0, 1) by a unit-slope logistic, then
+        mapped by the calibrator if one is attached, and predictions:
+        1 iff the raw score is above 0, 0 otherwise, -1 where it is not
+        finite. An unscorable row's NaN passes through as its score."""
         raw = score_corpus(self, corpus)
-        return score_to_proba(self, raw), axis_predict(self, raw)
+        with np.errstate(over="ignore"):
+            proba = 1.0 / (1.0 + np.exp(-raw))
+        if self.calibrator is not None:
+            proba = apply_map(self.calibrator, proba)
+        preds = (raw > 0).astype(np.int64)
+        preds[~np.isfinite(raw)] = -1
+        return proba, preds
 
     @property
     def calibrated(self) -> bool:
@@ -124,7 +132,7 @@ def build_axis(
     so pole_a communities land on the positive side. Pole names missing
     from the table are warned about and skipped; each pole needs at
     least one resolvable name. Cosine similarities to the axis are
-    z-standardized over the full table, and the threshold is 0.
+    z-standardized over the full table.
     Swapping the poles exactly negates every z score.
     """
     pole_a = tuple(pole_a)
@@ -173,26 +181,3 @@ def score_corpus(axis: AxisModel, corpus: LabeledCorpus) -> np.ndarray:
     ok = den > 0
     out[ok] = num[ok] / den[ok]
     return out
-
-
-def axis_predict(axis: AxisModel, scores) -> np.ndarray:
-    """Class per score: 1 iff score > threshold, 0 otherwise, -1 for NaN."""
-    s = np.asarray(scores, dtype=np.float64)
-    out = np.where(s > axis.threshold, 1, 0).astype(np.int64)
-    out[~np.isfinite(s)] = -1
-    return out
-
-
-def score_to_proba(axis: AxisModel, scores) -> np.ndarray:
-    """Squash axis scores to (0, 1) with a unit-slope logistic at the threshold.
-
-    When a calibrator is attached it post-processes the squashed value.
-    NaN passes through.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        p = 1.0 / (1.0 + np.exp(-(s - axis.threshold)))
-    if axis.calibrator is not None:
-        finite = np.isfinite(p)
-        p = np.where(finite, apply_map(axis.calibrator, np.where(finite, p, 0.5)), np.nan)
-    return p

@@ -149,11 +149,6 @@ def log_activity_pmf(a, mu, sigma) -> np.ndarray:
     return out.take(rows.ravel(), axis=0).reshape(a.shape + mu.shape)
 
 
-def _activity_log_matrix(activities: np.ndarray, activity: np.ndarray) -> np.ndarray:
-    """Per-row, per-class log activity mass, shape (n, 2)."""
-    return log_activity_pmf(activities, activity[:, 0], activity[:, 1])
-
-
 def _m_step(
     X: sp.csr_matrix,
     log_activities: np.ndarray,
@@ -239,7 +234,8 @@ def log_joint_matrix(model: NaiveBayesModel, corpus: LabeledCorpus) -> np.ndarra
         )
     lj = np.asarray(X @ model.log_cond.T) + model.log_prior[None, :]
     if model.activity is not None:
-        lj = lj + _activity_log_matrix(corpus.activities(), model.activity)
+        mu, sigma = model.activity[:, 0], model.activity[:, 1]
+        lj = lj + log_activity_pmf(corpus.activities(), mu, sigma)
     return lj
 
 
@@ -296,13 +292,14 @@ def _objective(model: NaiveBayesModel, corpus: LabeledCorpus, lj: np.ndarray) ->
 
 def fit_semisupervised(
     corpus: LabeledCorpus,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
-    use_log_normal: bool = False,
-    max_iter: int = 100,
-    tol: float = 1e-6,
+    alpha1: float,
+    alpha2: float,
+    use_log_normal: bool,
+    max_iter: int,
+    tol: float,
 ) -> tuple[NaiveBayesModel, FitReport]:
-    """EM over a partially labeled corpus.
+    """EM over a partially labeled corpus, as fit(..., semi_supervised=True)
+    runs it; fit holds the defaults.
 
     Labeled rows keep hard one-hot responsibilities throughout; unlabeled
     rows get posterior responsibilities each E step. Initialization is
@@ -327,6 +324,10 @@ def fit_semisupervised(
     ll = _objective(model, corpus, lj)
     if not np.isfinite(ll):
         raise NumericError("non-finite log likelihood at initialization")
+    if use_log_normal:
+        # the current model's log activity mass per row and class, kept
+        # from one iteration to the next rather than computed again
+        log_mass = log_activity_pmf(activities, model.activity[:, 0], model.activity[:, 1])
     trace = [ll]
     converged = False
     iterations = 0
@@ -340,10 +341,11 @@ def fit_semisupervised(
             # the binned activity mass and can slip near convergence;
             # keep the previous parameters for any class it would hurt,
             # which preserves the EM ascent guarantee
-            q_prev = (resp * _activity_log_matrix(activities, model.activity)).sum(axis=0)
-            q_cand = (resp * _activity_log_matrix(activities, activity)).sum(axis=0)
-            keep = q_cand >= q_prev
+            cand_mass = log_activity_pmf(activities, activity[:, 0], activity[:, 1])
+            keep = (resp * cand_mass).sum(axis=0) >= (resp * log_mass).sum(axis=0)
             activity = np.where(keep[:, None], activity, model.activity)
+            # each class's column depends on that class's parameters alone
+            log_mass = np.where(keep[None, :], cand_mass, log_mass)
         model.log_prior = log_prior
         model.log_cond = log_cond
         model.activity = activity

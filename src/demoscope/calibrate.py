@@ -98,8 +98,10 @@ def fit_isotonic(scores, labels) -> IsotonicMap:
 
 def apply_map(cal: IsotonicMap, scores) -> np.ndarray:
     """Evaluate the fitted map on an array of scores. Scores outside
-    [first, last] breakpoint clamp to the edge values."""
-    return np.interp(np.asarray(scores, dtype=np.float64), cal.breakpoints, cal.values)
+    [first, last] breakpoint clamp to the edge values; NaN stays NaN."""
+    s = np.asarray(scores, dtype=np.float64)
+    # np.interp passes NaN through, except on a map of one breakpoint
+    return np.where(np.isnan(s), s, np.interp(s, cal.breakpoints, cal.values))
 
 
 @dataclass

@@ -369,7 +369,7 @@ def cmd_train(run: Run):
         model, fit = bayes.fit(corpus, **options)
         dropped = corpus.n - fit.n_labeled - fit.n_unlabeled
         if dropped:
-            print(f"train: dropping {dropped} unlabeled rows", file=sys.stderr)
+            warnings.warn(f"dropped {dropped} unlabeled rows from the supervised fit")
         report = {"model": kind, "semi_supervised": options["semi_supervised"], **asdict(fit)}
     path = run.output("model.json")
     save_model(model, path)

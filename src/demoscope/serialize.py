@@ -180,12 +180,18 @@ def _projection(value):
         raise ValueError(f"axis models score by cosine projection only, got {value!r:.40}")
 
 
+def _zero_threshold(value):
+    if _float(value) != 0.0:
+        raise ValueError(f"axis models decide at a score of 0 only, got {value!r:.40}")
+
+
 # what a schema writes beside its class's fields: fixed values, each with
 # the check that reads it back. nb/1 files carry the class count "k",
-# always 2, and axis/1 files the projection, always cosine
+# always 2, and axis/1 files the projection, always cosine, and the
+# decision threshold, always 0
 _SCHEMA_TAGS = {
     "nb/1": {"k": (2, _two_classes)},
-    "axis/1": {"projection": ("cosine", _projection)},
+    "axis/1": {"projection": ("cosine", _projection), "threshold": (0.0, _zero_threshold)},
 }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from demoscope import synth
 from demoscope.axis import build_axis
-from demoscope.bayes import fit, fit_semisupervised, predict_proba_matrix
+from demoscope.bayes import fit, predict_proba_matrix
 from demoscope.calibrate import _pava, apply_map, fit_isotonic, reliability
 from demoscope.classifiers import axis_factory, nb_factory
 from demoscope.cli import main
@@ -135,8 +135,9 @@ def test_criterion_2_em_objective_and_supervised_limit():
                     continue
                 break
             corpus = corpus_from_dense(X, labels)
-            _, report = fit_semisupervised(
+            _, report = fit(
                 corpus,
+                semi_supervised=True,
                 alpha1=float(rng.uniform(0.3, 2.5)),
                 alpha2=float(rng.uniform(0.3, 2.5)),
                 use_log_normal=use_ln,
@@ -162,7 +163,7 @@ def test_criterion_2_em_objective_and_supervised_limit():
                 break
             corpus = corpus_from_dense(X, y)
             sup, _ = fit(corpus, use_log_normal=use_ln)
-            em, _ = fit_semisupervised(corpus, use_log_normal=use_ln)
+            em, _ = fit(corpus, use_log_normal=use_ln, semi_supervised=True)
             assert np.array_equal(sup.log_prior, em.log_prior)
             assert np.array_equal(sup.log_cond, em.log_cond)
             if sup.activity is None:
@@ -179,7 +180,7 @@ def test_criterion_3_generative_recovery():
         rng = np.random.default_rng(314)
         world, _ = synth.tilted_world(rng, d=100, gamma=0.5)
         corpus = synth.sample_corpus(world, 5000, rng, labeled_fraction=0.1)
-        model, report = fit_semisupervised(corpus, max_iter=200, tol=1e-8)
+        model, report = fit(corpus, semi_supervised=True, max_iter=200, tol=1e-8)
         elapsed = time.monotonic() - t0
         l1 = np.abs(np.exp(model.log_cond) - world.cond).sum(axis=1).mean()
         prior_err = np.abs(np.exp(model.log_prior) - world.prior).max()

@@ -1,18 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demoscope import synth
 from demoscope.axis import (
     AxisModel,
     EmbeddingTable,
-    axis_predict,
     build_axis,
     load_embeddings,
     score_corpus,
-    score_to_proba,
 )
-from demoscope.calibrate import IsotonicMap
+from demoscope.calibrate import IsotonicMap, fit_isotonic
 from demoscope.errors import DataError
 
 from helpers import corpus_from_dense
@@ -156,42 +157,78 @@ def test_score_corpus_one_row_batches_match_with_nan_rows():
         np.testing.assert_array_equal(score_corpus(axis, corpus.subset([i])), scores[[i]])
 
 
-def test_axis_predict_threshold_and_nan():
-    axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",), threshold=0.5)
-    out = axis_predict(axis, np.array([0.4, 0.5, 0.6, np.nan]))
-    assert out.tolist() == [0, 0, 1, -1]
+def _scored(raw, calibrator=None):
+    """AxisModel.score over one row per entry of raw, whose raw score is
+    that entry: row i counts only community ci, whose z is raw[i], and a
+    NaN entry is a community the axis lacks."""
+    names = tuple(f"c{i}" for i in range(len(raw)))
+    kept = [i for i, r in enumerate(raw) if not np.isnan(r)]
+    axis = AxisModel("t", tuple(names[i] for i in kept), np.array([raw[i] for i in kept]),
+                     ("a",), ("b",), calibrator=calibrator)
+    return axis.score(corpus_from_dense(np.eye(len(raw)), [-1] * len(raw), names=names))
 
 
-def test_score_to_proba_logistic():
-    axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",), threshold=1.0)
-    one = score_to_proba(axis, np.array([1.0, 2.0]))
+def test_axis_score_predicts_above_zero_and_minus_one_for_nan():
+    _, preds = _scored([-0.1, 0.0, 0.1, np.nan])
+    assert preds.tolist() == [0, 0, 1, -1]
+
+
+def test_axis_score_is_a_logistic_of_the_raw_score():
+    one, _ = _scored([0.0, 1.0])
     assert one.tolist() == pytest.approx([0.5, 1 / (1 + np.exp(-1.0))])
-    assert score_to_proba(axis, np.array([0.0])).shape == (1,)
-    arr = score_to_proba(axis, np.array([-1e9, 1e9, np.nan]))
+    assert _scored([0.0])[0].shape == (1,)
+    arr, _ = _scored([-1e9, 1e9, np.nan])
     assert arr[0] == pytest.approx(0.0, abs=1e-12)
     assert arr[1] == pytest.approx(1.0)
     assert np.isnan(arr[2])
 
 
-def test_score_to_proba_with_calibrator():
-    axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",))
-    axis.calibrator = IsotonicMap(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
-    arr = score_to_proba(axis, np.array([0.0, np.nan]))
+def test_axis_score_with_calibrator():
+    cal = IsotonicMap(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
+    arr, _ = _scored([0.0, np.nan], calibrator=cal)
     assert arr[0] == pytest.approx(0.5)
     assert np.isnan(arr[1])
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5))
 @settings(max_examples=60, deadline=None)
-def test_score_to_proba_monotone(s1, s2):
-    axis = AxisModel("t", ("a",), np.array([0.0]), ("a",), ("b",))
-    lo, hi = score_to_proba(axis, np.array(sorted((s1, s2))))
+def test_axis_score_monotone(s1, s2):
+    (lo, hi), _ = _scored(sorted((s1, s2)))
     assert lo <= hi
+
+
+@pytest.mark.parametrize("calibrated, want", [
+    (False, "7c54e59c8a4350aec3f18462c4325d7e6d8a306f8f95589c4180129f42b035d4"),
+    (True, "a549eb50b7b26faf2ce158d5c723627a1f342dd4451cd538d62ebbf8fbdff7dd"),
+])
+def test_axis_scores_and_predictions_are_pinned(calibrated, want):
+    """The exact scores and predictions of a fixed-seed axis, raw and
+    calibrated, over a corpus whose first row counts only a community
+    the embedding table lacks: a change to the squashing, the decision,
+    the calibration step or the handling of an unscorable row fails here.
+    A NaN score is hashed as -1, so its sign and payload bits do not count."""
+    rng = np.random.default_rng(29)
+    world, w = synth.tilted_world(rng, d=40, gamma=0.4)
+    sample = synth.sample_corpus(world, 300, rng)
+    table = synth.derive_embeddings(world, w, rng, noise=0.5)
+    X = np.hstack([sample.X.toarray(), np.zeros((sample.n, 1))])
+    X[0] = 0.0
+    X[0, -1] = 4.0
+    corpus = corpus_from_dense(X, sample.labels, names=(*world.vocabulary.names, "absent"))
+    seeds = synth.seed_sets_from_direction(world, w)
+    axis = build_axis(table, seeds.pole_b, seeds.pole_a)
+    if calibrated:
+        raw, _ = axis.score(corpus)
+        axis.calibrator = fit_isotonic(raw[1:], corpus.labels[1:])
+    scores, preds = axis.score(corpus)
+    assert np.isnan(scores[0]) and preds[0] == -1
+    assert np.isfinite(scores[1:]).all() and set(preds[1:].tolist()) == {0, 1}
+    blob = np.where(np.isnan(scores), -1.0, scores).tobytes() + preds.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == want
 
 
 def test_axis_separates_tilted_world(tilted):
     world, w, corpus = tilted
-    from demoscope import synth
 
     rng = np.random.default_rng(99)
     table = synth.derive_embeddings(world, w, rng, noise=0.4)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 from scipy.stats import lognorm, norm
 
-from demoscope import synth
+from demoscope import bayes, synth
 from demoscope.bayes import (
     LOG_FLOOR,
     NaiveBayesModel,
@@ -18,7 +18,6 @@ from demoscope.bayes import (
     feature_log_odds,
     feature_log_odds_dispersion,
     fit,
-    fit_semisupervised,
     log_activity_pmf,
     log_joint_matrix,
     predict_proba_matrix,
@@ -268,9 +267,9 @@ def test_hyperparameter_validation():
     with pytest.raises(DataError, match="alpha2"):
         fit(corpus, alpha2=-1.0)
     with pytest.raises(DataError, match="max_iter"):
-        fit_semisupervised(corpus, max_iter=0)
+        fit(corpus, semi_supervised=True, max_iter=0)
     with pytest.raises(DataError, match="tol"):
-        fit_semisupervised(corpus, tol=0.0)
+        fit(corpus, semi_supervised=True, tol=0.0)
 
 
 def test_em_zero_unlabeled_matches_supervised_exactly(rng):
@@ -278,7 +277,7 @@ def test_em_zero_unlabeled_matches_supervised_exactly(rng):
     corpus = corpus_from_dense(X, y)
     for use_ln in (False, True):
         sup, _ = fit(corpus, use_log_normal=use_ln)
-        em, report = fit_semisupervised(corpus, use_log_normal=use_ln)
+        em, report = fit(corpus, use_log_normal=use_ln, semi_supervised=True)
         assert np.array_equal(sup.log_prior, em.log_prior)
         assert np.array_equal(sup.log_cond, em.log_cond)
         if use_ln:
@@ -295,7 +294,7 @@ def test_em_monotone_likelihood():
     world, _ = synth.tilted_world(rng, d=40, gamma=0.5)
     corpus = synth.sample_corpus(world, 300, rng, labeled_fraction=0.25)
     for use_ln in (False, True):
-        _, report = fit_semisupervised(corpus, use_log_normal=use_ln, tol=1e-9)
+        _, report = fit(corpus, use_log_normal=use_ln, semi_supervised=True, tol=1e-9)
         trace = np.array(report.log_likelihood)
         assert trace.size >= 2
         assert np.all(np.diff(trace) >= -1e-8)
@@ -307,7 +306,7 @@ def test_em_respects_max_iter():
     rng = np.random.default_rng(7)
     world, _ = synth.tilted_world(rng, d=30, gamma=0.3)
     corpus = synth.sample_corpus(world, 200, rng, labeled_fraction=0.2)
-    _, report = fit_semisupervised(corpus, max_iter=2, tol=1e-15)
+    _, report = fit(corpus, semi_supervised=True, max_iter=2, tol=1e-15)
     assert report.iterations <= 2
     if not report.converged:
         assert report.iterations == 2
@@ -316,7 +315,7 @@ def test_em_respects_max_iter():
 def test_em_needs_labeled_rows():
     corpus = corpus_from_dense([[1, 0], [0, 1]], [-1, -1])
     with pytest.raises(DataError, match="labeled"):
-        fit_semisupervised(corpus)
+        fit(corpus, semi_supervised=True)
 
 
 def test_feature_log_odds_direction():
@@ -362,13 +361,38 @@ def test_em_fit_and_posterior_bytes_are_pinned(use_ln, want):
     rng = np.random.default_rng(26)
     world, _ = synth.tilted_world(rng, d=40, gamma=0.4, activity_mu=(2.8, 3.2))
     corpus = synth.sample_corpus(world, 600, rng, labeled_fraction=0.3)
-    model, report = fit_semisupervised(corpus, use_log_normal=use_ln, tol=1e-10)
+    model, report = fit(corpus, use_log_normal=use_ln, semi_supervised=True, tol=1e-10)
     assert report.converged and report.iterations >= 6
     parts = [model.log_prior, model.log_cond, np.array(report.log_likelihood),
              predict_proba_matrix(model, corpus)]
     if use_ln:
         parts.append(model.activity)
     assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() == want
+
+
+def test_log_normal_em_computes_two_activity_terms_per_iteration(monkeypatch):
+    """An iteration computes the activity term of the candidate
+    parameters and that of the model it keeps; the term of the model it
+    starts from is carried over from the iteration before."""
+    rng = np.random.default_rng(26)
+    world, _ = synth.tilted_world(rng, d=40, gamma=0.4, activity_mu=(2.8, 3.2))
+    corpus = synth.sample_corpus(world, 600, rng, labeled_fraction=0.3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_activity_pmf(*args)
+
+    monkeypatch.setattr(bayes, "log_activity_pmf", counted)
+    found = []
+    for max_iter in (1, 4):
+        calls.clear()
+        _, report = fit(corpus, use_log_normal=True, semi_supervised=True,
+                        max_iter=max_iter, tol=1e-15)
+        found.append((report.iterations, len(calls)))
+    (short, short_calls), (long, long_calls) = found
+    assert (short, long) == (1, 4)
+    assert long_calls - short_calls == 2 * (long - short)
 
 
 def test_log_joint_rejects_out_of_vocab():

@@ -55,6 +55,17 @@ def test_apply_map_batch_of_one():
     assert out.shape == (1,) and out.dtype == np.float64
 
 
+@pytest.mark.parametrize("breakpoints, values", [([0.2, 0.6], [0.1, 0.7]), ([0.4], [0.3])],
+                         ids=["two-knots", "one-knot"])
+def test_apply_map_passes_nan_and_clamps_infinities(breakpoints, values):
+    """An unscorable row's NaN stays NaN through any map, and an
+    infinite score takes the value at its edge."""
+    cal = IsotonicMap(np.array(breakpoints), np.array(values))
+    out = apply_map(cal, np.array([np.nan, -np.inf, np.inf, -np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[3])
+    assert out[1:3].tolist() == [values[0], values[-1]]
+
+
 def test_fit_isotonic_validation():
     with pytest.raises(DataError, match=">= 2"):
         fit_isotonic([0.5], [1])

@@ -1283,6 +1283,7 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
         (_bad_nb, {"alpha1": [1.0]}, "field 'alpha1': expected a JSON number"),
         (_bad_axis, {"communities": "ab"}, "field 'communities': expected a JSON list of strings"),
         (_bad_axis, {"projection": "dot"}, "field 'projection': axis models score by cosine"),
+        (_bad_axis, {"threshold": 0.1}, "field 'threshold'"),
         (_bad_seeds, {"threshold": "x"}, "field 'threshold': expected a JSON integer"),
         (_bad_seeds, {"threshold": 2.7}, "field 'threshold': expected a JSON integer"),
         (_bad_seeds, {"pole_a": "abc"}, "field 'pole_a': expected a JSON list of strings"),
@@ -1315,7 +1316,7 @@ def _bad_seeds(demo_files, tmp_path, **fields) -> list[str]:
     ],
     ids=["model-k-string", "model-k-three", "model-ragged-log-cond", "model-alpha-list",
          "axis-communities-string",
-         "axis-projection-dot",
+         "axis-projection-dot", "axis-threshold-nonzero",
          "seeds-threshold-string", "seeds-threshold-float", "seeds-pole-string",
          "seeds-threshold-typo", "rules-negation-string", "rules-negation-number",
          "rules-first-person-string", "rules-negation-typo", "model-unknown-key",
@@ -1333,6 +1334,20 @@ def test_wrong_typed_json_input_exits_two_with_one_line(
     assert len(err) == 1 and err[0].startswith("demoscope: data error:")
     assert expected in err[0]
     assert str(tmp_path) in err[0]
+
+
+def test_axis_file_without_threshold_exits_two(demo_files, tmp_path, capsys):
+    """axis/1 files name their fixed threshold: a file that leaves it
+    out is refused, as one that leaves out the projection is."""
+    argv = _bad_axis(demo_files, tmp_path)
+    path = tmp_path / "model.json"
+    payload = _read_json(path)
+    del payload["threshold"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"demoscope: data error: {path}: model payload (axis/1) missing field 'threshold'"
+    ]
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
@@ -1862,6 +1877,21 @@ def test_warning_is_one_line_on_stderr(demo_files, tmp_path):
     assert len(err) == 1, err
     assert err[0].startswith("demoscope: warning: dropped ")
     assert err[0].endswith(" activity pairs referencing communities outside the vocabulary")
+
+
+def test_supervised_train_warns_of_unlabeled_rows_in_one_line(demo_files, tmp_path):
+    """A supervised fit reads only the labeled rows; the rows it leaves
+    out are counted in one warning line."""
+    d = demo_files["dir"]
+    unlabeled = int((demo_files["corpus"].labels < 0).sum())
+    argv = ["train", "--model", "nb", "--corpus", str(d / "corpus.jsonl"),
+            "--vocabulary", str(d / "vocab.txt"), "--out-dir", str(tmp_path / "out")]
+    done = _python("-m", "demoscope.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert unlabeled == 100
+    assert done.stderr.splitlines() == [
+        f"demoscope: warning: dropped {unlabeled} unlabeled rows from the supervised fit"
+    ]
 
 
 @pytest.mark.parametrize("value, refusal", [("0", "n_bins must be >= 1"),

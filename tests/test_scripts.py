@@ -73,7 +73,10 @@ def test_synthetic_benchmark_bytes_repeat_across_runs(tmp_path):
 
 
 def test_demo_chain_digests_repeat_across_runs(tmp_path):
-    """Same seed, same bytes: every output and manifest of the CLI chain, run twice."""
+    """Same seed, same bytes: every output and manifest of the CLI chain,
+    run twice. The outputs also match tests/data/demo_chain_digests.json,
+    so a change that moves any output byte fails here until that file is
+    rewritten from a run of this chain."""
     digests, manifests = [], []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -84,6 +87,8 @@ def test_demo_chain_digests_repeat_across_runs(tmp_path):
         manifests.append(json.loads((out / "manifests.json").read_text(encoding="utf-8")))
     assert digests[0] == digests[1]
     assert manifests[0] == manifests[1]
+    pinned = json.loads((ROOT / "tests" / "data" / "demo_chain_digests.json").read_text("utf-8"))
+    assert digests[0] == pinned
     assert set(manifests[0]) == {name.split("/")[0] for name in digests[0]}
     assert manifests[0]["robustness"]["command"] == "evaluate"
     assert set(manifests[0]["robustness"]["inputs"]) == {"corpus", "vocabulary", "model_path"}

@@ -53,7 +53,6 @@ def _axis_model(calibrator=None):
         z=np.array([1.25, -0.5, -0.75]),
         pole_a=("c_a",),
         pole_b=("c_c",),
-        threshold=0.1,
         calibrator=calibrator,
     )
 
@@ -90,8 +89,8 @@ class TestRoundTrips:
         assert loaded.communities == model.communities
         assert np.array_equal(loaded.z, model.z)
         assert loaded.pole_a == ("c_a",) and loaded.pole_b == ("c_c",)
-        assert loaded.threshold == 0.1
-        assert json.loads(path.read_text(encoding="utf-8"))["projection"] == "cosine"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["projection"] == "cosine" and payload["threshold"] == 0.0
         assert np.array_equal(loaded.calibrator.breakpoints, [0.2, 0.8])
 
     def test_isotonic_map(self, tmp_path):
@@ -167,7 +166,8 @@ SCHEMA_CASES = {
 @pytest.mark.parametrize("case", list(SCHEMA_CASES))
 def test_schema_round_trip_writes_each_field_once(tmp_path, case):
     """save -> load -> save is byte-identical, and a payload's keys are the
-    schema tag, its fixed tags ("k" for nb/1, "projection" for axis/1)
+    schema tag, its fixed tags ("k" for nb/1, "projection" and "threshold"
+    for axis/1)
     and the class's fields, no more."""
     model = SCHEMA_CASES[case]()
     first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -175,7 +175,8 @@ def test_schema_round_trip_writes_each_field_once(tmp_path, case):
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text(encoding="utf-8"))
-    tags = {"schema", *{"nb/1": ["k"], "axis/1": ["projection"]}.get(payload["schema"], [])}
+    fixed = {"nb/1": ["k"], "axis/1": ["projection", "threshold"]}
+    tags = {"schema", *fixed.get(payload["schema"], [])}
     assert set(payload) == tags | {f.name for f in dataclasses.fields(model)}
 
 
