@@ -33,8 +33,8 @@ from demoscope.quantify import evaluate_quantifier, fit_quantifier
 def classification_stage(factories, corpus, n_boot, seed, out):
     lines = ["model,auc_mean,auc_std,f1_mean,f1_std"]
     headline = {}
-    for tag, factory in factories.items():
-        rep = bootstrap_eval(factory, corpus, n_boot=n_boot, seed=seed)
+    # one call: every model is fitted and scored on the same replicates
+    for tag, rep in bootstrap_eval(factories, corpus, n_boot=n_boot, seed=seed).items():
         s = rep.summary()
         lines.append(
             f"{tag},{s['roc_auc']['mean']:.4f},{s['roc_auc']['std']:.4f},"

@@ -428,9 +428,9 @@ def feature_log_odds_dispersion(
     """Bootstrap mean and sample std of the per-community log odds.
 
     Refits a supervised plain model on n_boot stratified resamples
-    (labeled rows only, resampled with replacement within class). The
-    resamples are drawn in turn from one generator, so a chunk of them
-    (serialize.in_chunks) draws and drops those before it.
+    (labeled rows only, resampled with replacement within class).
+    Resample b is drawn from child b of SeedSequence(seed), so a chunk of
+    them (serialize.in_chunks) draws only its own.
     """
     if n_boot < 2:
         raise DataError(f"n_boot must be >= 2, got {n_boot}")
@@ -444,15 +444,12 @@ def feature_log_odds_dispersion(
             raise DataError(f"class {y} has no labeled rows")
     _validate_hyper(alpha2=alpha2)
 
-    def replicates(lo: int, hi: int) -> list[np.ndarray]:
-        rng, found = np.random.default_rng(seed), []
-        for b in range(hi):
-            take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
-            if b >= lo:
-                boot = corpus.subset(np.sort(np.concatenate(take)))
-                # the log odds read only the conditionals: no prior pseudo-count moves them
-                found.append(feature_log_odds(_closed_form(boot, 1.0, alpha2)))
-        return found
+    def one(b: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
+        boot = corpus.subset(np.sort(np.concatenate(take)))
+        # the log odds read only the conditionals: no prior pseudo-count moves them
+        return feature_log_odds(_closed_form(boot, 1.0, alpha2))
 
-    draws = np.array(in_chunks(replicates, n_boot, corpus.X.nnz, "importance replicates"))
+    draws = np.array(in_chunks(one, n_boot, corpus.X.nnz, "importance replicates"))
     return draws.mean(axis=0), draws.std(axis=0, ddof=1)

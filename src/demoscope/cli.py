@@ -100,9 +100,14 @@ class RunConfig:
                     # a tuple field is named as the plural of its elements
                     noun = f.name[:-1] if many else f.name
                     raise DataError(f"unknown {noun} {v!r}; expected one of {choices}")
+        # each model is one key of report's tables and one roc_<kind>.csv
+        if len(set(self.models)) < len(self.models):
+            raise DataError(f"models must not repeat a kind, got {' '.join(self.models)}")
         for name in ("confidence", "test_fraction", "calibration_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DataError(f"{name} must lie in (0, 1)")
+        if self.prevalence is not None and not 0.0 <= self.prevalence <= 1.0:
+            raise DataError(f"prevalence must lie in [0, 1], got {self.prevalence}")
         least = {"n_boot": 1, "repeats": 1, "cohort_size": 1, "max_iter": 1,
                  "folds": 2, "importance_boot": 2, "n_bins": 1, "seed": 0}
         for name, low in least.items():
@@ -475,14 +480,12 @@ def cmd_evaluate(run: Run):
         evaluate.robustness_sweep(clf, corpus, cfg.taus).to_csv(path)
         print(f"evaluate: confidence sweep over {len(cfg.taus)} taus -> {path}")
         return
-    factory = _factory_for(cfg.model, run)
+    # a mapping of one model: each model's report row is its evaluate output
+    factories = {cfg.model: _factory_for(cfg.model, run)}
     report = evaluate.bootstrap_eval(
-        factory,
-        corpus,
-        n_boot=cfg.n_boot,
-        test_fraction=cfg.test_fraction,
+        factories, corpus, n_boot=cfg.n_boot, test_fraction=cfg.test_fraction,
         seed=stage_seed(cfg.seed, "bootstrap"),
-    )
+    )[cfg.model]
     summary = report.summary()
     run.write_json(
         "metrics.json",
@@ -495,9 +498,8 @@ def cmd_evaluate(run: Run):
         },
     )
     if cfg.cv_roc:
-        curve = evaluate.cv_roc(
-            factory, corpus, folds=cfg.folds, seed=stage_seed(cfg.seed, "cv-roc")
-        )
+        curve = evaluate.cv_roc(factories, corpus, folds=cfg.folds,
+                                seed=stage_seed(cfg.seed, "cv-roc"))[cfg.model]
         curve.to_csv(run.output("roc_curve.csv"))
     mean_auc = summary["roc_auc"]["mean"]
     print(f"evaluate[{cfg.model}]: roc_auc mean {mean_auc:.4f} over {cfg.n_boot} replicates")
@@ -520,28 +522,26 @@ def cmd_importance(run: Run):
 
 
 def cmd_report(run: Run):
-    """Benchmark table: bootstrap classification plus NPP quantification."""
+    """Benchmark table: bootstrap classification plus NPP quantification,
+    every model on the same splits, folds, calibration rows and cohorts."""
     cfg = run.cfg
     corpus = _load_corpus(run)
-    classification: dict = {}
-    quantification: dict = {}
     train_pool, eval_pool = split(corpus, 0.3, stage_seed(cfg.seed, "report-split"))
-    for kind in cfg.models:
-        factory = _factory_for(kind, run)
-        rep = evaluate.bootstrap_eval(
-            factory,
-            corpus,
-            n_boot=cfg.n_boot,
-            test_fraction=cfg.test_fraction,
-            seed=stage_seed(cfg.seed, f"bootstrap-{kind}"),
-        )
+    factories = {kind: _factory_for(kind, run) for kind in cfg.models}
+    reports = evaluate.bootstrap_eval(
+        factories, corpus, n_boot=cfg.n_boot, test_fraction=cfg.test_fraction,
+        seed=stage_seed(cfg.seed, "bootstrap"),
+    )
+    curves = evaluate.cv_roc(factories, corpus, folds=cfg.folds,
+                             seed=stage_seed(cfg.seed, "cv-roc"))
+    fit_part, cal_part = _calibration_rows(cfg, train_pool)
+    classification, quantification = {}, {}
+    for kind, factory in factories.items():
+        rep = reports[kind]
         classification[kind] = rep.summary() | {"dropped_rows": rep.dropped_rows}
-        curve = evaluate.cv_roc(
-            factory, corpus, folds=cfg.folds, seed=stage_seed(cfg.seed, f"cv-roc-{kind}")
-        )
-        curve.to_csv(run.output(f"roc_{kind.replace('-', '_')}.csv"))
+        curves[kind].to_csv(run.output(f"roc_{kind.replace('-', '_')}.csv"))
         try:
-            quantification[kind] = _quant_block(kind, factory, cfg, train_pool, eval_pool)
+            quantification[kind] = _quant_block(factory(fit_part), cfg, cal_part, eval_pool)
         except (DataError, NumericError) as e:
             quantification[kind] = {"error": str(e)}
     path = run.write_json(
@@ -563,18 +563,17 @@ def cmd_report(run: Run):
     print(f"report: {len(cfg.models)} models -> {path}")
 
 
-def _quant_block(kind, factory, cfg: RunConfig, train_pool, eval_pool) -> dict:
-    lab_idx = np.flatnonzero(train_pool.labeled_mask)
-    rng = np.random.default_rng(stage_seed(cfg.seed, f"quant-cal-{kind}"))
-    shuffled = lab_idx.copy()
-    rng.shuffle(shuffled)
+def _calibration_rows(cfg: RunConfig, train_pool) -> tuple[LabeledCorpus, LabeledCorpus]:
+    """The fit and calibration parts of the training pool: a shuffled
+    calibration_fraction of its labeled rows calibrates, the rest fits."""
+    shuffled = np.flatnonzero(train_pool.labeled_mask)
+    np.random.default_rng(stage_seed(cfg.seed, "quant-cal")).shuffle(shuffled)
     n_cal = max(2, int(round(cfg.calibration_fraction * shuffled.size)))
-    cal_part = train_pool.subset(np.sort(shuffled[:n_cal]))
-    fit_idx = np.concatenate(
-        [shuffled[n_cal:], np.flatnonzero(~train_pool.labeled_mask)]
-    )
-    fit_part = train_pool.subset(np.sort(fit_idx))
-    clf = factory(fit_part)
+    fit_idx = np.concatenate([shuffled[n_cal:], np.flatnonzero(~train_pool.labeled_mask)])
+    return train_pool.subset(np.sort(fit_idx)), train_pool.subset(np.sort(shuffled[:n_cal]))
+
+
+def _quant_block(clf, cfg: RunConfig, cal_part, eval_pool) -> dict:
     quant = quantify.fit_quantifier(clf, cal_part, mode=cfg.mode)
     rep = quantify.evaluate_quantifier(
         quant,
@@ -583,7 +582,7 @@ def _quant_block(kind, factory, cfg: RunConfig, train_pool, eval_pool) -> dict:
         size=cfg.cohort_size,
         prevalence=cfg.prevalence,
         confidence=cfg.confidence,
-        seed=stage_seed(cfg.seed, f"npp-{kind}"),
+        seed=stage_seed(cfg.seed, "npp"),
     )
     return {
         "mae": rep.mae,

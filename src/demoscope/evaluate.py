@@ -131,14 +131,15 @@ class CurveData:
 
 
 def bootstrap_eval(
-    factory: TrainFn,
+    models: dict[str, TrainFn],
     corpus: LabeledCorpus,
     n_boot: int = 100,
     test_fraction: float = 0.2,
     seed: int = 0,
-) -> MetricReport:
-    """Repeated stratified holdout: train on oversampled 1 - test_fraction,
-    score ROC AUC and F1 on the held-out rows.
+) -> dict[str, MetricReport]:
+    """Repeated stratified holdout, one MetricReport per model name: each
+    replicate trains every model on the same oversampled 1 - test_fraction
+    and scores ROC AUC and F1 on the same held-out rows.
 
     Replicates are independent and deterministic given (seed, replicate
     index), so running them in chunks (serialize.in_chunks) never
@@ -147,37 +148,37 @@ def bootstrap_eval(
     if n_boot < 1:
         raise DataError(f"n_boot must be >= 1, got {n_boot}")
 
-    def one(b: int):
+    def one(b: int) -> dict:
         # child b of SeedSequence(seed), made anew on each call: split
         # spawns from the sequence it is given, and after a failed chunk
         # every replicate runs again
         child = np.random.SeedSequence(seed, spawn_key=(b,))
         train, test = split(corpus, test_fraction, child, oversample=True)
-        scores, preds, ok = score_rows(factory(train), test)
-        labels = test.labels[ok]  # the test side of a split is all labeled
-        if not ok.any() or len(set(labels.tolist())) < 2:
-            raise DataError(f"replicate {b}: test side lost a class after dropping rows")
-        return roc_auc(scores[ok], labels), f1(preds[ok], labels), int((~ok).sum())
+        found = {}
+        for name, factory in models.items():
+            scores, preds, ok = score_rows(factory(train), test)
+            labels = test.labels[ok]  # the test side of a split is all labeled
+            if not ok.any() or len(set(labels.tolist())) < 2:
+                raise DataError(f"replicate {b}: {name} lost a test class to dropped rows")
+            found[name] = roc_auc(scores[ok], labels), f1(preds[ok], labels), int((~ok).sum())
+        return found
 
-    results = in_chunks(lambda lo, hi: list(map(one, range(lo, hi))), n_boot, corpus.X.nnz,
-                        "bootstrap replicates")
-    aucs = np.array([r[0] for r in results])
-    f1s = np.array([r[1] for r in results])
-    dropped = int(sum(r[2] for r in results))
-    return MetricReport(
-        n_replicates=n_boot,
-        metrics={"roc_auc": aucs, "f1": f1s},
-        dropped_rows=dropped,
-    )
+    results = in_chunks(one, n_boot, corpus.X.nnz, "bootstrap replicates")
+    reports = {}
+    for name in models:
+        aucs, f1s, dropped = map(np.array, zip(*(r[name] for r in results)))
+        reports[name] = MetricReport(n_boot, {"roc_auc": aucs, "f1": f1s}, int(dropped.sum()))
+    return reports
 
 
 def cv_roc(
-    factory: TrainFn,
+    models: dict[str, TrainFn],
     corpus: LabeledCorpus,
     folds: int = 10,
     seed: int = 0,
-) -> CurveData:
-    """Pooled ROC from stratified k-fold cross-validation.
+) -> dict[str, CurveData]:
+    """Pooled ROC from stratified k-fold cross-validation, one curve per
+    model name; every model trains and scores on the same folds.
 
     Out-of-fold scores for every labeled row are pooled into one curve.
     Unlabeled rows join every (oversampled) training fold. Each class
@@ -191,32 +192,31 @@ def cv_roc(
             raise DataError(f"class {y} has {counts[y]} labeled rows, needs >= {folds}")
     position = class_positions(labels, np.random.default_rng(seed))
     assignment = np.where(position >= 0, position % folds, -1)
-    over_seeds = np.random.SeedSequence(seed).spawn(folds)
 
     def one(fold: int):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)  # unlabeled rows hold -1
-        train_idx = train_idx[_oversample_rows(labels[train_idx], over_seeds[fold])]
-        scores, _, ok = score_rows(factory(corpus.subset(train_idx)), corpus.subset(test_idx))
-        return test_idx, scores, ok
+        child = np.random.SeedSequence(seed, spawn_key=(fold,))
+        train_idx = train_idx[_oversample_rows(labels[train_idx], child)]
+        train, test = corpus.subset(train_idx), corpus.subset(test_idx)
+        return test_idx, {name: score_rows(factory(train), test)[::2]
+                          for name, factory in models.items()}
 
-    results = in_chunks(lambda lo, hi: list(map(one, range(lo, hi))), folds, corpus.X.nnz,
-                        "cross-validation folds")
-    pooled_scores = np.zeros(corpus.n, dtype=np.float64)
-    scorable = np.zeros(corpus.n, dtype=bool)
-    for test_idx, scores, ok in results:
-        pooled_scores[test_idx], scorable[test_idx] = scores, ok
-
-    # every labeled row is in exactly one test fold
-    ok = np.flatnonzero(scorable)
-    dropped = int(corpus.labeled_mask.sum() - ok.size)
-    fpr, tpr, _ = roc_curve(pooled_scores[ok], labels[ok])
-    auc = roc_auc(pooled_scores[ok], labels[ok])
-    return CurveData(
-        x=fpr,
-        y=tpr,
-        meta={"auc": auc, "folds": folds, "dropped_rows": dropped},
-    )
+    results = in_chunks(one, folds, corpus.X.nnz, "cross-validation folds")
+    curves = {}
+    for name in models:
+        pooled_scores = np.zeros(corpus.n, dtype=np.float64)
+        scorable = np.zeros(corpus.n, dtype=bool)
+        for test_idx, scored in results:
+            pooled_scores[test_idx], scorable[test_idx] = scored[name]
+        # every labeled row is in exactly one test fold
+        ok = np.flatnonzero(scorable)
+        dropped = int(corpus.labeled_mask.sum() - ok.size)
+        fpr, tpr, _ = roc_curve(pooled_scores[ok], labels[ok])
+        auc = roc_auc(pooled_scores[ok], labels[ok])
+        curves[name] = CurveData(x=fpr, y=tpr,
+                                 meta={"auc": auc, "folds": folds, "dropped_rows": dropped})
+    return curves
 
 
 def learning_curve(

@@ -417,15 +417,19 @@ def in_ranges(path, work) -> list:
     return [work(0, None)] if results is None else results
 
 
-def in_chunks(work, n: int, entries: int, what: str) -> list:
-    """work(0, n), the results of n replicates in order, where work(lo, hi)
-    gives those of replicates lo..hi-1.
+def in_chunks(one, n: int, entries: int, what: str) -> list:
+    """[one(r) for r in range(n)], the results of n replicates in order.
+    one(r) must depend only on r, as when it seeds replicate r by r.
 
     Over a corpus of at least MIN_FORK_ENTRIES stored entries, the
     replicates are cut into contiguous chunks, one per usable CPU, run by
-    fork_join and joined in order. If a chunk fails, work(0, n) runs in
+    fork_join and joined in order. If a chunk fails, all n run again in
     this process, so the error raised is the first in replicate order.
     """
+
+    def work(lo: int, hi: int) -> list:
+        return [one(r) for r in range(lo, hi)]
+
     parts = _parts(n if entries >= MIN_FORK_ENTRIES else 1)
     if parts < 2:
         return work(0, n)

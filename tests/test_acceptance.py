@@ -303,8 +303,8 @@ def _check_reference_metrics(root: Path):
     for attr in ("year", "gender", "partisan"):
         vocab = load_vocabulary(root / f"{attr}_vocab.txt")
         corpus, _ = load_corpus(root / f"{attr}_corpus.jsonl", vocab)
-        rep = bootstrap_eval(nb_factory(), corpus, n_boot=50,
-                             test_fraction=0.25, seed=0)
+        rep = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=50,
+                             test_fraction=0.25, seed=0)["nb"]
         auc = rep.summary()["roc_auc"]["mean"]
         assert abs(auc - REFERENCE_AUC[attr]) <= 0.03, (
             f"{attr}: AUC {auc:.4f} vs reference {REFERENCE_AUC[attr]}"

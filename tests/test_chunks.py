@@ -39,27 +39,37 @@ def in_workers(request, monkeypatch):
     return run
 
 
+# two models, so each replicate's per-model results are joined across chunk edges
+TWO_MODELS = {"nb-ln": nb_factory(use_log_normal=True), "nb-ss": nb_factory(semi_supervised=True)}
+
+
 def test_bootstrap_in_workers_equals_one_loop(tilted, in_workers):
-    boot = partial(
-        evaluate.bootstrap_eval, nb_factory(use_log_normal=True), tilted[2], n_boot=6, seed=4
-    )
+    boot = partial(evaluate.bootstrap_eval, TWO_MODELS, tilted[2], n_boot=6, seed=4)
     serial = boot()
     forked, spans = in_workers(boot)
     assert len(spans) == 1 and len(spans[0]) == in_workers.cpus
-    assert forked.metrics.keys() == serial.metrics.keys()
-    for name, values in serial.metrics.items():
-        assert forked.metrics[name].tobytes() == values.tobytes()
-    assert forked.dropped_rows == serial.dropped_rows
+    assert list(forked) == list(serial) == list(TWO_MODELS)
+    for name, report in serial.items():
+        assert forked[name].metrics.keys() == report.metrics.keys()
+        for metric, values in report.metrics.items():
+            assert forked[name].metrics[metric].tobytes() == values.tobytes()
+        assert forked[name].dropped_rows == report.dropped_rows
+    # the models' replicates differ, so a swap of models would show
+    aucs = [report.metrics["roc_auc"].tobytes() for report in serial.values()]
+    assert aucs[0] != aucs[1]
 
 
 def test_cv_roc_in_workers_equals_one_loop(tilted, in_workers):
-    cv = partial(evaluate.cv_roc, nb_factory(semi_supervised=True), tilted[2], folds=3, seed=5)
+    cv = partial(evaluate.cv_roc, TWO_MODELS, tilted[2], folds=3, seed=5)
     serial = cv()
     forked, spans = in_workers(cv)
     assert len(spans) == 1 and len(spans[0]) == in_workers.cpus
-    assert forked.x.tobytes() == serial.x.tobytes()
-    assert forked.y.tobytes() == serial.y.tobytes()
-    assert forked.meta == serial.meta
+    assert list(forked) == list(serial) == list(TWO_MODELS)
+    for name, curve in serial.items():
+        assert forked[name].x.tobytes() == curve.x.tobytes()
+        assert forked[name].y.tobytes() == curve.y.tobytes()
+        assert forked[name].meta == curve.meta
+    assert serial["nb-ln"].meta["auc"] != serial["nb-ss"].meta["auc"]
 
 
 def test_log_odds_dispersion_in_workers_equals_one_loop(tilted, in_workers):
@@ -74,14 +84,13 @@ def test_log_odds_dispersion_in_workers_equals_one_loop(tilted, in_workers):
 def test_first_error_in_replicate_order_is_raised(in_workers, error):
     """Replicates 3 and 5 fail; 3 falls in a worker's chunk."""
 
-    def work(lo, hi):
-        for i in range(lo, hi):
-            if i in (3, 5):
-                raise error(f"replicate {i} failed")
-        return list(range(lo, hi))
+    def one(r):
+        if r in (3, 5):
+            raise error(f"replicate {r} failed")
+        return r
 
     with pytest.raises(error, match="^replicate 3 failed$"):
-        in_workers(lambda: serialize.in_chunks(work, 6, 0, "replicates"))
+        in_workers(lambda: serialize.in_chunks(one, 6, 0, "replicates"))
 
 
 def test_first_failing_bootstrap_replicate_is_the_error_raised(tilted, in_workers):
@@ -93,7 +102,8 @@ def test_first_failing_bootstrap_replicate_is_the_error_raised(tilted, in_worker
     def key(train):
         return hashlib.sha256("\n".join(train.user_ids).encode()).hexdigest()
 
-    evaluate.bootstrap_eval(lambda train: seen.append(key(train)) or fit(train), corpus, n_boot=6)
+    evaluate.bootstrap_eval({"nb": lambda train: seen.append(key(train)) or fit(train)}, corpus,
+                            n_boot=6)
 
     def failing(train):
         b = seen.index(key(train))
@@ -102,7 +112,7 @@ def test_first_failing_bootstrap_replicate_is_the_error_raised(tilted, in_worker
         return fit(train)
 
     with pytest.raises(DataError, match="^replicate 3 cannot fit$"):
-        in_workers(lambda: evaluate.bootstrap_eval(failing, corpus, n_boot=6))
+        in_workers(lambda: evaluate.bootstrap_eval({"nb": failing}, corpus, n_boot=6))
 
 
 def test_a_killed_worker_exits_two(demo_files, tmp_path, capsys, monkeypatch, in_workers):
@@ -130,16 +140,16 @@ def test_a_killed_worker_exits_two(demo_files, tmp_path, capsys, monkeypatch, in
 
 def test_below_the_entry_floor_one_loop_runs_here(monkeypatch):
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
-    calls = []
+    real, spans = serialize.fork_join, []
+    monkeypatch.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
 
-    def work(lo, hi):
-        calls.append((lo, hi))
-        return [os.getpid()] * (hi - lo)
+    def one(r):
+        return os.getpid()
 
     floor = serialize.MIN_FORK_ENTRIES
-    assert serialize.in_chunks(work, 6, floor - 1, "replicates") == [os.getpid()] * 6
-    assert calls == [(0, 6)]
-    pids = serialize.in_chunks(work, 6, floor, "replicates")
+    assert serialize.in_chunks(one, 6, floor - 1, "replicates") == [os.getpid()] * 6
+    assert spans == []
+    pids = serialize.in_chunks(one, 6, floor, "replicates")
     assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
 
 
@@ -148,25 +158,26 @@ def test_a_worker_chunk_that_fails_reruns_the_loop_here(in_workers):
     process and gives its results."""
     parent = os.getpid()
 
-    def work(lo, hi):
+    def one(r):
         if os.getpid() != parent:
             raise NumericError("worker")
-        return list(range(lo, hi))
+        return r
 
-    assert in_workers(lambda: serialize.in_chunks(work, 6, 0, "replicates"))[0] == list(range(6))
+    assert in_workers(lambda: serialize.in_chunks(one, 6, 0, "replicates"))[0] == list(range(6))
 
 
 def test_bootstrap_rerun_after_a_failed_worker_equals_one_loop(tilted, in_workers):
     """Replicates that already ran here run again with the same splits."""
     corpus, parent, fit = tilted[2], os.getpid(), nb_factory()
-    serial = evaluate.bootstrap_eval(fit, corpus, n_boot=6, seed=8)
+    serial = evaluate.bootstrap_eval({"nb": fit}, corpus, n_boot=6, seed=8)["nb"]
 
     def here_only(train):
         if os.getpid() != parent:
             raise DataError("not in a worker")
         return fit(train)
 
-    rerun, spans = in_workers(lambda: evaluate.bootstrap_eval(here_only, corpus, n_boot=6, seed=8))
+    rerun, spans = in_workers(
+        lambda: evaluate.bootstrap_eval({"nb": here_only}, corpus, n_boot=6, seed=8)["nb"])
     assert len(spans) == 1
     assert rerun.metrics["roc_auc"].tobytes() == serial.metrics["roc_auc"].tobytes()
     assert rerun.metrics["f1"].tobytes() == serial.metrics["f1"].tobytes()

@@ -965,6 +965,28 @@ class TestEvaluateReport:
         assert (out / "roc_nb.csv").exists()
         assert (out / "roc_majority.csv").exists()
 
+    def test_a_models_report_row_is_its_evaluate_output(self, demo_files, tmp_path):
+        """Every model of report runs on the same replicates as evaluate
+        --model runs it alone, so its classification row and ROC curve
+        are evaluate's, whichever models it is compared with."""
+        d = demo_files["dir"]
+        common = ["--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt"),
+                  "--embeddings", str(d / "embeddings.tsv"), "--seeds", str(d / "seeds.json"),
+                  "--n-boot", "4", "--folds", "3", "--seed", "5"]
+        report_out = tmp_path / "report"
+        assert main(["report", *common, "--models", "nb", "axis", "--repeats", "2",
+                     "--cohort-size", "20", "--out-dir", str(report_out)]) == 0
+        report = _read_json(report_out / "report.json")
+        for kind in ("nb", "axis"):
+            out = tmp_path / kind
+            assert main(["evaluate", *common, "--model", kind, "--cv-roc",
+                         "--out-dir", str(out)]) == 0
+            metrics = _read_json(out / "metrics.json")
+            row = metrics["metrics"] | {"dropped_rows": metrics["dropped_rows"]}
+            assert report["classification"][kind] == row
+            roc = (report_out / f"roc_{kind}.csv").read_bytes()
+            assert roc == (out / "roc_curve.csv").read_bytes()
+
     def test_nb_ln_factory_honours_yaml_alpha2(self, demo_files, tmp_path):
         labeled = demo_files["corpus"].subset(np.flatnonzero(demo_files["corpus"].labeled_mask))
         cfg_path = tmp_path / "run.yaml"
@@ -1902,5 +1924,18 @@ def test_n_bins_out_of_range_exits_two_before_any_input(tmp_path, capsys, value,
     so nothing is read and no reliability table is allocated."""
     out = tmp_path / "out"
     assert main(["calibrate", "--n-bins", value, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"demoscope: data error: {refusal}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, refusal", [
+    (["--models", "nb", "axis", "nb"], "models must not repeat a kind, got nb axis nb"),
+    (["--prevalence", "1.5"], "prevalence must lie in [0, 1], got 1.5"),
+], ids=["repeated-model", "prevalence-above-one"])
+def test_report_setting_out_of_range_exits_two_before_any_input(tmp_path, capsys, flags, refusal):
+    """Refused while the settings resolve, not after every bootstrap
+    replicate has run: the command names no input, so nothing is read."""
+    out = tmp_path / "out"
+    assert main(["report", *flags, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"demoscope: data error: {refusal}"]
     assert not out.exists()

@@ -148,14 +148,14 @@ def _separable_corpus(n=120, seed=0, labeled_fraction=1.0):
 
 def test_bootstrap_eval_deterministic_and_worker_invariant(monkeypatch):
     corpus = _separable_corpus()
-    a = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3)
-    b = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3)
+    a = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=6, seed=3)["nb"]
+    b = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=6, seed=3)["nb"]
     spans = []
     real = serialize.fork_join
     monkeypatch.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
     monkeypatch.setattr(serialize, "MIN_FORK_ENTRIES", 0)
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
-    c = bootstrap_eval(nb_factory(), corpus, n_boot=6, seed=3)
+    c = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=6, seed=3)["nb"]
     assert spans == [[(0, 3), (3, 6)]]  # replicates 3-5 ran in a forked worker
     assert np.array_equal(a.metrics["roc_auc"], b.metrics["roc_auc"])
     assert np.array_equal(a.metrics["roc_auc"], c.metrics["roc_auc"])
@@ -175,14 +175,14 @@ def test_bootstrap_eval_seed_changes_replicates():
     y[:2] = [0, 1]
     X[y == 1, 3] += rng.integers(0, 2, size=int((y == 1).sum()))  # weak signal
     corpus = corpus_from_dense(X, y)
-    a = bootstrap_eval(nb_factory(), corpus, n_boot=5, seed=1)
-    b = bootstrap_eval(nb_factory(), corpus, n_boot=5, seed=2)
+    a = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=5, seed=1)["nb"]
+    b = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=5, seed=2)["nb"]
     assert not np.array_equal(a.metrics["roc_auc"], b.metrics["roc_auc"])
 
 
 def test_bootstrap_eval_majority_baseline_exact():
     corpus = _separable_corpus()
-    rep = bootstrap_eval(MajorityClassifier.fit, corpus, n_boot=4, seed=0)
+    rep = bootstrap_eval({"majority": MajorityClassifier.fit}, corpus, n_boot=4, seed=0)["majority"]
     # constant scores: AUC exactly one half on every replicate
     assert np.all(rep.metrics["roc_auc"] == 0.5)
 
@@ -190,28 +190,36 @@ def test_bootstrap_eval_majority_baseline_exact():
 def test_bootstrap_eval_validation():
     corpus = _separable_corpus(n=40)
     with pytest.raises(DataError, match="n_boot"):
-        bootstrap_eval(nb_factory(), corpus, n_boot=0)
+        bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=0)
     with pytest.raises(DataError, match="test_fraction"):
-        bootstrap_eval(nb_factory(), corpus, test_fraction=1.0)
+        bootstrap_eval({"nb": nb_factory()}, corpus, test_fraction=1.0)
+
+
+def test_bootstrap_eval_names_the_model_whose_replicate_fails():
+    """Every model is scored on one split per replicate; the one left
+    without a test class, here by scoring no row, is named."""
+    models = {"nb": nb_factory(), "blind": lambda train: ConstantScoreClassifier(np.nan)}
+    with pytest.raises(DataError, match="^replicate 0: blind lost a test class to dropped rows$"):
+        bootstrap_eval(models, _separable_corpus(n=40), n_boot=2)
 
 
 def test_cv_roc_pools_all_labeled_rows():
     corpus = _separable_corpus(n=100, labeled_fraction=0.8)
-    curve = cv_roc(nb_factory(semi_supervised=True), corpus, folds=5, seed=4)
+    curve = cv_roc({"nb-ss": nb_factory(semi_supervised=True)}, corpus, folds=5, seed=4)["nb-ss"]
     assert curve.meta["auc"] > 0.8
     assert curve.meta["dropped_rows"] == 0
     assert np.all(np.diff(curve.x) >= 0)
     assert curve.y[-1] == 1.0
-    again = cv_roc(nb_factory(semi_supervised=True), corpus, folds=5, seed=4)
+    again = cv_roc({"nb-ss": nb_factory(semi_supervised=True)}, corpus, folds=5, seed=4)["nb-ss"]
     assert np.array_equal(curve.y, again.y)
     with pytest.raises(DataError, match="folds"):
-        cv_roc(nb_factory(), corpus, folds=1)
+        cv_roc({"nb": nb_factory()}, corpus, folds=1)
 
 
 def test_cv_roc_requires_enough_rows_per_class():
     corpus = _separable_corpus(n=12)
     with pytest.raises(DataError, match="needs >="):
-        cv_roc(nb_factory(), corpus, folds=10)
+        cv_roc({"nb": nb_factory()}, corpus, folds=10)
 
 
 def test_learning_curve_shapes_and_determinism():
@@ -342,7 +350,8 @@ def _recorded_training_rows(protocol, **kwargs) -> list[tuple[int, str]]:
         seen.append((train.n, hashlib.sha256("\n".join(train.user_ids).encode()).hexdigest()[:16]))
         return fit(train)
 
-    protocol(factory, corpus_from_dense(X, y), **kwargs)
+    # cv_roc takes a mapping of models, learning_curve one factory
+    protocol({"nb": factory} if protocol is cv_roc else factory, corpus_from_dense(X, y), **kwargs)
     return seen
 
 
