@@ -45,6 +45,10 @@ class EmbeddingTable(NameIndex):
         return self.vectors.shape[1]
 
 
+# largest |component| accepted: build_axis's norms and dot products stay finite
+MAX_COMPONENT = 1e150
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Read a TSV of 'name\\tv1\\tv2...' rows into an EmbeddingTable."""
     names: list[str] = []
@@ -59,6 +63,8 @@ def load_embeddings(path) -> EmbeddingTable:
             vec = [float(v) for v in parts[1:]]
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if any(abs(v) > MAX_COMPONENT for v in vec):
+            raise DataError(f"{path}:{lineno}: embedding value too large (limit {MAX_COMPONENT:g})")
         if rows and len(vec) != len(rows[0]):
             dim = len(rows[0])
             raise DataError(f"{path}:{lineno}: dimension {len(vec)} differs from first row ({dim})")

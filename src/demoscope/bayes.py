@@ -451,5 +451,5 @@ def feature_log_odds_dispersion(
         # the log odds read only the conditionals: no prior pseudo-count moves them
         return feature_log_odds(_closed_form(boot, 1.0, alpha2))
 
-    draws = np.array(in_chunks(one, n_boot, corpus.X.nnz, "importance replicates"))
+    draws = np.array(in_chunks(one, n_boot, "importance replicates"))
     return draws.mean(axis=0), draws.std(axis=0, ddof=1)

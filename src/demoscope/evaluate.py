@@ -83,8 +83,7 @@ def roc_curve(scores, labels):
     n0 = int((y == 0).sum())
     if n1 == 0 or n0 == 0:
         raise DataError("ROC curve needs both classes present")
-    distinct = np.flatnonzero(np.diff(s)) if s.size > 1 else np.array([], dtype=np.int64)
-    cut = np.concatenate([distinct, [s.size - 1]])
+    cut = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
     tp = np.cumsum(y == 1)[cut]
     fp = np.cumsum(y == 0)[cut]
     fpr = np.concatenate([[0.0], fp / n0])
@@ -163,7 +162,7 @@ def bootstrap_eval(
             found[name] = roc_auc(scores[ok], labels), f1(preds[ok], labels), int((~ok).sum())
         return found
 
-    results = in_chunks(one, n_boot, corpus.X.nnz, "bootstrap replicates")
+    results = in_chunks(one, n_boot, "bootstrap replicates")
     reports = {}
     for name in models:
         aucs, f1s, dropped = map(np.array, zip(*(r[name] for r in results)))
@@ -202,7 +201,7 @@ def cv_roc(
         return test_idx, {name: score_rows(factory(train), test)[::2]
                           for name, factory in models.items()}
 
-    results = in_chunks(one, folds, corpus.X.nnz, "cross-validation folds")
+    results = in_chunks(one, folds, "cross-validation folds")
     curves = {}
     for name in models:
         pooled_scores = np.zeros(corpus.n, dtype=np.float64)

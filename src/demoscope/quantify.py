@@ -6,11 +6,10 @@ Two estimators over a cohort of m scored users:
   ACC  adjusted count: (cc - fpr) / (tpr - fpr), clamped to [0, 1],
        with tpr/fpr measured once on held-out validation data.
 
-Intervals treat the number of predicted positives as a Poisson-Binomial
-count over the per-user calibrated scores q_i: its variance is
-sum q_i (1 - q_i). The default interval is the normal approximation
-centered on the mean score; an exact O(m^2) convolution backs it for
-cohorts up to 1000. ACC intervals divide the CC width by |tpr - fpr|.
+estimate centres its interval on the point estimate (the CC share or the
+ACC value), with the normal half-width of a Poisson-Binomial count over the
+calibrated scores q_i, variance sum q_i (1 - q_i); ACC divides it by
+|tpr - fpr|. Only criterion 5's poisson_binomial_interval centres on the mean.
 """
 
 from __future__ import annotations
@@ -249,14 +248,9 @@ def npp_sample(
         rng = np.random.default_rng([seed, r])
         c1 = int(rng.binomial(size, prevalence))
         c0 = size - c1
-        if c1 > idx1.size:
-            raise DataError(
-                f"cohort {r}: needs {c1} class-1 rows, pool has only {idx1.size}"
-            )
-        if c0 > idx0.size:
-            raise DataError(
-                f"cohort {r}: needs {c0} class-0 rows, pool has only {idx0.size}"
-            )
+        for y, c, idx in ((1, c1, idx1), (0, c0, idx0)):
+            if c > idx.size:
+                raise DataError(f"cohort {r}: needs {c} class-{y} rows, pool has only {idx.size}")
         take1 = rng.choice(idx1, size=c1, replace=False)
         take0 = rng.choice(idx0, size=c0, replace=False)
         cohorts.append(np.sort(np.concatenate([take1, take0])))

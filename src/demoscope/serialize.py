@@ -16,6 +16,7 @@ import math
 import os
 import re
 import threading
+import time
 from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
@@ -294,12 +295,10 @@ class _ByteRange(io.RawIOBase):
 # rounded up to a power of two.
 MIN_RANGE_BYTES = 1 << 19
 
-# Replicate loops fork only over a corpus of at least this many stored
-# entries (X.nnz): below it, a worker costs more than it saves. On two
-# cores, 20 naive Bayes bootstrap refits in two chunks overtake one chunk
-# at about 24-36k entries; rounded up to a power of two, which keeps the
-# 31k-entry demo corpus in one process.
-MIN_FORK_ENTRIES = 1 << 16
+# Replicate loops fork only when the replicates after the first would take
+# this long here at its pace. On two cores, loops of 17-31 ms of serial work
+# ran 5-10 ms slower forked, 40-45 ms broke even and from 65 ms gained.
+MIN_FORK_SECONDS = 0.05
 
 # At most this many parts, however many CPUs there are: the gain was
 # measured on two cores only, and a CPU quota the affinity mask does not
@@ -417,26 +416,28 @@ def in_ranges(path, work) -> list:
     return [work(0, None)] if results is None else results
 
 
-def in_chunks(one, n: int, entries: int, what: str) -> list:
-    """[one(r) for r in range(n)], the results of n replicates in order.
-    one(r) must depend only on r, as when it seeds replicate r by r.
+def in_chunks(one, n: int, what: str) -> list:
+    """[one(r) for r in range(n)], the results of n >= 1 replicates in
+    order. one(r) must depend only on r, as when it seeds replicate r by r.
 
-    Over a corpus of at least MIN_FORK_ENTRIES stored entries, the
-    replicates are cut into contiguous chunks, one per usable CPU, run by
-    fork_join and joined in order. If a chunk fails, all n run again in
-    this process, so the error raised is the first in replicate order.
+    Replicate 0 runs here, timed. If the other n - 1 would take
+    MIN_FORK_SECONDS here at its pace, they are cut into contiguous chunks,
+    one per usable CPU, run by fork_join and joined in order; if a chunk
+    fails they run again here, so the error raised is the first in order.
     """
 
     def work(lo: int, hi: int) -> list:
         return [one(r) for r in range(lo, hi)]
 
-    parts = _parts(n if entries >= MIN_FORK_ENTRIES else 1)
+    start = time.perf_counter()
+    first = [one(0)]
+    parts = _parts(n - 1) if (n - 1) * (time.perf_counter() - start) >= MIN_FORK_SECONDS else 1
     if parts < 2:
-        return work(0, n)
-    # cut at ceilings: this process starts its chunk first, so it takes the larger one
-    cuts = [-(-n * i // parts) for i in range(parts + 1)]
+        return first + work(1, n)
+    # cut 0..n at ceilings; this process's chunk, first and larger, resumes at 1
+    cuts = [1, *(-(-n * i // parts) for i in range(1, parts + 1))]
     results = fork_join(work, list(zip(cuts, cuts[1:])), f"the worker running {what}")
-    return work(0, n) if results is None else [r for chunk in results for r in chunk]
+    return first + (work(1, n) if results is None else [r for chunk in results for r in chunk])
 
 
 def parse_file(path, parse):

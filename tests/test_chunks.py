@@ -1,14 +1,15 @@
 """Replicate loops run in chunks on several CPUs give what one serial loop
 gives.
 
-Forking is forced here by setting serialize.MIN_FORK_ENTRIES to 0 and
-faking the usable CPU count; real runs fork only over corpora of tens of
-thousands of stored entries.
+Forking is forced here by setting serialize.MIN_FORK_SECONDS to 0 and
+faking the usable CPU count; real runs fork only when the replicates left
+after the first, timed one would take tens of milliseconds here.
 """
 
 import hashlib
 import os
 import signal
+import time
 from functools import partial
 
 import pytest
@@ -21,16 +22,17 @@ from demoscope.errors import DataError, NumericError
 
 @pytest.fixture(params=[2, 3], ids=["2-cpus", "3-cpus"])
 def in_workers(request, monkeypatch):
-    """run(call): call() with every replicate loop cut into one chunk per
-    CPU, the later chunks in forked workers; returns the result and the
-    chunk spans of each loop. run.cpus is the CPU count."""
+    """run(call): call() with every replicate loop after its replicate 0
+    cut into one chunk per CPU, the later chunks in forked workers;
+    returns the result and the chunk spans of each loop. run.cpus is the
+    CPU count."""
 
     def run(call):
         spans = []
         real = serialize.fork_join
         with monkeypatch.context() as m:
             m.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
-            m.setattr(serialize, "MIN_FORK_ENTRIES", 0)
+            m.setattr(serialize, "MIN_FORK_SECONDS", 0)
             m.setattr(serialize, "MAX_RANGES", request.param)
             m.setattr(serialize, "usable_cpus", lambda: request.param)
             return call(), spans
@@ -60,7 +62,7 @@ def test_bootstrap_in_workers_equals_one_loop(tilted, in_workers):
 
 
 def test_cv_roc_in_workers_equals_one_loop(tilted, in_workers):
-    cv = partial(evaluate.cv_roc, TWO_MODELS, tilted[2], folds=3, seed=5)
+    cv = partial(evaluate.cv_roc, TWO_MODELS, tilted[2], folds=4, seed=5)
     serial = cv()
     forked, spans = in_workers(cv)
     assert len(spans) == 1 and len(spans[0]) == in_workers.cpus
@@ -90,7 +92,7 @@ def test_first_error_in_replicate_order_is_raised(in_workers, error):
         return r
 
     with pytest.raises(error, match="^replicate 3 failed$"):
-        in_workers(lambda: serialize.in_chunks(one, 6, 0, "replicates"))
+        in_workers(lambda: serialize.in_chunks(one, 6, "replicates"))
 
 
 def test_first_failing_bootstrap_replicate_is_the_error_raised(tilted, in_workers):
@@ -138,18 +140,30 @@ def test_a_killed_worker_exits_two(demo_files, tmp_path, capsys, monkeypatch, in
     assert not (out / "metrics.json").exists()
 
 
-def test_below_the_entry_floor_one_loop_runs_here(monkeypatch):
+def test_a_cheap_loop_runs_here_and_a_costly_one_forks(monkeypatch):
+    """Replicate 0 runs here and is timed; the rest fork only when they
+    would take MIN_FORK_SECONDS here at its pace, and then this process
+    goes on from replicate 1."""
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
     real, spans = serialize.fork_join, []
     monkeypatch.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
+    here = []
 
-    def one(r):
+    def cheap(r):
+        here.append(r)
         return os.getpid()
 
-    floor = serialize.MIN_FORK_ENTRIES
-    assert serialize.in_chunks(one, 6, floor - 1, "replicates") == [os.getpid()] * 6
-    assert spans == []
-    pids = serialize.in_chunks(one, 6, floor, "replicates")
+    assert serialize.in_chunks(cheap, 3, "replicates") == [os.getpid()] * 3
+    assert spans == [] and here == [0, 1, 2]
+
+    def costly(r):
+        if r == 0:  # five replicates at this pace take 1.25 MIN_FORK_SECONDS
+            time.sleep(serialize.MIN_FORK_SECONDS / 4)
+        return cheap(r)
+
+    here.clear()
+    pids = serialize.in_chunks(costly, 6, "replicates")
+    assert spans == [[(1, 3), (3, 6)]] and here == [0, 1, 2]
     assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
 
 
@@ -163,7 +177,7 @@ def test_a_worker_chunk_that_fails_reruns_the_loop_here(in_workers):
             raise NumericError("worker")
         return r
 
-    assert in_workers(lambda: serialize.in_chunks(one, 6, 0, "replicates"))[0] == list(range(6))
+    assert in_workers(lambda: serialize.in_chunks(one, 6, "replicates"))[0] == list(range(6))
 
 
 def test_bootstrap_rerun_after_a_failed_worker_equals_one_loop(tilted, in_workers):

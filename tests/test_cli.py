@@ -1916,6 +1916,23 @@ def test_supervised_train_warns_of_unlabeled_rows_in_one_line(demo_files, tmp_pa
     ]
 
 
+def test_huge_embedding_component_exits_two_in_one_line(demo_files, tmp_path):
+    """A component whose square overflows is refused at its line, before
+    any norm is taken: no floating-point warning line comes first."""
+    d = demo_files["dir"]
+    lines = (d / "embeddings.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    name, _, rest = lines[1].split("\t", 2)
+    path = tmp_path / "embeddings.tsv"
+    path.write_text("".join([lines[0], f"{name}\t1e308\t{rest}", *lines[2:]]), encoding="utf-8")
+    argv = ["train", "--model", "axis", "--embeddings", str(path), "--seeds",
+            str(d / "seeds.json"), "--out-dir", str(tmp_path / "out")]
+    done = _python("-m", "demoscope.cli", *argv)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"demoscope: data error: {path}:2: embedding value too large (limit 1e+150)"
+    ]
+
+
 @pytest.mark.parametrize("value, refusal", [("0", "n_bins must be >= 1"),
                                             ("10000000000000", "n_bins must be <= 1000000")],
                          ids=["zero", "ten-trillion"])

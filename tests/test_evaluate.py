@@ -153,10 +153,10 @@ def test_bootstrap_eval_deterministic_and_worker_invariant(monkeypatch):
     spans = []
     real = serialize.fork_join
     monkeypatch.setattr(serialize, "fork_join", lambda *args: spans.append(args[1]) or real(*args))
-    monkeypatch.setattr(serialize, "MIN_FORK_ENTRIES", 0)
+    monkeypatch.setattr(serialize, "MIN_FORK_SECONDS", 0)
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
     c = bootstrap_eval({"nb": nb_factory()}, corpus, n_boot=6, seed=3)["nb"]
-    assert spans == [[(0, 3), (3, 6)]]  # replicates 3-5 ran in a forked worker
+    assert spans == [[(1, 3), (3, 6)]]  # replicate 0 ran first here, 3-5 in a forked worker
     assert np.array_equal(a.metrics["roc_auc"], b.metrics["roc_auc"])
     assert np.array_equal(a.metrics["roc_auc"], c.metrics["roc_auc"])
     assert np.array_equal(a.metrics["f1"], c.metrics["f1"])
