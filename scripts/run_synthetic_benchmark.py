@@ -27,7 +27,7 @@ from demoscope.classifiers import MajorityClassifier, axis_factory, nb_factory
 from demoscope.cli import RunConfig, nb_options
 from demoscope.data import split
 from demoscope.evaluate import bootstrap_eval, learning_curve
-from demoscope.quantify import evaluate_quantifier, fit_quantifier
+from demoscope.quantify import COHORT_SIZE, REPEATS, evaluate_quantifier, fit_quantifier
 
 
 def classification_stage(factories, corpus, n_boot, seed, out):
@@ -79,8 +79,8 @@ def main():
     ap.add_argument("--labeled-fraction", type=float, default=0.5)
     ap.add_argument("--embedding-noise", type=float, default=1.0)
     ap.add_argument("--n-boot", type=int, default=50)
-    ap.add_argument("--repeats", type=int, default=50)
-    ap.add_argument("--cohort-size", type=int, default=500)
+    ap.add_argument("--repeats", type=int, default=REPEATS)
+    ap.add_argument("--cohort-size", type=int, default=COHORT_SIZE)
     # the curve trains on the 70% side of the labeled rows, so the largest
     # size must stay below 0.7 * labeled_fraction * n
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 300, 1000, 2000])

@@ -40,10 +40,6 @@ class EmbeddingTable(NameIndex):
         if not np.all(np.isfinite(vec)):
             raise DataError("embedding vectors must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 # largest |component| accepted: build_axis's norms and dot products stay finite
 MAX_COMPONENT = 1e150

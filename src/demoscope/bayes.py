@@ -46,6 +46,13 @@ SIGMA_FLOOR = 1e-6
 # fitted models are off by about 1e-13
 NORM_TOL = 1e-9
 
+# defaults of the fits, read by cli.RunConfig too
+ALPHA1 = 1.0  # prior pseudo-count
+ALPHA2 = 1.0  # conditional pseudo-count
+MAX_ITER = 100  # EM iteration limit
+TOL = 1e-6  # EM convergence tolerance
+IMPORTANCE_BOOT = 50  # replicates of feature_log_odds_dispersion
+
 
 @dataclass
 class NaiveBayesModel:
@@ -60,8 +67,8 @@ class NaiveBayesModel:
     log_prior: np.ndarray
     log_cond: np.ndarray
     activity: np.ndarray | None = None
-    alpha1: float = 1.0
-    alpha2: float = 1.0
+    alpha1: float = ALPHA1
+    alpha2: float = ALPHA2
     calibrator: IsotonicMap | None = None
 
     def __post_init__(self):
@@ -371,12 +378,12 @@ def fit_semisupervised(
 
 def fit(
     corpus: LabeledCorpus,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
+    alpha1: float = ALPHA1,
+    alpha2: float = ALPHA2,
     use_log_normal: bool = False,
     semi_supervised: bool = False,
-    max_iter: int = 100,
-    tol: float = 1e-6,
+    max_iter: int = MAX_ITER,
+    tol: float = TOL,
     report: bool = True,
 ) -> tuple[NaiveBayesModel, FitReport | None]:
     """EM over every row when semi_supervised (see fit_semisupervised),
@@ -421,9 +428,9 @@ def feature_log_odds(model: NaiveBayesModel) -> np.ndarray:
 
 def feature_log_odds_dispersion(
     corpus: LabeledCorpus,
-    n_boot: int = 50,
+    n_boot: int = IMPORTANCE_BOOT,
     seed: int = 0,
-    alpha2: float = 1.0,
+    alpha2: float = ALPHA2,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrap mean and sample std of the per-community log odds.
 
@@ -449,7 +456,7 @@ def feature_log_odds_dispersion(
         take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
         boot = corpus.subset(np.sort(np.concatenate(take)))
         # the log odds read only the conditionals: no prior pseudo-count moves them
-        return feature_log_odds(_closed_form(boot, 1.0, alpha2))
+        return feature_log_odds(_closed_form(boot, ALPHA1, alpha2))
 
     draws = np.array(in_chunks(one, n_boot, "importance replicates"))
     return draws.mean(axis=0), draws.std(axis=0, ddof=1)

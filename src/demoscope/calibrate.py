@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DataError
 
+N_BINS = 10  # reliability's default bin count, read by cli.RunConfig too
+
 
 @dataclass(frozen=True)
 class IsotonicMap:
@@ -115,7 +117,7 @@ class ReliabilityReport:
     ece: float
 
 
-def reliability(scores, labels, n_bins: int = 10) -> ReliabilityReport:
+def reliability(scores, labels, n_bins: int = N_BINS) -> ReliabilityReport:
     """Bin scores into equal-width bins and compare to empirical rates.
 
     ECE is the count-weighted mean absolute gap between each non-empty

@@ -78,6 +78,8 @@ TrainFn = Callable[[LabeledCorpus], ScoringClassifier]
 def nb_factory(**options) -> TrainFn:
     """Training closure for evaluation protocols: the model of bayes.fit
     with options, fitted without a report nothing reads."""
+    if options.get("use_log_normal"):  # now, not in replicate 0, which in_chunks times
+        import scipy.special  # noqa: F401
 
     def train(corpus: LabeledCorpus) -> bayes.NaiveBayesModel:
         return bayes.fit(corpus, report=False, **options)[0]

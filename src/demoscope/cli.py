@@ -41,9 +41,9 @@ def _setting(default, help: str, choices: tuple[str, ...] = ()):
 
 @dataclass
 class RunConfig:
-    """Every tunable shared by the subcommands. A YAML key is the field
-    name, and a flag the field name with dashes; both are checked against
-    the field's annotation and choices."""
+    """Every tunable shared by the subcommands; a default the library reads
+    too is that module's constant. A YAML key is the field name, a flag the
+    field name with dashes; both are checked against annotation and choices."""
 
     corpus: str | None = _setting(None, "activity corpus file")
     vocabulary: str | None = _setting(None, "community vocabulary file")
@@ -62,27 +62,27 @@ class RunConfig:
     median: float | None = _setting(None, "frozen birth-year median (year attribute)")
     model: str = _setting("nb", "model kind", MODEL_KINDS)
     models: tuple[str, ...] = _setting(("majority", "nb"), "model kinds to compare", MODEL_KINDS)
-    alpha1: float = _setting(1.0, "prior pseudo-count")
-    alpha2: float = _setting(1.0, "conditional pseudo-count")
+    alpha1: float = _setting(bayes.ALPHA1, "prior pseudo-count")
+    alpha2: float = _setting(bayes.ALPHA2, "conditional pseudo-count")
     use_log_normal: bool = _setting(False, "model activity as log-normal per class")
     semi_supervised: bool = _setting(False, "fit unlabeled rows by EM")
-    max_iter: int = _setting(100, "EM iteration limit")
-    tol: float = _setting(1e-6, "EM convergence tolerance")
-    mode: str = _setting("acc", "quantifier mode", quantify.MODES)
-    confidence: float = _setting(0.95, "interval confidence level")
-    n_boot: int = _setting(100, "bootstrap replicates")
-    test_fraction: float = _setting(0.2, "held-out share of each replicate")
+    max_iter: int = _setting(bayes.MAX_ITER, "EM iteration limit")
+    tol: float = _setting(bayes.TOL, "EM convergence tolerance")
+    mode: str = _setting(quantify.MODE, "quantifier mode", quantify.MODES)
+    confidence: float = _setting(quantify.CONFIDENCE, "interval confidence level")
+    n_boot: int = _setting(evaluate.N_BOOT, "bootstrap replicates")
+    test_fraction: float = _setting(evaluate.TEST_FRACTION, "held-out share of each replicate")
     calibration_fraction: float = _setting(0.2, "labeled training share held out for rates")
-    folds: int = _setting(10, "cross-validation folds")
-    repeats: int = _setting(50, "sampled cohorts per model")
-    cohort_size: int = _setting(500, "users per sampled cohort")
+    folds: int = _setting(evaluate.FOLDS, "cross-validation folds")
+    repeats: int = _setting(quantify.REPEATS, "sampled cohorts per model")
+    cohort_size: int = _setting(quantify.COHORT_SIZE, "users per sampled cohort")
     prevalence: float | None = _setting(None, "class-1 share of sampled cohorts (default: natural)")
     taus: tuple[float, ...] = _setting((0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5), "filter thresholds")
     cv_roc: bool = _setting(False, "write a pooled CV ROC curve")
     robustness: bool = _setting(False, "write only a confidence-filter sweep of the saved "
                                 "--model-path (no bootstrap refits, no metrics.json)")
-    n_bins: int = _setting(10, "reliability bins")
-    importance_boot: int = _setting(50, "bootstrap replicates per community")
+    n_bins: int = _setting(calibrate.N_BINS, "reliability bins")
+    importance_boot: int = _setting(bayes.IMPORTANCE_BOOT, "bootstrap replicates per community")
     seed: int = _setting(0, "root random seed")
 
     def validate(self):

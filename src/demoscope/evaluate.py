@@ -1,12 +1,11 @@
 """Evaluation protocols: ranking metrics, bootstrap, cross-validation, curves.
 
 All metrics are computed on labeled rows only. Rows a classifier cannot
-score are dropped and counted, never imputed.
+score are dropped, never imputed; bootstrap_eval counts them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +13,15 @@ import numpy as np
 from .classifiers import TrainFn, score_rows
 from .data import LabeledCorpus, _oversample_rows, class_positions, split, write_csv
 from .errors import DataError
-from .quantify import QuantifierModel, evaluate_quantifier, fit_quantifier
+from .quantify import evaluate_quantifier, fit_quantifier
 from .serialize import in_chunks
 
 EPS_PROB = 1e-12
+
+# defaults of the protocols, read by cli.RunConfig too
+N_BOOT = 100  # bootstrap replicates
+TEST_FRACTION = 0.2  # held-out share of each replicate
+FOLDS = 10  # cross-validation folds
 
 
 def _average_ranks(s: np.ndarray) -> np.ndarray:
@@ -70,7 +74,7 @@ def f1(predictions, labels) -> float:
 
 
 def roc_curve(scores, labels):
-    """ROC points swept over score thresholds, (fpr, tpr, thresholds).
+    """ROC points swept over score thresholds, (fpr, tpr).
 
     Starts at (0, 0) and ends at (1, 1); one point per distinct score.
     """
@@ -88,8 +92,7 @@ def roc_curve(scores, labels):
     fp = np.cumsum(y == 0)[cut]
     fpr = np.concatenate([[0.0], fp / n0])
     tpr = np.concatenate([[0.0], tp / n1])
-    thresholds = np.concatenate([[np.inf], s[cut]])
-    return fpr, tpr, thresholds
+    return fpr, tpr
 
 
 @dataclass
@@ -116,7 +119,6 @@ class CurveData:
     y: np.ndarray
     y_std: np.ndarray | None = None
     aux: dict[str, np.ndarray] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         """One column per series (x, y, y_std when set, then aux), one row
@@ -132,8 +134,8 @@ class CurveData:
 def bootstrap_eval(
     models: dict[str, TrainFn],
     corpus: LabeledCorpus,
-    n_boot: int = 100,
-    test_fraction: float = 0.2,
+    n_boot: int = N_BOOT,
+    test_fraction: float = TEST_FRACTION,
     seed: int = 0,
 ) -> dict[str, MetricReport]:
     """Repeated stratified holdout, one MetricReport per model name: each
@@ -173,7 +175,7 @@ def bootstrap_eval(
 def cv_roc(
     models: dict[str, TrainFn],
     corpus: LabeledCorpus,
-    folds: int = 10,
+    folds: int = FOLDS,
     seed: int = 0,
 ) -> dict[str, CurveData]:
     """Pooled ROC from stratified k-fold cross-validation, one curve per
@@ -210,11 +212,8 @@ def cv_roc(
             pooled_scores[test_idx], scorable[test_idx] = scored[name]
         # every labeled row is in exactly one test fold
         ok = np.flatnonzero(scorable)
-        dropped = int(corpus.labeled_mask.sum() - ok.size)
-        fpr, tpr, _ = roc_curve(pooled_scores[ok], labels[ok])
-        auc = roc_auc(pooled_scores[ok], labels[ok])
-        curves[name] = CurveData(x=fpr, y=tpr,
-                                 meta={"auc": auc, "folds": folds, "dropped_rows": dropped})
+        fpr, tpr = roc_curve(pooled_scores[ok], labels[ok])
+        curves[name] = CurveData(x=fpr, y=tpr)
     return curves
 
 
@@ -273,12 +272,7 @@ def learning_curve(
         )
         maes[i] = rep.mae
         stds[i] = rep.ae_std
-    return CurveData(
-        x=np.array(sizes, dtype=np.float64),
-        y=maes,
-        y_std=stds,
-        meta={"repeats": repeats},
-    )
+    return CurveData(x=np.array(sizes, dtype=np.float64), y=maes, y_std=stds)
 
 
 def _stratified_subsample(labels, lab_idx, s: int, rng) -> np.ndarray:
@@ -313,7 +307,6 @@ def robustness_sweep(
         raise DataError("taus must be a non-empty list within [0, 0.5]")
     scores, _, ok = score_rows(classifier, corpus)
     keep = ok & corpus.labeled_mask
-    dropped = int((corpus.labeled_mask & ~ok).sum())
     scores, labels = scores[keep], corpus.labels[keep]
     if scores.size == 0:
         raise DataError("no scorable labeled rows")
@@ -324,9 +317,4 @@ def robustness_sweep(
         retained[i] = keep.mean()
         if keep.any() and len(set(labels[keep].tolist())) == 2:
             aucs[i] = roc_auc(scores[keep], labels[keep])
-    return CurveData(
-        x=taus,
-        y=aucs,
-        aux={"retained": retained},
-        meta={"dropped_rows": dropped},
-    )
+    return CurveData(x=taus, y=aucs, aux={"retained": retained})

@@ -27,6 +27,12 @@ EXACT_LIMIT = 1000
 
 MODES = ("cc", "acc")
 
+# defaults, read by cli.RunConfig too
+MODE = "acc"  # one of MODES
+CONFIDENCE = 0.95  # interval confidence level
+REPEATS = 50  # cohorts evaluate_quantifier samples
+COHORT_SIZE = 500  # users per sampled cohort
+
 
 @dataclass
 class QuantifierModel:
@@ -71,7 +77,7 @@ class PrevalenceEstimate:
 def fit_quantifier(
     classifier: ScoringClassifier,
     validation: LabeledCorpus | None,
-    mode: str = "acc",
+    mode: str = MODE,
 ) -> QuantifierModel:
     """Measure correction rates on held-out labeled validation data.
 
@@ -80,10 +86,8 @@ def fit_quantifier(
     among the scorable validation rows, and the measured rates must
     differ.
     """
-    if mode == "cc":
-        return QuantifierModel(classifier=classifier, mode="cc")
-    if mode != "acc":
-        raise DataError(f"unknown quantifier mode {mode!r}")
+    if mode != "acc":  # cc needs no rates, and the model refuses a mode not in MODES
+        return QuantifierModel(classifier=classifier, mode=mode)
     if validation is None:
         raise DataError("acc mode requires a validation corpus")
     labels = validation.labels
@@ -110,7 +114,7 @@ def fit_quantifier(
 
 def poisson_binomial_interval(
     scores,
-    confidence: float = 0.95,
+    confidence: float = CONFIDENCE,
     method: str = "normal",
 ) -> tuple[float, float, float]:
     """Prevalence interval for independent Bernoulli draws with means scores.
@@ -167,7 +171,7 @@ def exact_count_pmf(scores) -> np.ndarray:
 def estimate(
     quantifier: QuantifierModel,
     cohort: LabeledCorpus,
-    confidence: float = 0.95,
+    confidence: float = CONFIDENCE,
 ) -> PrevalenceEstimate:
     """Estimate class-1 prevalence in a cohort.
 
@@ -280,10 +284,10 @@ class QuantReport:
 def evaluate_quantifier(
     quantifier: QuantifierModel,
     pool: LabeledCorpus,
-    repeats: int = 50,
-    size: int = 500,
+    repeats: int = REPEATS,
+    size: int = COHORT_SIZE,
     prevalence: float | None = None,
-    confidence: float = 0.95,
+    confidence: float = CONFIDENCE,
     seed: int = 0,
 ) -> QuantReport:
     """Sample cohorts from a labeled pool and score the quantifier.

@@ -163,6 +163,12 @@ def naive_roc_auc(scores, labels):
     return wins / (pos.size * neg.size)
 
 
+def curve_auc(curve) -> float:
+    """Trapezoid area under a ROC curve's points: the rank AUC of the
+    scores it was swept from, ties counted half."""
+    return float(np.sum(np.diff(curve.x) * (curve.y[1:] + curve.y[:-1]) / 2))
+
+
 class FixedPredictionClassifier:
     """Test double with per-user predetermined predictions.
 

@@ -61,7 +61,7 @@ def test_load_embeddings_roundtrip(tmp_path):
     p.write_text("a\t0.5\t-1.0\nb\t1.5\t2.0\n\n")
     table = load_embeddings(p)
     assert table.names == ("a", "b")
-    assert table.dim == 2
+    assert table.vectors.shape == (2, 2)
     assert table.vectors.tolist() == [[0.5, -1.0], [1.5, 2.0]]
 
 

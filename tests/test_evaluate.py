@@ -20,7 +20,13 @@ from demoscope.evaluate import (
     roc_curve,
 )
 
-from helpers import ConstantScoreClassifier, FixedPredictionClassifier, corpus_from_dense, naive_roc_auc
+from helpers import (
+    ConstantScoreClassifier,
+    FixedPredictionClassifier,
+    corpus_from_dense,
+    curve_auc,
+    naive_roc_auc,
+)
 
 
 def test_roc_auc_hand_values():
@@ -105,15 +111,13 @@ def test_f1_hand_values():
 
 
 def test_roc_curve_hand_fixture():
-    fpr, tpr, thr = roc_curve([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
+    fpr, tpr = roc_curve([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
     assert fpr.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
     assert tpr.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
-    assert thr[0] == np.inf
-    assert thr[1:].tolist() == [0.9, 0.8, 0.7, 0.6]
 
 
 def test_roc_curve_ties_collapse_points():
-    fpr, tpr, _ = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
+    fpr, tpr = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
     assert fpr.tolist() == [0.0, 1.0]
     assert tpr.tolist() == [0.0, 1.0]
     with pytest.raises(DataError, match="both classes"):
@@ -124,7 +128,7 @@ def test_roc_curve_monotone_property(rng):
     s = rng.uniform(0, 1, size=80)
     y = rng.integers(0, 2, size=80)
     y[0], y[1] = 0, 1
-    fpr, tpr, _ = roc_curve(s, y)
+    fpr, tpr = roc_curve(s, y)
     assert np.all(np.diff(fpr) >= 0)
     assert np.all(np.diff(tpr) >= 0)
     assert fpr[0] == 0.0 and fpr[-1] == 1.0
@@ -206,8 +210,13 @@ def test_bootstrap_eval_names_the_model_whose_replicate_fails():
 def test_cv_roc_pools_all_labeled_rows():
     corpus = _separable_corpus(n=100, labeled_fraction=0.8)
     curve = cv_roc({"nb-ss": nb_factory(semi_supervised=True)}, corpus, folds=5, seed=4)["nb-ss"]
-    assert curve.meta["auc"] > 0.8
-    assert curve.meta["dropped_rows"] == 0
+    assert curve_auc(curve) > 0.8
+    # every labeled row is pooled: its scores are all distinct, so the
+    # curve has one point per row past (0, 0), in steps of 1/n0 and 1/n1
+    n0, n1 = corpus.class_counts()
+    assert curve.x.size == 1 + n0 + n1
+    assert np.array_equal(curve.x, np.round(curve.x * n0) / n0)
+    assert np.array_equal(curve.y, np.round(curve.y * n1) / n1)
     assert np.all(np.diff(curve.x) >= 0)
     assert curve.y[-1] == 1.0
     again = cv_roc({"nb-ss": nb_factory(semi_supervised=True)}, corpus, folds=5, seed=4)["nb-ss"]
@@ -316,8 +325,8 @@ def test_scored_subset_drops_unscorable_rows():
     preds[bad] = -1
     clf = FixedPredictionClassifier(preds, scores)
     curve = robustness_sweep(clf, corpus, [0.5])
-    # one labeled row dropped; the unlabeled row never counts
-    assert curve.meta["dropped_rows"] == 1
+    # the unscorable labeled row is dropped, not kept as a row no tau retains
+    assert curve.aux["retained"].tolist() == [1.0]
 
 
 def test_curve_csv_columns_and_float_text(tmp_path):

@@ -70,6 +70,8 @@ def test_fit_quantifier_errors():
     clf = ConstantScoreClassifier(0.9)
     with pytest.raises(DataError, match="validation"):
         fit_quantifier(clf, None, mode="acc")
+    with pytest.raises(DataError, match="^unknown quantifier mode 'sld'$"):
+        fit_quantifier(clf, None, mode="sld")
     one_class = corpus_from_dense([[1, 0], [0, 2]], [1, 1])
     with pytest.raises(DataError, match="both classes"):
         fit_quantifier(clf, one_class, mode="acc")
