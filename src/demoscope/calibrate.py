@@ -3,6 +3,11 @@
 Fitting is pool-adjacent-violators over tie-grouped scores. The fitted
 map is stored as breakpoints plus values and applied by linear
 interpolation, clamping outside the observed score range.
+
+_check_scored is the one check of a (scores, labels) sample, here and in
+evaluate's metrics and quantify's interval and rates: non-empty 1-d
+arrays of equal length, finite scores, labels 0 or 1, and where a caller
+asks, scores in [0, 1], both classes present and a minimum size.
 """
 
 from __future__ import annotations
@@ -40,6 +45,26 @@ class IsotonicMap:
             raise DataError("values must lie in [0, 1]")
 
 
+def _check_scored(scores, labels=None, name="", unit=False, both=False, min_size=1):
+    """(scores, labels) as arrays, or a DataError naming the first rule they
+    break; name says what needs the sample. labels=None checks scores alone."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = s if labels is None else np.asarray(labels)
+    if s.ndim != 1 or y.shape != s.shape or s.size == 0:
+        raise DataError("scores and labels must be non-empty 1-d arrays of equal length")
+    if s.size < min_size:
+        raise DataError(f"{name} needs >= {min_size} pairs, got {s.size}")
+    if not np.all(np.isfinite(s)):
+        raise DataError("scores must be finite; drop unscorable rows first")
+    if unit and (s.min() < 0.0 or s.max() > 1.0):
+        raise DataError("scores must lie in [0, 1]")
+    if labels is not None and not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 or 1")
+    if both and y.min() == y.max():
+        raise DataError(f"{name} needs both classes present")
+    return s, y
+
+
 def _pava(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted monotone (non-decreasing) least-squares fit.
 
@@ -72,19 +97,7 @@ def fit_isotonic(scores, labels) -> IsotonicMap:
     is the tie count. Requires n >= 2, scores in [0, 1], both classes
     present.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.ndim != 1 or s.shape != y.shape:
-        raise DataError("scores and labels must be 1-d arrays of equal length")
-    if s.size < 2:
-        raise DataError(f"calibration needs >= 2 pairs, got {s.size}")
-    if not np.all(np.isfinite(s)) or s.min() < 0.0 or s.max() > 1.0:
-        raise DataError("calibration scores must lie in [0, 1]")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise DataError("calibration labels must be 0 or 1")
-    if y.min() == y.max():
-        raise DataError("calibration needs both classes present")
-
+    s, y = _check_scored(scores, labels, "calibration", unit=True, both=True, min_size=2)
     uniq, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
     pos = np.zeros(uniq.size, dtype=np.float64)
     np.add.at(pos, inverse, y)
@@ -124,14 +137,7 @@ def reliability(scores, labels, n_bins: int = N_BINS) -> ReliabilityReport:
     bin's mean score and its positive rate. Empty bins hold NaN and are
     excluded. Scores of exactly 1.0 fall in the last bin.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.ndim != 1 or s.shape != y.shape or s.size == 0:
-        raise DataError("scores and labels must be non-empty 1-d arrays of equal length")
-    if not np.all(np.isfinite(s)) or s.min() < 0.0 or s.max() > 1.0:
-        raise DataError("scores must lie in [0, 1]")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise DataError("labels must be 0 or 1")
+    s, y = _check_scored(scores, labels, unit=True)
     if n_bins < 1:
         raise DataError(f"n_bins must be >= 1, got {n_bins}")
 

@@ -5,8 +5,9 @@ scoring pass that returns probability-like scores for class 1 together
 with hard predictions, and whether the scores are calibrated. Fitted
 NaiveBayesModel and AxisModel objects provide both themselves. Scores
 are NaN (and predictions -1) for rows a model cannot score; score_rows
-is the one place that turns that into a mask, and downstream code drops
-the rows outside it and reports the count.
+is the one place that turns that into a mask, and scored_sample the one
+place that keeps a model's scorable labeled rows, the sample every metric,
+calibration and correction rate is measured on.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def score_rows(
     scorable unless its score is NaN or its prediction is -1."""
     scores, preds = model.score(corpus)
     return scores, preds, np.isfinite(scores) & (preds >= 0)
+
+
+def scored_sample(
+    model: ScoringClassifier, corpus: LabeledCorpus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, predictions, labels) of the labeled rows the model can
+    score, in row order, from one scoring pass; empty when there are none."""
+    scores, preds, ok = score_rows(model, corpus)
+    ok &= corpus.labeled_mask
+    return scores[ok], preds[ok], corpus.labels[ok]
 
 
 @dataclass

@@ -408,24 +408,21 @@ def cmd_calibrate(run: Run):
     if isinstance(model, classifiers.MajorityClassifier):
         raise DataError(f"{model_path} holds a majority model, which has no scores to calibrate")
     corpus = _load_corpus(run)
-    labels = corpus.labels
     # a map already attached is replaced, so the new one is fitted to raw scores
     model.calibrator = None
-    scores, _, scorable = classifiers.score_rows(model, corpus)
-    ok = scorable & corpus.labeled_mask
-    if not ok.any():
+    scores, _, labels = classifiers.scored_sample(model, corpus)
+    if labels.size == 0:
         raise DataError("calibration corpus has no scorable labeled rows")
-    before = calibrate.reliability(scores[ok], labels[ok], n_bins=run.cfg.n_bins)
-    cal = calibrate.fit_isotonic(scores[ok], labels[ok])
+    before = calibrate.reliability(scores, labels, n_bins=run.cfg.n_bins)
+    cal = calibrate.fit_isotonic(scores, labels)
     model.calibrator = cal
-    after = calibrate.reliability(calibrate.apply_map(cal, scores[ok]), labels[ok],
-                                  n_bins=run.cfg.n_bins)
+    after = calibrate.reliability(calibrate.apply_map(cal, scores), labels, n_bins=run.cfg.n_bins)
     path = run.output("model.json")
     save_model(model, path)
     run.write_json(
         "calibration_report.json",
         {
-            "pairs": int(ok.sum()),
+            "pairs": labels.size,
             "ece_before": before.ece,
             "ece_after": after.ece,
             "knots": len(cal.breakpoints),

@@ -1,7 +1,9 @@
 """Evaluation protocols: ranking metrics, bootstrap, cross-validation, curves.
 
 All metrics are computed on labeled rows only. Rows a classifier cannot
-score are dropped, never imputed; bootstrap_eval counts them.
+score are dropped, never imputed (classifiers.scored_sample); bootstrap_eval
+counts them. roc_auc, roc_curve and f1 check their input with the one
+(scores, labels) check, calibrate._check_scored.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import TrainFn, score_rows
+from .calibrate import _check_scored
+from .classifiers import TrainFn, score_rows, scored_sample
 from .data import LabeledCorpus, _oversample_rows, class_positions, split, write_csv
 from .errors import DataError
 from .quantify import evaluate_quantifier, fit_quantifier
@@ -42,18 +45,9 @@ def roc_auc(scores, labels) -> float:
     Equivalent to the Mann-Whitney U statistic normalized by n0 * n1.
     A constant scorer gets exactly 0.5.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.ndim != 1 or s.shape != y.shape or s.size == 0:
-        raise DataError("scores and labels must be non-empty 1-d arrays of equal length")
-    if not np.all(np.isfinite(s)):
-        raise DataError("scores must be finite; drop unscorable rows first")
-    if not np.isin(y, (0, 1)).all():
-        raise DataError("labels must be 0 or 1")
+    s, y = _check_scored(scores, labels, "ROC AUC", both=True)
     n1 = int((y == 1).sum())
-    n0 = int((y == 0).sum())
-    if n1 == 0 or n0 == 0:
-        raise DataError("ROC AUC needs both classes present")
+    n0 = s.size - n1
     ranks = _average_ranks(s)
     u = ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0
     return float(u / (n0 * n1))
@@ -61,10 +55,7 @@ def roc_auc(scores, labels) -> float:
 
 def f1(predictions, labels) -> float:
     """F1 of class 1; 0.0 when there are no true positives."""
-    p = np.asarray(predictions)
-    y = np.asarray(labels)
-    if p.shape != y.shape or p.ndim != 1 or p.size == 0:
-        raise DataError("predictions and labels must be non-empty 1-d arrays of equal length")
+    p, y = _check_scored(predictions, labels)
     tp = int(((p == 1) & (y == 1)).sum())
     fp = int(((p == 1) & (y != 1)).sum())
     fn = int(((p != 1) & (y == 1)).sum())
@@ -78,15 +69,12 @@ def roc_curve(scores, labels):
 
     Starts at (0, 0) and ends at (1, 1); one point per distinct score.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
+    s, y = _check_scored(scores, labels, "ROC curve", both=True)
     order = np.argsort(-s, kind="stable")
     s = s[order]
     y = y[order]
     n1 = int((y == 1).sum())
-    n0 = int((y == 0).sum())
-    if n1 == 0 or n0 == 0:
-        raise DataError("ROC curve needs both classes present")
+    n0 = s.size - n1
     cut = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
     tp = np.cumsum(y == 1)[cut]
     fp = np.cumsum(y == 0)[cut]
@@ -157,11 +145,11 @@ def bootstrap_eval(
         train, test = split(corpus, test_fraction, child, oversample=True)
         found = {}
         for name, factory in models.items():
-            scores, preds, ok = score_rows(factory(train), test)
-            labels = test.labels[ok]  # the test side of a split is all labeled
-            if not ok.any() or len(set(labels.tolist())) < 2:
+            scores, preds, labels = scored_sample(factory(train), test)
+            if len(set(labels.tolist())) < 2:
                 raise DataError(f"replicate {b}: {name} lost a test class to dropped rows")
-            found[name] = roc_auc(scores[ok], labels), f1(preds[ok], labels), int((~ok).sum())
+            # the test side of a split is all labeled, so every other row was unscorable
+            found[name] = roc_auc(scores, labels), f1(preds, labels), test.n - labels.size
         return found
 
     results = in_chunks(one, n_boot, "bootstrap replicates")
@@ -305,9 +293,7 @@ def robustness_sweep(
     taus = np.asarray(list(taus), dtype=np.float64)
     if taus.size == 0 or np.any(taus < 0.0) or np.any(taus > 0.5):
         raise DataError("taus must be a non-empty list within [0, 0.5]")
-    scores, _, ok = score_rows(classifier, corpus)
-    keep = ok & corpus.labeled_mask
-    scores, labels = scores[keep], corpus.labels[keep]
+    scores, _, labels = scored_sample(classifier, corpus)
     if scores.size == 0:
         raise DataError("no scorable labeled rows")
     aucs = np.full(taus.size, np.nan)

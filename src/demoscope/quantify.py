@@ -9,7 +9,9 @@ Two estimators over a cohort of m scored users:
 estimate centres its interval on the point estimate (the CC share or the
 ACC value), with the normal half-width of a Poisson-Binomial count over the
 calibrated scores q_i, variance sum q_i (1 - q_i); ACC divides it by
-|tpr - fpr|. Only criterion 5's poisson_binomial_interval centres on the mean.
+|tpr - fpr|. Only criterion 5's poisson_binomial_interval centres on the mean;
+it checks its scores with the one (scores, labels) check,
+calibrate._check_scored, as fit_quantifier checks its validation sample.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ScoringClassifier, score_rows
+from .calibrate import _check_scored
+from .classifiers import ScoringClassifier, score_rows, scored_sample
 from .data import LabeledCorpus
 from .errors import DataError, NumericError
 
@@ -90,17 +93,10 @@ def fit_quantifier(
         return QuantifierModel(classifier=classifier, mode=mode)
     if validation is None:
         raise DataError("acc mode requires a validation corpus")
-    labels = validation.labels
-    _, preds, scorable = score_rows(classifier, validation)
-    usable = scorable & validation.labeled_mask
-    if not usable.any():
+    _, p, y = scored_sample(classifier, validation)
+    if y.size == 0:
         raise DataError("validation has no scorable labeled rows")
-    y = labels[usable]
-    p = preds[usable]
-    n1 = int((y == 1).sum())
-    n0 = int((y == 0).sum())
-    if n1 == 0 or n0 == 0:
-        raise DataError("validation must contain both classes")
+    _check_scored(p, y, "validation", both=True)
     tpr = float((p[y == 1] == 1).mean())
     fpr = float((p[y == 0] == 1).mean())
     return QuantifierModel(
@@ -108,7 +104,7 @@ def fit_quantifier(
         mode="acc",
         tpr=tpr,
         fpr=fpr,
-        validation_size=int(usable.sum()),
+        validation_size=y.size,
     )
 
 
@@ -124,11 +120,7 @@ def poisson_binomial_interval(
     convolves the count distribution and takes equal-tail quantiles
     (cohorts up to 1000). Bounds clamp to [0, 1].
     """
-    q = np.asarray(scores, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise DataError("scores must be a non-empty 1-d array")
-    if not np.all(np.isfinite(q)) or q.min() < 0.0 or q.max() > 1.0:
-        raise DataError("scores must lie in [0, 1]")
+    q, _ = _check_scored(scores, unit=True)
     if not (0.0 < confidence < 1.0):
         raise DataError(f"confidence must lie in (0, 1), got {confidence}")
     m = q.size
@@ -261,15 +253,6 @@ def npp_sample(
     return cohorts
 
 
-def mae(estimates, truths) -> float:
-    """Mean absolute error between prevalence estimates and truths."""
-    e = np.asarray(estimates, dtype=np.float64)
-    t = np.asarray(truths, dtype=np.float64)
-    if e.shape != t.shape or e.ndim != 1 or e.size == 0:
-        raise DataError("estimates and truths must be non-empty 1-d arrays of equal length")
-    return float(np.abs(e - t).mean())
-
-
 @dataclass
 class QuantReport:
     """Repeated-cohort evaluation of one quantifier."""
@@ -318,7 +301,7 @@ def evaluate_quantifier(
     return QuantReport(
         estimates=ests,
         truths=truths,
-        mae=mae(ests, truths),
+        mae=float(errors.mean()),
         ae_std=float(errors.std(ddof=1)) if repeats > 1 else 0.0,
         coverage=float(np.mean(covered)) if covered else None,
     )

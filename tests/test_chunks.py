@@ -123,14 +123,14 @@ def test_first_failing_bootstrap_replicate_is_the_error_raised(tilted, in_worker
 
 
 def test_a_killed_worker_exits_two(demo_files, tmp_path, capsys, monkeypatch, in_workers):
-    parent, real = os.getpid(), evaluate.score_rows
+    parent, real = os.getpid(), evaluate.scored_sample
 
-    def score_rows(*args):
+    def scored_sample(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args)
 
-    monkeypatch.setattr(evaluate, "score_rows", score_rows)
+    monkeypatch.setattr(evaluate, "scored_sample", scored_sample)
     d, out = demo_files["dir"], tmp_path / "out"
     argv = ["evaluate", "--corpus", str(d / "corpus.jsonl"), "--vocabulary",
             str(d / "vocab.txt"), "--n-boot", "4", "--out-dir", str(out)]

@@ -124,6 +124,20 @@ def test_roc_curve_ties_collapse_points():
         roc_curve([0.5, 0.6], [1, 1])
 
 
+@pytest.mark.parametrize("scores, labels, fragment", [
+    ([0.2, np.nan, 0.9, 0.1], [0, 1, 1, 0], "finite"),
+    ([0.1, 0.2], [0, 2], "0 or 1"),
+    ([0.1, 0.2], [0, 1, 1], "equal length"),
+    ([], [], "non-empty"),
+], ids=["nan-score", "label-2", "lengths", "empty"])
+def test_roc_curve_refuses_what_roc_auc_refuses(scores, labels, fragment):
+    """A NaN score is no curve point, and a label outside {0, 1} is refused
+    as such, not as a missing class; roc_auc refuses each the same way."""
+    for metric in (roc_auc, roc_curve):
+        with pytest.raises(DataError, match=fragment):
+            metric(scores, labels)
+
+
 def test_roc_curve_monotone_property(rng):
     s = rng.uniform(0, 1, size=80)
     y = rng.integers(0, 2, size=80)

@@ -18,9 +18,18 @@ was written, from the arithmetic:
 - Permuting the rows moves EM's log-normal fit by rounding only: every
   log conditional and log prior within 16 EPS (3.6e-15; 1.8e-15 was
   measured), with as many iterations. Its sums of responsibilities run
-  in another order. The activity parameters are not pinned: on the
-  shuffled demo corpus below, mu (about 3) moved by 24 EPS, a weighted
-  mean of a few hundred log totals summed in another order.
+  in another order.
+- The same permutation moves each activity parameter (mu_y, sigma_y)
+  within 4n EPS of its value, relative, for n rows (8000 EPS, 1.8e-12,
+  for the 2000 rows below; 3.5 EPS was measured). mu_y and sigma_y**2
+  are responsibility-weighted means over the n rows: a sum of n
+  non-negative terms over the sum of their n weights. Such a sum rounds
+  at most n - 1 times, each time by at most EPS/2 of its total, so two
+  orders differ by at most n EPS relative, and the quotient of two such
+  sums by at most 2n EPS; sigma_y, a square root, by half its
+  variance's gap. That is one M-step. EM's earlier iterations reach the
+  last M-step only through its responsibilities, which the previous
+  parameters' rounding moves; they are given as much again, 2n EPS.
 - An isotonic map fitted on s**3 has bit-identical knot values, and its
   breakpoints are the cubes of the original ones: cubing is strictly
   increasing on doubles in [0, 1] that do not underflow, so the same
@@ -135,6 +144,8 @@ def test_row_permutation_moves_em_log_normal_by_rounding_only():
     assert shuffled_report.iterations == report.iterations >= 2
     for name in ("log_cond", "log_prior"):
         assert np.abs(getattr(shuffled, name) - getattr(model, name)).max() <= 16 * EPS, name
+    gap = np.abs(shuffled.activity - model.activity)
+    assert np.all(gap <= 4 * corpus.n * EPS * np.abs(model.activity))
 
 
 def test_isotonic_on_cubed_scores_keeps_the_knot_values():

@@ -18,7 +18,6 @@ from demoscope.quantify import (
     evaluate_quantifier,
     exact_count_pmf,
     fit_quantifier,
-    mae,
     npp_sample,
     poisson_binomial_interval,
 )
@@ -277,10 +276,7 @@ def test_npp_sample_deficit_and_validation():
         npp_sample(pool, 0.5, repeats=0, size=2)
 
 
-def test_mae_and_cc_bias_fixtures():
-    assert mae([0.1, 0.5], [0.2, 0.2]) == pytest.approx(0.2)
-    with pytest.raises(DataError):
-        mae([0.1], [0.1, 0.2])
+def test_cc_bias_fixtures():
     assert cc_bias(0.8, 0.2, 0.25) == pytest.approx(0.1)
     assert cc_bias(1.0, 0.0, 0.7) == 0.0
 
