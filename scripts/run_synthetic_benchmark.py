@@ -95,9 +95,7 @@ def main():
     corpus = synth.sample_corpus(world, args.n, rng, labeled_fraction=args.labeled_fraction)
     table = synth.derive_embeddings(world, w, rng, noise=args.embedding_noise)
     seeds = synth.seed_sets_from_direction(world, w, per_pole=5)
-    # seed pole_a marks class 0; the axis puts its positive pole first
-    axis = build_axis(table, pole_a=seeds.pole_b, pole_b=seeds.pole_a,
-                      attribute="synthetic")
+    axis = build_axis(table, seeds)
 
     # each NB kind as the CLI's --model defines it, at the default settings
     defaults = RunConfig()

@@ -18,6 +18,7 @@ import numpy as np
 from .calibrate import IsotonicMap, apply_map
 from .data import CommunityVocabulary, LabeledCorpus, NameIndex
 from .errors import DataError
+from .labeling import SeedSets
 from .serialize import text_lines
 
 
@@ -76,7 +77,9 @@ def load_embeddings(path) -> EmbeddingTable:
 
 @dataclass
 class AxisModel:
-    """A fitted axis: per-community z scores and an optional calibrator."""
+    """A fitted axis: per-community z scores and an optional calibrator.
+    pole_a holds the positive side's pole communities, pole_b the
+    negative side's."""
 
     attribute: str
     communities: tuple[str, ...]
@@ -122,30 +125,19 @@ def _cosine(vectors: np.ndarray, axis_vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_axis(
-    table: EmbeddingTable,
-    pole_a,
-    pole_b,
-    attribute: str = "",
-) -> AxisModel:
-    """Build a cosine axis from two disjoint pole community sets.
+def build_axis(table: EmbeddingTable, seeds: SeedSets) -> AxisModel:
+    """Build a cosine axis from a seed set's two pole community sets.
 
-    The axis direction is mean(pole_a vectors) - mean(pole_b vectors),
-    so pole_a communities land on the positive side. Pole names missing
-    from the table are warned about and skipped; each pole needs at
-    least one resolvable name. Cosine similarities to the axis are
+    The axis direction is mean(pole_b vectors) - mean(pole_a vectors),
+    so the class-1 pole, pole_b, lands on the positive side. Pole names
+    missing from the table are warned about and skipped; each pole needs
+    at least one resolvable name. Cosine similarities to the axis are
     z-standardized over the full table.
     Swapping the poles exactly negates every z score.
     """
-    pole_a = tuple(pole_a)
-    pole_b = tuple(pole_b)
-    if not pole_a or not pole_b:
-        raise DataError("both poles must be non-empty")
-    if set(pole_a) & set(pole_b):
-        raise DataError(f"poles overlap: {sorted(set(pole_a) & set(pole_b))}")
-    ia = table.pole(pole_a, "pole_a", "pole")
-    ib = table.pole(pole_b, "pole_b", "pole")
-    axis_vec = table.vectors[ia].mean(axis=0) - table.vectors[ib].mean(axis=0)
+    ia = table.pole(seeds.pole_a, "pole_a", "pole")
+    ib = table.pole(seeds.pole_b, "pole_b", "pole")
+    axis_vec = table.vectors[ib].mean(axis=0) - table.vectors[ia].mean(axis=0)
     if np.linalg.norm(axis_vec) == 0.0:
         raise DataError("degenerate axis: pole means coincide")
     raw = _cosine(table.vectors, axis_vec)
@@ -154,11 +146,11 @@ def build_axis(
         raise DataError("degenerate axis: all communities project identically")
     z = (raw - raw.mean()) / std
     return AxisModel(
-        attribute=attribute,
+        attribute=seeds.attribute,
         communities=table.names,
         z=z,
-        pole_a=pole_a,
-        pole_b=pole_b,
+        pole_a=seeds.pole_b,
+        pole_b=seeds.pole_a,
     )
 
 

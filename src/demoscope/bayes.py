@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .calibrate import IsotonicMap, apply_map
-from .data import LabeledCorpus
+from .data import LabeledCorpus, class_pools
 from .errors import DataError, NumericError
 from .serialize import in_chunks
 
@@ -264,10 +264,7 @@ def _closed_form(
 ) -> NaiveBayesModel:
     """The smoothed M-step on a fully labeled corpus with one-hot
     responsibilities; every class must have a row."""
-    counts = corpus.class_counts()
-    if counts.min() < 1:
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise DataError(f"class {missing} has no labeled rows")
+    class_pools(corpus.labels, 1, "naive Bayes fit")
     X, log_act = corpus.X, np.log(corpus.activities())
     log_prior, log_cond, activity = _m_step(
         X, log_act, _one_hot(corpus.labels), alpha1, alpha2, use_log_normal
@@ -441,19 +438,14 @@ def feature_log_odds_dispersion(
     """
     if n_boot < 2:
         raise DataError(f"n_boot must be >= 2, got {n_boot}")
-    if not corpus.labeled_mask.any():
-        raise DataError("log-odds dispersion needs labeled rows")
     # rows are drawn by position within each class pool, so drawing from
     # the corpus's pools takes the rows a labeled-only subset would
-    class_pools = [np.flatnonzero(corpus.labels == y) for y in (0, 1)]
-    for y, pool in enumerate(class_pools):
-        if pool.size == 0:
-            raise DataError(f"class {y} has no labeled rows")
+    pools = class_pools(corpus.labels, 1, "log-odds dispersion")
     _validate_hyper(alpha2=alpha2)
 
     def one(b: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        take = [rng.choice(pool, size=pool.size, replace=True) for pool in class_pools]
+        take = [rng.choice(pool, size=pool.size, replace=True) for pool in pools]
         boot = corpus.subset(np.sort(np.concatenate(take)))
         # the log odds read only the conditionals: no prior pseudo-count moves them
         return feature_log_odds(_closed_form(boot, ALPHA1, alpha2))

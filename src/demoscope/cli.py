@@ -342,13 +342,7 @@ def _seed_set(run: Run) -> labeling.SeedSets:
 
 
 def _axis_from_config(run: Run) -> axis.AxisModel:
-    table = axis.load_embeddings(run.input("embeddings"))
-    seeds = _seed_set(run)
-    # seed pole_a marks class 0, but the axis scores its own pole_a
-    # positively (class 1), so the poles swap when building the axis
-    return axis.build_axis(
-        table, pole_a=seeds.pole_b, pole_b=seeds.pole_a, attribute=seeds.attribute
-    )
+    return axis.build_axis(axis.load_embeddings(run.input("embeddings")), _seed_set(run))
 
 
 def nb_options(kind: str, cfg: RunConfig) -> dict:

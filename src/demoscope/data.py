@@ -569,12 +569,7 @@ def split(
         seed = np.random.SeedSequence(seed)
     split_seed, over_seed = seed.spawn(2)
     labels, counts = corpus.labels, corpus.class_counts()
-    for y in (0, 1):
-        if counts[y] < 2:
-            raise DataError(
-                f"stratified split needs >= 2 labeled rows per class, class {y} has {counts[y]}"
-            )
-    position = class_positions(labels, np.random.default_rng(split_seed))
+    position = class_positions(labels, np.random.default_rng(split_seed), 2, "stratified split")
     n_test = np.floor(test_fraction * counts).astype(np.int64)
     test = (labels >= 0) & (position < n_test[labels])  # unlabeled rows go to train
     train_idx, test_idx = np.flatnonzero(~test), np.flatnonzero(test)
@@ -583,12 +578,25 @@ def split(
     return corpus.subset(train_idx), corpus.subset(test_idx)
 
 
-def class_positions(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def class_pools(labels: np.ndarray, least: int = 0, what: str = ""):
+    """The row positions of class 0's labels and of class 1's, in row
+    order. A class with fewer than least rows is a DataError naming what
+    needs them."""
+    pools = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    for y, pool in enumerate(pools):
+        if pool.size < least:
+            raise DataError(
+                f"{what} needs >= {least} labeled rows per class, class {y} has {pool.size}"
+            )
+    return pools
+
+
+def class_positions(labels: np.ndarray, rng: np.random.Generator, least: int, what: str):
     """Each labeled row's position in a shuffle of its class's rows, -1 for
-    an unlabeled row; rng shuffles class 0's rows, then class 1's."""
+    an unlabeled row; rng shuffles class 0's rows, then class 1's. Each
+    class needs least rows (class_pools)."""
     position = np.full(labels.size, -1, dtype=np.int64)
-    for y in (0, 1):
-        pool = np.flatnonzero(labels == y)
+    for pool in class_pools(labels, least, what):
         rng.shuffle(pool)
         position[pool] = np.arange(pool.size)
     return position
@@ -602,15 +610,11 @@ def _oversample_rows(labels: np.ndarray, seed) -> np.ndarray:
     Composing these onto a corpus's row indices oversamples in the same
     slice that selects the rows.
     """
-    counts = np.bincount(labels[labels >= 0], minlength=2)
-    if counts.min() < 1:
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise DataError(f"oversampling needs >= 1 labeled row per class, class {missing} has 0")
-    target = int(counts.max())
+    pools = class_pools(labels, 1, "oversampling")
+    target = max(pool.size for pool in pools)
     rng = np.random.default_rng(seed)
     parts = [np.arange(labels.size)]
-    for y in (0, 1):
-        deficit = target - int(counts[y])
-        if deficit:
-            parts.append(rng.choice(np.flatnonzero(labels == y), size=deficit, replace=True))
+    for pool in pools:
+        if pool.size < target:
+            parts.append(rng.choice(pool, size=target - pool.size, replace=True))
     return np.concatenate(parts)

@@ -14,9 +14,9 @@ import numpy as np
 
 from .calibrate import _check_scored
 from .classifiers import TrainFn, score_rows, scored_sample
-from .data import LabeledCorpus, _oversample_rows, class_positions, split, write_csv
+from .data import LabeledCorpus, _oversample_rows, class_pools, class_positions, split, write_csv
 from .errors import DataError
-from .quantify import evaluate_quantifier, fit_quantifier
+from .quantify import COHORT_SIZE, REPEATS, evaluate_quantifier, fit_quantifier
 from .serialize import in_chunks
 
 EPS_PROB = 1e-12
@@ -175,11 +175,10 @@ def cv_roc(
     """
     if folds < 2:
         raise DataError(f"folds must be >= 2, got {folds}")
-    labels, counts = corpus.labels, corpus.class_counts()
-    for y in (0, 1):
-        if counts[y] < folds:
-            raise DataError(f"class {y} has {counts[y]} labeled rows, needs >= {folds}")
-    position = class_positions(labels, np.random.default_rng(seed))
+    labels = corpus.labels
+    position = class_positions(
+        labels, np.random.default_rng(seed), folds, f"{folds}-fold cross-validation"
+    )
     assignment = np.where(position >= 0, position % folds, -1)
 
     def one(fold: int):
@@ -209,8 +208,8 @@ def learning_curve(
     factory: TrainFn,
     corpus: LabeledCorpus,
     sizes,
-    repeats: int = 30,
-    cohort_size: int = 200,
+    repeats: int = REPEATS,
+    cohort_size: int = COHORT_SIZE,
     seed: int = 0,
 ) -> CurveData:
     """ACC quantification error as a function of labeled training-set size.
@@ -224,14 +223,18 @@ def learning_curve(
     sizes = [int(s) for s in sizes]
     if len(sizes) == 0 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DataError("sizes must be strictly increasing")
+    # a quarter of s rows, and at least 2, go to calibration: from s = 3
+    # on, some are left to train on
+    if sizes[0] < 3:
+        raise DataError(f"size {sizes[0]} too small to carve a calibration split")
     root = np.random.SeedSequence(seed)
     split_seed, sub_seed, npp_seed = root.spawn(3)
     train_pool, eval_pool = split(corpus, 0.3, split_seed)
-    lab_idx = np.flatnonzero(train_pool.labeled_mask)
-    if sizes[-1] > lab_idx.size:
+    pools = class_pools(train_pool.labels)  # split left >= 2 rows of each class
+    n_labeled = pools[0].size + pools[1].size
+    if sizes[-1] > n_labeled:
         raise DataError(
-            f"largest size {sizes[-1]} exceeds the {lab_idx.size} labeled rows "
-            "in the training pool"
+            f"largest size {sizes[-1]} exceeds the {n_labeled} labeled rows in the training pool"
         )
     unlabeled_idx = np.flatnonzero(~train_pool.labeled_mask)
     sub_rng = np.random.default_rng(sub_seed)
@@ -240,10 +243,8 @@ def learning_curve(
     maes = np.empty(len(sizes), dtype=np.float64)
     stds = np.empty(len(sizes), dtype=np.float64)
     for i, s in enumerate(sizes):
-        take = _stratified_subsample(train_pool.labels, lab_idx, s, sub_rng)
+        take = _stratified_subsample(pools, s, sub_rng)
         n_cal = max(2, int(round(0.25 * take.size)))
-        if n_cal >= take.size:
-            raise DataError(f"size {s} too small to carve a calibration split")
         cal_idx = take[:n_cal]
         fit_idx = np.sort(np.concatenate([take[n_cal:], unlabeled_idx]))
         fit_idx = fit_idx[_oversample_rows(train_pool.labels[fit_idx], sub_rng.integers(2**63))]
@@ -263,11 +264,11 @@ def learning_curve(
     return CurveData(x=np.array(sizes, dtype=np.float64), y=maes, y_std=stds)
 
 
-def _stratified_subsample(labels, lab_idx, s: int, rng) -> np.ndarray:
-    """Class-proportional draw of s labeled rows (at least one per class)."""
-    idx1 = lab_idx[labels[lab_idx] == 1]
-    idx0 = lab_idx[labels[lab_idx] == 0]
-    n1 = int(round(s * idx1.size / lab_idx.size))
+def _stratified_subsample(pools, s: int, rng) -> np.ndarray:
+    """Class-proportional draw of s rows from class_pools' two pools (at
+    least one per class)."""
+    idx0, idx1 = pools
+    n1 = int(round(s * idx1.size / (idx0.size + idx1.size)))
     n1 = min(max(n1, 1), s - 1)
     n0 = s - n1
     if n1 > idx1.size or n0 > idx0.size:
@@ -291,7 +292,7 @@ def robustness_sweep(
     kept fraction of scorable labeled rows.
     """
     taus = np.asarray(list(taus), dtype=np.float64)
-    if taus.size == 0 or np.any(taus < 0.0) or np.any(taus > 0.5):
+    if taus.size == 0 or not np.all((taus >= 0.0) & (taus <= 0.5)):  # NaN fails both
         raise DataError("taus must be a non-empty list within [0, 0.5]")
     scores, _, labels = scored_sample(classifier, corpus)
     if scores.size == 0:

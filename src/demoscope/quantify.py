@@ -12,6 +12,8 @@ calibrated scores q_i, variance sum q_i (1 - q_i); ACC divides it by
 |tpr - fpr|. Only criterion 5's poisson_binomial_interval centres on the mean;
 it checks its scores with the one (scores, labels) check,
 calibrate._check_scored, as fit_quantifier checks its validation sample.
+poisson_binomial_interval and estimate, and through it evaluate_quantifier,
+check the confidence level with one check, _check_confidence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .calibrate import _check_scored
 from .classifiers import ScoringClassifier, score_rows, scored_sample
-from .data import LabeledCorpus
+from .data import LabeledCorpus, class_pools
 from .errors import DataError, NumericError
 
 EXACT_LIMIT = 1000
@@ -121,8 +123,7 @@ def poisson_binomial_interval(
     (cohorts up to 1000). Bounds clamp to [0, 1].
     """
     q, _ = _check_scored(scores, unit=True)
-    if not (0.0 < confidence < 1.0):
-        raise DataError(f"confidence must lie in (0, 1), got {confidence}")
+    _check_confidence(confidence)
     m = q.size
     center = float(q.mean())
     if method == "normal":
@@ -138,6 +139,12 @@ def poisson_binomial_interval(
         hi_count = int(np.searchsorted(cdf, 1.0 - tail, side="left"))
         return center, lo_count / m, min(1.0, hi_count / m)
     raise DataError(f"unknown interval method {method!r}")
+
+
+def _check_confidence(confidence: float):
+    """The one check of an interval's confidence level."""
+    if not (0.0 < confidence < 1.0):
+        raise DataError(f"confidence must lie in (0, 1), got {confidence}")
 
 
 def _normal_half_width(q: np.ndarray, confidence: float) -> float:
@@ -187,6 +194,7 @@ def _estimate(
 ) -> PrevalenceEstimate:
     """estimate() on one cohort's scores, predictions and scorable mask,
     without its warning: evaluate_quantifier runs it once per cohort."""
+    _check_confidence(confidence)
     excluded = int((~ok).sum())
     m = int(ok.sum())
     if m == 0:
@@ -237,8 +245,7 @@ def npp_sample(
         raise DataError(f"prevalence must lie in [0, 1], got {prevalence}")
     if repeats < 1 or size < 1:
         raise DataError("repeats and size must be >= 1")
-    idx1 = np.flatnonzero(pool.labels == 1)
-    idx0 = np.flatnonzero(pool.labels == 0)
+    idx0, idx1 = class_pools(pool.labels)
     cohorts = []
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])

@@ -412,14 +412,13 @@ def test_criterion_8_learning_curve_direction():
         corpus = synth.sample_corpus(world, 7500, rng, labeled_fraction=1.0)
         table = synth.derive_embeddings(world, w, rng, noise=2.0)
         seeds = synth.seed_sets_from_direction(world, w, per_pole=5)
-        # seed pole_a marks class 0; the axis wants the positive class there
-        axis = build_axis(table, pole_a=seeds.pole_b, pole_b=seeds.pole_a,
-                          attribute="synthetic")
+        axis = build_axis(table, seeds)
 
         sizes = [100, 1000, 2000, 5000]
         nb = learning_curve(nb_factory(use_log_normal=True), corpus, sizes,
-                            repeats=50, seed=7)
-        ax = learning_curve(axis_factory(axis), corpus, sizes, repeats=50, seed=7)
+                            repeats=50, cohort_size=200, seed=7)
+        ax = learning_curve(axis_factory(axis), corpus, sizes, repeats=50,
+                            cohort_size=200, seed=7)
         assert nb.y[-1] < nb.y[0], (
             f"MAE did not fall: {nb.y[0]:.4f} at 100 vs {nb.y[-1]:.4f} at 5000"
         )

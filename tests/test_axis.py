@@ -15,6 +15,7 @@ from demoscope.axis import (
 )
 from demoscope.calibrate import IsotonicMap, fit_isotonic
 from demoscope.errors import DataError
+from demoscope.labeling import SeedSets
 
 from helpers import corpus_from_dense
 
@@ -33,6 +34,11 @@ def _table():
         ]
     )
     return EmbeddingTable(names, vectors)
+
+
+def _seeds(pole_a, pole_b):
+    """A seed set: pole_a marks class 0, pole_b class 1."""
+    return SeedSets(attribute="t", pole_a=pole_a, pole_b=pole_b)
 
 
 def _z_of(axis):
@@ -82,9 +88,9 @@ def test_load_embeddings_errors(tmp_path):
 
 
 def test_build_axis_orientation():
-    axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
+    axis = build_axis(_table(), _seeds(("left1", "left2"), ("right1", "right2")))
     zof = _z_of(axis)
-    # pole_a (right side) lands positive, pole_b negative
+    # the class-1 pole, pole_b (right side), lands positive, pole_a negative
     assert zof["right1"] > 0 and zof["right2"] > 0
     assert zof["left1"] < 0 and zof["left2"] < 0
     # full-table standardization: mean 0, population std 1
@@ -93,41 +99,39 @@ def test_build_axis_orientation():
 
 
 def test_pole_swap_negates_z_exactly():
-    axis_ab = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
-    axis_ba = build_axis(_table(), ("left1", "left2"), ("right1", "right2"))
+    axis_ab = build_axis(_table(), _seeds(("left1", "left2"), ("right1", "right2")))
+    axis_ba = build_axis(_table(), _seeds(("right1", "right2"), ("left1", "left2")))
     assert np.array_equal(axis_ab.z, -axis_ba.z)
 
 
 def test_build_axis_pole_validation():
+    # empty and overlapping poles are refused by SeedSets (test_labeling)
     table = _table()
-    with pytest.raises(DataError, match="non-empty"):
-        build_axis(table, (), ("left1",))
-    with pytest.raises(DataError, match="overlap"):
-        build_axis(table, ("mid", "right1"), ("mid",))
-    with pytest.warns(UserWarning, match="not in table"):
-        axis = build_axis(table, ("right1", "ghost"), ("left1",))
-    assert axis.pole_a == ("right1", "ghost")
-    with pytest.raises(DataError, match="no pole community"), pytest.warns(UserWarning):
-        build_axis(table, ("ghost1", "ghost2"), ("left1",))
+    with pytest.warns(UserWarning, match=r"^pole_b: 1 pole communities not in table"):
+        axis = build_axis(table, _seeds(("left1",), ("right1", "ghost")))
+    # the model names its positive pole pole_a
+    assert axis.pole_a == ("right1", "ghost") and axis.pole_b == ("left1",)
+    with pytest.raises(DataError, match="^pole_b: no pole community"), pytest.warns(UserWarning):
+        build_axis(table, _seeds(("left1",), ("ghost1", "ghost2")))
 
 
 def test_build_axis_degenerate():
     table = EmbeddingTable(("a", "b"), np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(DataError, match="degenerate axis"):
-        build_axis(table, ("a",), ("b",))
+        build_axis(table, _seeds(("a",), ("b",)))
 
 
 def test_zero_norm_community_gets_zero_cosine():
     table = EmbeddingTable(
         ("a", "b", "zero"), np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
     )
-    axis = build_axis(table, ("a",), ("b",))
+    axis = build_axis(table, _seeds(("b",), ("a",)))
     # raw cosines are (1, -1, 0); after standardization zero maps to mean
     assert _z_of(axis)["zero"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_score_corpus_weighted_mean():
-    axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
+    axis = build_axis(_table(), _seeds(("left1", "left2"), ("right1", "right2")))
     x = corpus_from_dense([[1, 0, 3, 0, 0, 0]], [-1], names=_table().names)
     z = _z_of(axis)
     want = (1 * z["left1"] + 3 * z["right1"]) / 4
@@ -135,7 +139,7 @@ def test_score_corpus_weighted_mean():
 
 
 def test_score_corpus_ignores_unembedded_and_nan_when_all_missing():
-    axis = build_axis(_table(), ("right1",), ("left1",))
+    axis = build_axis(_table(), _seeds(("left1",), ("right1",)))
     names = ("left1", "notin1", "notin2")
     x = corpus_from_dense([[2, 9, 0]], [-1], names=names)
     assert score_corpus(axis, x)[0] == pytest.approx(_z_of(axis)["left1"])
@@ -144,7 +148,7 @@ def test_score_corpus_ignores_unembedded_and_nan_when_all_missing():
 
 
 def test_score_corpus_one_row_batches_match_with_nan_rows():
-    axis = build_axis(_table(), ("right1", "right2"), ("left1", "left2"))
+    axis = build_axis(_table(), _seeds(("left1", "left2"), ("right1", "right2")))
     names = ("left1", "right1", "unknown")
     corpus = corpus_from_dense([[2, 1, 0], [0, 0, 5], [1, 0, 1]], [-1, -1, -1], names=names)
     scores = score_corpus(axis, corpus)
@@ -216,7 +220,7 @@ def test_axis_scores_and_predictions_are_pinned(calibrated, want):
     X[0, -1] = 4.0
     corpus = corpus_from_dense(X, sample.labels, names=(*world.vocabulary.names, "absent"))
     seeds = synth.seed_sets_from_direction(world, w)
-    axis = build_axis(table, seeds.pole_b, seeds.pole_a)
+    axis = build_axis(table, seeds)
     if calibrated:
         raw, _ = axis.score(corpus)
         axis.calibrator = fit_isotonic(raw[1:], corpus.labels[1:])
@@ -233,9 +237,7 @@ def test_axis_separates_tilted_world(tilted):
     rng = np.random.default_rng(99)
     table = synth.derive_embeddings(world, w, rng, noise=0.4)
     seeds = synth.seed_sets_from_direction(world, w)
-    # seeds pole_a marks class 0 (low direction); axis pole_a lands
-    # positive, so orient the axis with the class-1 pole as pole_a
-    axis = build_axis(table, seeds.pole_b, seeds.pole_a)
+    axis = build_axis(table, seeds)
     scores = score_corpus(axis, corpus)
     ok = np.isfinite(scores)
     pos = scores[ok & (corpus.labels == 1)]

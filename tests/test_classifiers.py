@@ -34,7 +34,7 @@ def world_corpus_axis(tilted):
         user_ids=np.concatenate([corpus.user_ids, ["lost0", "lost1"]]),
         labels=np.concatenate([corpus.labels, [-1, 1]]),
     )
-    axis = build_axis(table, seeds.pole_b, seeds.pole_a)
+    axis = build_axis(table, seeds)
     return corpus, axis
 
 

@@ -501,8 +501,8 @@ class TestTrain:
         assert code == 0
         payload = _read_json(out / "model.json")
         assert payload["schema"] == "axis/1"
-        # distant-label poles mark class 0 with pole_a; the axis scores
-        # its own pole_a as class 1, so training swaps them
+        # the model file names its positive pole pole_a: the seed set's
+        # class-1 pole, pole_b
         assert tuple(payload["pole_a"]) == demo_files["seeds"].pole_b
 
     def test_train_axis_uses_the_named_seed_set(self, demo_files, tmp_path, capsys):
@@ -539,6 +539,31 @@ class TestTrain:
         assert len(err) == 1 and "no entry for 'partisan'" in err[0]
         assert err[0].startswith(f"demoscope: data error: {seeds_path}: seed file has no entry")
         assert not (tmp_path / "partisan" / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "keep, code, tail",
+        [
+            (True, 0, []),
+            (False, 2, ["demoscope: data error: pole_b: no pole community found in the table"]),
+        ],
+        ids=["one-missing", "all-missing"],
+    )
+    def test_train_axis_names_the_seed_files_pole(self, demo_files, tmp_path, keep, code, tail):
+        """A pole_b community missing from the embedding table is named
+        under pole_b, the seed file's own name for it; keep says whether
+        the rest of pole_b stays."""
+        d, seeds = demo_files["dir"], demo_files["seeds"]
+        pole_b = [*seeds.pole_b, "ghost_b"] if keep else ["ghost_b"]
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps({"attribute": seeds.attribute, "pole_a": list(seeds.pole_a),
+                                    "pole_b": pole_b}), encoding="utf-8")
+        done = _python("-m", "demoscope.cli", "train", "--model", "axis",
+                       "--embeddings", str(d / "embeddings.tsv"), "--seeds", str(path),
+                       "--out-dir", str(tmp_path / "out"))
+        assert done.returncode == code, done.stderr
+        assert done.stderr.splitlines() == [
+            "demoscope: warning: pole_b: 1 pole communities not in table: ['ghost_b']", *tail
+        ]
 
     @pytest.mark.parametrize(
         "kind,flag", [("nb-ln", "--use-log-normal"), ("nb-ss", "--semi-supervised")]

@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 
 from demoscope import bayes
 from demoscope.axis import AxisModel
-from demoscope.classifiers import MajorityClassifier, axis_factory
+from demoscope.classifiers import MajorityClassifier, axis_factory, nb_factory
 from demoscope.data import (
     CommunityVocabulary,
     LabeledCorpus,
     _oversample_rows,
+    class_pools,
     load_corpus,
     load_vocabulary,
     split,
 )
 from demoscope.errors import DataError
+from demoscope.evaluate import cv_roc
 
 from helpers import corpus_from_dense, dict_load_corpus
 
@@ -534,6 +536,38 @@ def test_oversample_missing_class():
     corpus = _labeled_corpus(5, 0, n_unlabeled=3)
     with pytest.raises(DataError, match="class 1"):
         _oversample_rows(corpus.labels, 0)
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: cv_roc({"nb": nb_factory()}, _labeled_corpus(12, 5), folds=10),
+         "10-fold cross-validation needs >= 10 labeled rows per class, class 1 has 5"),
+        (lambda: _oversample_rows(_labeled_corpus(5, 0, n_unlabeled=3).labels, 0),
+         "oversampling needs >= 1 labeled rows per class, class 1 has 0"),
+        (lambda: bayes.fit(_labeled_corpus(5, 0, n_unlabeled=3)),
+         "naive Bayes fit needs >= 1 labeled rows per class, class 1 has 0"),
+        (lambda: bayes.feature_log_odds_dispersion(_labeled_corpus(0, 0, n_unlabeled=4)),
+         "log-odds dispersion needs >= 1 labeled rows per class, class 0 has 0"),
+        (lambda: bayes.feature_log_odds_dispersion(_labeled_corpus(0, 4)),
+         "log-odds dispersion needs >= 1 labeled rows per class, class 0 has 0"),
+    ],
+    ids=["cv-roc", "oversample", "nb-fit", "dispersion-unlabeled", "dispersion-one-class"],
+)
+def test_a_short_class_is_refused_in_one_wording(refuse, message):
+    """Every protocol that needs rows of each class refuses a short class
+    through class_pools, naming what needs the rows."""
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        refuse()
+
+
+def test_class_pools_are_each_class_rows_in_order():
+    labels = np.array([1, -1, 0, 1, 0, -1, 1])
+    pool0, pool1 = class_pools(labels)
+    assert pool0.tolist() == [2, 4] and pool1.tolist() == [0, 3, 6]
+    assert [p.tolist() for p in class_pools(labels, 2, "x")] == [[2, 4], [0, 3, 6]]
+    with pytest.raises(DataError, match=r"^x needs >= 3 labeled rows per class, class 0 has 2$"):
+        class_pools(labels, 3, "x")
 
 
 def test_subset_shares_rows():

@@ -267,6 +267,9 @@ def test_learning_curve_validation():
         learning_curve(nb_factory(), corpus, [30, 30], repeats=2, cohort_size=10)
     with pytest.raises(DataError, match="exceeds"):
         learning_curve(nb_factory(), corpus, [10_000], repeats=2, cohort_size=10)
+    for size in (0, 1, 2):
+        with pytest.raises(DataError, match=f"^size {size} too small to carve a calibration split$"):
+            learning_curve(nb_factory(), corpus, [size, 30], repeats=2, cohort_size=10)
 
 
 def test_robustness_sweep_filters_by_confidence():
@@ -301,6 +304,8 @@ def test_robustness_sweep_nan_when_class_lost():
         robustness_sweep(clf, corpus, [])
     with pytest.raises(DataError, match="taus"):
         robustness_sweep(clf, corpus, [0.7])
+    with pytest.raises(DataError, match="taus"):
+        robustness_sweep(clf, corpus, [np.nan, 0.5])
 
 
 def test_robustness_boundary_tau_zero():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -205,6 +206,20 @@ def test_estimate_clips_to_unit_interval():
     assert est.lower == 0.0
 
 
+@pytest.mark.parametrize("confidence", [1.5, -1.0, 0.0, 1.0, float("nan")])
+def test_estimate_and_evaluation_refuse_a_confidence_outside_the_unit_interval(confidence):
+    """estimate and evaluate_quantifier check the confidence level as
+    poisson_binomial_interval does, rather than return a NaN or inverted
+    interval or a coverage of 0."""
+    pool = _pool(30, 30)
+    quant = fit_quantifier(_fixed_clf(pool), pool, mode="acc")
+    message = re.escape(f"confidence must lie in (0, 1), got {confidence}")
+    with pytest.raises(DataError, match=message):
+        estimate(quant, pool, confidence=confidence)
+    with pytest.raises(DataError, match=message):
+        evaluate_quantifier(quant, pool, repeats=3, size=10, confidence=confidence)
+
+
 def test_estimate_uncalibrated_warns_and_skips_interval():
     pool = _pool(10, 10)
     clf = _fixed_clf(pool, calibrated=False)
@@ -324,7 +339,7 @@ def test_evaluate_quantifier_equals_estimate_per_cohort(kind):
     if kind == "axis":
         table = synth.derive_embeddings(world, w, rng, noise=0.8)
         seeds = synth.seed_sets_from_direction(world, w)
-        clf = build_axis(table, seeds.pole_b, seeds.pole_a)
+        clf = build_axis(table, seeds)
     else:
         clf = bayes.fit(train)[0]
         clf.calibrator = fit_isotonic(clf.score(cal)[0], cal.labels)
