@@ -41,7 +41,7 @@ def chain(data: Path, out: Path) -> list[tuple[str, list[str]]]:
                     "--botlist", str(data / "botlist.txt"), "--attribute", "gender"],
         "distant": ["label-distant", "--corpus", corpus, *vocab,
                     "--seeds", str(data / "seeds.json"), "--attribute", "synthetic"],
-        "train": ["train", *cfg, "--model", "nb", "--semi-supervised", "--use-log-normal"],
+        "train": ["train", *cfg, "--model", "nb-ss-ln"],
         "calibrate": ["calibrate", *cfg, "--model-path", str(out / "train" / "model.json")],
         "quantify": ["quantify", *cfg, "--model-path", nb, "--validation", corpus,
                      "--target", target, "--mode", "acc"],

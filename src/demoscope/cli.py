@@ -30,8 +30,15 @@ from .data import LabeledCorpus, load_corpus, load_vocabulary, split, write_csv
 from .errors import DataError, NumericError
 from .serialize import decode, dumps, file_digest, load_model, parse_file, save_model, unconverted
 
+# each naive Bayes kind: the bayes.fit switches that are the whole of it
+NB_KINDS = {
+    "nb": {"use_log_normal": False, "semi_supervised": False},
+    "nb-ln": {"use_log_normal": True, "semi_supervised": False},
+    "nb-ss": {"use_log_normal": False, "semi_supervised": True},
+    "nb-ss-ln": {"use_log_normal": True, "semi_supervised": True},
+}
 # every model kind _factory_for builds and train fits
-MODEL_KINDS = ("majority", "nb", "nb-ln", "nb-ss", "axis")
+MODEL_KINDS = ("majority", *NB_KINDS, "axis")
 
 
 def _setting(default, help: str, choices: tuple[str, ...] = ()):
@@ -64,8 +71,10 @@ class RunConfig:
     models: tuple[str, ...] = _setting(("majority", "nb"), "model kinds to compare", MODEL_KINDS)
     alpha1: float = _setting(bayes.ALPHA1, "prior pseudo-count")
     alpha2: float = _setting(bayes.ALPHA2, "conditional pseudo-count")
-    use_log_normal: bool = _setting(False, "model activity as log-normal per class")
-    semi_supervised: bool = _setting(False, "fit unlabeled rows by EM")
+    use_log_normal: bool = _setting(False, "add the activity term to the NB --model "
+                                    "(nb -> nb-ln, nb-ss -> nb-ss-ln)")
+    semi_supervised: bool = _setting(False, "fit the NB --model by EM "
+                                     "(nb -> nb-ss, nb-ln -> nb-ss-ln)")
     max_iter: int = _setting(bayes.MAX_ITER, "EM iteration limit")
     tol: float = _setting(bayes.TOL, "EM convergence tolerance")
     mode: str = _setting(quantify.MODE, "quantifier mode", quantify.MODES)
@@ -346,16 +355,21 @@ def _axis_from_config(run: Run) -> axis.AxisModel:
 
 
 def nb_options(kind: str, cfg: RunConfig) -> dict:
-    """bayes.fit settings for an NB kind: every NB setting of cfg, with
-    nb-ln and nb-ss each forcing its switch on."""
-    options = {name: getattr(cfg, name) for name in _NB}
-    options["use_log_normal"] |= kind == "nb-ln"
-    options["semi_supervised"] |= kind == "nb-ss"
-    return options
+    """bayes.fit settings for an NB kind: its switches and cfg's NB settings."""
+    return NB_KINDS[kind] | {name: getattr(cfg, name) for name in _NB}
+
+
+def _train_kind(cfg: RunConfig) -> str:
+    """The kind train fits: an NB --model with each switch cfg turns on
+    added, so --model nb --semi-supervised --use-log-normal is nb-ss-ln."""
+    if cfg.model not in NB_KINDS:
+        return cfg.model
+    switches = {name: on or getattr(cfg, name) for name, on in NB_KINDS[cfg.model].items()}
+    return next(kind for kind, options in NB_KINDS.items() if options == switches)
 
 
 def cmd_train(run: Run):
-    kind = run.cfg.model
+    kind = _train_kind(run.cfg)
     if kind == "axis":
         model = _axis_from_config(run)
         report = {"model": kind, "communities": len(model.communities)}
@@ -364,12 +378,11 @@ def cmd_train(run: Run):
         report = {"model": kind, "majority": model.majority, "rate": model.rate}
     else:
         corpus = _load_corpus(run)
-        options = nb_options(kind, run.cfg)
-        model, fit = bayes.fit(corpus, **options)
+        model, fit = bayes.fit(corpus, **nb_options(kind, run.cfg))
         dropped = corpus.n - fit.n_labeled - fit.n_unlabeled
         if dropped:
             warnings.warn(f"dropped {dropped} unlabeled rows from the supervised fit")
-        report = {"model": kind, "semi_supervised": options["semi_supervised"], **asdict(fit)}
+        report = {"model": kind, **asdict(fit)}
     path = run.output("model.json")
     save_model(model, path)
     run.write_json("fit_report.json", report)
@@ -602,7 +615,7 @@ class _Parser(argparse.ArgumentParser):
 # also takes --config and the _COMMON settings
 _COMMON = ("out_dir", "seed")
 _DATA = ("corpus", "vocabulary", "labels")
-_NB = ("alpha1", "alpha2", "use_log_normal", "semi_supervised", "max_iter", "tol")
+_NB = ("alpha1", "alpha2", "max_iter", "tol")
 _AXIS = ("embeddings", "seeds", "attribute")
 _PROTOCOL = ("n_boot", "test_fraction", "folds")
 _QUANTIFY = ("mode", "confidence")
@@ -613,7 +626,9 @@ _COMMANDS = {
                 ("comments", "attribute", "rules", "botlist", "median")),
     "label-distant": (cmd_label_distant, "label users from seed-community activity",
                       (*_DATA, "seeds", "attribute")),
-    "train": (cmd_train, "fit a model", (*_DATA, "model", *_NB, *_AXIS)),
+    # train's two switches are a second spelling of an NB kind (_train_kind)
+    "train": (cmd_train, "fit a model",
+              (*_DATA, "model", *_NB, "use_log_normal", "semi_supervised", *_AXIS)),
     "predict": (cmd_predict, "score a corpus with a saved model", (*_DATA, "model_path")),
     "calibrate": (cmd_calibrate, "fit an isotonic calibrator on held-out data",
                   (*_DATA, "model_path", "n_bins")),

@@ -356,8 +356,7 @@ def _run_synthetic_pipeline(tmp_path: Path):
     assert all(code_of[comment_truth["gender"][u]] == lab for u, lab in got.items())
 
     assert main(["train", "--corpus", str(tmp_path / "train.jsonl"), *common,
-                 "--model", "nb", "--use-log-normal", "--semi-supervised",
-                 "--seed", "3", "--out-dir", str(out["train"])]) == 0
+                 "--model", "nb-ss-ln", "--seed", "3", "--out-dir", str(out["train"])]) == 0
     fit_report = json.loads((out["train"] / "fit_report.json").read_text(encoding="utf-8"))
     assert fit_report["n_unlabeled"] == 900
 

@@ -22,6 +22,7 @@ from demoscope.bayes import fit
 from demoscope.calibrate import IsotonicMap
 from demoscope.classifiers import MajorityClassifier
 from demoscope.cli import (
+    NB_KINDS,
     Run,
     RunConfig,
     _factory_for,
@@ -34,7 +35,7 @@ from demoscope.data import CommunityVocabulary, LabeledCorpus, load_corpus, load
 from demoscope.quantify import QuantifierModel
 from demoscope.serialize import load_model, save_model
 
-from helpers import write_corpus_triplets
+from helpers import random_world, write_corpus_triplets
 
 
 def _read_json(path):
@@ -85,8 +86,8 @@ def test_extract_loads_neither_sparse_nor_special(demo_files, tmp_path):
 
 @pytest.mark.parametrize("argv, special", [
     (["evaluate", "--model", "nb", "--cv-roc", "--folds", "3"], False),
-    (["train", "--model", "nb", "--semi-supervised"], False),
-    (["train", "--model", "nb", "--use-log-normal"], True),
+    (["train", "--model", "nb-ss"], False),
+    (["train", "--model", "nb-ln"], True),
 ], ids=["evaluate-cv-roc", "train-em", "train-log-normal"])
 def test_naive_bayes_loads_special_only_for_log_normal(demo_files, tmp_path, argv, special):
     """The naive Bayes posterior and EM are plain numpy; scipy.special
@@ -422,7 +423,7 @@ class TestTrain:
     def test_cli_matches_library_bit_for_bit(self, demo_files, tmp_path):
         d = demo_files["dir"]
         out = tmp_path / "out"
-        assert self._train(d, out, "--model", "nb", "--use-log-normal") == 0
+        assert self._train(d, out, "--model", "nb-ln") == 0
 
         vocab = load_vocabulary(d / "vocab.txt")
         corpus, _ = load_corpus(d / "corpus.jsonl", vocab)
@@ -435,8 +436,8 @@ class TestTrain:
     def test_rerun_is_byte_identical(self, demo_files, tmp_path):
         d = demo_files["dir"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert self._train(d, out1, "--model", "nb", "--semi-supervised") == 0
-        assert self._train(d, out2, "--model", "nb", "--semi-supervised") == 0
+        assert self._train(d, out1, "--model", "nb-ss") == 0
+        assert self._train(d, out2, "--model", "nb-ss") == 0
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
 
     def test_triplets_format_equivalent(self, demo_files, tmp_path):
@@ -566,15 +567,27 @@ class TestTrain:
         ]
 
     @pytest.mark.parametrize(
-        "kind,flag", [("nb-ln", "--use-log-normal"), ("nb-ss", "--semi-supervised")]
+        "kind,spelling",
+        [
+            ("nb-ln", ("nb", "--use-log-normal")),
+            ("nb-ss", ("nb", "--semi-supervised")),
+            ("nb-ss-ln", ("nb", "--semi-supervised", "--use-log-normal")),
+            ("nb-ss-ln", ("nb-ln", "--semi-supervised")),
+        ],
+        ids=["nb-ln---use-log-normal", "nb-ss---semi-supervised", "nb-ss-ln---both-switches",
+             "nb-ss-ln---nb-ln-semi-supervised"],
     )
-    def test_train_nb_variant_fits_as_nb_with_its_flag(self, demo_files, tmp_path, kind, flag):
+    def test_train_nb_variant_fits_as_nb_with_its_flag(self, demo_files, tmp_path, kind,
+                                                        spelling):
+        """train's switches are a second spelling of a kind: the same
+        model bytes, and a fit report that names the kind fitted."""
         d = demo_files["dir"]
         assert self._train(d, tmp_path / "kind", "--model", kind) == 0
-        assert self._train(d, tmp_path / "flag", "--model", "nb", flag) == 0
+        assert self._train(d, tmp_path / "flag", "--model", *spelling) == 0
         model = (tmp_path / "kind" / "model.json").read_bytes()
         assert model == (tmp_path / "flag" / "model.json").read_bytes()
-        assert _read_json(tmp_path / "kind" / "fit_report.json")["model"] == kind
+        for out in ("kind", "flag"):
+            assert _read_json(tmp_path / out / "fit_report.json")["model"] == kind
 
     def test_train_majority(self, demo_files, tmp_path):
         d = demo_files["dir"]
@@ -585,9 +598,10 @@ class TestTrain:
     def test_fit_report_semi_supervised(self, demo_files, tmp_path):
         d = demo_files["dir"]
         out = tmp_path / "out"
-        assert self._train(d, out, "--model", "nb", "--semi-supervised") == 0
+        assert self._train(d, out, "--model", "nb-ss") == 0
         report = _read_json(out / "fit_report.json")
-        assert report["semi_supervised"] is True
+        # the kind is the whole model, so no switch is reported beside it
+        assert report["model"] == "nb-ss" and "semi_supervised" not in report
         assert report["n_unlabeled"] == 100
         assert report["iterations"] >= 1
 
@@ -602,8 +616,7 @@ class TestPredictCalibrateQuantify:
                 "train",
                 "--corpus", str(d / "corpus.jsonl"),
                 "--vocabulary", str(d / "vocab.txt"),
-                "--model", "nb",
-                "--use-log-normal",
+                "--model", "nb-ln",
                 "--out-dir", str(out),
             ]
         )
@@ -1042,29 +1055,19 @@ class TestEvaluateReport:
         assert _read_json(out / "metrics.json")["model"] == kind
 
     def test_nb_settings_apply_to_every_nb_kind(self, demo_files, tmp_path):
-        d = demo_files["dir"]
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text("use_log_normal: true\n", encoding="utf-8")
-
-        def replicates(kind, *config):
-            out = tmp_path / f"{kind}{len(config)}"
-            code = main(
-                [
-                    "evaluate",
-                    *config,
-                    "--corpus", str(d / "corpus.jsonl"),
-                    "--vocabulary", str(d / "vocab.txt"),
-                    "--model", kind,
-                    "--n-boot", "3",
-                    "--out-dir", str(out),
-                ]
-            )
-            assert code == 0
-            return _read_json(out / "metrics.json")["replicates"]
-
-        log_normal = replicates("nb-ln")
-        assert replicates("nb", "--config", str(cfg)) == log_normal
-        assert replicates("nb") != log_normal
+        """alpha2 from YAML reaches every NB kind's fit; train's switches,
+        which a shared YAML may carry, change no kind evaluate fits."""
+        corpus = demo_files["corpus"]
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text("alpha2: 2.0\nuse_log_normal: true\nsemi_supervised: true\n",
+                            encoding="utf-8")
+        run = Run("evaluate", load_config(cfg_path))
+        for kind, switches in NB_KINDS.items():
+            model = _factory_for(kind, run)(corpus)
+            expected, _ = fit(corpus, alpha2=2.0, **switches)
+            assert model.alpha2 == 2.0, kind
+            assert np.array_equal(model.log_cond, expected.log_cond), kind
+            assert (model.activity is None) == (not switches["use_log_normal"]), kind
 
     def test_report_rejects_unknown_kind_before_writing(self, demo_files, tmp_path, capsys):
         d = demo_files["dir"]
@@ -1475,12 +1478,16 @@ class TestFlagInventory:
         assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
 
     def test_evaluate_and_report_offer_every_nb_setting(self):
+        """Every NB setting but the switches, which would rename a kind;
+        train keeps them as a second spelling of one."""
         subparsers = _subparsers()
-        nb = {"--alpha1", "--alpha2", "--use-log-normal", "--semi-supervised", "--max-iter",
-              "--tol"}
+        nb = {"--alpha1", "--alpha2", "--max-iter", "--tol"}
+        switches = {"--use-log-normal", "--semi-supervised"}
         quant = {"--confidence", "--calibration-fraction", "--prevalence"}
-        assert nb <= set(subparsers["evaluate"]._option_string_actions)
-        assert nb | quant <= set(subparsers["report"]._option_string_actions)
+        for command, wanted in (("evaluate", nb), ("report", nb | quant)):
+            offered = set(subparsers[command]._option_string_actions)
+            assert wanted <= offered and not switches & offered, command
+        assert nb | switches <= set(subparsers["train"]._option_string_actions)
 
 
 def _offered_choices():
@@ -1552,17 +1559,34 @@ def test_non_finite_setting_exits_two_with_one_line(
     assert not (out / "manifest.json").exists()
 
 
-def test_evaluate_use_log_normal_fits_as_nb_ln(demo_files, tmp_path):
-    d = demo_files["dir"]
-    data = ["--corpus", str(d / "corpus.jsonl"), "--vocabulary", str(d / "vocab.txt"),
-            "--n-boot", "3"]
-    flag, kind = tmp_path / "flag", tmp_path / "kind"
-    assert main(["evaluate", *data, "--model", "nb", "--use-log-normal",
-                 "--out-dir", str(flag)]) == 0
-    assert main(["evaluate", *data, "--model", "nb-ln", "--out-dir", str(kind)]) == 0
-    a, b = _read_json(flag / "metrics.json"), _read_json(kind / "metrics.json")
-    assert a["metrics"] == b["metrics"]
-    assert a["replicates"] == b["replicates"]
+def test_a_kind_name_is_the_whole_model(tmp_path, capsys):
+    """On a world whose activity depends on the class, report's nb and
+    nb-ln rows differ; neither switch is a flag of evaluate or report,
+    and a YAML that sets both leaves every row as it was."""
+    rng = np.random.default_rng(14)
+    # concentrated conditionals, so no fold separates the classes perfectly
+    world = random_world(rng, d=30, concentration=100.0)
+    synth.write_vocabulary(world.vocabulary, tmp_path / "vocab.txt")
+    synth.write_corpus_jsonl(synth.sample_corpus(world, 400, rng, labeled_fraction=0.8),
+                             tmp_path / "corpus.jsonl")
+    argv = ["report", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--vocabulary", str(tmp_path / "vocab.txt"), "--models", "nb", "nb-ln",
+            "--n-boot", "3", "--folds", "2", "--repeats", "2", "--cohort-size", "20"]
+    assert main([*argv, "--out-dir", str(tmp_path / "plain")]) == 0
+    plain = (tmp_path / "plain" / "report.json").read_bytes()
+    rows = json.loads(plain)["classification"]
+    assert rows["nb"] != rows["nb-ln"]
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("use_log_normal: true\nsemi_supervised: true\n", encoding="utf-8")
+    assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "yaml")]) == 0
+    assert (tmp_path / "yaml" / "report.json").read_bytes() == plain
+    for command in (argv, ["evaluate", *argv[1:5], "--model", "nb"]):
+        for flag in ("--use-log-normal", "--semi-supervised"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as e:
+                main([*command, flag])
+            assert e.value.code == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_report_takes_nb_and_quantification_flags(demo_files, tmp_path):

@@ -209,16 +209,15 @@ def test_cli_shuffled_lines_give_the_same_model(demo_files, tmp_path):
     shuffled = tmp_path / "shuffled.jsonl"
     shuffled.write_text("".join(lines[i] for i in order), encoding="utf-8")
 
-    def train(corpus, out, *switches):
-        _run("train", "--corpus", corpus, "--vocabulary", d / "vocab.txt", *switches,
+    def train(corpus, out, *model):
+        _run("train", "--corpus", corpus, "--vocabulary", d / "vocab.txt", *model,
              "--out-dir", out)
         return out
 
     plain = train(d / "corpus.jsonl", tmp_path / "a")
     plain_shuffled = train(shuffled, tmp_path / "b")
     assert (plain_shuffled / "model.json").read_bytes() == (plain / "model.json").read_bytes()
-    em = ("--semi-supervised", "--use-log-normal")
-    fits = [train(corpus, tmp_path / name, *em)
+    fits = [train(corpus, tmp_path / name, "--model", "nb-ss-ln")
             for corpus, name in ((d / "corpus.jsonl", "c"), (shuffled, "d"))]
     (model, report), (model_shuffled, report_shuffled) = (
         [json.loads((out / name).read_text()) for name in ("model.json", "fit_report.json")]
