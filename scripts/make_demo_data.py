@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from demoscope import synth
-from demoscope.data import LabeledCorpus
 
 
 def main():
@@ -51,12 +50,6 @@ def main():
     )
     target = synth.sample_corpus(shifted, args.n_target, rng, prefix="t")
     target_prev = float((target.labels == 1).mean())
-    target_hidden = LabeledCorpus(
-        vocabulary=target.vocabulary,
-        X=target.X,
-        user_ids=target.user_ids,
-        labels=np.full(target.n, -1, dtype=np.int64),
-    )
 
     emb = synth.derive_embeddings(world, w, rng, noise=0.8)
     seeds = synth.seed_sets_from_direction(world, w, per_pole=5, threshold=3)
@@ -64,7 +57,7 @@ def main():
 
     synth.write_vocabulary(world.vocabulary, out / "vocab.txt")
     synth.write_corpus_jsonl(corpus, out / "corpus.jsonl")
-    synth.write_corpus_jsonl(target_hidden, out / "target.jsonl")
+    synth.write_corpus_jsonl(target, out / "target.jsonl", include_labels=False)
     synth.write_embeddings_tsv(emb, out / "embeddings.tsv")
     synth.write_seeds_json(seeds, out / "seeds.json")
     with open(out / "comments.jsonl", "w", encoding="utf-8") as fh:

@@ -5,7 +5,8 @@ from defaults, then an optional YAML config (--config), then explicit
 flags. It names each file it reads and writes through a Run record, and
 main writes a manifest.json next to its outputs from that record: the
 digest of every file read (taken when it was read), the outputs, the
-resolved configuration and its hash, and library versions.
+resolved value of each setting the command offers and their hash, and
+library versions.
 
 Exit codes: 0 ok, 1 usage, 2 data problem, 3 numeric failure.
 """
@@ -54,7 +55,9 @@ class RunConfig:
 
     corpus: str | None = _setting(None, "activity corpus file")
     vocabulary: str | None = _setting(None, "community vocabulary file")
-    labels: str | None = _setting(None, "labels CSV of a triplets corpus (quantify: --validation's)")
+    labels: str | None = _setting(
+        None, "user,label CSV that replaces the corpus's labels (quantify: --validation's)"
+    )
     comments: str | None = _setting(None, "comments JSONL (user, text, created_utc, community)")
     rules: str | None = _setting(None, "declaration rules JSON (default: built-in rules)")
     botlist: str | None = _setting(None, "file of bot user ids to drop")
@@ -237,7 +240,9 @@ class Run:
 def write_manifest(run: Run):
     import scipy
 
-    config = asdict(run.cfg)
+    # only the settings the command offers: one that it never reads would
+    # make two runs of the same work hash apart
+    config = {name: getattr(run.cfg, name) for name in (*_COMMON, *_COMMANDS[run.command][2])}
     manifest = {
         "command": run.command,
         "config": config,

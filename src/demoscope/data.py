@@ -356,8 +356,8 @@ class _Lines:
     def corpus(self, vocabulary: CommunityVocabulary, labels_path=None):
         """The corpus these lines hold, one row per user with a count, and
         its LoadReport. A row sums its user's lines' counts and takes their
-        first label other than -1, or that of labels_path, a 'user,label'
-        CSV. Raises the first merge error in file order."""
+        first label other than -1; a labels_path, a 'user,label' CSV,
+        replaces those labels. Raises the first merge error in file order."""
         import scipy.sparse as sp
 
         users, rows = self.rows()
@@ -386,11 +386,6 @@ class _Lines:
             what = f"{self.unknown} activity pairs referencing communities outside the vocabulary"
             warnings.warn(f"dropped {what}", stacklevel=3)
         return LabeledCorpus(vocabulary=vocabulary, X=X, user_ids=users, labels=labels), report
-
-
-def _load_jsonl(path, vocabulary: CommunityVocabulary) -> tuple[LabeledCorpus, LoadReport]:
-    parts = in_ranges(path, partial(_read_jsonl, path, vocabulary))
-    return _Lines.joined(parts).corpus(vocabulary)
 
 
 def _read_jsonl(path, vocabulary: CommunityVocabulary, start: int = 0, end=None) -> _Lines:
@@ -469,9 +464,8 @@ def _int_field(raw: str, what: str, where: str) -> int:
         raise DataError(f"{where}: {what} must be an integer, got {raw!r:.40}") from None
 
 
-def _load_triplets(
-    path, vocabulary: CommunityVocabulary, labels_path=None
-) -> tuple[LabeledCorpus, LoadReport]:
+def _read_triplets(path, vocabulary: CommunityVocabulary) -> _Lines:
+    """The lines of a triplets corpus."""
     acc, index = _Lines(path), vocabulary.index
     try:
         for lineno, where, (user, name, raw) in _csv_records(path, TRIPLETS_HEADER):
@@ -482,7 +476,7 @@ def _load_triplets(
     except DataError:
         acc.check()  # a merge error on an earlier line comes first
         raise
-    return acc.corpus(vocabulary, labels_path)
+    return acc
 
 
 def _read_labels(path, users: list[str]) -> np.ndarray:
@@ -519,25 +513,25 @@ def load_corpus(
     """Load a corpus from disk. A file whose first CSV record starts with
     the triplets header is read as triplets, any other as jsonl:
 
-      triplets CSV 'user,community,count' plus an optional labels CSV
-               'user,label' given via labels_path.
+      triplets CSV 'user,community,count'; every user is unlabeled.
       jsonl    one object per line: {"user": str, "counts": {community: int},
-               "label": int (optional, -1 = unlabeled)}; it holds its own
-               labels, so labels_path is refused.
+               "label": int (optional, -1 = unlabeled)}.
+
+    A labels file, a 'user,label' CSV given via labels_path, replaces the
+    corpus's labels whatever its format: a user it does not name is
+    unlabeled, and a user it names must be in the corpus.
 
     Duplicate users are merged by entry-wise count sum. Unknown
     communities are dropped (counted in the report, single warning).
     Users left with no in-vocabulary activity are rejected, not errors.
-    Conflicting labels for one user raise DataError.
+    Conflicting labels for one user, in the corpus or in the labels file,
+    raise DataError; the corpus's own are checked first.
     """
     if _is_triplets(path):
-        return _load_triplets(path, vocabulary, labels_path)
-    if labels_path is not None:
-        raise DataError(
-            f"{path}: is read as jsonl, as it does not open with the triplets header "
-            f"'{','.join(TRIPLETS_HEADER)}'; a labels file applies only to a triplets corpus"
-        )
-    return _load_jsonl(path, vocabulary)
+        lines = _read_triplets(path, vocabulary)
+    else:
+        lines = _Lines.joined(in_ranges(path, partial(_read_jsonl, path, vocabulary)))
+    return lines.corpus(vocabulary, labels_path)
 
 
 def write_csv(path, header, rows):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from re import _parser  # the regex parse tree (a private module, Python 3.11+)
 from typing import NamedTuple
 
 import numpy as np
@@ -30,11 +31,6 @@ import numpy as np
 from .data import LabeledCorpus, write_csv
 from .errors import DataError
 from .serialize import decode, in_ranges, read_json, text_lines, unconverted
-
-try:
-    from re import _parser as _sre_parse  # Python 3.11+
-except ImportError:  # pragma: no cover
-    import sre_parse as _sre_parse
 
 ATTRIBUTES = ("year", "gender", "partisan")
 
@@ -173,15 +169,15 @@ def _joinable(negation: re.Pattern) -> bool:
         re.compile(f"(?:{negation.pattern})")
     except re.error:
         return False
-    return not negation.groupindex and not _refers_to_groups(_sre_parse.parse(negation.pattern))
+    return not negation.groupindex and not _refers_to_groups(_parser.parse(negation.pattern))
 
 
 def _refers_to_groups(node) -> bool:
     """True when a parsed regex, or a part of one, holds a backreference
     or a group conditional."""
-    if isinstance(node, _sre_parse.SubPattern):
+    if isinstance(node, _parser.SubPattern):
         return any(
-            op in (_sre_parse.GROUPREF, _sre_parse.GROUPREF_EXISTS) or _refers_to_groups(av)
+            op in (_parser.GROUPREF, _parser.GROUPREF_EXISTS) or _refers_to_groups(av)
             for op, av in node
         )
     if isinstance(node, (tuple, list)):

@@ -209,8 +209,9 @@ def dict_load_corpus(path, names, fmt="jsonl", labels_path=None):
 
     Returns (users, rows, labels, report): users in first-appearance
     order with at least one in-vocabulary count, rows[i] a {column:
-    merged count} dict, labels[i] in -1..1, and the LoadReport fields
-    as a dict. Raises DataError at the first bad line.
+    merged count} dict, labels[i] in -1..1 (those of labels_path, a
+    'user,label' CSV, if given), and the LoadReport fields as a dict.
+    Raises DataError at the first bad line.
     """
     index = {name: j for j, name in enumerate(names)}
     counts: dict[str, dict[int, int]] = {}
@@ -272,6 +273,8 @@ def dict_load_corpus(path, names, fmt="jsonl", labels_path=None):
                     report["lines_read"] += 1
                     add(rec[0], [(rec[1], int(rec[2]))], -1, f"{path}:{reader.line_num}")
     if labels_path is not None:
+        # the file's labels replace the corpus's, checked above
+        labels = dict.fromkeys(labels, -1)
         with open(labels_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             next(reader)

@@ -25,11 +25,13 @@ from demoscope.cli import (
     NB_KINDS,
     Run,
     RunConfig,
+    _COMMANDS,
     _factory_for,
     build_parser,
     load_config,
     main,
     stage_seed,
+    write_manifest,
 )
 from demoscope.data import CommunityVocabulary, LabeledCorpus, load_corpus, load_vocabulary
 from demoscope.quantify import QuantifierModel
@@ -217,6 +219,24 @@ class TestConfigFile:
         assert by_yaml["config_hash"] == by_flags["config_hash"]
         loaded = load_config(cfg)
         assert [type(v) for v in (loaded.alpha1, loaded.tol, *loaded.taus)] == [float] * 4
+
+    def test_setting_the_command_does_not_read_leaves_the_config_hash(self, demo_files, tmp_path):
+        """evaluate reads no use_log_normal, so setting it in a YAML moves
+        neither its outputs nor its manifest's config and config_hash."""
+        d = demo_files["dir"]
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("use_log_normal: true\n", encoding="utf-8")
+        out, runs = tmp_path / "out", []
+        for settings in ([], ["--config", str(cfg)]):
+            assert main(["evaluate", "--corpus", str(d / "corpus.jsonl"), "--vocabulary",
+                         str(d / "vocab.txt"), "--model", "nb", "--n-boot", "3",
+                         "--out-dir", str(out), *settings]) == 0
+            runs.append((_read_json(out / "manifest.json"), (out / "metrics.json").read_bytes()))
+        (plain, plain_metrics), (yaml, yaml_metrics) = runs
+        assert "use_log_normal" not in plain["config"]
+        assert plain["config"] == yaml["config"]
+        assert plain["config_hash"] == yaml["config_hash"]
+        assert plain_metrics == yaml_metrics
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -459,19 +479,24 @@ class TestTrain:
         assert code == 0
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
 
-    def test_labels_with_jsonl_corpus_exits_two_with_one_line(self, demo_files, tmp_path, capsys):
-        labels = tmp_path / "l.csv"
-        labels.write_text("user,label\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert self._train(demo_files["dir"], out, "--labels", str(labels)) == 2
-        err = capsys.readouterr().err.splitlines()
-        corpus = demo_files["dir"] / "corpus.jsonl"
-        assert err == [
-            f"demoscope: data error: {corpus}: is read as jsonl, as it does not open with the "
-            "triplets header 'user,community,count'; a labels file applies only to a triplets "
-            "corpus"
-        ]
-        assert not (out / "model.json").exists()
+    def test_distant_labels_train_a_jsonl_corpus_as_its_triplets_twin(self, demo_files, tmp_path):
+        """label-distant's labels.csv replaces a jsonl corpus's inline
+        labels, as it labels the same corpus written as triplets."""
+        d = demo_files["dir"]
+        distant = tmp_path / "distant"
+        assert main(["label-distant", "--corpus", str(d / "corpus.jsonl"), "--vocabulary",
+                     str(d / "vocab.txt"), "--seeds", str(d / "seeds.json"),
+                     "--out-dir", str(distant)]) == 0
+        labels = str(distant / "labels.csv")
+        write_corpus_triplets(demo_files["corpus"], tmp_path / "c.csv")
+        jsonl, triplets = tmp_path / "a", tmp_path / "b"
+        assert self._train(d, jsonl, "--labels", labels) == 0
+        assert main(["train", "--corpus", str(tmp_path / "c.csv"), "--labels", labels,
+                     "--vocabulary", str(d / "vocab.txt"), "--out-dir", str(triplets)]) == 0
+        assert (jsonl / "model.json").read_bytes() == (triplets / "model.json").read_bytes()
+        inline = tmp_path / "inline"
+        assert self._train(d, inline) == 0
+        assert (jsonl / "model.json").read_bytes() != (inline / "model.json").read_bytes()
 
     @pytest.mark.parametrize("kind", ["nb", "nb-ss"])
     def test_corpus_without_labels_exits_two_with_one_line(
@@ -1271,6 +1296,16 @@ def test_manifest_inputs_are_the_files_read(demo_files, tmp_path, monkeypatch, c
         assert entry["sha256"] == hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_manifest_config_holds_the_settings_the_command_offers(tmp_path, command):
+    """Its keys are the command's flags, --config aside: no setting it
+    never reads, so none that would only move config_hash."""
+    write_manifest(Run(command, RunConfig(out_dir=str(tmp_path))))
+    config = _read_json(tmp_path / "manifest.json")["config"]
+    offered = {a.dest for a in _subparsers()[command]._actions} - {"help", "config"}
+    assert set(config) == offered
+
+
 def _bad_nb(demo_files, tmp_path, **fields) -> list[str]:
     return _bad_model(fit(demo_files["corpus"])[0], demo_files, tmp_path, **fields)
 
@@ -1727,13 +1762,18 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     """Invalid UTF-8 or a leading byte-order mark in any input, nesting
     too deep to parse, a truncated file or a top-level value of the wrong
     type in a JSON or YAML input, an empty corpus, and a comments file
-    with no comment in it, is one data-error line naming the file."""
+    with no comment in it, is one data-error line naming the file (or,
+    for an empty corpus given a labels file, the labels file's line)."""
     argv, path = _unreadable_case(demo_files, tmp_path, reader)
+    named = path  # the file the error line starts with
     if content == "empty":
         path.write_bytes(b"")
-        # without the triplets header a file is jsonl, which a labels file cannot label
+        # without the triplets header a file is jsonl: read as such, it holds
+        # no user, so the first user its labels file names is unknown
+        if reader == "triplets-corpus":
+            named = tmp_path / "l.csv"
         expected = {
-            "triplets-corpus": f"{path}: is read as jsonl",
+            "triplets-corpus": f"{named}:2: label for unknown user 'u000000'",
             "comments": f"{path}: no coherent 'gender' declarations found",
         }.get(reader, f"{path}: no user rows")
     elif content == "lists":
@@ -1786,9 +1826,9 @@ def test_unreadable_file_exits_two_naming_it(demo_files, tmp_path, capsys, reade
     out = tmp_path / "out"
     assert main([*argv, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {path}")
+    assert len(err) == 1 and err[0].startswith(f"demoscope: data error: {named}")
     assert expected in err[0]
-    assert len(err[0]) < len(str(path)) + 200
+    assert len(err[0]) < len(str(named)) + 200
     assert not (out / "manifest.json").exists()
 
 

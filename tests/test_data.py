@@ -407,11 +407,17 @@ def _assert_same_load(got, want):
     assert np.array_equal(corpus.X.toarray(), dense)
 
 
-@given(lines=_corpus_lines())
+# the lines of a labels file: users u/v/w of _corpus_lines and x, which none has
+_label_lines = st.lists(st.tuples(st.sampled_from("uvwx"), st.sampled_from([-1, 0, 1])),
+                        max_size=4)
+
+
+@given(lines=_corpus_lines(), label_lines=st.none() | _label_lines)
 @settings(max_examples=150, deadline=None)
-def test_jsonl_loader_matches_dict_oracle(lines):
+def test_jsonl_loader_matches_dict_oracle(lines, label_lines):
+    """With or without a labels file, whose labels replace the inline ones."""
     with tempfile.TemporaryDirectory() as tmp:
-        f = Path(tmp) / "c.jsonl"
+        f, labels = Path(tmp) / "c.jsonl", None
         text = ""
         for user, pairs, label in lines:
             rec = {"user": user, "counts": dict(pairs)}
@@ -419,12 +425,13 @@ def test_jsonl_loader_matches_dict_oracle(lines):
                 rec["label"] = label
             text += json.dumps(rec) + "\n"
         f.write_text(text)
-        _assert_same_load(*_load_both(f))
+        if label_lines is not None:
+            labels = Path(tmp) / "l.csv"
+            labels.write_text("user,label\n" + "".join(f"{u},{y}\n" for u, y in label_lines))
+        _assert_same_load(*_load_both(f, labels_path=labels))
 
 
-@given(lines=_corpus_lines(), label_lines=st.lists(
-    st.tuples(st.sampled_from("uvwx"), st.sampled_from([-1, 0, 1])), max_size=4
-))
+@given(lines=_corpus_lines(), label_lines=_label_lines)
 @settings(max_examples=150, deadline=None)
 def test_triplets_loader_matches_dict_oracle(lines, label_lines):
     with tempfile.TemporaryDirectory() as tmp:

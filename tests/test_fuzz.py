@@ -58,6 +58,9 @@ KINDS = {
     "quantifier": ("quant.json", ["quantify", "--quantifier", "{d}/quant.json",
                                   "--target", "{d}/target.jsonl", "--vocabulary", "{d}/vocab.txt"]),
     "jsonl-corpus": ("corpus.jsonl", ["train", *CORPUS]),
+    # a labels file replaces a jsonl corpus's inline labels
+    "labeled-jsonl-corpus": ("corpus.jsonl", ["train", *CORPUS, "--labels", "{d}/l.csv"]),
+    "jsonl-labels": ("l.csv", ["train", *CORPUS, "--labels", "{d}/l.csv"]),
     "triplets-corpus": ("c.csv", ["train", *TRIPLETS]),
     "labels": ("l.csv", ["train", *TRIPLETS]),
     "vocabulary": ("vocab.txt", ["predict", "--model-path", "{d}/nb.json", *TARGET]),

@@ -45,14 +45,14 @@ def ranges(monkeypatch):
     return cut
 
 
-def _load(path, cpus, monkeypatch):
+def _load(path, cpus, monkeypatch, labels_path=None):
     """load_corpus with cpus usable CPUs: (X arrays, user ids, labels,
     report, warnings), or the DataError message."""
     monkeypatch.setattr(serialize, "usable_cpus", lambda: cpus)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            corpus, report = load_corpus(path, CommunityVocabulary(_NAMES))
+            corpus, report = load_corpus(path, CommunityVocabulary(_NAMES), labels_path)
         except DataError as e:
             return str(e)
     X = corpus.X
@@ -71,7 +71,9 @@ def _corpus_bytes(draw):
     it is cut. Users come from a pool of six, so one often recurs across
     a cut, or of a thousand, so most are unique. Lines hold known and
     unknown communities, labels that may conflict and counts that
-    overflow once merged; blank lines and \\n, \\r\\n or \\r endings."""
+    overflow once merged; blank lines and \\n, \\r\\n or \\r endings. Then
+    the text of a labels file for it, or None: its users' labels, which
+    may conflict, and one for a user it may lack."""
     pairs = st.dictionaries(
         st.sampled_from(_NAMES + ("zz",)), st.sampled_from([1, 2, 5, 2**30]), max_size=3
     )
@@ -89,21 +91,31 @@ def _corpus_bytes(draw):
     data = text.encode()
     newlines = [i + 1 for i in range(len(data) - 1) if data[i] == ord("\n")]
     cuts = draw(st.lists(st.sampled_from(newlines), min_size=1, max_size=2, unique=True))
-    return data, sorted(cuts)
+    named = sorted({item[0] for item in lines if item is not None}) + ["u1000"]
+    labeled = st.tuples(st.sampled_from(named), st.sampled_from([-1, 0, 1]))
+    label_lines = draw(st.none() | st.lists(labeled, max_size=4))
+    labels = None if label_lines is None else "user,label\n" + "".join(
+        f"{u},{y}\n" for u, y in label_lines
+    )
+    return data, sorted(cuts), labels
 
 
 @given(corpus=_corpus_bytes())
 @settings(max_examples=60, deadline=None)
 def test_corpus_in_ranges_equals_one_pass(corpus):
     """Equal to one pass, and the ranges are joined without reading the
-    whole file again: by a load that succeeds, and by one that fails on
-    a label conflict or a merged overflow, which is found after the join."""
-    data, cuts = corpus
+    whole file again: by a load that succeeds, with or without a labels
+    file, and by one that fails on a label conflict, a merged overflow or
+    a labels file's unknown user, which are found after the join."""
+    data, cuts, labels = corpus
     spans = list(zip([0, *cuts], [*cuts, len(data)]))
     with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.jsonl"
+        path, labels_path = Path(tmp) / "c.jsonl", None
         path.write_bytes(data)
-        serial = _load(path, 1, monkeypatch)
+        if labels is not None:
+            labels_path = Path(tmp) / "l.csv"
+            labels_path.write_text(labels, encoding="utf-8")
+        serial = _load(path, 1, monkeypatch, labels_path)
         cut, read_here = [], []
         real_read = data_module._read_jsonl
 
@@ -115,10 +127,10 @@ def test_corpus_in_ranges_equals_one_pass(corpus):
         monkeypatch.setattr(data_module, "_read_jsonl", read)
         monkeypatch.setattr(serialize, "MIN_RANGE_BYTES", 1)
         monkeypatch.setattr(serialize, "MAX_RANGES", 3)
-        assert _load(path, 3, monkeypatch) == serial
+        assert _load(path, 3, monkeypatch, labels_path) == serial
         assert cut == [spans] and len(spans) > 1
-        if isinstance(serial, str):  # these lines parse, so only a merge can fail
-            assert "conflicting labels" in serial or "merged count" in serial
+        if isinstance(serial, str):  # these lines parse: only a merge or a label can fail
+            assert any(m in serial for m in ("conflicting labels", "merged count", "unknown user"))
         assert read_here == [spans[0]]
 
 
